@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .compensation import FreeFallError, compose_flange_pose, rotation_matrix, tilt_angles
+from .compensation import FreeFallError, flange_poses
 from .dynamics import (
     ContactLostError,
     IntegrationError,
@@ -31,6 +31,7 @@ from .fileio import (
     RunConfig,
     TrajectoryFile,
     _atomic_write,
+    _write_table,
     band_limited_noise,
     load_config,
     read_trajectory,
@@ -53,19 +54,11 @@ def _ensure_outdir(path: str) -> str:
 
 def _pose_rows(t, positions, accelerations, g, mounting, delay=0.0):
     """Tilt-compensated flange poses for a stream of samples."""
-    n = t.size
-    pos_out = np.empty((n, 3))
-    rot_out = np.empty((n, 3, 3))
-    for k in range(n):
-        try:
-            beta, phi = tilt_angles(accelerations[k], g)
-        except FreeFallError as exc:
-            raise FreeFallError(f"{exc} (at t = {t[k]!r} s)") from None
-        R = rotation_matrix(beta, phi)
-        flange = compose_flange_pose(positions[k], R, mounting)
-        pos_out[k] = flange[:3, 3]
-        rot_out[k] = flange[:3, :3]
-    return PoseTrajectoryFile(float(t[1] - t[0]) if n > 1 else 0.0,
+    try:
+        pos_out, rot_out = flange_poses(positions, accelerations, g, mounting)
+    except FreeFallError as exc:
+        raise FreeFallError(f"{exc} (at t = {t[exc.sample]!r} s)") from None
+    return PoseTrajectoryFile(float(t[1] - t[0]) if t.size > 1 else 0.0,
                               delay, t, pos_out, rot_out)
 
 
@@ -79,10 +72,8 @@ def _write_freq_response(path: str, stages, omega_max: float, points: int) -> No
         total = total * c
     cols.append(total)
     names = ["omega"] + [f"stage{i}" for i in range(len(stages))] + ["cascade"]
-    header = f"# freq_response columns={','.join(names)}"
-    body = "\n".join(",".join(repr(float(v)) for v in row)
-                     for row in np.column_stack(cols))
-    _atomic_write(path, header + "\n" + body + "\n")
+    _write_table(path, f"# freq_response columns={','.join(names)}",
+                 np.column_stack(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +97,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
         write_trajectory(os.path.join(outdir, "reference.csv"),
                          TrajectoryFile(dt, t, positions, accels))
         report = "plan: goal equals start; nothing to do\n"
-        _atomic_write(os.path.join(outdir, "plan.txt"), report)
+        _atomic_write(os.path.join(outdir, "plan.txt"), [report])
         print(report.strip())
         return 0
 
@@ -137,7 +128,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
         lines.append(f"without tilt compensation (mu = {mu!r}):")
         lines.append(feasibility_report(sc, tilt_enabled=False, mu=mu).render())
     report = "\n".join(lines) + "\n"
-    _atomic_write(os.path.join(outdir, "plan.txt"), report)
+    _atomic_write(os.path.join(outdir, "plan.txt"), [report])
 
     if cfg.raw.get("output", {}).get("emit_freq_response"):
         omega_max = cfg.freq_omega_max or (5.0 * (sc.omega_n or 2 * math.pi))
@@ -242,7 +233,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             trace = simulate_coupled(p, motion, dt=dt)
     except (ContactLostError, IntegrationError) as exc:
         verdict = f"FAIL: {exc}"
-        _atomic_write(verdict_path, verdict + "\n")
+        _atomic_write(verdict_path, [verdict + "\n"])
         print(verdict)
         return 1
 
@@ -255,13 +246,13 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         failures.append(f"|slip| = {abs(trace.net_slip)!r} m > {cfg.max_slip!r}")
     if failures:
         verdict = "FAIL: " + "; ".join(failures)
-        _atomic_write(verdict_path, verdict + "\n")
+        _atomic_write(verdict_path, [verdict + "\n"])
         print(verdict)
         return 1
     verdict = (f"PASS: max|theta| = {trace.max_abs_theta!r} rad, "
                f"slip = {trace.net_slip!r} m, "
                f"transitions = {len(trace.transitions)}")
-    _atomic_write(verdict_path, verdict + "\n")
+    _atomic_write(verdict_path, [verdict + "\n"])
     print(verdict)
     return 0
 

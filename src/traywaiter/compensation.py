@@ -24,6 +24,7 @@ __all__ = [
     "planar_tilt",
     "baseline_friction_tilt",
     "compose_flange_pose",
+    "flange_poses",
     "pendulum_length_from_frequency",
     "wrap_angle",
 ]
@@ -31,7 +32,10 @@ __all__ = [
 
 class FreeFallError(ValueError):
     """Raised when g + az <= 0: the load is in free fall and no tray
-    orientation can keep it pressed against the surface."""
+    orientation can keep it pressed against the surface. `sample` is the
+    index of the offending sample when flange_poses raises it."""
+
+    sample: int | None = None
 
 
 def wrap_angle(phi: float) -> float:
@@ -50,7 +54,7 @@ def tilt_angles(accel, g: float) -> tuple[float, float]:
     and phi is reported as pi by convention (it is not meaningful there; the
     conjugation in rotation_matrix makes the attitude the identity anyway).
     """
-    ax, ay, az = (float(v) for v in accel)
+    ax, ay, az = map(float, accel)
     gz = g + az
     if gz <= 0.0:
         raise FreeFallError(f"g + az = {gz} <= 0: tilt compensation undefined")
@@ -73,6 +77,29 @@ def _rot_y(a: float) -> np.ndarray:
 def rotation_matrix(beta: float, phi: float) -> np.ndarray:
     """Tray attitude Rot_z(phi) @ Rot_y(beta) @ Rot_z(-phi)."""
     return _rot_z(phi) @ _rot_y(beta) @ _rot_z(-phi)
+
+
+_BLOCK_SAMPLES = 1024  # samples per block in flange_poses
+
+
+def _rot_z_stack(a: np.ndarray) -> np.ndarray:
+    c, s = np.cos(a), np.sin(a)
+    out = np.zeros((a.size, 3, 3))
+    out[:, 0, 0] = out[:, 1, 1] = c
+    out[:, 0, 1] = -s
+    out[:, 1, 0] = s
+    out[:, 2, 2] = 1.0
+    return out
+
+
+def _rot_y_stack(a: np.ndarray) -> np.ndarray:
+    c, s = np.cos(a), np.sin(a)
+    out = np.zeros((a.size, 3, 3))
+    out[:, 0, 0] = out[:, 2, 2] = c
+    out[:, 0, 2] = s
+    out[:, 2, 0] = -s
+    out[:, 1, 1] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,6 +189,41 @@ def compose_flange_pose(position, rotation: np.ndarray,
     T[:3, :3] = rotation
     T[:3, 3] = np.asarray(position, dtype=float)
     return T @ mount.inverse()
+
+
+def flange_poses(positions, accelerations, g: float,
+                 mount: MountingTransform) -> tuple[np.ndarray, np.ndarray]:
+    """Flange positions (n, 3) and rotations (n, 3, 3) of a stream of samples.
+
+    Bit for bit the same as tilt_angles -> rotation_matrix ->
+    compose_flange_pose applied to each sample: the angles come from
+    tilt_angles one sample at a time, the matrices are built and multiplied
+    as stacks, a block of samples at a time. A sample in free fall raises
+    FreeFallError with its index in `sample`.
+    """
+    accelerations = np.asarray(accelerations, dtype=float)
+    n = len(accelerations)
+    pos_out = np.empty((n, 3))
+    rot_out = np.empty((n, 3, 3))
+    inverse = mount.inverse()
+    for start in range(0, n, _BLOCK_SAMPLES):
+        stop = min(start + _BLOCK_SAMPLES, n)
+        angles = []
+        try:
+            for accel in accelerations[start:stop].tolist():
+                angles.append(tilt_angles(accel, g))
+        except FreeFallError as exc:
+            exc.sample = start + len(angles)
+            raise
+        beta, phi = np.array(angles).T
+        T = np.zeros((stop - start, 4, 4))
+        T[:, :3, :3] = _rot_z_stack(phi) @ _rot_y_stack(beta) @ _rot_z_stack(-phi)
+        T[:, :3, 3] = positions[start:stop]
+        T[:, 3, 3] = 1.0
+        flange = T @ inverse
+        pos_out[start:stop] = flange[:, :3, 3]
+        rot_out[start:stop] = flange[:, :3, :3]
+    return pos_out, rot_out
 
 
 def pendulum_length_from_frequency(omega_n: float, g: float) -> float:

@@ -7,8 +7,10 @@ comma-separated data files with a single typed header line of the form
 
 Floats are serialized with repr(), the shortest decimal that round-trips,
 so write-then-read is lossless and repeated runs are byte-identical.
-Writes go to a temporary file in the target directory followed by an
-atomic rename.
+Tables are streamed: rows are formatted and written a fixed-size block at a
+time, so the text of a whole file is never held in memory. Writes still go
+to a temporary file in the target directory followed by an atomic rename,
+so a reader never sees a partly written file.
 """
 
 from __future__ import annotations
@@ -60,12 +62,16 @@ class ConfigError(ValueError):
 # low-level text helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str) -> None:
+_BLOCK_ROWS = 1024  # table rows formatted per written chunk
+
+
+def _atomic_write(path: str, chunks) -> None:
+    """Write an iterable of text chunks to `path` atomically."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,8 +79,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
+def _table_chunks(header: str, rows: np.ndarray):
+    rows = np.asarray(rows, dtype=float)
+    yield header + "\n"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS].tolist()
+        yield "\n".join(",".join(map(repr, row)) for row in block) + "\n"
+
+
+def _write_table(path: str, header: str, rows: np.ndarray) -> None:
+    """Header line, then one line of comma-separated repr() floats per row."""
+    _atomic_write(path, _table_chunks(header, rows))
 
 
 def _parse_header(line: str, expected_kind: str) -> dict:
@@ -141,7 +156,7 @@ def write_trajectory(path: str, traj: TrajectoryFile) -> None:
     blocks = [traj.t[:, None], traj.positions]
     if traj.accelerations is not None:
         blocks.append(traj.accelerations)
-    _atomic_write(path, header + "\n" + _format_rows(np.hstack(blocks)) + "\n")
+    _write_table(path, header, np.hstack(blocks))
 
 
 def read_trajectory(path: str) -> TrajectoryFile:
@@ -162,37 +177,49 @@ def read_trajectory(path: str) -> TrajectoryFile:
 # ---------------------------------------------------------------------------
 
 def rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0."""
-    m00, m01, m02 = R[0]
-    m10, m11, m12 = R[1]
-    m20, m21, m22 = R[2]
+    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix, or an
+    (n, 4) stack of them for an (n, 3, 3) stack of matrices.
+
+    A matrix with positive trace uses the trace branch; any other uses the
+    branch of its largest diagonal entry, ties going to the earlier one.
+    """
+    R = np.asarray(R, dtype=float)
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = R.reshape(-1, 9).T
     tr = m00 + m11 + m22
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s])
-    elif m00 >= m11 and m00 >= m22:
-        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        q = np.array([(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s])
-    elif m11 >= m22:
-        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        q = np.array([(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s])
-    else:
-        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        q = np.array([(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s])
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+    with np.errstate(invalid="ignore", divide="ignore"):  # branches not taken
+        s0 = np.sqrt(tr + 1.0) * 2.0
+        s1 = np.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        s2 = np.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        s3 = np.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        branches = (
+            (0.25 * s0, (m21 - m12) / s0, (m02 - m20) / s0, (m10 - m01) / s0),
+            ((m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1),
+            ((m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2),
+            ((m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3),
+        )
+    taken = [tr > 0.0, (m00 >= m11) & (m00 >= m22), m11 >= m22,
+             np.full(tr.shape, True)]
+    q = np.column_stack([np.select(taken, [b[i] for b in branches])
+                         for i in range(4)])
+    flip = q[:, 0] < 0.0
+    q[flip] = -q[flip]
+    # the row-wise dot is the one np.linalg.norm(q) takes for a single q
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    return q.reshape(R.shape[:-2] + (4,))
 
 
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
+    """Rotation matrix of a quaternion (w, x, y, z), or an (n, 3, 3) stack
+    of them for an (n, 4) stack of quaternions."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
     n = w * w + x * x + y * y + z * z
     s = 2.0 / n
-    return np.array([
-        [1 - s * (y * y + z * z), s * (x * y - z * w), s * (x * z + y * w)],
-        [s * (x * y + z * w), 1 - s * (x * x + z * z), s * (y * z - x * w)],
-        [s * (x * z - y * w), s * (y * z + x * w), 1 - s * (x * x + y * y)],
-    ])
+    R = np.stack([
+        1 - s * (y * y + z * z), s * (x * y - z * w), s * (x * z + y * w),
+        s * (x * y + z * w), 1 - s * (x * x + z * z), s * (y * z - x * w),
+        s * (x * z - y * w), s * (y * z + x * w), 1 - s * (x * x + y * y),
+    ], axis=-1)
+    return R.reshape(w.shape + (3, 3))
 
 
 @dataclass
@@ -218,11 +245,10 @@ _POSE_COLS = ("t,x,y,z,qw,qx,qy,qz,"
 def write_pose_trajectory(path: str, pose: PoseTrajectoryFile) -> None:
     header = (f"# pose_trajectory dt={pose.dt!r} delay={pose.delay!r} "
               f"columns={_POSE_COLS}")
-    n = pose.n
-    quat = np.array([rotation_to_quaternion(pose.rotations[i]) for i in range(n)])
-    rows = np.hstack([pose.t[:, None], pose.positions, quat,
-                      pose.rotations.reshape(n, 9)])
-    _atomic_write(path, header + "\n" + _format_rows(rows) + "\n")
+    rows = np.hstack([pose.t[:, None], pose.positions,
+                      rotation_to_quaternion(pose.rotations),
+                      pose.rotations.reshape(pose.n, 9)])
+    _write_table(path, header, rows)
 
 
 def read_pose_trajectory(path: str) -> PoseTrajectoryFile:
@@ -237,10 +263,10 @@ def read_pose_trajectory(path: str) -> PoseTrajectoryFile:
     _check_uniform_time(t, dt, path)
     rot = data[:, 8:17].reshape(-1, 3, 3)
     quat = data[:, 4:8]
-    for i in range(data.shape[0]):
-        if np.abs(quaternion_to_rotation(quat[i]) - rot[i]).max() > 1e-9:
-            raise FormatError(
-                f"{path}: row {i}: quaternion and matrix disagree")
+    bad = np.abs(quaternion_to_rotation(quat) - rot).max(axis=(1, 2)) > 1e-9
+    if bad.any():
+        raise FormatError(
+            f"{path}: row {np.argmax(bad)}: quaternion and matrix disagree")
     return PoseTrajectoryFile(dt, float(meta["delay"]), t, data[:, 1:4], rot)
 
 
@@ -257,7 +283,7 @@ def write_sim_trace(path: str, trace: SimTrace) -> None:
     rows = np.column_stack([trace.t, trace.theta, trace.theta_dot, trace.d_x,
                             trace.d_x_dot, trace.mode.astype(float),
                             trace.demand, trace.f_s])
-    _atomic_write(path, header + "\n" + _format_rows(rows) + "\n")
+    _write_table(path, header, rows)
 
 
 def read_sim_trace(path: str) -> SimTrace:

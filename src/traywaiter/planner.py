@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .compensation import FreeFallError
 from .smoothers import (
     CascadeSpec,
     CascadeState,
@@ -196,7 +197,7 @@ def _max_tilt_accel(stages, h: float, direction: np.ndarray, g: float) -> float:
     ax, ay, az = (acc * direction[i] for i in range(3))
     gz = g + az
     if np.any(gz <= 0.0):
-        raise ValueError("planned motion reaches free fall; lower a_max")
+        raise FreeFallError("planned motion reaches free fall; lower a_max")
     beta = -np.arctan2(np.hypot(ax, ay), gz)
     beta_dd = np.gradient(np.gradient(beta, dt), dt)
     return float(np.abs(beta_dd).max())

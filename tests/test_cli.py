@@ -135,6 +135,21 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
 
+def test_plan_free_fall_exit_code(tmp_path, capsys):
+    # the free-stage search meets g + az <= 0 on a fast solid drop
+    cfg = _write(tmp_path, "cfg.yaml", """
+scenario:
+  material: solid
+  motion: point_to_point
+  start: [0.0, 0.0, 1.0]
+  goal: [0.0, 0.0, 0.0]
+  v_max: 2.0
+  a_max: 30.0
+""")
+    assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
+    assert "free fall" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # filter
 # ---------------------------------------------------------------------------

@@ -121,18 +121,19 @@ def test_pose_round_trip(tmp_path):
 
 
 def test_pose_cross_validation_catches_corruption(tmp_path):
-    pose = PoseTrajectoryFile(0.01, 0.0, np.array([0.0, 0.01]),
-                              np.zeros((2, 3)),
-                              np.array([np.eye(3), np.eye(3)]))
+    pose = PoseTrajectoryFile(0.01, 0.0, np.array([0.0, 0.01, 0.02]),
+                              np.zeros((3, 3)), np.array([np.eye(3)] * 3))
     path = str(tmp_path / "pose.csv")
     write_pose_trajectory(path, pose)
-    lines = open(path).read().splitlines()
-    row = lines[1].split(",")
-    row[8] = "0.9"  # r00 no longer matches the quaternion
-    lines[1] = ",".join(row)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for k in (2, 3):  # data rows 1 and 2
+        row = lines[k].split(",")
+        row[8] = "0.9"  # r00 no longer matches the quaternion
+        lines[k] = ",".join(row)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"row 1: quaternion and matrix disagree"):
         read_pose_trajectory(path)
 
 
