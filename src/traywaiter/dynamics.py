@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .smoothers import transfer_function
+
 __all__ = [
     "PlantParams",
     "TrayMotion",
@@ -431,6 +433,18 @@ def _resolve_steps(motion: TrayMotion, dt: float | None) -> tuple[float, int]:
     return dt, n_steps
 
 
+def _rk4(rates, y, h, u0, um, u1):
+    """One classical RK4 step of y' = rates(y, u) with the inputs sampled at
+    the start (u0), midpoint (um) and end (u1) of the step."""
+    hh = 0.5 * h
+    k1 = rates(y, u0)
+    k2 = rates([a + hh * b for a, b in zip(y, k1)], um)
+    k3 = rates([a + hh * b for a, b in zip(y, k2)], um)
+    k4 = rates([a + h * b for a, b in zip(y, k3)], u1)
+    return tuple([a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+
+
 def simulate_pendulum(params: PlantParams, motion: TrayMotion,
                       init: tuple[float, float] = (0.0, 0.0),
                       dt: float | None = None) -> SimTrace:
@@ -449,41 +463,42 @@ def simulate_pendulum(params: PlantParams, motion: TrayMotion,
     demand = np.empty(n_steps + 1)
     f_s = np.empty(n_steps + 1)
 
-    def record(k, th, thd):
+    def record(k, th, thd, u):
         theta[k] = th
         theta_dot[k] = thd
-        _, dem, fs, normal = _stick_eval(p, damp, th, thd, 0.0, 0.0, tuple(smp.grid[k]))
+        _, dem, fs, normal = _stick_eval(p, damp, th, thd, 0.0, 0.0, u)
         demand[k] = dem
         f_s[k] = fs
         if normal <= 0.0:
             raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
 
-    record(0, th, thd)
-    h = dt
+    def rates(y, u):
+        return y[1], _pendulum_rhs(p, damp, y[0], y[1], 0.0, 0.0, 0.0, u)
+
+    u1 = tuple(smp.grid[0])
+    record(0, th, thd, u1)
     for k in range(n_steps):
-        u0 = tuple(smp.grid[k])
-        um = tuple(smp.mid[k])
-        u1 = tuple(smp.grid[k + 1])
-        k1v = _pendulum_rhs(p, damp, th, thd, 0.0, 0.0, 0.0, u0)
-        th2 = th + 0.5 * h * thd
-        thd2 = thd + 0.5 * h * k1v
-        k2v = _pendulum_rhs(p, damp, th2, thd2, 0.0, 0.0, 0.0, um)
-        th3 = th + 0.5 * h * thd2
-        thd3 = thd + 0.5 * h * k2v
-        k3v = _pendulum_rhs(p, damp, th3, thd3, 0.0, 0.0, 0.0, um)
-        th4 = th + h * thd3
-        thd4 = thd + h * k3v
-        k4v = _pendulum_rhs(p, damp, th4, thd4, 0.0, 0.0, 0.0, u1)
-        th += h * (thd + 2.0 * thd2 + 2.0 * thd3 + thd4) / 6.0
-        thd += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        u0, u1 = u1, tuple(smp.grid[k + 1])
+        th, thd = _rk4(rates, (th, thd), dt, u0, tuple(smp.mid[k]), u1)
         if not (math.isfinite(th) and math.isfinite(thd)):
             raise IntegrationError(f"non-finite pendulum state at t = {(k + 1) * dt:.6g} s")
-        record(k + 1, th, thd)
+        record(k + 1, th, thd, u1)
 
     t = np.arange(n_steps + 1) * dt
     zeros = np.zeros(n_steps + 1)
     return SimTrace(t, theta, theta_dot, zeros, zeros.copy(),
                     np.zeros(n_steps + 1, dtype=np.uint8), demand, f_s, [])
+
+
+def _midpoints(u: np.ndarray) -> np.ndarray:
+    n = u.size
+    if n >= 4:
+        um = np.empty(n - 1)
+        um[1:-1] = (-u[:-3] + 9.0 * u[1:-2] + 9.0 * u[2:-1] - u[3:]) / 16.0
+        um[0] = (5.0 * u[0] + 15.0 * u[1] - 5.0 * u[2] + u[3]) / 16.0
+        um[-1] = (u[-4] - 5.0 * u[-3] + 15.0 * u[-2] + 5.0 * u[-1]) / 16.0
+        return um
+    return 0.5 * (u[:-1] + u[1:])
 
 
 def simulate_linear_slosh(omega_n: float, delta: float, accel_series, dt: float,
@@ -535,24 +550,22 @@ class _TraySim:
     without the coupled pendulum)."""
 
     def __init__(self, params: PlantParams, motion: TrayMotion, dt: float | None,
-                 init: tuple[float, float, float, float], v_eps: float = _V_EPS):
+                 init: tuple[float, float, float, float]):
         self.p = params
-        self.pendulum = params.m > 0.0
-        self.damp = params.b_lc / (params.m * params.l) if self.pendulum else 0.0
+        self.damp = params.b_lc / (params.m * params.l) if params.m > 0.0 else 0.0
         self.dt, self.n_steps = _resolve_steps(motion, dt)
         self.smp = _MotionSampler(motion, self.dt, self.n_steps)
-        self.v_eps = v_eps
         self.y = [float(v) for v in init]      # theta, theta_dot, d_x, d_x_dot
         self.transitions: list = []
         self.slip_sign = 0.0
 
-    # -- right-hand sides ---------------------------------------------------
+    # -- right-hand sides (the step time t only labels contact loss) -------
 
     def _stick_rates(self, y, u, t):
         thdd, _, _, normal = _stick_eval(self.p, self.damp, y[0], y[1], y[2], 0.0, u)
         if normal <= 0.0:
             raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        return (y[1], thdd)
+        return (y[1], thdd, 0.0, 0.0)
 
     def _slip_rates(self, y, u, t):
         thdd, dxdd, _, normal = _slip_eval(self.p, self.damp, y[0], y[1], y[2], y[3],
@@ -561,50 +574,13 @@ class _TraySim:
             raise ContactLostError(f"contact lost at t = {t:.6g} s")
         return (y[1], thdd, y[3], dxdd)
 
-    # -- single RK4 sub-steps with inputs at (t, t+h/2, t+h) ----------------
-
-    def _rk4_stick(self, y, t, h, u0, um, u1):
-        th, thd, dx, dxd = y
-        a1, b1 = self._stick_rates(y, u0, t)
-        y2 = (th + 0.5 * h * a1, thd + 0.5 * h * b1, dx, 0.0)
-        a2, b2 = self._stick_rates(y2, um, t)
-        y3 = (th + 0.5 * h * a2, thd + 0.5 * h * b2, dx, 0.0)
-        a3, b3 = self._stick_rates(y3, um, t)
-        y4 = (th + h * a3, thd + h * b3, dx, 0.0)
-        a4, b4 = self._stick_rates(y4, u1, t)
-        return (th + h * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0,
-                thd + h * (b1 + 2 * b2 + 2 * b3 + b4) / 6.0,
-                dx, 0.0)
-
-    def _rk4_slip(self, y, t, h, u0, um, u1):
-        k1 = self._slip_rates(y, u0, t)
-        y2 = tuple(y[i] + 0.5 * h * k1[i] for i in range(4))
-        k2 = self._slip_rates(y2, um, t)
-        y3 = tuple(y[i] + 0.5 * h * k2[i] for i in range(4))
-        k3 = self._slip_rates(y3, um, t)
-        y4 = tuple(y[i] + h * k3[i] for i in range(4))
-        k4 = self._slip_rates(y4, u1, t)
-        return tuple(y[i] + h * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) / 6.0
-                     for i in range(4))
-
-    def _advance(self, y, t, h, mode):
-        """One sub-step of width h starting at time t (inputs interpolated)."""
-        u0 = self.smp.at(t)
-        um = self.smp.at(t + 0.5 * h)
-        u1 = self.smp.at(t + h)
-        if mode == STICK:
-            return self._rk4_stick(y, t, h, u0, um, u1)
-        return self._rk4_slip(y, t, h, u0, um, u1)
-
-    def _grid_step(self, y, k, mode):
-        """Full step over [k dt, (k+1) dt] using the precomputed samples."""
-        u0 = tuple(self.smp.grid[k])
-        um = tuple(self.smp.mid[k])
-        u1 = tuple(self.smp.grid[k + 1])
-        t = k * self.dt
-        if mode == STICK:
-            return self._rk4_stick(y, t, self.dt, u0, um, u1)
-        return self._rk4_slip(y, t, self.dt, u0, um, u1)
+    def _advance(self, y, t, h, mode, inputs=None):
+        """One RK4 sub-step of width h from time t; `inputs` holds the samples
+        at (t, t+h/2, t+h) and is interpolated when not given."""
+        if inputs is None:
+            inputs = (self.smp.at(t), self.smp.at(t + 0.5 * h), self.smp.at(t + h))
+        rates = self._stick_rates if mode == STICK else self._slip_rates
+        return _rk4(lambda yy, uu: rates(yy, uu, t), y, h, *inputs)
 
     # -- mode bookkeeping ----------------------------------------------------
 
@@ -634,17 +610,16 @@ class _TraySim:
 
         y = tuple(self.y)
         u0 = tuple(self.smp.grid[0])
-        if abs(y[3]) < self.v_eps and self._stick_ok(y, u0):
+        if abs(y[3]) < _V_EPS and self._stick_ok(y, u0):
             mode = STICK
             y = (y[0], y[1], y[2], 0.0)
         else:
             mode = SLIP
-            self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= self.v_eps \
+            self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
                 else -math.copysign(1.0, self._stick_demand(y, u0))
 
-        def record(k, y, mode):
-            _, dem, fs, normal = _stick_eval(p, self.damp, y[0], y[1], y[2], y[3],
-                                             tuple(self.smp.grid[k]))
+        def record(k, y, mode, u):
+            _, dem, fs, normal = _stick_eval(p, self.damp, y[0], y[1], y[2], y[3], u)
             if normal <= 0.0:
                 raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
             theta[k] = y[0]
@@ -655,19 +630,23 @@ class _TraySim:
             demand_arr[k] = dem
             fs_arr[k] = fs
 
-        record(0, y, mode)
+        record(0, y, mode, u0)
+        u_end = u0
         for k in range(n):
             t0 = k * dt
             t_end = (k + 1) * dt
-            u_end = tuple(self.smp.grid[k + 1])
+            u_start, u_end = u_end, tuple(self.smp.grid[k + 1])
             t = t0
             events = 0
             # first attempt covers the whole interval with precomputed inputs
             full_grid = True
             while t < t_end - 1e-15:
                 h = t_end - t
-                y_new = self._grid_step(y, k, mode) if full_grid \
-                    else self._advance(y, t, h, mode)
+                if full_grid:
+                    y_new = self._advance(y, t0, dt, mode,
+                                          (u_start, tuple(self.smp.mid[k]), u_end))
+                else:
+                    y_new = self._advance(y, t, h, mode)
                 full_grid = False
                 if mode == STICK:
                     u_new = u_end if t + h >= t_end - 1e-15 else self.smp.at(t + h)
@@ -709,7 +688,7 @@ class _TraySim:
                     else:
                         y = y_new
                         t += h
-                        if abs(y[3]) < self.v_eps:
+                        if abs(y[3]) < _V_EPS:
                             u_now = u_end if t >= t_end - 1e-15 else self.smp.at(t)
                             if self._stick_ok((y[0], y[1], y[2], 0.0), u_now):
                                 y = (y[0], y[1], y[2], 0.0)
@@ -717,7 +696,7 @@ class _TraySim:
                                 mode = STICK
                 if not all(math.isfinite(v) for v in y):
                     raise IntegrationError(f"non-finite state at t = {t:.6g} s")
-            record(k + 1, y, mode)
+            record(k + 1, y, mode, u_end)
 
         t_arr = np.arange(n + 1) * dt
         return SimTrace(t_arr, theta, theta_dot, d_x, d_x_dot, mode_arr,
@@ -769,82 +748,15 @@ def simulate_coupled(params: PlantParams, motion: TrayMotion,
 # residual-vibration rating
 # ---------------------------------------------------------------------------
 
-def _midpoints(u: np.ndarray) -> np.ndarray:
-    n = u.size
-    if n >= 4:
-        um = np.empty(n - 1)
-        um[1:-1] = (-u[:-3] + 9.0 * u[1:-2] + 9.0 * u[2:-1] - u[3:]) / 16.0
-        um[0] = (5.0 * u[0] + 15.0 * u[1] - 5.0 * u[2] + u[3]) / 16.0
-        um[-1] = (u[-4] - 5.0 * u[-3] + 15.0 * u[-2] + 5.0 * u[-1]) / 16.0
-        return um
-    return 0.5 * (u[:-1] + u[1:])
+def estimate_prv(kind, omega_n: float, delta: float = 0.0) -> float:
+    """Percent residual vibration of a smoother on the linear slosh plant
+    (omega_n, delta): the residual amplitude after the kernel support,
+    normalized by the residual an unsmoothed step leaves on the same plant.
 
-
-def _linear_slosh_velocity_driven(omega_n: float, delta: float, vel_series,
-                                  dt: float, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """Same oscillator as simulate_linear_slosh in the integrated-by-parts
-    state (p1, p2) = (theta, theta_dot + x_dot/l), which is forced by the tray
-    velocity only. Lets the oracle run on structural velocity outputs even
-    when the acceleration is distributional (single rectangular kernel)."""
-    l = g / (omega_n * omega_n)
-    v = np.asarray(vel_series, dtype=float) / l
-    vm = _midpoints(v)
-    two_dw = 2.0 * delta * omega_n
-    w2 = omega_n * omega_n
-    n = v.size
-    p1 = np.empty(n)
-    p2 = np.empty(n)
-    # p2 is continuous across velocity jumps (the jump lands in theta_dot)
-    x1, x2 = 0.0, 0.0
-    p1[0], p2[0] = x1, x2
-
-    def f(a, b, vk):
-        return (b - vk, -two_dw * (b - vk) - w2 * a)
-
-    for k in range(n - 1):
-        v0, vh, v1 = v[k], vm[k], v[k + 1]
-        k1 = f(x1, x2, v0)
-        a2, b2 = x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1]
-        k2 = f(a2, b2, vh)
-        a3, b3 = x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1]
-        k3 = f(a3, b3, vh)
-        a4, b4 = x1 + dt * k3[0], x2 + dt * k3[1]
-        k4 = f(a4, b4, v1)
-        x1 += dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-        x2 += dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-        p1[k + 1], p2[k + 1] = x1, x2
-    return p1, p2 - v
-
-
-def estimate_prv(kind, omega_n: float, delta: float = 0.0, g: float = 9.81,
-                 h: float = 1.0, dt: float | None = None) -> float:
-    """Percent residual vibration of a smoother against the linear slosh
-    oracle: residual envelope after the kernel support, normalized by the
-    residual an unsmoothed position step of the same amplitude would leave
-    on the same plant.
+    By the input-shaping residual identity this is |H(s_p)| at the plant
+    pole s_p = -delta omega_n + j omega_n sqrt(1 - delta^2).
     """
-    from .smoothers import SmootherState, kernel_duration
-
     if not (omega_n > 0.0 and 0.0 <= delta < 1.0):
         raise ValueError("need omega_n > 0 and 0 <= delta < 1")
-    period = 2.0 * math.pi / omega_n
-    support = kernel_duration(kind)
-    if dt is None:
-        dt = min(period, support) / 4000.0
-        # keep the kernel support commensurate with the grid
-        dt = support / max(1, round(support / dt))
-    state = SmootherState(kind, dt, initial_value=0.0)
-    support_q = state.delay
-    n = int(round((support_q + 1.5 * period) / dt)) + 1
-    _, vel, _ = state.run(np.full(n, h))
-    theta, theta_dot = _linear_slosh_velocity_driven(omega_n, delta, vel, dt, g)
-
-    l = g / (omega_n * omega_n)
-    omega_d = omega_n * math.sqrt(1.0 - delta * delta)
-    k_end = int(math.ceil(support_q / dt)) + 1
-    idx = np.arange(k_end, n)
-    env = np.sqrt(theta[idx] ** 2 +
-                  ((theta_dot[idx] + delta * omega_n * theta[idx]) / omega_d) ** 2)
-    t_idx = idx * dt
-    ref = (h / l) * np.exp(-delta * omega_n * t_idx) / math.sqrt(1.0 - delta * delta)
-    return float(np.max(env / ref))
+    s_p = complex(-delta * omega_n, omega_n * math.sqrt(1.0 - delta * delta))
+    return abs(transfer_function(kind, s_p))

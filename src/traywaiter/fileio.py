@@ -123,12 +123,12 @@ def _load_table(path: str, expected_kind: str) -> tuple[dict, np.ndarray]:
 
 
 def _check_uniform_time(t: np.ndarray, dt: float, path: str) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise FormatError(f"{path}: header dt must be positive and finite, got {dt!r}")
     if t.size >= 2:
         ref = t[0] + np.arange(t.size) * dt
         if np.abs(t - ref).max() > 1e-9 * max(1.0, abs(t[-1])):
             raise FormatError(f"{path}: timestamps are not uniform at dt={dt!r}")
-        if dt <= 0.0:
-            raise FormatError(f"{path}: header dt must be positive")
 
 
 # ---------------------------------------------------------------------------

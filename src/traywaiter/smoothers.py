@@ -317,23 +317,51 @@ def _build_stages(kind: SmootherKind, dt: float) -> list:
     raise TypeError(f"not a smoother kind: {kind!r}")
 
 
-class SmootherState:
-    """Streaming realization of one smoother kind at a fixed sample period.
+@dataclass(frozen=True)
+class CascadeSpec:
+    """Ordered stages applied in series."""
 
-    step() consumes the next input sample (optionally with its known first
-    and second derivatives) and returns the filtered triple (p, p', p'').
-    Unless an initial value is given, the filter pre-charges itself with the
-    first sample as if it had been held forever, so a stationary stream
-    produces no startup transient.
+    stages: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(self.stages))
+        for st in self.stages:
+            if not isinstance(st, SmootherKind):
+                raise TypeError(f"not a smoother kind: {st!r}")
+
+    def total_duration(self) -> float:
+        return sum(kernel_duration(st) for st in self.stages)
+
+    def continuity_gain(self) -> int:
+        return sum(continuity_gain(st) for st in self.stages)
+
+
+class CascadeState:
+    """Streaming realization of one smoother kind, a sequence of kinds or a
+    CascadeSpec, all sharing one sample period.
+
+    The stages of every kind are flattened into one serial list. step()
+    consumes the next input sample (optionally with its known first and
+    second derivatives) and returns the filtered triple (p, p', p'').
+    Unless an initial value is given, each kind pre-charges itself with the
+    first triple that reaches it, as if that sample had been held forever,
+    so a stationary stream produces no startup transient.
     """
 
-    def __init__(self, kind: SmootherKind, sample_period: float,
+    def __init__(self, spec, sample_period: float,
                  initial_value: float | None = None):
         if not (sample_period > 0.0 and math.isfinite(sample_period)):
             raise ValueError(f"sample_period must be positive, got {sample_period}")
-        self.kind = kind
+        if not isinstance(spec, CascadeSpec):
+            spec = CascadeSpec((spec,) if isinstance(spec, SmootherKind) else spec)
+        if len(spec.stages) == 0:
+            raise ValueError("cascade must contain at least one stage")
+        self.spec = spec
         self.sample_period = sample_period
-        self._stages = _build_stages(kind, sample_period)
+        # stage lists per kind: a lazy start primes each kind with its own
+        # input triple, and the delay is summed kind by kind
+        self._kinds = [_build_stages(k, sample_period) for k in spec.stages]
+        self._stages = [st for stages in self._kinds for st in stages]
         self._primed = False
         if initial_value is not None:
             self.reset(initial_value)
@@ -341,7 +369,7 @@ class SmootherState:
     @property
     def delay(self) -> float:
         """Total group delay after quantization to the sample grid."""
-        return sum(st.t_span for st in self._stages)
+        return sum(sum(st.t_span for st in stages) for stages in self._kinds)
 
     def reset(self, value: float = 0.0, vel: float = 0.0, acc: float = 0.0) -> None:
         for st in self._stages:
@@ -349,9 +377,15 @@ class SmootherState:
         self._primed = True
 
     def step(self, u: float, u_dot: float = 0.0, u_ddot: float = 0.0):
-        if not self._primed:
-            self.reset(u, u_dot, u_ddot)
         p, v, a = u, u_dot, u_ddot
+        if not self._primed:
+            self._primed = True
+            for stages in self._kinds:
+                for st in stages:
+                    st.prime(p, v, a)
+                for st in stages:
+                    p, v, a = st.step(p, v, a)
+            return p, v, a
         for st in self._stages:
             p, v, a = st.step(p, v, a)
         return p, v, a
@@ -370,60 +404,4 @@ class SmootherState:
         return out_p, out_v, out_a
 
 
-@dataclass(frozen=True)
-class CascadeSpec:
-    """Ordered stages applied in series."""
-
-    stages: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        for st in self.stages:
-            if not isinstance(st, (Rectangular, Harmonic, Trapezoidal, DampedHarmonic)):
-                raise TypeError(f"not a smoother kind: {st!r}")
-
-    def total_duration(self) -> float:
-        return sum(kernel_duration(st) for st in self.stages)
-
-    def continuity_gain(self) -> int:
-        return sum(continuity_gain(st) for st in self.stages)
-
-
-class CascadeState:
-    """Serial composition of smoother states sharing one sample period."""
-
-    def __init__(self, spec, sample_period: float, initial_value: float | None = None):
-        stages = spec.stages if isinstance(spec, CascadeSpec) else tuple(spec)
-        if len(stages) == 0:
-            raise ValueError("cascade must contain at least one stage")
-        self.spec = spec if isinstance(spec, CascadeSpec) else CascadeSpec(stages)
-        self.sample_period = sample_period
-        self._states = [SmootherState(k, sample_period) for k in stages]
-        if initial_value is not None:
-            self.reset(initial_value)
-
-    @property
-    def delay(self) -> float:
-        return sum(s.delay for s in self._states)
-
-    def reset(self, value: float = 0.0) -> None:
-        for s in self._states:
-            s.reset(value)
-
-    def step(self, u: float, u_dot: float = 0.0, u_ddot: float = 0.0):
-        p, v, a = u, u_dot, u_ddot
-        for s in self._states:
-            p, v, a = s.step(p, v, a)
-        return p, v, a
-
-    def run(self, series, vel=None, acc=None):
-        series = np.asarray(series, dtype=float)
-        n = series.size
-        vel = np.zeros(n) if vel is None else np.asarray(vel, dtype=float)
-        acc = np.zeros(n) if acc is None else np.asarray(acc, dtype=float)
-        out_p = np.empty(n)
-        out_v = np.empty(n)
-        out_a = np.empty(n)
-        for k in range(n):
-            out_p[k], out_v[k], out_a[k] = self.step(series[k], vel[k], acc[k])
-        return out_p, out_v, out_a
+SmootherState = CascadeState  # one kind is a cascade of one

@@ -19,13 +19,17 @@ from traywaiter.dynamics import (
     simulate_pendulum,
     simulate_solid_sliding,
 )
+from traywaiter.dynamics import _midpoints
 from traywaiter.smoothers import (
     CascadeState,
+    DampedHarmonic,
     Harmonic,
     Rectangular,
     SmootherState,
     Trapezoidal,
     freq_response,
+    kernel_duration,
+    make_damped_harmonic_params,
     make_harmonic_T,
 )
 
@@ -264,6 +268,19 @@ def test_contact_loss_detected():
         simulate_solid_sliding(p, TrayMotion.from_channels(dt, np.zeros(n), zdd))
 
 
+def test_contact_loss_inside_rk4_stage_names_step_time():
+    # the first sample past t = 0.2 s reaches only the last RK4 stage of the
+    # step from 0.2 s; the error must still name that step's start time
+    p = desk_params()
+    dt = 1e-3
+    t = np.arange(501) * dt
+    zdd = np.where(t > 0.2 + 0.5 * dt, -12.0, 0.0)
+    motion = TrayMotion.from_channels(dt, np.zeros(t.size), zdd)
+    for simulate in (simulate_coupled, simulate_solid_sliding):
+        with pytest.raises(ContactLostError, match=r"contact lost at t = 0\.2 s"):
+            simulate(p, motion)
+
+
 # ---------------------------------------------------------------------------
 # coupled system
 # ---------------------------------------------------------------------------
@@ -434,3 +451,95 @@ def test_prv_proportional_to_magnitude_response():
         prv = estimate_prv(harm, w)
         mag = freq_response(harm, [w])[0]
         assert abs(prv - mag) < 0.05 * mag
+
+
+def _velocity_driven_slosh(omega_n, delta, vel_series, dt, g):
+    """Linear slosh oscillator in the integrated-by-parts state
+    (theta, theta_dot + x_dot/l), which only the tray velocity forces; so it
+    runs on structural velocity outputs even when the acceleration is
+    distributional (single rectangular kernel). Returns (theta, theta_dot)."""
+    l = g / (omega_n * omega_n)
+    v = np.asarray(vel_series, dtype=float) / l
+    vm = _midpoints(v)
+    two_dw = 2.0 * delta * omega_n
+    w2 = omega_n * omega_n
+    n = v.size
+    p1 = np.empty(n)
+    p2 = np.empty(n)
+    # p2 is continuous across velocity jumps (the jump lands in theta_dot)
+    x1, x2 = 0.0, 0.0
+    p1[0], p2[0] = x1, x2
+
+    def f(a, b, vk):
+        return (b - vk, -two_dw * (b - vk) - w2 * a)
+
+    for k in range(n - 1):
+        v0, vh, v1 = v[k], vm[k], v[k + 1]
+        k1 = f(x1, x2, v0)
+        a2, b2 = x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1]
+        k2 = f(a2, b2, vh)
+        a3, b3 = x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1]
+        k3 = f(a3, b3, vh)
+        a4, b4 = x1 + dt * k3[0], x2 + dt * k3[1]
+        k4 = f(a4, b4, v1)
+        x1 += dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
+        x2 += dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
+        p1[k + 1], p2[k + 1] = x1, x2
+    return p1, p2 - v
+
+
+def _simulated_prv(kind, omega_n, delta=0.0, g=G, h=1.0, dt=None):
+    """Residual-vibration rating by simulation: the residual envelope of the
+    linear slosh plant after the smoothed step of height h has settled,
+    normalized by the residual an unsmoothed step leaves. `dt` defaults to a
+    grid commensurate with the kernel support; pass one to see how
+    quantization to a coarser grid detunes a notch."""
+    period = 2.0 * math.pi / omega_n
+    support = kernel_duration(kind)
+    if dt is None:
+        dt = min(period, support) / 4000.0
+        dt = support / max(1, round(support / dt))
+    state = SmootherState(kind, dt, initial_value=0.0)
+    support_q = state.delay
+    n = int(round((support_q + 1.5 * period) / dt)) + 1
+    _, vel, _ = state.run(np.full(n, h))
+    theta, theta_dot = _velocity_driven_slosh(omega_n, delta, vel, dt, g)
+
+    l = g / (omega_n * omega_n)
+    omega_d = omega_n * math.sqrt(1.0 - delta * delta)
+    idx = np.arange(int(math.ceil(support_q / dt)) + 1, n)
+    env = np.sqrt(theta[idx] ** 2 +
+                  ((theta_dot[idx] + delta * omega_n * theta[idx]) / omega_d) ** 2)
+    ref = (h / l) * np.exp(-delta * omega_n * idx * dt) / math.sqrt(1.0 - delta * delta)
+    return float(np.max(env / ref))
+
+
+W0 = 2 * math.pi
+DAMPED = DampedHarmonic(*make_damped_harmonic_params(W0, 0.1))
+
+
+@pytest.mark.parametrize("kind, omega_n, delta", [
+    (Harmonic(make_harmonic_T(W0)), 0.7 * W0, 0.0),
+    (Harmonic(make_harmonic_T(W0)), 1.3 * W0, 0.05),
+    (Trapezoidal(2 * math.pi / W0, math.pi / W0), 1.3 * W0, 0.0),
+    (Trapezoidal(0.4, 0.25), W0, 0.1),
+    (Rectangular(0.3), W0, 0.0),
+    (Rectangular(0.45), 1.6 * W0, 0.05),
+    (DAMPED, 0.8 * W0, 0.0),
+    (DAMPED, 1.25 * W0, 0.1),
+])
+def test_prv_closed_form_matches_simulation_off_notch(kind, omega_n, delta):
+    closed = estimate_prv(kind, omega_n, delta)
+    simulated = _simulated_prv(kind, omega_n, delta)
+    assert closed > 1e-2
+    assert abs(closed - simulated) <= 1e-3 * simulated
+
+
+@pytest.mark.parametrize("kind, delta", [
+    (Harmonic(make_harmonic_T(W0)), 0.0),
+    (Trapezoidal(2 * math.pi / W0, math.pi / W0), 0.0),
+    (DAMPED, 0.1),
+])
+def test_prv_closed_form_and_simulation_vanish_at_notch(kind, delta):
+    assert estimate_prv(kind, W0, delta) < 1e-6
+    assert _simulated_prv(kind, W0, delta) < 1e-6

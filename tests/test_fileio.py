@@ -137,6 +137,44 @@ def test_pose_cross_validation_catches_corruption(tmp_path):
         read_pose_trajectory(path)
 
 
+def _with_header_dt(path, dt_text):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    head = lines[0].split()
+    head = [f"dt={dt_text}" if item.startswith("dt=") else item for item in head]
+    lines[0] = " ".join(head)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _trajectory_file(tmp_path, n):
+    path = str(tmp_path / f"traj{n}.csv")
+    write_trajectory(path, _sample_traj(n=n))
+    return path
+
+
+def _pose_file(tmp_path, n):
+    t = np.arange(n) * 0.01
+    path = str(tmp_path / f"pose{n}.csv")
+    write_pose_trajectory(path, PoseTrajectoryFile(0.01, 0.0, t, np.zeros((n, 3)),
+                                                   np.array([np.eye(3)] * n)))
+    return path
+
+
+@pytest.mark.parametrize("make, read", [(_trajectory_file, read_trajectory),
+                                        (_pose_file, read_pose_trajectory)])
+@pytest.mark.parametrize("dt_text, n", [("nan", 5), ("nan", 1), ("inf", 5),
+                                        ("-0.001", 1), ("0.0", 1)])
+def test_readers_reject_bad_header_dt(tmp_path, make, read, dt_text, n):
+    # NaN fails every comparison and a single row has no spacing to check,
+    # so the header dt itself must be validated, for any row count
+    path = _with_header_dt(make(tmp_path, n), dt_text)
+    with pytest.raises(FormatError, match=r"header dt must be positive and finite") as exc:
+        read(path)
+    assert path in str(exc.value)
+
+
 def test_sim_trace_round_trip(tmp_path):
     n = 30
     t = np.arange(n) * 1e-3

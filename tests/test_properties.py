@@ -1,5 +1,7 @@
-"""Property tests: the batched pose path and the streamed CSV writer give
-exactly the bits of the per-sample code they replace."""
+"""Property tests: the batched pose path, the streamed CSV writer and the
+flattened smoother cascade give exactly the bits of the code they replace;
+smoother step responses keep unit DC gain, stay in range and respect the
+trapezoid's kinematic limits."""
 
 import math
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from traywaiter import compensation, fileio
+from traywaiter import compensation, fileio, smoothers
 from traywaiter.compensation import (
     FreeFallError,
     MountingTransform,
@@ -18,6 +20,15 @@ from traywaiter.compensation import (
     tilt_angles,
 )
 from traywaiter.fileio import quaternion_to_rotation, rotation_to_quaternion
+from traywaiter.smoothers import (
+    CascadeState,
+    DampedHarmonic,
+    Harmonic,
+    Rectangular,
+    SmootherState,
+    Trapezoidal,
+    make_trapezoidal_params,
+)
 
 G = 9.81
 BLOCK = fileio._BLOCK_ROWS
@@ -194,3 +205,148 @@ def test_streamed_table_row_counts_around_block(tmp_path, n):
     fileio._write_table(path, "# table columns=a,b,c,d", rows)
     with open(path, "rb") as fh:
         assert fh.read() == _per_row_text("# table columns=a,b,c,d", rows)
+
+
+# ---------------------------------------------------------------------------
+# smoother cascade
+# ---------------------------------------------------------------------------
+
+class _ReferenceSmootherState:
+    """The one-kind streaming realization that CascadeState now flattens,
+    kept verbatim (apart from its name) as a reference."""
+
+    def __init__(self, kind, sample_period: float,
+                 initial_value: float | None = None):
+        if not (sample_period > 0.0 and math.isfinite(sample_period)):
+            raise ValueError(f"sample_period must be positive, got {sample_period}")
+        self.kind = kind
+        self.sample_period = sample_period
+        self._stages = smoothers._build_stages(kind, sample_period)
+        self._primed = False
+        if initial_value is not None:
+            self.reset(initial_value)
+
+    @property
+    def delay(self) -> float:
+        """Total group delay after quantization to the sample grid."""
+        return sum(st.t_span for st in self._stages)
+
+    def reset(self, value: float = 0.0, vel: float = 0.0, acc: float = 0.0) -> None:
+        for st in self._stages:
+            st.prime(value, vel, acc)
+        self._primed = True
+
+    def step(self, u: float, u_dot: float = 0.0, u_ddot: float = 0.0):
+        if not self._primed:
+            self.reset(u, u_dot, u_ddot)
+        p, v, a = u, u_dot, u_ddot
+        for st in self._stages:
+            p, v, a = st.step(p, v, a)
+        return p, v, a
+
+
+class _ReferenceCascadeState:
+    """The serial composition of one-kind states that CascadeState replaced,
+    kept verbatim (apart from its name) as a reference."""
+
+    def __init__(self, spec, sample_period: float, initial_value: float | None = None):
+        stages = spec.stages if isinstance(spec, smoothers.CascadeSpec) else tuple(spec)
+        if len(stages) == 0:
+            raise ValueError("cascade must contain at least one stage")
+        self.spec = spec if isinstance(spec, smoothers.CascadeSpec) \
+            else smoothers.CascadeSpec(stages)
+        self.sample_period = sample_period
+        self._states = [_ReferenceSmootherState(k, sample_period) for k in stages]
+        if initial_value is not None:
+            self.reset(initial_value)
+
+    @property
+    def delay(self) -> float:
+        return sum(s.delay for s in self._states)
+
+    def reset(self, value: float = 0.0) -> None:
+        for s in self._states:
+            s.reset(value)
+
+    def step(self, u: float, u_dot: float = 0.0, u_ddot: float = 0.0):
+        p, v, a = u, u_dot, u_ddot
+        for s in self._states:
+            p, v, a = s.step(p, v, a)
+        return p, v, a
+
+
+spans = st.floats(1e-3, 0.05)
+kinds = st.one_of(st.builds(Rectangular, spans), st.builds(Harmonic, spans),
+                  st.builds(Trapezoidal, spans, spans),
+                  st.builds(DampedHarmonic, st.floats(-30.0, 10.0), spans))
+periods = st.floats(2e-4, 4e-3)
+signal = st.floats(-10.0, 10.0)
+
+
+@settings(deadline=None)
+@given(st.lists(kinds, min_size=1, max_size=4), periods,
+       st.one_of(st.none(), signal),
+       st.lists(st.tuples(signal, signal, signal), min_size=1, max_size=60),
+       st.booleans())
+# lazy starts where a kind's first output differs from its input in the last
+# bits, and where a derivative input reaches a second stage of the kind
+@example([Harmonic(0.02), Trapezoidal(0.01, 0.005)], 1e-3, None,
+         [(0.3, 0.0, 0.0), (0.8, 0.0, 0.0), (0.05, 0.0, 0.0)], False)
+@example([Trapezoidal(0.01, 0.005), Rectangular(0.004)], 1e-3, None,
+         [(1.3, 0.7, -2.0), (0.4, 0.1, 0.2)], True)
+def test_cascade_state_matches_nested_reference(cascade, dt, initial, samples,
+                                                with_derivatives):
+    # initial None primes lazily from the first sample, with zero input
+    # derivatives unless with_derivatives is drawn
+    pairs = [(_ReferenceCascadeState(cascade, dt, initial_value=initial),
+              CascadeState(cascade, dt, initial_value=initial))]
+    if len(cascade) == 1:
+        pairs.append((_ReferenceSmootherState(cascade[0], dt, initial_value=initial),
+                      SmootherState(cascade[0], dt, initial_value=initial)))
+    for ref, flat in pairs:
+        assert flat.delay == ref.delay
+    for u, v, a in samples:
+        if not with_derivatives:
+            v = a = 0.0
+        for ref, flat in pairs:
+            assert flat.step(u, v, a) == ref.step(u, v, a)
+
+
+def _step_response(cascade, dt, h, tail=5):
+    state = CascadeState(cascade, dt, initial_value=0.0)
+    n = int(round(state.delay / dt)) + tail
+    return state, state.run(np.full(n, h))
+
+
+@settings(deadline=None)
+@given(st.lists(kinds, min_size=1, max_size=3), periods,
+       st.one_of(st.floats(-10.0, -1e-6), st.floats(1e-6, 10.0)))
+def test_cascade_unit_dc_gain(cascade, dt, c):
+    # |c| stays far above the subnormals, where relative precision is lost
+    state = CascadeState(cascade, dt, initial_value=c)
+    p, v, a = state.run(np.full(40, c))
+    assert np.abs(p - c).max() <= 1e-12 * abs(c)
+    _, (p, _, _) = _step_response(cascade, dt, c)
+    assert abs(p[-1] - c) <= 1e-12 * abs(c)
+
+
+@settings(deadline=None)
+@given(st.lists(kinds, min_size=1, max_size=3), periods, st.floats(1e-3, 1e3))
+def test_step_response_in_range_and_settled_after_delay(cascade, dt, h):
+    state, (p, _, _) = _step_response(cascade, dt, h)
+    assert p.min() >= -1e-12 * h
+    assert p.max() <= h * (1.0 + 1e-12)
+    k_settled = int(round(state.delay / dt))   # first output after the support
+    assert np.abs(p[k_settled:] - h).max() <= 1e-12 * h
+
+
+@settings(deadline=None)
+@given(st.floats(1e-2, 2.0), st.floats(0.5, 5.0), st.floats(1.0, 50.0),
+       st.floats(5e-4, 4e-3))
+def test_trapezoidal_meets_velocity_and_acceleration_limits(h, v_max, a_max, dt):
+    # supports up to 4 s, at most 8000 samples per stage
+    t1, t2 = make_trapezoidal_params(h, v_max, a_max)
+    _, (p, v, a) = _step_response([Trapezoidal(t1, t2)], dt, h)
+    assert np.abs(v).max() <= v_max * (1.0 + 1e-12)
+    assert np.abs(a).max() <= a_max * (1.0 + 1e-12)
+    assert p[-1] == pytest.approx(h, rel=1e-12)
