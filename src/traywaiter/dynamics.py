@@ -296,9 +296,24 @@ def _pendulum_rhs(p: PlantParams, damp: float, th: float, thd: float,
     return b1 / p.l
 
 
-def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
-                dx: float, dxd: float, u):
-    """(theta_ddot, demand, F_s, normal) with the container motion frozen."""
+def _square(w: float) -> float:
+    """w ** 2, or inf where that overflows.
+
+    On Python floats ** raises OverflowError where numpy gave inf, and a
+    diverging run must end in ContactLostError or IntegrationError. The
+    product w * w is not used: it differs from the power in the last bit for
+    about 0.05 % of arguments, which would change the traces.
+    """
+    try:
+        return w ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _stick_rates(p: PlantParams, damp: float, th: float, thd: float,
+                 dx: float, dxd: float, u) -> tuple[float, float]:
+    """(theta_ddot, normal) with the container motion frozen: all that an
+    RK4 stage in stick mode needs."""
     xtt, ztt, b, bd, bdd = u
     st, ct = math.sin(th), math.cos(th)
     sb, cb = math.sin(b), math.cos(b)
@@ -308,15 +323,27 @@ def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
         thdd = _pendulum_rhs(p, damp, th, thd, dx, dxd, 0.0, u)
     else:
         thdd = 0.0
-    demand = ((m + M) * (sb * gz + cb * xtt)
-              + ((l * ct - h) * m - dz * M) * bdd
-              + m * l * ct * thdd
-              - l * m * st * (bd + thd) ** 2
-              - (m + M) * dx * bd * bd
-              + p.b_ct * dxd)
     normal = ((M + m) * (cb * gz - sb * xtt + dx * bdd + 2.0 * bd * dxd - dz * bd * bd)
               + m * (l * st * (bdd + thdd) + l * ct * thd * (2.0 * bd + thd)
                      + bd * bd * (l * ct - h)))
+    return thdd, normal
+
+
+def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
+                dx: float, dxd: float, u):
+    """(theta_ddot, demand, F_s, normal) with the container motion frozen."""
+    thdd, normal = _stick_rates(p, damp, th, thd, dx, dxd, u)
+    xtt, ztt, b, bd, bdd = u
+    st, ct = math.sin(th), math.cos(th)
+    sb, cb = math.sin(b), math.cos(b)
+    gz = p.g + ztt
+    m, M, l, h, dz = p.m, p.M, p.l, p.h, p.d_z
+    demand = ((m + M) * (sb * gz + cb * xtt)
+              + ((l * ct - h) * m - dz * M) * bdd
+              + m * l * ct * thdd
+              - l * m * st * _square(bd + thd)
+              - (m + M) * dx * bd * bd
+              + p.b_ct * dxd)
     return thdd, demand, p.mu * normal, normal
 
 
@@ -334,7 +361,7 @@ def _slip_eval(p: PlantParams, damp: float, th: float, thd: float,
                   + bd * bd * (l * ct - h)))
     b2 = -(p.b_ct * dxd
            + ((l * ct - h) * m - dz * M) * bdd
-           - l * m * st * (bd + thd) ** 2
+           - l * m * st * _square(bd + thd)
            - (m + M) * dx * bd * bd
            + (m + M) * (sb * gz + cb * xtt)) - s * p.mu * nf0
     if m > 0.0:
@@ -413,8 +440,9 @@ class _MotionSampler:
                 + self.chan[:, j + 1] * w2 + self.chan[:, j + 2] * w3)
         return vals.T.copy()
 
-    def at(self, t: float) -> tuple:
-        return tuple(self._eval_many(np.array([t]))[0])
+    def at(self, t: float) -> list:
+        """The five channels at time t, as Python floats."""
+        return self._eval_many(np.array([t]))[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +503,11 @@ def simulate_pendulum(params: PlantParams, motion: TrayMotion,
     def rates(y, u):
         return y[1], _pendulum_rhs(p, damp, y[0], y[1], 0.0, 0.0, 0.0, u)
 
-    u1 = tuple(smp.grid[0])
+    u1 = smp.grid[0].tolist()
     record(0, th, thd, u1)
     for k in range(n_steps):
-        u0, u1 = u1, tuple(smp.grid[k + 1])
-        th, thd = _rk4(rates, (th, thd), dt, u0, tuple(smp.mid[k]), u1)
+        u0, u1 = u1, smp.grid[k + 1].tolist()
+        th, thd = _rk4(rates, (th, thd), dt, u0, smp.mid[k].tolist(), u1)
         if not (math.isfinite(th) and math.isfinite(thd)):
             raise IntegrationError(f"non-finite pendulum state at t = {(k + 1) * dt:.6g} s")
         record(k + 1, th, thd, u1)
@@ -559,38 +587,39 @@ class _TraySim:
         self.transitions: list = []
         self.slip_sign = 0.0
 
-    # -- right-hand sides (the step time t only labels contact loss) -------
-
-    def _stick_rates(self, y, u, t):
-        thdd, _, _, normal = _stick_eval(self.p, self.damp, y[0], y[1], y[2], 0.0, u)
-        if normal <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        return (y[1], thdd, 0.0, 0.0)
-
-    def _slip_rates(self, y, u, t):
-        thdd, dxdd, _, normal = _slip_eval(self.p, self.damp, y[0], y[1], y[2], y[3],
-                                           self.slip_sign, u)
-        if normal <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        return (y[1], thdd, y[3], dxdd)
-
     def _advance(self, y, t, h, mode, inputs=None):
         """One RK4 sub-step of width h from time t; `inputs` holds the samples
-        at (t, t+h/2, t+h) and is interpolated when not given."""
+        at (t, t+h/2, t+h) and is interpolated when not given. Contact loss
+        in any stage is reported at the step time t."""
         if inputs is None:
             inputs = (self.smp.at(t), self.smp.at(t + 0.5 * h), self.smp.at(t + h))
-        rates = self._stick_rates if mode == STICK else self._slip_rates
-        return _rk4(lambda yy, uu: rates(yy, uu, t), y, h, *inputs)
+        p, damp = self.p, self.damp
+        if mode == STICK:
+            def rates(y, u):
+                thdd, normal = _stick_rates(p, damp, y[0], y[1], y[2], 0.0, u)
+                if normal <= 0.0:
+                    raise ContactLostError(f"contact lost at t = {t:.6g} s")
+                return (y[1], thdd, 0.0, 0.0)
+        else:
+            s = self.slip_sign
+
+            def rates(y, u):
+                thdd, dxdd, _, normal = _slip_eval(p, damp, y[0], y[1], y[2], y[3], s, u)
+                if normal <= 0.0:
+                    raise ContactLostError(f"contact lost at t = {t:.6g} s")
+                return (y[1], thdd, y[3], dxdd)
+        return _rk4(rates, y, h, *inputs)
 
     # -- mode bookkeeping ----------------------------------------------------
 
-    def _stick_ok(self, y, u) -> bool:
-        _, demand, f_s, _ = _stick_eval(self.p, self.damp, y[0], y[1], y[2], 0.0, u)
-        return abs(demand) <= f_s
+    def _stick_test(self, y, u):
+        """(demand, F_s, normal) of the stick test at state y, with the
+        container velocity taken as zero."""
+        return _stick_eval(self.p, self.damp, y[0], y[1], y[2], 0.0, u)[1:]
 
-    def _stick_demand(self, y, u) -> float:
-        _, demand, _, _ = _stick_eval(self.p, self.damp, y[0], y[1], y[2], 0.0, u)
-        return demand
+    def _stick_ok(self, y, u) -> bool:
+        demand, f_s, _ = self._stick_test(y, u)
+        return abs(demand) <= f_s
 
     def _log(self, t, old, new):
         names = {STICK: "stick", SLIP: "slip"}
@@ -609,17 +638,20 @@ class _TraySim:
         fs_arr = np.empty(n + 1)
 
         y = tuple(self.y)
-        u0 = tuple(self.smp.grid[0])
+        u0 = self.smp.grid[0].tolist()
         if abs(y[3]) < _V_EPS and self._stick_ok(y, u0):
             mode = STICK
             y = (y[0], y[1], y[2], 0.0)
         else:
             mode = SLIP
             self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
-                else -math.copysign(1.0, self._stick_demand(y, u0))
+                else -math.copysign(1.0, self._stick_test(y, u0)[0])
 
-        def record(k, y, mode, u):
-            _, dem, fs, normal = _stick_eval(p, self.damp, y[0], y[1], y[2], y[3], u)
+        def record(k, y, mode, u, test=None):
+            # `test`, when given, is the stick test just made at y and u
+            if test is None:
+                test = _stick_eval(p, self.damp, *y, u)[1:]
+            dem, fs, normal = test
             if normal <= 0.0:
                 raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
             theta[k] = y[0]
@@ -635,24 +667,29 @@ class _TraySim:
         for k in range(n):
             t0 = k * dt
             t_end = (k + 1) * dt
-            u_start, u_end = u_end, tuple(self.smp.grid[k + 1])
+            u_start, u_end = u_end, self.smp.grid[k + 1].tolist()
             t = t0
             events = 0
+            end_test = None
             # first attempt covers the whole interval with precomputed inputs
             full_grid = True
             while t < t_end - 1e-15:
                 h = t_end - t
                 if full_grid:
                     y_new = self._advance(y, t0, dt, mode,
-                                          (u_start, tuple(self.smp.mid[k]), u_end))
+                                          (u_start, self.smp.mid[k].tolist(), u_end))
                 else:
                     y_new = self._advance(y, t, h, mode)
                 full_grid = False
                 if mode == STICK:
-                    u_new = u_end if t + h >= t_end - 1e-15 else self.smp.at(t + h)
-                    if self._stick_ok(y_new, u_new):
+                    at_end = t + h >= t_end - 1e-15
+                    u_new = u_end if at_end else self.smp.at(t + h)
+                    test = self._stick_test(y_new, u_new)
+                    if abs(test[0]) <= test[1]:
                         y = y_new
                         t += h
+                        if at_end:      # the loop ends here: record reuses it
+                            end_test = test
                         continue
                     # slip onset: bisect |demand| - F_s = 0 on (t, t+h]
                     t_ev, y_ev = self._bisect(y, t, h, mode,
@@ -660,19 +697,19 @@ class _TraySim:
                     events += 1
                     if events > _MAX_EVENTS_PER_STEP:
                         raise IntegrationError(f"event chatter at t = {t_ev:.6g} s")
-                    demand = self._stick_demand(y_ev, self.smp.at(t_ev))
+                    demand, _, _ = self._stick_test(y_ev, self.smp.at(t_ev))
                     self.slip_sign = -math.copysign(1.0, demand)
                     self._log(t_ev, STICK, SLIP)
                     mode = SLIP
                     y = y_ev
                     t = t_ev
                 else:
-                    crossed = (y_new[3] == 0.0) or (math.copysign(1.0, y_new[3])
-                                                    != self.slip_sign)
-                    if crossed:
+                    # the slide stopped or reversed. A NaN velocity does
+                    # neither (the sign bit of a NaN depends on the operand
+                    # order the interpreter uses) and ends the run below.
+                    if y_new[3] * self.slip_sign <= 0.0:
                         t_ev, y_ev = self._bisect(y, t, h, mode,
-                                                  lambda yy, uu: (yy[3] == 0.0) or
-                                                  (math.copysign(1.0, yy[3]) != self.slip_sign))
+                                                  lambda yy, uu: yy[3] * self.slip_sign <= 0.0)
                         events += 1
                         if events > _MAX_EVENTS_PER_STEP:
                             raise IntegrationError(f"event chatter at t = {t_ev:.6g} s")
@@ -696,7 +733,7 @@ class _TraySim:
                                 mode = STICK
                 if not all(math.isfinite(v) for v in y):
                     raise IntegrationError(f"non-finite state at t = {t:.6g} s")
-            record(k + 1, y, mode, u_end)
+            record(k + 1, y, mode, u_end, end_test)
 
         t_arr = np.arange(n + 1) * dt
         return SimTrace(t_arr, theta, theta_dot, d_x, d_x_dot, mode_arr,

@@ -92,25 +92,34 @@ def _write_table(path: str, header: str, rows: np.ndarray) -> None:
     _atomic_write(path, _table_chunks(header, rows))
 
 
-def _parse_header(line: str, expected_kind: str) -> dict:
+def _parse_header(line: str, expected_kind: str, path: str) -> dict:
     if not line.startswith("#"):
-        raise FormatError(f"missing '# {expected_kind} ...' header line")
+        raise FormatError(f"{path}: missing '# {expected_kind} ...' header line")
     parts = line[1:].split()
     if not parts or parts[0] != expected_kind:
-        raise FormatError(f"expected a {expected_kind} file, got {parts[:1]}")
+        raise FormatError(f"{path}: expected a {expected_kind} file, got {parts[:1]}")
     meta = {}
     for item in parts[1:]:
         if "=" not in item:
-            raise FormatError(f"malformed header item {item!r}")
+            raise FormatError(f"{path}: malformed header item {item!r}")
         key, value = item.split("=", 1)
         meta[key] = value
     return meta
 
 
+def _header_float(meta: dict, key: str, path: str) -> float:
+    if key not in meta:
+        raise FormatError(f"{path}: header lacks {key}")
+    try:
+        return float(meta[key])
+    except ValueError:
+        raise FormatError(f"{path}: header {key} is not a number: {meta[key]!r}") from None
+
+
 def _load_table(path: str, expected_kind: str) -> tuple[dict, np.ndarray]:
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
-        meta = _parse_header(header, expected_kind)
+        meta = _parse_header(header, expected_kind, path)
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
@@ -161,9 +170,7 @@ def write_trajectory(path: str, traj: TrajectoryFile) -> None:
 
 def read_trajectory(path: str) -> TrajectoryFile:
     meta, data = _load_table(path, "trajectory")
-    if "dt" not in meta:
-        raise FormatError(f"{path}: header lacks dt")
-    dt = float(meta["dt"])
+    dt = _header_float(meta, "dt", path)
     if data.shape[1] not in (4, 7):
         raise FormatError(f"{path}: expected 4 or 7 columns, got {data.shape[1]}")
     t = data[:, 0]
@@ -253,12 +260,10 @@ def write_pose_trajectory(path: str, pose: PoseTrajectoryFile) -> None:
 
 def read_pose_trajectory(path: str) -> PoseTrajectoryFile:
     meta, data = _load_table(path, "pose_trajectory")
-    for key in ("dt", "delay"):
-        if key not in meta:
-            raise FormatError(f"{path}: header lacks {key}")
+    dt = _header_float(meta, "dt", path)
+    delay = _header_float(meta, "delay", path)
     if data.shape[1] != 17:
         raise FormatError(f"{path}: expected 17 columns, got {data.shape[1]}")
-    dt = float(meta["dt"])
     t = data[:, 0]
     _check_uniform_time(t, dt, path)
     rot = data[:, 8:17].reshape(-1, 3, 3)
@@ -267,7 +272,7 @@ def read_pose_trajectory(path: str) -> PoseTrajectoryFile:
     if bad.any():
         raise FormatError(
             f"{path}: row {np.argmax(bad)}: quaternion and matrix disagree")
-    return PoseTrajectoryFile(dt, float(meta["delay"]), t, data[:, 1:4], rot)
+    return PoseTrajectoryFile(dt, delay, t, data[:, 1:4], rot)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from traywaiter.dynamics import (
     ContactLostError,
+    IntegrationError,
     PlantParams,
     SimState,
     TrayMotion,
@@ -19,7 +20,8 @@ from traywaiter.dynamics import (
     simulate_pendulum,
     simulate_solid_sliding,
 )
-from traywaiter.dynamics import _midpoints
+from traywaiter import dynamics
+from traywaiter.dynamics import _MotionSampler, _midpoints
 from traywaiter.smoothers import (
     CascadeState,
     DampedHarmonic,
@@ -281,6 +283,25 @@ def test_contact_loss_inside_rk4_stage_names_step_time():
             simulate(p, motion)
 
 
+def test_overflowing_state_ends_in_simulator_errors():
+    # on Python floats x ** 2 raises OverflowError where float64 gave inf;
+    # a diverging run must still end in ContactLostError or IntegrationError
+    rest = TrayMotion.rest(0.1, 1e-3)
+    with pytest.raises(ContactLostError, match=r"contact lost at t = 0 s"):
+        simulate_coupled(desk_params(), rest, init=(0.1, 1e200, 0.0, 0.0))
+    with pytest.raises(ContactLostError, match=r"contact lost at t = 0\.004 s"):
+        simulate_pendulum(desk_params(), rest, init=(0.1, 1e200))
+
+
+def test_nan_slip_velocity_ends_in_integration_error_on_every_run():
+    # the sign bit of a NaN may differ once the interpreter has specialized
+    # the float operations, so the outcome is checked over repeated runs
+    rest = TrayMotion.rest(0.1, 1e-3)
+    for _ in range(4):
+        with pytest.raises(IntegrationError, match=r"non-finite state at t = 0\.001 s"):
+            simulate_coupled(desk_params(), rest, init=(0.1, 1e150, 0.0, 1e150))
+
+
 # ---------------------------------------------------------------------------
 # coupled system
 # ---------------------------------------------------------------------------
@@ -312,6 +333,44 @@ def test_coupled_slip_onset_matches_margin_crossing():
     assert (from_mode, to_mode) == ("stick", "slip")
     k_cross = int(np.argmax(tr.margin > 0.0))
     assert abs(t_onset - tr.t[k_cross]) <= dt + 1e-12
+
+
+@pytest.mark.parametrize("params", [desk_params(), desk_params(m=0.0, b_lc=0.0)],
+                         ids=["coupled", "solid"])
+def test_stick_step_makes_one_full_friction_evaluation(monkeypatch, params):
+    # the four RK4 stages need only theta_ddot and the normal force; the
+    # end-of-step stick test is the step's only full evaluation, and the
+    # record of the step reuses it
+    calls = dict.fromkeys(("_stick_eval", "_stick_rates", "_slip_eval"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(dynamics, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    tr = simulate_coupled(params, _compensated_cascade_motion(1e-3))
+    n = tr.t.size - 1
+    assert not tr.mode.any()
+    assert calls["_slip_eval"] == 0
+    assert calls["_stick_eval"] <= n + 2                   # + start-up test, record
+    assert calls["_stick_rates"] <= 4 * n + calls["_stick_eval"]
+
+
+@pytest.mark.parametrize("params", [desk_params(), desk_params(m=0.0, b_lc=0.0),
+                                    desk_params(mu=0.05)],
+                         ids=["coupled", "solid", "coupled-slipping"])
+def test_recorded_friction_matches_friction_margin(params):
+    # demand and F_s on every row, whether reused from the stick test or
+    # evaluated for the record, are friction_margin at that row, bit for bit
+    dt = 1e-3
+    motion = _compensated_cascade_motion(dt)
+    tr = simulate_coupled(params, motion)
+    grid = _MotionSampler(motion, dt, tr.t.size - 1).grid
+    for k in range(tr.t.size):
+        state = SimState(tr.theta[k], tr.theta_dot[k], tr.d_x[k], tr.d_x_dot[k])
+        demand, f_s = friction_margin(state, params, grid[k])
+        assert (float(demand).hex(), float(f_s).hex()) == \
+            (float(tr.demand[k]).hex(), float(tr.f_s[k]).hex()), k
+    assert tr.mode.any() == (params.mu == 0.05)
 
 
 def test_coupled_reduces_to_solid_as_m_vanishes():

@@ -137,11 +137,11 @@ def test_pose_cross_validation_catches_corruption(tmp_path):
         read_pose_trajectory(path)
 
 
-def _with_header_dt(path, dt_text):
+def _with_header_item(path, key, text):
     with open(path) as fh:
         lines = fh.read().splitlines()
     head = lines[0].split()
-    head = [f"dt={dt_text}" if item.startswith("dt=") else item for item in head]
+    head = [f"{key}={text}" if item.startswith(f"{key}=") else item for item in head]
     lines[0] = " ".join(head)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -169,10 +169,41 @@ def _pose_file(tmp_path, n):
 def test_readers_reject_bad_header_dt(tmp_path, make, read, dt_text, n):
     # NaN fails every comparison and a single row has no spacing to check,
     # so the header dt itself must be validated, for any row count
-    path = _with_header_dt(make(tmp_path, n), dt_text)
+    path = _with_header_item(make(tmp_path, n), "dt", dt_text)
     with pytest.raises(FormatError, match=r"header dt must be positive and finite") as exc:
         read(path)
     assert path in str(exc.value)
+
+
+@pytest.mark.parametrize("make, read, key, text", [
+    (_trajectory_file, read_trajectory, "dt", "abc"),
+    (_pose_file, read_pose_trajectory, "dt", "abc"),
+    (_pose_file, read_pose_trajectory, "delay", "xyz"),
+], ids=["trajectory-dt", "pose-dt", "pose-delay"])
+def test_readers_reject_non_numeric_header_values(tmp_path, make, read, key, text):
+    path = _with_header_item(make(tmp_path, 5), key, text)
+    with pytest.raises(FormatError, match=f"header {key} is not a number: '{text}'") as exc:
+        read(path)
+    assert path in str(exc.value)
+
+
+@pytest.mark.parametrize("read, kind", [(read_trajectory, "trajectory"),
+                                        (read_pose_trajectory, "pose_trajectory"),
+                                        (read_sim_trace, "sim_trace")],
+                         ids=["trajectory", "pose", "trace"])
+@pytest.mark.parametrize("first_line, message", [
+    ("0.0,0.0,0.0,0.0", r"missing '# {kind} \.\.\.' header line"),
+    ("# other dt=0.01", r"expected a {kind} file, got \['other'\]"),
+    ("# {kind} dt=0.01 junk", r"malformed header item 'junk'"),
+], ids=["no-header", "wrong-kind", "malformed-item"])
+def test_readers_name_the_file_on_a_bad_header_line(tmp_path, read, kind, first_line,
+                                                     message):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write(first_line.format(kind=kind) + "\n0.0,0.0,0.0,0.0\n")
+    with pytest.raises(FormatError, match=message.format(kind=kind)) as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_sim_trace_round_trip(tmp_path):
