@@ -9,14 +9,7 @@ result.
 from .compensation import (
     FreeFallError,
     MountingTransform,
-    TiltPose,
-    baseline_friction_tilt,
-    compose_flange_pose,
-    pendulum_length_from_frequency,
-    planar_tilt,
-    rotation_matrix,
     tilt_angles,
-    tilt_pose,
 )
 from .dynamics import (
     ContactLostError,
@@ -30,7 +23,6 @@ from .dynamics import (
     estimate_prv,
     fd_tilt_channel,
     friction_margin,
-    linear_slosh_params,
     simulate_coupled,
     simulate_linear_slosh,
     simulate_pendulum,
@@ -42,11 +34,9 @@ from .planner import (
     Scenario,
     feasibility_report,
     friction_limited_duration,
-    min_time,
     plan,
     rollout_profile,
     rollout_trajectory,
-    triangular_min_acc,
 )
 from .smoothers import (
     CascadeSpec,
@@ -54,7 +44,6 @@ from .smoothers import (
     DampedHarmonic,
     Harmonic,
     Rectangular,
-    SmootherState,
     Trapezoidal,
     freq_response,
     kernel_duration,

@@ -62,8 +62,16 @@ def _pose_rows(t, positions, accelerations, g, mounting, delay=0.0):
                               delay, t, pos_out, rot_out)
 
 
-def _write_freq_response(path: str, stages, omega_max: float, points: int) -> None:
-    grid = np.linspace(0.0, omega_max, points)
+def _write_freq_response(path: str, cfg: RunConfig, result) -> float:
+    """Write the stage and cascade magnitudes of a plan up to omega_max and
+    return omega_max: the configured value, else five slosh frequencies,
+    else 10 pi over the kernel support."""
+    omega_max = cfg.freq_omega_max
+    if omega_max is None:
+        omega_n = cfg.scenario.omega_n
+        omega_max = 5.0 * omega_n if omega_n else 10.0 * math.pi / result.duration
+    stages = result.cascade.stages
+    grid = np.linspace(0.0, omega_max, cfg.freq_points)
     cols = [grid]
     for st in stages:
         cols.append(freq_response(st, grid))
@@ -74,6 +82,7 @@ def _write_freq_response(path: str, stages, omega_max: float, points: int) -> No
     names = ["omega"] + [f"stage{i}" for i in range(len(stages))] + ["cascade"]
     _write_table(path, f"# freq_response columns={','.join(names)}",
                  np.column_stack(cols))
+    return omega_max
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +94,13 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     if sc.motion != "point_to_point":
         raise ConfigError("scenario.motion", "plan needs a point_to_point scenario")
     outdir = _ensure_outdir(args.output)
-    g = cfg.plant.g if cfg.plant else sc.g
     dt = cfg.dt
 
     if np.array_equal(sc.start, sc.goal):
         t = np.array([0.0, dt])
         positions = np.vstack([sc.start, sc.start])
         accels = np.zeros((2, 3))
-        pose = _pose_rows(t, positions, accels, g, cfg.mounting, delay=0.0)
+        pose = _pose_rows(t, positions, accels, sc.g, cfg.mounting, delay=0.0)
         write_pose_trajectory(os.path.join(outdir, "trajectory.csv"), pose)
         write_trajectory(os.path.join(outdir, "reference.csv"),
                          TrajectoryFile(dt, t, positions, accels))
@@ -105,7 +113,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     log.info("planned %d stages, support %g s", len(result.cascade.stages),
              result.duration)
     t, P, _, A = rollout_trajectory(result, sc, dt, settle=_SETTLE)
-    pose = _pose_rows(t, P, A, g, cfg.mounting, delay=result.duration)
+    pose = _pose_rows(t, P, A, sc.g, cfg.mounting, delay=result.duration)
     write_pose_trajectory(os.path.join(outdir, "trajectory.csv"), pose)
     write_trajectory(os.path.join(outdir, "reference.csv"),
                      TrajectoryFile(dt, t, P, A))
@@ -130,10 +138,8 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     report = "\n".join(lines) + "\n"
     _atomic_write(os.path.join(outdir, "plan.txt"), [report])
 
-    if cfg.raw.get("output", {}).get("emit_freq_response"):
-        omega_max = cfg.freq_omega_max or (5.0 * (sc.omega_n or 2 * math.pi))
-        _write_freq_response(os.path.join(outdir, "freqresp.csv"),
-                             result.cascade.stages, omega_max, cfg.freq_points)
+    if cfg.emit_freq_response:
+        _write_freq_response(os.path.join(outdir, "freqresp.csv"), cfg, result)
 
     print(f"plan: {len(result.cascade.stages)} stages, "
           f"support {result.duration!r} s -> {outdir}")
@@ -148,10 +154,7 @@ def cmd_filter(cfg: RunConfig, args) -> int:
     sc = cfg.scenario
     if sc.motion != "complex":
         raise ConfigError("scenario.motion", "filter needs a complex scenario")
-    if not args.input:
-        raise ConfigError("--input", "filter needs an input trajectory file")
     traj = read_trajectory(args.input)
-    g = cfg.plant.g if cfg.plant else sc.g
 
     positions = traj.positions.copy()
     seed = cfg.seed if args.seed is None else args.seed
@@ -175,7 +178,7 @@ def cmd_filter(cfg: RunConfig, args) -> int:
     delay = states[0].delay
 
     t_out = traj.t + delay  # output sample k reflects the input at traj.t[k]
-    pose = _pose_rows(t_out, filtered, accels, g, cfg.mounting, delay=delay)
+    pose = _pose_rows(t_out, filtered, accels, sc.g, cfg.mounting, delay=delay)
     outdir = _ensure_outdir(args.output)
     write_pose_trajectory(os.path.join(outdir, "filtered.csv"), pose)
     write_trajectory(os.path.join(outdir, "reference.csv"),
@@ -210,14 +213,13 @@ def _planar_projection(traj: TrajectoryFile):
 def cmd_simulate(cfg: RunConfig, args) -> int:
     if cfg.plant is None:
         raise ConfigError("plant", "simulation needs a plant block")
-    if not args.input:
-        raise ConfigError("--input", "simulate needs an input trajectory file")
     traj = read_trajectory(args.input)
     acc_x, acc_z = _planar_projection(traj)
     p = cfg.plant
 
     if cfg.tilt_mode == "compensated":
-        beta, beta_dot, beta_ddot = fd_tilt_channel(acc_x, acc_z, traj.dt, p.g)
+        beta, beta_dot, beta_ddot = fd_tilt_channel(acc_x, acc_z, traj.dt,
+                                                    cfg.scenario.g)
     else:
         beta = beta_dot = beta_ddot = np.zeros(traj.n)
     motion = TrayMotion.from_channels(traj.dt, acc_x, acc_z,
@@ -264,12 +266,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 def cmd_freqresp(cfg: RunConfig, args) -> int:
     sc = cfg.scenario
     result = plan(sc)
-    omega_max = cfg.freq_omega_max
-    if omega_max is None:
-        omega_max = 5.0 * sc.omega_n if sc.omega_n else 10.0 * math.pi / result.duration
     outdir = _ensure_outdir(args.output)
-    _write_freq_response(os.path.join(outdir, "freqresp.csv"),
-                         result.cascade.stages, omega_max, cfg.freq_points)
+    omega_max = _write_freq_response(os.path.join(outdir, "freqresp.csv"), cfg, result)
     print(f"freqresp: {cfg.freq_points} points up to {omega_max!r} rad/s -> {outdir}")
     return 0
 
@@ -284,21 +282,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Slosh-free, slip-free reference trajectories for "
                     "tray-carried transport, with a physics validator.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, needs_input in (
-            ("plan", cmd_plan, False),
-            ("filter", cmd_filter, True),
-            ("simulate", cmd_simulate, True),
-            ("freqresp", cmd_freqresp, False)):
-        p = sub.add_parser(name)
+    commands = {}
+    for name, func in (("plan", cmd_plan), ("filter", cmd_filter),
+                       ("simulate", cmd_simulate), ("freqresp", cmd_freqresp)):
+        commands[name] = p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--output", default=".", help="output directory")
-        p.add_argument("--input", default=None,
-                       help="input trajectory file" if needs_input else argparse.SUPPRESS)
-        p.add_argument("--dt", type=float, default=None,
-                       help="override the simulation step")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the noise seed")
         p.set_defaults(func=func)
+    for name in ("filter", "simulate"):
+        commands[name].add_argument("--input", required=True,
+                                    help="input trajectory file")
+    commands["simulate"].add_argument("--dt", type=float, default=None,
+                                      help="override the simulation step")
+    commands["filter"].add_argument("--seed", type=int, default=None,
+                                    help="override the noise seed")
     return parser
 
 

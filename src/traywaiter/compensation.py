@@ -16,17 +16,9 @@ import numpy as np
 
 __all__ = [
     "FreeFallError",
-    "TiltPose",
     "MountingTransform",
     "tilt_angles",
-    "rotation_matrix",
-    "tilt_pose",
-    "planar_tilt",
-    "baseline_friction_tilt",
-    "compose_flange_pose",
     "flange_poses",
-    "pendulum_length_from_frequency",
-    "wrap_angle",
 ]
 
 
@@ -38,7 +30,7 @@ class FreeFallError(ValueError):
     sample: int | None = None
 
 
-def wrap_angle(phi: float) -> float:
+def _wrap_angle(phi: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     out = math.remainder(phi, 2.0 * math.pi)
     if out <= -math.pi:
@@ -60,10 +52,11 @@ def tilt_angles(accel, g: float) -> tuple[float, float]:
         raise FreeFallError(f"g + az = {gz} <= 0: tilt compensation undefined")
     rho = math.hypot(ax, ay)
     beta = -math.atan2(rho, gz) + 0.0
-    phi = wrap_angle(math.pi + math.atan2(ay, ax))
+    phi = _wrap_angle(math.pi + math.atan2(ay, ax))
     return beta, phi
 
 
+# Scalar pose chain: oracle of flange_poses in the tests, hooked by perfbench/tracer.py.
 def _rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -100,46 +93,6 @@ def _rot_y_stack(a: np.ndarray) -> np.ndarray:
     out[:, 2, 0] = -s
     out[:, 1, 1] = 1.0
     return out
-
-
-@dataclass(frozen=True)
-class TiltPose:
-    """Compensation angles plus the resulting attitude and CoR transform."""
-
-    beta: float
-    phi: float
-    rotation: np.ndarray
-    transform: np.ndarray  # 4x4, world -> CoR frame
-
-
-def tilt_pose(accel, position, g: float) -> TiltPose:
-    """Full compensated pose of the CoR frame for one trajectory sample."""
-    beta, phi = tilt_angles(accel, g)
-    R = rotation_matrix(beta, phi)
-    T = np.eye(4)
-    T[:3, :3] = R
-    T[:3, 3] = np.asarray(position, dtype=float)
-    return TiltPose(beta, phi, R, T)
-
-
-def planar_tilt(ax: float, az: float, g: float) -> float:
-    """Planar compensation angle beta* = -atan(ax / (g + az))."""
-    gz = g + az
-    if gz <= 0.0:
-        raise FreeFallError(f"g + az = {gz} <= 0: tilt compensation undefined")
-    return -math.atan2(ax, gz) + 0.0
-
-
-def baseline_friction_tilt(a_y: float, mu: float, g: float) -> float:
-    """Friction-dependent tilt angle used by prior tray-balancing work,
-    provided for comparison only: atan((mu g - a_y) / (g + mu a_y)).
-
-    Unlike planar_tilt it keeps a residual angle atan(mu) at rest.
-    """
-    den = g + mu * a_y
-    if den <= 0.0:
-        raise ValueError(f"g + mu*a_y = {den} <= 0: baseline angle undefined")
-    return math.atan((mu * g - a_y) / den)
 
 
 def _check_rotation(R: np.ndarray, tol: float = 1e-9) -> None:
@@ -225,9 +178,3 @@ def flange_poses(positions, accelerations, g: float,
         rot_out[start:stop] = flange[:, :3, :3]
     return pos_out, rot_out
 
-
-def pendulum_length_from_frequency(omega_n: float, g: float) -> float:
-    """Equivalent pendulum length l = g / omega_n^2 of the first slosh mode."""
-    if not (omega_n > 0.0 and math.isfinite(omega_n)):
-        raise ValueError(f"omega_n must be positive, got {omega_n}")
-    return g / (omega_n * omega_n)

@@ -28,7 +28,6 @@ __all__ = [
     "ContactLostError",
     "IntegrationError",
     "desk_params",
-    "linear_slosh_params",
     "analytic_tilt_channel",
     "fd_tilt_channel",
     "friction_margin",
@@ -100,28 +99,16 @@ def desk_params(**overrides) -> PlantParams:
     return PlantParams(**values)
 
 
-def linear_slosh_params(params: PlantParams) -> tuple[float, float]:
-    """(omega_n, delta) of the linearized slosh oscillator."""
-    if params.m <= 0.0:
-        raise ValueError("linearized slosh needs m > 0")
-    omega_n = math.sqrt(params.g / params.l)
-    delta = params.b_lc / (2.0 * params.m * params.l * params.l * omega_n)
-    return omega_n, delta
-
-
 # ---------------------------------------------------------------------------
 # tray motion (disturbance inputs)
 # ---------------------------------------------------------------------------
 
-def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
-    out = np.zeros_like(y)
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * dt, out=out[1:])
-    return out
+_CHANNELS = ("x_ddot", "z_ddot", "beta", "beta_dot", "beta_ddot")
 
 
 @dataclass
 class TrayMotion:
-    """Uniformly sampled tray translation and tilt channels.
+    """Uniformly sampled tray acceleration and tilt channels.
 
     `interp` selects how values between samples are produced for the
     integrator: 'cubic' (4-point Lagrange, for smooth channels) or 'linear'
@@ -129,10 +116,6 @@ class TrayMotion:
     """
 
     dt: float
-    x: np.ndarray
-    z: np.ndarray
-    x_dot: np.ndarray
-    z_dot: np.ndarray
     x_ddot: np.ndarray
     z_ddot: np.ndarray
     beta: np.ndarray
@@ -145,14 +128,11 @@ class TrayMotion:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.interp not in ("cubic", "linear"):
             raise ValueError(f"interp must be 'cubic' or 'linear', got {self.interp!r}")
-        arrays = [np.asarray(getattr(self, name), dtype=float) for name in
-                  ("x", "z", "x_dot", "z_dot", "x_ddot", "z_ddot",
-                   "beta", "beta_dot", "beta_ddot")]
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in _CHANNELS]
         n = arrays[0].size
         if n < 2:
             raise ValueError("motion needs at least two samples")
-        for name, arr in zip(("x", "z", "x_dot", "z_dot", "x_ddot", "z_ddot",
-                              "beta", "beta_dot", "beta_ddot"), arrays):
+        for name, arr in zip(_CHANNELS, arrays):
             if arr.size != n:
                 raise ValueError(f"channel {name} has length {arr.size}, expected {n}")
             if not np.all(np.isfinite(arr)):
@@ -161,7 +141,7 @@ class TrayMotion:
 
     @property
     def n(self) -> int:
-        return self.x.size
+        return self.x_ddot.size
 
     @property
     def duration(self) -> float:
@@ -171,15 +151,13 @@ class TrayMotion:
     def rest(cls, duration: float, dt: float) -> "TrayMotion":
         n = max(2, int(round(duration / dt)) + 1)
         z = np.zeros(n)
-        return cls(dt, z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy(),
-                   z.copy(), z.copy(), z.copy())
+        return cls(dt, z, z.copy(), z.copy(), z.copy(), z.copy())
 
     @classmethod
     def from_channels(cls, dt: float, x_ddot, z_ddot=None, beta=None,
                       beta_dot=None, beta_ddot=None, interp: str = "cubic",
                       ) -> "TrayMotion":
-        """Build a motion from acceleration (and optional tilt) series,
-        integrating position/velocity bookkeeping channels from rest."""
+        """Build a motion from acceleration (and optional tilt) series."""
         x_ddot = np.asarray(x_ddot, dtype=float)
         n = x_ddot.size
         zeros = np.zeros(n)
@@ -187,16 +165,7 @@ class TrayMotion:
         beta = zeros if beta is None else np.asarray(beta, dtype=float)
         beta_dot = zeros if beta_dot is None else np.asarray(beta_dot, dtype=float)
         beta_ddot = zeros if beta_ddot is None else np.asarray(beta_ddot, dtype=float)
-        x_dot = _cumtrapz(x_ddot, dt)
-        z_dot = _cumtrapz(z_ddot, dt)
-        return cls(dt, _cumtrapz(x_dot, dt), _cumtrapz(z_dot, dt), x_dot, z_dot,
-                   x_ddot, z_ddot, beta, beta_dot, beta_ddot, interp=interp)
-
-    def with_tilt(self, beta, beta_dot, beta_ddot) -> "TrayMotion":
-        return TrayMotion(self.dt, self.x, self.z, self.x_dot, self.z_dot,
-                          self.x_ddot, self.z_ddot, np.asarray(beta, dtype=float),
-                          np.asarray(beta_dot, dtype=float),
-                          np.asarray(beta_ddot, dtype=float), interp=self.interp)
+        return cls(dt, x_ddot, z_ddot, beta, beta_dot, beta_ddot, interp=interp)
 
 
 def analytic_tilt_channel(acc_x, jerk_x, snap_x, acc_z, jerk_z, snap_z, g):
@@ -241,7 +210,6 @@ class SimState:
     theta_dot: float
     d_x: float
     d_x_dot: float
-    contact_mode: str = "stick"
 
 
 @dataclass
@@ -404,9 +372,6 @@ def friction_margin(state: SimState, params: PlantParams, motion_sample
 # ---------------------------------------------------------------------------
 # motion sampling for the integrator
 # ---------------------------------------------------------------------------
-
-_CHANNELS = ("x_ddot", "z_ddot", "beta", "beta_dot", "beta_ddot")
-
 
 class _MotionSampler:
     """Evaluates the five disturbance channels on the integration grid, at

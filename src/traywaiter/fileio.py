@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -262,6 +262,8 @@ def read_pose_trajectory(path: str) -> PoseTrajectoryFile:
     meta, data = _load_table(path, "pose_trajectory")
     dt = _header_float(meta, "dt", path)
     delay = _header_float(meta, "delay", path)
+    if not math.isfinite(delay):
+        raise FormatError(f"{path}: header delay is not finite: {meta['delay']!r}")
     if data.shape[1] != 17:
         raise FormatError(f"{path}: expected 17 columns, got {data.shape[1]}")
     t = data[:, 0]
@@ -357,7 +359,7 @@ class RunConfig:
     noise_cutoff_hz: float
     freq_omega_max: float | None
     freq_points: int
-    raw: dict = field(default_factory=dict)
+    emit_freq_response: bool
 
 
 def load_config(path: str) -> RunConfig:
@@ -374,6 +376,7 @@ def load_config(path: str) -> RunConfig:
     omega_n = _get(cfg, "scenario.slosh.omega_n", float,
                    required=(material == "liquid"), default=None)
     delta = _get(cfg, "scenario.slosh.delta", float, required=False, default=0.0)
+    g = _get(cfg, "plant.g", float, required=False, default=9.81)
     try:
         scenario = Scenario(
             material=material,
@@ -392,6 +395,7 @@ def load_config(path: str) -> RunConfig:
                                    required=False, default=20.0),
             cor_offset_d_z=_get(cfg, "scenario.cor_offset_d_z", float,
                                 required=False, default=0.0),
+            g=g,
         )
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from None
@@ -408,7 +412,7 @@ def load_config(path: str) -> RunConfig:
                 b_lc=_get(cfg, "plant.b_lc", float),
                 b_ct=_get(cfg, "plant.b_ct", float),
                 mu=_get(cfg, "plant.mu", float),
-                g=_get(cfg, "plant.g", float, required=False, default=9.81),
+                g=g,
             )
         except ValueError as exc:
             raise ConfigError("plant", str(exc)) from None
@@ -429,6 +433,9 @@ def load_config(path: str) -> RunConfig:
     if sim_dt <= 0.0:
         raise ConfigError("numerics.sim_dt", "must be positive")
 
+    omega_max = _get(cfg, "freqresp.omega_max", float, required=False, default=None)
+    if omega_max is not None and not (omega_max > 0.0 and math.isfinite(omega_max)):
+        raise ConfigError("freqresp.omega_max", "must be positive and finite")
     points = _get(cfg, "freqresp.points", int, required=False, default=500)
     if points < 2:
         raise ConfigError("freqresp.points", "need at least two grid points")
@@ -449,10 +456,10 @@ def load_config(path: str) -> RunConfig:
                              default=0.0),
         noise_cutoff_hz=_get(cfg, "noise.cutoff_hz", float, required=False,
                              default=5.0),
-        freq_omega_max=_get(cfg, "freqresp.omega_max", float, required=False,
-                            default=None),
+        freq_omega_max=omega_max,
         freq_points=points,
-        raw=cfg,
+        emit_freq_response=_get(cfg, "output.emit_freq_response", bool,
+                                required=False, default=False),
     )
 
 

@@ -30,8 +30,6 @@ __all__ = [
     "Scenario",
     "PlanResult",
     "FeasibilityReport",
-    "triangular_min_acc",
-    "min_time",
     "friction_limited_duration",
     "plan",
     "feasibility_report",
@@ -40,22 +38,6 @@ __all__ = [
 ]
 
 MIN_FREE_STAGE_T = 0.05  # s, floor for the free triangular stage
-
-
-def triangular_min_acc(h: float, T: float) -> float:
-    """Peak acceleration of the minimum-acceleration (triangular velocity)
-    point-to-point motion of length h and duration T: a = 4h/T^2."""
-    if not (h > 0.0 and T > 0.0):
-        raise ValueError(f"h and T must be positive, got {(h, T)}")
-    return 4.0 * h / (T * T)
-
-
-def min_time(h: float, a_max: float) -> float:
-    """Duration of the triangular-velocity motion at the acceleration bound:
-    T = 2 sqrt(h / a_max)."""
-    if not (h > 0.0 and a_max > 0.0):
-        raise ValueError(f"h and a_max must be positive, got {(h, a_max)}")
-    return 2.0 * math.sqrt(h / a_max)
 
 
 def friction_limited_duration(h_o: float, h_v: float, mu: float, g: float) -> float:

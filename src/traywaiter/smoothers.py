@@ -29,7 +29,6 @@ __all__ = [
     "DampedHarmonic",
     "SmootherKind",
     "CascadeSpec",
-    "SmootherState",
     "CascadeState",
     "make_trapezoidal_params",
     "make_harmonic_T",
@@ -403,5 +402,3 @@ class CascadeState:
             out_p[k], out_v[k], out_a[k] = self.step(series[k], vel[k], acc[k])
         return out_p, out_v, out_a
 
-
-SmootherState = CascadeState  # one kind is a cascade of one

@@ -35,7 +35,6 @@ from traywaiter.smoothers import (
     CascadeState,
     DampedHarmonic,
     Harmonic,
-    SmootherState,
     Trapezoidal,
     freq_response,
     make_damped_harmonic_params,
@@ -68,7 +67,7 @@ def test_criterion_01_notch_cancellation():
     mag = freq_response(Harmonic(T), [omega_n])[0]
 
     dt = 1e-4
-    state = SmootherState(Harmonic(T), dt, initial_value=0.0)
+    state = CascadeState(Harmonic(T), dt, initial_value=0.0)
     n = int((T + 2.0) / dt)
     _, _, acc = state.run(np.ones(n))
     theta, _ = simulate_linear_slosh(omega_n, 0.0, acc, dt)
@@ -96,7 +95,7 @@ def test_criterion_03_kinematic_limits():
     h, v_max, a_max = 1.0, 2.0, 5.0
     t1, t2 = make_trapezoidal_params(h, v_max, a_max)
     dt = 1e-3
-    state = SmootherState(Trapezoidal(t1, t2), dt, initial_value=0.0)
+    state = CascadeState(Trapezoidal(t1, t2), dt, initial_value=0.0)
     support = state.delay
     n = int(1.2 / dt)
     _, vel, acc = state.run(np.full(n, h))
@@ -256,7 +255,7 @@ def test_criterion_08_oracle_equivalences():
         tt = np.arange(m) * step
         u = np.sin(1.7 * tt) + 0.3 * np.cos(4.1 * tt)
         ud = 1.7 * np.cos(1.7 * tt) - 1.23 * np.sin(4.1 * tt)
-        state = SmootherState(Trapezoidal(0.25, 0.15), step, initial_value=u[0])
+        state = CascadeState(Trapezoidal(0.25, 0.15), step, initial_value=u[0])
         pp, vv, aa = state.run(u, ud)
         lo, hi = int(1.0 / step), m - 5
         fd_v = (pp[lo + 1:hi + 1] - pp[lo - 1:hi - 1]) / (2 * step)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from traywaiter.cli import main
-from traywaiter.compensation import planar_tilt, rotation_matrix
+from traywaiter.compensation import rotation_matrix
 from traywaiter.fileio import (
     TrajectoryFile,
     read_pose_trajectory,
@@ -13,7 +13,10 @@ from traywaiter.fileio import (
     read_trajectory,
     write_trajectory,
 )
+from traywaiter.planner import friction_limited_duration
 from traywaiter.smoothers import Trapezoidal, freq_response
+
+from _oracles import planar_tilt
 
 G = 9.81
 
@@ -122,6 +125,21 @@ def test_plan_zero_displacement(tmp_path):
     pose = read_pose_trajectory(os.path.join(out, "trajectory.csv"))
     assert pose.n == 2
     assert np.abs(pose.rotations - np.eye(3)).max() < 1e-12
+
+
+def test_plan_uses_the_plant_gravity(tmp_path):
+    cfg = _write(tmp_path, "cfg.yaml",
+                 P2P_CONFIG.replace("  mu: 0.3\n", "  mu: 0.3\n  g: 5.0\n"))
+    out = str(tmp_path / "out")
+    assert main(["plan", "--config", cfg, "--output", out]) == 0
+    report = open(os.path.join(out, "plan.txt")).read()
+    floor = friction_limited_duration(0.6, 0.0, 0.3, 5.0)
+    assert f"friction floor: T >= {floor!r} s" in report
+    pose = read_pose_trajectory(os.path.join(out, "trajectory.csv"))
+    ref = read_trajectory(os.path.join(out, "reference.csv"))
+    k = int(np.argmax(np.abs(ref.accelerations[:, 0])))
+    beta = planar_tilt(ref.accelerations[k, 0], ref.accelerations[k, 2], 5.0)
+    assert np.abs(pose.rotations[k] - rotation_matrix(beta, math.pi)).max() < 1e-12
 
 
 def test_plan_rejects_complex_scenario(tmp_path):
@@ -362,6 +380,48 @@ def test_freqresp_output(tmp_path):
     assert data2[k_nn, 2] < 1e-12                  # exact notch at omega_n
     k_c = np.argmin(np.abs(data2[:, 0] - 0.4 * omega_n))
     assert data2[k_c, 2] == pytest.approx(1 / math.sqrt(2), rel=0.10)
+
+
+def test_plan_and_freqresp_write_the_same_freqresp(tmp_path):
+    # no omega_n and no omega_max: both take the range from the kernel support
+    solid = (P2P_CONFIG.replace("material: liquid", "material: solid")
+             .replace("  slosh: {omega_n: 14.0071410359145, delta: 0.05}\n",
+                      "  free_stage_T: 0.1\n")
+             + "output: {emit_freq_response: true}\n")
+    cfg = _write(tmp_path, "cfg.yaml", solid)
+    outs = [str(tmp_path / "plan"), str(tmp_path / "freqresp")]
+    assert main(["plan", "--config", cfg, "--output", outs[0]]) == 0
+    assert main(["freqresp", "--config", cfg, "--output", outs[1]]) == 0
+    blobs = [open(os.path.join(out, "freqresp.csv"), "rb").read() for out in outs]
+    assert blobs[0] == blobs[1]
+
+
+def test_emit_freq_response_must_be_a_bool(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.yaml",
+                 P2P_CONFIG + 'output: {emit_freq_response: "no"}\n')
+    out = str(tmp_path / "out")
+    assert main(["plan", "--config", cfg, "--output", out]) == 2
+    assert "output.emit_freq_response" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "freqresp.csv"))
+
+
+# ---------------------------------------------------------------------------
+# flags
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, flag", [
+    ("plan", "--dt"), ("plan", "--seed"), ("plan", "--input"),
+    ("filter", "--dt"), ("simulate", "--seed"), ("freqresp", "--dt"),
+])
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    argv = [command, "--config", _write(tmp_path, "cfg.yaml", P2P_CONFIG),
+            "--output", str(tmp_path / "out")]
+    if command in ("filter", "simulate"):
+        argv += ["--input", "in.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "4"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
 
 def test_end_to_end_determinism(tmp_path):

@@ -14,7 +14,6 @@ from traywaiter.dynamics import (
     estimate_prv,
     fd_tilt_channel,
     friction_margin,
-    linear_slosh_params,
     simulate_coupled,
     simulate_linear_slosh,
     simulate_pendulum,
@@ -27,13 +26,14 @@ from traywaiter.smoothers import (
     DampedHarmonic,
     Harmonic,
     Rectangular,
-    SmootherState,
     Trapezoidal,
     freq_response,
     kernel_duration,
     make_damped_harmonic_params,
     make_harmonic_T,
 )
+
+from _oracles import linear_slosh_params
 
 G = 9.81
 
@@ -92,9 +92,8 @@ def test_desk_params_give_target_damping():
 def test_motion_validation():
     with pytest.raises(ValueError):
         TrayMotion.rest(1.0, -1e-3)
-    m = TrayMotion.rest(1.0, 1e-3)
     with pytest.raises(ValueError):
-        m.with_tilt(np.zeros(3), np.zeros(3), np.zeros(3))  # length mismatch
+        TrayMotion.from_channels(1e-3, np.zeros(5), beta=np.zeros(3))  # length mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def test_harmonic_smoother_suppresses_residual():
     omega_n = 2 * math.pi
     dt = 1e-4
     T = make_harmonic_T(omega_n)
-    state = SmootherState(Harmonic(T), dt, initial_value=0.0)
+    state = CascadeState(Harmonic(T), dt, initial_value=0.0)
     n = int((T + 2.0) / dt)
     _, _, acc = state.run(np.ones(n))
     theta, _ = simulate_linear_slosh(omega_n, 0.0, acc, dt)
@@ -558,7 +557,7 @@ def _simulated_prv(kind, omega_n, delta=0.0, g=G, h=1.0, dt=None):
     if dt is None:
         dt = min(period, support) / 4000.0
         dt = support / max(1, round(support / dt))
-    state = SmootherState(kind, dt, initial_value=0.0)
+    state = CascadeState(kind, dt, initial_value=0.0)
     support_q = state.delay
     n = int(round((support_q + 1.5 * period) / dt)) + 1
     _, vel, _ = state.run(np.full(n, h))

@@ -175,14 +175,17 @@ def test_readers_reject_bad_header_dt(tmp_path, make, read, dt_text, n):
     assert path in str(exc.value)
 
 
-@pytest.mark.parametrize("make, read, key, text", [
-    (_trajectory_file, read_trajectory, "dt", "abc"),
-    (_pose_file, read_pose_trajectory, "dt", "abc"),
-    (_pose_file, read_pose_trajectory, "delay", "xyz"),
-], ids=["trajectory-dt", "pose-dt", "pose-delay"])
-def test_readers_reject_non_numeric_header_values(tmp_path, make, read, key, text):
+@pytest.mark.parametrize("make, read, key, text, problem", [
+    (_trajectory_file, read_trajectory, "dt", "abc", "is not a number"),
+    (_pose_file, read_pose_trajectory, "dt", "abc", "is not a number"),
+    (_pose_file, read_pose_trajectory, "delay", "xyz", "is not a number"),
+    (_pose_file, read_pose_trajectory, "delay", "nan", "is not finite"),
+    (_pose_file, read_pose_trajectory, "delay", "inf", "is not finite"),
+], ids=["trajectory-dt", "pose-dt", "pose-delay", "pose-delay-nan", "pose-delay-inf"])
+def test_readers_reject_non_numeric_header_values(tmp_path, make, read, key, text,
+                                                  problem):
     path = _with_header_item(make(tmp_path, 5), key, text)
-    with pytest.raises(FormatError, match=f"header {key} is not a number: '{text}'") as exc:
+    with pytest.raises(FormatError, match=f"header {key} {problem}: '{text}'") as exc:
         read(path)
     assert path in str(exc.value)
 
@@ -244,6 +247,9 @@ def test_load_config(tmp_path):
     (GOOD_CONFIG.replace("tilt: compensated", "tilt: sideways"), "sim.tilt"),
     (GOOD_CONFIG.replace("dt: 0.001", "dt: -0.001"), "numerics.dt"),
     (GOOD_CONFIG.replace("mu: 0.3", "mu: -0.3"), "plant"),
+    (GOOD_CONFIG + "freqresp: {omega_max: 0.0}\n", "freqresp.omega_max"),
+    (GOOD_CONFIG + "freqresp: {omega_max: .inf}\n", "freqresp.omega_max"),
+    (GOOD_CONFIG + "freqresp: {omega_max: .nan}\n", "freqresp.omega_max"),
 ])
 def test_config_errors_carry_field_paths(tmp_path, mutation, path_fragment):
     path = tmp_path / "cfg.yaml"

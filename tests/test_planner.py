@@ -10,11 +10,9 @@ from traywaiter.planner import (
     Scenario,
     feasibility_report,
     friction_limited_duration,
-    min_time,
     plan,
     rollout_profile,
     rollout_trajectory,
-    triangular_min_acc,
 )
 from traywaiter.smoothers import CascadeSpec, DampedHarmonic, Trapezoidal
 
@@ -32,20 +30,6 @@ def p2p_scenario(**kw):
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
-
-def test_triangular_min_acc():
-    assert triangular_min_acc(1.0, 2.0) == pytest.approx(1.0)
-    assert min_time(1.0, 4.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        triangular_min_acc(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        min_time(1.0, 0.0)
-
-
-def test_triangular_round_trip():
-    for h, T in ((1.0, 0.7), (2.5, 1.3), (0.2, 3.0)):
-        assert min_time(h, triangular_min_acc(h, T)) == pytest.approx(T, rel=1e-12)
-
 
 def test_friction_limited_duration_values():
     assert friction_limited_duration(1.0, 0.0, 0.5, G) == pytest.approx(

@@ -25,7 +25,6 @@ from traywaiter.smoothers import (
     DampedHarmonic,
     Harmonic,
     Rectangular,
-    SmootherState,
     Trapezoidal,
     make_trapezoidal_params,
 )
@@ -302,7 +301,7 @@ def test_cascade_state_matches_nested_reference(cascade, dt, initial, samples,
               CascadeState(cascade, dt, initial_value=initial))]
     if len(cascade) == 1:
         pairs.append((_ReferenceSmootherState(cascade[0], dt, initial_value=initial),
-                      SmootherState(cascade[0], dt, initial_value=initial)))
+                      CascadeState(cascade[0], dt, initial_value=initial)))
     for ref, flat in pairs:
         assert flat.delay == ref.delay
     for u, v, a in samples:

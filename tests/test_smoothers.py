@@ -9,7 +9,6 @@ from traywaiter.smoothers import (
     DampedHarmonic,
     Harmonic,
     Rectangular,
-    SmootherState,
     Trapezoidal,
     continuity_gain,
     freq_response,
@@ -98,7 +97,7 @@ def test_duration_and_continuity_bookkeeping():
 # ---------------------------------------------------------------------------
 
 def _step_response(kind, dt, n, h=1.0):
-    state = SmootherState(kind, dt, initial_value=0.0)
+    state = CascadeState(kind, dt, initial_value=0.0)
     return state.run(np.full(n, h))
 
 
@@ -127,7 +126,7 @@ def test_constant_input_reproduced_exactly():
     dt = 1e-3
     for kind in (Rectangular(0.31), Harmonic(0.47), Trapezoidal(0.2, 0.11),
                  DampedHarmonic(-1.3, 0.37)):
-        state = SmootherState(kind, dt)
+        state = CascadeState(kind, dt)
         # pre-charge from the first sample: no startup transient at all
         for _ in range(int(2 * kernel_duration(kind) / dt)):
             p, v, a = state.step(0.7)
@@ -161,8 +160,8 @@ def test_trapezoidal_respects_limits_harmonic_violates():
 
 def test_damped_harmonic_sigma_zero_matches_harmonic():
     dt = 1e-3
-    s1 = SmootherState(Harmonic(0.8), dt, initial_value=0.0)
-    s2 = SmootherState(DampedHarmonic(0.0, 0.8), dt, initial_value=0.0)
+    s1 = CascadeState(Harmonic(0.8), dt, initial_value=0.0)
+    s2 = CascadeState(DampedHarmonic(0.0, 0.8), dt, initial_value=0.0)
     u = np.sin(np.linspace(0, 7, 1500)) + 0.4
     p1 = s1.run(u)
     p2 = s2.run(u)
@@ -172,7 +171,7 @@ def test_damped_harmonic_sigma_zero_matches_harmonic():
 
 def test_startup_precharge_suppresses_transient():
     # stationary stream must not produce spurious acceleration at t=0
-    state = SmootherState(Harmonic(0.5), 1e-3)
+    state = CascadeState(Harmonic(0.5), 1e-3)
     p, v, a = state.step(2.0)
     assert (p, v, a) == (2.0, 0.0, 0.0)
 
@@ -187,7 +186,7 @@ def _fd_error(kind, dt):
     u = np.sin(1.7 * t) + 0.3 * np.cos(4.1 * t)
     ud = 1.7 * np.cos(1.7 * t) - 0.3 * 4.1 * np.sin(4.1 * t)
     udd = -1.7 ** 2 * np.sin(1.7 * t) - 0.3 * 4.1 ** 2 * np.cos(4.1 * t)
-    state = SmootherState(kind, dt, initial_value=u[0])
+    state = CascadeState(kind, dt, initial_value=u[0])
     p, v, a = state.run(u, ud, udd)
     lo = int(1.2 / dt)
     hi = n - 10
@@ -279,7 +278,7 @@ def test_two_rect_cascade_equals_trapezoidal():
     u = np.concatenate([np.zeros(5), np.ones(900)])
     c = CascadeState(CascadeSpec((Rectangular(0.3), Rectangular(0.3))), dt,
                      initial_value=0.0)
-    s = SmootherState(Trapezoidal(0.3, 0.3), dt, initial_value=0.0)
+    s = CascadeState(Trapezoidal(0.3, 0.3), dt, initial_value=0.0)
     pc, vc, ac = c.run(u)
     ps, vs, as_ = s.run(u)
     assert np.array_equal(pc, ps)
@@ -291,7 +290,7 @@ def test_single_stage_cascade_identity():
     dt = 1e-3
     u = np.sin(np.linspace(0, 5, 700))
     c = CascadeState([Harmonic(0.5)], dt, initial_value=u[0])
-    s = SmootherState(Harmonic(0.5), dt, initial_value=u[0])
+    s = CascadeState(Harmonic(0.5), dt, initial_value=u[0])
     pc, _, _ = c.run(u)
     ps, _, _ = s.run(u)
     assert np.array_equal(pc, ps)
