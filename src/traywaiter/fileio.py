@@ -314,6 +314,9 @@ def _get(cfg: dict, path: str, typ, required=True, default=None):
                 raise ConfigError(".".join(parts[: i + 1]), "missing")
             return default
         node = node[key]
+    # bool subclasses int, but a YAML true/false is never a number
+    if isinstance(node, bool) and typ is not bool:
+        raise ConfigError(path, f"expected {typ.__name__}, got bool")
     if typ is float and isinstance(node, int):
         node = float(node)
     if not isinstance(node, typ):
@@ -325,7 +328,8 @@ def _get_vec3(cfg: dict, path: str, required=True, default=None):
     raw = _get(cfg, path, list, required=required, default=None)
     if raw is None:
         return default
-    if len(raw) != 3 or not all(isinstance(v, (int, float)) for v in raw):
+    if len(raw) != 3 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                for v in raw):
         raise ConfigError(path, "expected a list of three numbers")
     return np.array([float(v) for v in raw])
 

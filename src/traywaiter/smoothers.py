@@ -253,6 +253,26 @@ class _RectStage:
                 (u - old1) / self.t_span,
                 (v - vold) / self.t_span)
 
+    def run(self, u: np.ndarray, v: np.ndarray, a: np.ndarray):
+        """step() over a whole block: the running sum is a cumulative sum of
+        the same increments, added left to right as the loop adds them."""
+        m, n = u.size, self.n
+        vals = np.concatenate((self._vals, u))   # u[k-N-1] ... u[k+m-1]
+        vels = np.concatenate((self._vels, v))
+        old1 = vals[1:m + 1]
+        inc = 0.5 * ((u + vals[n:n + m]) - (old1 + vals[:m]))
+        inc[0] += self._sum
+        sums = np.cumsum(inc, out=inc)
+        self._sum = float(sums[-1])
+        self._vals = deque(vals[m:].tolist())
+        self._vels = deque(vels[m:].tolist())
+        return (sums / n,
+                (u - old1) / self.t_span,
+                (v - vels[1:m + 1]) / self.t_span)
+
+
+_RECURRENCE_CHUNK = 4096
+
 
 class _OscStage:
     """Second-order core in controllable canonical form, fed by the
@@ -301,6 +321,30 @@ class _OscStage:
         x2 = self.f21 * self.x1 + self.f22 * self.x2 + self.g2 * f
         self.x1, self.x2, self._w_prev = x1, x2, w
         return x1, x2, w - self.a0 * x1 - self.a1 * x2
+
+    def run(self, u: np.ndarray, v: np.ndarray, a: np.ndarray):
+        """step() over a whole block: forcing and acceleration as arrays, the
+        2x2 recurrence as one loop over Python floats in step()'s order."""
+        m = u.size
+        buf = np.concatenate((self._buf, u))
+        w = self.gain * (u + self.w_tap * buf[1:m + 1])
+        f = 0.5 * (np.concatenate(([self._w_prev], w[:-1])) + w)
+        f11, f12, f21, f22 = self.f11, self.f12, self.f21, self.f22
+        g1, g2 = self.g1, self.g2
+        x1, x2 = self.x1, self.x2
+        x1s, x2s = np.empty(m), np.empty(m)
+        # chunks bound the transient float lists of a long block
+        for lo in range(0, m, _RECURRENCE_CHUNK):
+            c1, c2 = [], []
+            for fk in f[lo:lo + _RECURRENCE_CHUNK].tolist():
+                x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
+                c1.append(x1)
+                c2.append(x2)
+            x1s[lo:lo + len(c1)] = c1
+            x2s[lo:lo + len(c2)] = c2
+        self.x1, self.x2, self._w_prev = x1, x2, float(w[-1])
+        self._buf = deque(buf[m:].tolist())
+        return x1s, x2s, w - self.a0 * x1s - self.a1 * x2s
 
 
 def _build_stages(kind: SmootherKind, dt: float) -> list:
@@ -390,15 +434,32 @@ class CascadeState:
         return p, v, a
 
     def run(self, series, vel=None, acc=None):
-        """Filter a whole series; returns (p, v, a) arrays of equal length."""
-        series = np.asarray(series, dtype=float)
-        n = series.size
-        vel = np.zeros(n) if vel is None else np.asarray(vel, dtype=float)
-        acc = np.zeros(n) if acc is None else np.asarray(acc, dtype=float)
-        out_p = np.empty(n)
-        out_v = np.empty(n)
-        out_a = np.empty(n)
-        for k in range(n):
-            out_p[k], out_v[k], out_a[k] = self.step(series[k], vel[k], acc[k])
-        return out_p, out_v, out_a
+        """Filter a whole series; returns (p, v, a) arrays of equal length.
 
+        `series` must be 1-D, and `vel` and `acc`, when given, must have its
+        shape; otherwise ValueError is raised before any state changes. The
+        block is filtered stage by stage and gives the bytes of step() called
+        on every sample in turn, so runs and steps can be mixed freely. An
+        empty series returns three empty arrays and leaves the state as it
+        was.
+        """
+        p = np.asarray(series, dtype=float)
+        if p.ndim != 1:
+            raise ValueError(f"series must be 1-D, got shape {p.shape}")
+        v = np.zeros(p.size) if vel is None else np.asarray(vel, dtype=float)
+        a = np.zeros(p.size) if acc is None else np.asarray(acc, dtype=float)
+        for name, arr in (("vel", v), ("acc", a)):
+            if arr.shape != p.shape:
+                raise ValueError(f"{name} has shape {arr.shape}, series has {p.shape}")
+        if p.size == 0:
+            return np.empty(0), np.empty(0), np.empty(0)
+        for stages in self._kinds:
+            if not self._primed:
+                # the lazy start of step(): each kind primes itself with the
+                # first triple that reaches it
+                for st in stages:
+                    st.prime(float(p[0]), float(v[0]), float(a[0]))
+            for st in stages:
+                p, v, a = st.run(p, v, a)
+        self._primed = True
+        return p, v, a

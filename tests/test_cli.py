@@ -153,6 +153,12 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
 
+def test_bool_for_number_exit_code(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG.replace("mu: 0.3", "mu: true"))
+    assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    assert "plant.mu: expected float, got bool" in capsys.readouterr().err
+
+
 def test_plan_free_fall_exit_code(tmp_path, capsys):
     # the free-stage search meets g + az <= 0 on a fast solid drop
     cfg = _write(tmp_path, "cfg.yaml", """

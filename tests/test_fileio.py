@@ -250,6 +250,14 @@ def test_load_config(tmp_path):
     (GOOD_CONFIG + "freqresp: {omega_max: 0.0}\n", "freqresp.omega_max"),
     (GOOD_CONFIG + "freqresp: {omega_max: .inf}\n", "freqresp.omega_max"),
     (GOOD_CONFIG + "freqresp: {omega_max: .nan}\n", "freqresp.omega_max"),
+    # bool subclasses int, so a YAML boolean must not pass for a number
+    (GOOD_CONFIG.replace("mu: 0.3", "mu: true"), "plant.mu"),
+    (GOOD_CONFIG.replace("v_max: 1.0", "v_max: false"), "scenario.v_max"),
+    (GOOD_CONFIG.replace("seed: 7", "seed: true"), "numerics.seed"),
+    (GOOD_CONFIG + "freqresp: {points: true}\n", "freqresp.points"),
+    (GOOD_CONFIG.replace("goal: [0.6, 0.0, 0.4]", "goal: [0.6, false, 0.4]"),
+     "scenario.goal"),
+    (GOOD_CONFIG + "mounting: {position: [0.0, 0.0, true]}\n", "mounting.position"),
 ])
 def test_config_errors_carry_field_paths(tmp_path, mutation, path_fragment):
     path = tmp_path / "cfg.yaml"

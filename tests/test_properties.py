@@ -311,6 +311,59 @@ def test_cascade_state_matches_nested_reference(cascade, dt, initial, samples,
             assert flat.step(u, v, a) == ref.step(u, v, a)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# long inputs for the spans of 85 and 600 samples, and one that crosses the
+# chunks of the oscillator recurrence
+_LONG = [tuple(r) for r in np.random.default_rng(11).uniform(-10.0, 10.0, (1500, 3))]
+_LONGER = _LONG * (smoothers._RECURRENCE_CHUNK // len(_LONG) + 1)
+
+
+@settings(deadline=None)
+@given(st.lists(kinds, min_size=1, max_size=4), periods,
+       st.one_of(st.none(), signal),
+       st.lists(st.tuples(signal, signal, signal), max_size=120),
+       st.lists(st.floats(0.0, 1.0), max_size=8),
+       st.booleans())
+@example([Rectangular(0.007)], 1e-3, None, _LONG[:40], [0.05, 0.05, 0.1, 0.5], True)
+@example([Trapezoidal(0.085, 0.6)], 1e-3, None, _LONG, [0.0, 0.002, 0.03, 0.5, 0.52],
+         True)
+@example([Trapezoidal(0.6, 0.085), Harmonic(0.085)], 1e-3, 0.4, _LONG,
+         [0.3, 0.3, 0.7], False)
+@example([DampedHarmonic(-4.0, 0.085), Rectangular(0.007)], 1e-3, None, _LONGER,
+         [0.001, 0.95], True)
+def test_cascade_block_run_matches_stream(cascade, dt, initial, samples, cuts,
+                                          with_derivatives):
+    # successive run() calls over chunks of the series (empty ones and ones
+    # shorter than a stage's span among them) give the bits of step() on
+    # every sample, and leave the state where step() would
+    ref = _ReferenceCascadeState(cascade, dt, initial_value=initial)
+    stream = CascadeState(cascade, dt, initial_value=initial)
+    block = CascadeState(cascade, dt, initial_value=initial)
+    u, v, a = np.array(samples, dtype=float).reshape(-1, 3).T
+    if not with_derivatives:
+        v = a = None
+    expected = []
+    for k in range(u.size):
+        args = (u[k],) if v is None else (u[k], v[k], a[k])
+        out = stream.step(*args)
+        assert out == ref.step(*args)
+        expected.append(out)
+    expected = np.array(expected).reshape(-1, 3)
+    bounds = [0, *sorted(int(c * u.size) for c in cuts), u.size]
+    got = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        derivs = () if v is None else (v[lo:hi], a[lo:hi])
+        out = block.run(u[lo:hi], *derivs)
+        assert all(c.shape == (hi - lo,) for c in out)
+        got.append(np.column_stack(out))
+    assert np.array_equal(_bits(np.concatenate(got)), _bits(expected))
+    last = [_bits(s.step(0.7, 0.1, -0.2)).tolist() for s in (block, stream, ref)]
+    assert last[0] == last[1] == last[2]
+
+
 def _step_response(cascade, dt, h, tail=5):
     state = CascadeState(cascade, dt, initial_value=0.0)
     n = int(round(state.delay / dt)) + tail

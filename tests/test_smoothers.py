@@ -301,6 +301,36 @@ def test_empty_cascade_rejected():
         CascadeState([], 1e-3)
 
 
+RUN_CASCADE = [Trapezoidal(0.005, 0.003), DampedHarmonic(-2.0, 0.004)]
+
+
+@pytest.mark.parametrize("series, vel, acc", [
+    (np.ones((6, 2)), None, None),
+    (1.0, None, None),
+    (np.ones(6), np.ones(5), None),
+    (np.ones(6), np.ones(7), None),
+    (np.ones(6), None, np.ones((6, 1))),
+])
+def test_run_rejects_bad_shapes_before_changing_state(series, vel, acc):
+    u = np.linspace(0.3, 1.0, 12)
+    state, twin = (CascadeState(RUN_CASCADE, 1e-3) for _ in range(2))
+    state.run(u[:5])
+    twin.run(u[:5])
+    with pytest.raises(ValueError):
+        state.run(series, vel, acc)
+    for x, y in zip(state.run(u), twin.run(u)):
+        assert np.array_equal(x, y)
+
+
+def test_run_empty_series_leaves_state_unprimed():
+    state, fresh = (CascadeState(RUN_CASCADE, 1e-3) for _ in range(2))
+    assert [x.shape for x in state.run([])] == [(0,)] * 3
+    # the lazy start still takes the first real sample, not a zero
+    u = np.linspace(0.3, 1.0, 12)
+    for x, y in zip(state.run(u), fresh.run(u)):
+        assert np.array_equal(x, y)
+
+
 def _fd_jerk_jump(stages, dt):
     c = CascadeState(stages, dt, initial_value=0.0)
     n = int((sum(kernel_duration(k) for k in stages) + 0.2) / dt)
