@@ -224,7 +224,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         beta = beta_dot = beta_ddot = np.zeros(traj.n)
     motion = TrayMotion.from_channels(traj.dt, acc_x, acc_z,
                                       beta, beta_dot, beta_ddot)
-    dt = args.dt if args.dt else cfg.sim_dt
+    dt = cfg.sim_dt if args.dt is None else args.dt
 
     outdir = _ensure_outdir(args.output)
     verdict_path = os.path.join(outdir, "verdict.txt")
@@ -276,6 +276,13 @@ def cmd_freqresp(cfg: RunConfig, args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="traywaiter",
@@ -292,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("filter", "simulate"):
         commands[name].add_argument("--input", required=True,
                                     help="input trajectory file")
-    commands["simulate"].add_argument("--dt", type=float, default=None,
+    commands["simulate"].add_argument("--dt", type=_positive_float, default=None,
                                       help="override the simulation step")
     commands["filter"].add_argument("--seed", type=int, default=None,
                                     help="override the noise seed")

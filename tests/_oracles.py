@@ -1,6 +1,8 @@
-"""Scalar closed forms the tests compare the package against."""
+"""Closed forms and reference writers the tests compare the package against."""
 
 import math
+
+import numpy as np
 
 from traywaiter.compensation import FreeFallError
 from traywaiter.dynamics import PlantParams
@@ -21,3 +23,13 @@ def linear_slosh_params(params: PlantParams) -> tuple[float, float]:
     omega_n = math.sqrt(params.g / params.l)
     delta = params.b_lc / (2.0 * params.m * params.l * params.l * omega_n)
     return omega_n, delta
+
+
+def repr_table_chunks(header: str, rows):
+    """The per-float repr() table writer that fileio._table_chunks replaces:
+    the header line, then 1024-row blocks of comma-separated repr() floats."""
+    rows = np.asarray(rows, dtype=float)
+    yield header + "\n"
+    for start in range(0, len(rows), 1024):
+        block = rows[start:start + 1024].tolist()
+        yield "\n".join(",".join(map(repr, row)) for row in block) + "\n"

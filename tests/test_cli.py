@@ -3,7 +3,9 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
+from traywaiter import fileio
 from traywaiter.cli import main
 from traywaiter.compensation import rotation_matrix
 from traywaiter.fileio import (
@@ -157,6 +159,56 @@ def test_bool_for_number_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG.replace("mu: 0.3", "mu: true"))
     assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
     assert "plant.mu: expected float, got bool" in capsys.readouterr().err
+
+
+# every float and three-number field load_config reads; freqresp.points is an
+# int and stays out: a huge value would allocate the whole grid
+FLOAT_FIELDS = [
+    "scenario.slosh.omega_n", "scenario.slosh.delta", "scenario.v_max",
+    "scenario.a_max", "scenario.free_stage_T", "scenario.angular_accel_cap",
+    "scenario.cor_offset_d_z", "plant.g", "plant.m", "plant.M", "plant.l",
+    "plant.h", "plant.d_z", "plant.b_lc", "plant.b_ct", "plant.mu",
+    "numerics.dt", "numerics.sim_dt", "freqresp.omega_max",
+    "thresholds.max_theta", "thresholds.max_slip", "noise.amplitude",
+    "noise.cutoff_hz",
+]
+VEC3_FIELDS = ["scenario.start", "scenario.goal", "mounting.rotation_rpy",
+               "mounting.position"]
+
+
+def _config_with(field, value):
+    cfg = yaml.safe_load(P2P_CONFIG)
+    *parents, leaf = field.split(".")
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return yaml.safe_dump(cfg)
+
+
+def test_non_finite_cases_cover_every_number_field(tmp_path, monkeypatch):
+    read = {float: [], list: []}
+    get = fileio._get
+
+    def spy(cfg, path, typ, **kwargs):
+        read.get(typ, []).append(path)
+        return get(cfg, path, typ, **kwargs)
+
+    monkeypatch.setattr(fileio, "_get", spy)
+    fileio.load_config(_write(tmp_path, "cfg.yaml", P2P_CONFIG))
+    assert sorted(read[float]) == sorted(FLOAT_FIELDS)
+    assert sorted(read[list]) == sorted(VEC3_FIELDS)
+
+
+# YAML .nan, .inf and -.inf, and an integer beyond the float range
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -10**400])
+@pytest.mark.parametrize("field", FLOAT_FIELDS + VEC3_FIELDS)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, field, value):
+    if field in VEC3_FIELDS:
+        value = [0.1, value, 0.4]
+    cfg = _write(tmp_path, "cfg.yaml", _config_with(field, value))
+    assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_plan_free_fall_exit_code(tmp_path, capsys):
@@ -428,6 +480,16 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag)
         main(argv + [flag, "4"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.001", "nan", "inf"])
+def test_simulate_rejects_a_bad_dt_flag(tmp_path, capsys, dt):
+    argv = ["simulate", "--config", _write(tmp_path, "cfg.yaml", P2P_CONFIG),
+            "--input", "in.csv", "--output", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dt", dt])
+    assert exc.value.code == 2
+    assert f"--dt: must be positive and finite, got {dt}" in capsys.readouterr().err
 
 
 def test_end_to_end_determinism(tmp_path):

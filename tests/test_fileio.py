@@ -1,7 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from traywaiter.compensation import rotation_matrix
 from traywaiter.dynamics import SimTrace
@@ -223,6 +227,87 @@ def test_sim_trace_round_trip(tmp_path):
     for name in ("t", "theta", "theta_dot", "d_x", "d_x_dot", "demand", "f_s"):
         assert np.array_equal(getattr(back, name), getattr(trace, name))
     assert np.array_equal(back.mode, trace.mode)
+
+
+# finite floats that stress the writer: ±0.0, subnormals, the ranges just
+# outside [1e-4, 1e16) where repr() writes an exponent, and the extremes
+csv_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(max_value=-1e16, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1.7976931348623157e308]))
+row_counts = st.integers(1, 16)
+dts = st.floats(1e-6, 10.0)
+
+
+def _table(n, cols):
+    return arrays(np.float64, (n, cols), elements=csv_floats, fill=st.nothing())
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None)
+@given(st.data(), row_counts, st.booleans(), csv_floats, dts)
+def test_trajectory_round_trip_is_bit_exact(tmp_path_factory, data, n, with_accel,
+                                            t0, dt):
+    traj = TrajectoryFile(dt, t0 + np.arange(n) * dt, data.draw(_table(n, 3)),
+                          data.draw(_table(n, 3)) if with_accel else None)
+    path = str(tmp_path_factory.mktemp("traj") / "traj.csv")
+    write_trajectory(path, traj)
+    back = read_trajectory(path)
+    assert _same_bits(back.dt, traj.dt) and _same_bits(back.t, traj.t)
+    assert _same_bits(back.positions, traj.positions)
+    assert (back.accelerations is None if traj.accelerations is None
+            else _same_bits(back.accelerations, traj.accelerations))
+
+
+@settings(deadline=None)
+@given(st.data(), row_counts, csv_floats, csv_floats, dts)
+def test_pose_round_trip_is_bit_exact(tmp_path_factory, data, n, t0, delay, dt):
+    quats = data.draw(arrays(np.float64, (n, 4), elements=st.floats(-1.0, 1.0),
+                             fill=st.nothing()))
+    quats[np.linalg.norm(quats, axis=1) < 1e-3] = (1.0, 0.0, 0.0, 0.0)
+    pose = PoseTrajectoryFile(dt, delay, t0 + np.arange(n) * dt,
+                              data.draw(_table(n, 3)), quaternion_to_rotation(quats))
+    path = str(tmp_path_factory.mktemp("pose") / "pose.csv")
+    write_pose_trajectory(path, pose)
+    back = read_pose_trajectory(path)
+    for name in ("dt", "delay", "t", "positions", "rotations"):
+        assert _same_bits(getattr(back, name), getattr(pose, name)), name
+
+
+@settings(deadline=None)
+@given(st.data(), row_counts, csv_floats, dts)
+def test_sim_trace_round_trip_is_bit_exact(tmp_path_factory, data, n, t0, dt):
+    columns = data.draw(_table(n, 6))
+    mode = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+    trace = SimTrace(t0 + np.arange(n) * dt, *columns[:, :4].T, mode,
+                     *columns[:, 4:].T, [])
+    path = str(tmp_path_factory.mktemp("trace") / "trace.csv")
+    write_sim_trace(path, trace)
+    back = read_sim_trace(path)
+    for name in ("t", "theta", "theta_dot", "d_x", "d_x_dot", "demand", "f_s"):
+        assert _same_bits(getattr(back, name), getattr(trace, name)), name
+    assert np.array_equal(back.mode, trace.mode)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
+                                         (0o002, 0o664)])
+def test_written_files_get_the_mode_open_would_give(tmp_path, umask, mode):
+    path = tmp_path / "traj.csv"
+    path.write_text("an older file\n")
+    previous = os.umask(umask)
+    try:
+        write_trajectory(str(path), _sample_traj())
+    finally:
+        os.umask(previous)
+    assert os.stat(path).st_mode & 0o777 == mode
 
 
 def test_load_config(tmp_path):

@@ -29,6 +29,8 @@ from traywaiter.smoothers import (
     make_trapezoidal_params,
 )
 
+from _oracles import repr_table_chunks
+
 G = 9.81
 BLOCK = fileio._BLOCK_ROWS
 POSE_BLOCK = compensation._BLOCK_SAMPLES
@@ -73,11 +75,6 @@ def _scalar_quaternion(R):
     if q[0] < 0.0:
         q = -q
     return q / np.linalg.norm(q)
-
-
-def _per_row_text(header, rows):
-    body = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
-    return (header + "\n" + body + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +177,10 @@ def test_random_rotations_reach_every_branch():
 # streamed table writer
 # ---------------------------------------------------------------------------
 
+def _per_repr_text(header, rows):
+    return "".join(repr_table_chunks(header, rows)).encode()
+
+
 SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e300, 1.0, 0.1]
 
 
@@ -192,7 +193,7 @@ def test_streamed_table_matches_per_row_repr(tmp_path_factory, rows):
     path = str(tmp_path_factory.mktemp("table") / "t.csv")
     fileio._write_table(path, "# table columns=a,b,c", np.array(rows))
     with open(path, "rb") as fh:
-        assert fh.read() == _per_row_text("# table columns=a,b,c", rows)
+        assert fh.read() == _per_repr_text("# table columns=a,b,c", rows)
 
 
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -203,7 +204,37 @@ def test_streamed_table_row_counts_around_block(tmp_path, n):
     path = str(tmp_path / "t.csv")
     fileio._write_table(path, "# table columns=a,b,c,d", rows)
     with open(path, "rb") as fh:
-        assert fh.read() == _per_row_text("# table columns=a,b,c,d", rows)
+        assert fh.read() == _per_repr_text("# table columns=a,b,c,d", rows)
+
+
+# repr() and Ryu's fixed-point text part at 1e-4 and 1e16: these values sit on
+# either side of both bounds, and the ranges just outside them
+TEXT_BOUNDS = [b * s for b in (1e-4, 1e16) for s in (1.0, -1.0)]
+ODD_FLOATS = st.one_of(
+    st.sampled_from([v for b in TEXT_BOUNDS for v in
+                     (b, np.nextafter(b, 0.0), np.nextafter(b, 2.0 * b))]
+                    + [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5),
+    st.floats(1e16, 1e17), st.floats(-1e17, -1e16))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 1023, 1024, 1025]),
+       st.integers(1, 17), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0), ODD_FLOATS), max_size=30),
+       st.sampled_from("CF"))
+@example(1, 2, 0, [(0, 5e-5), (1, 3e16)], "C")
+def test_table_chunks_match_per_float_repr(n_rows, n_cols, seed, planted, order):
+    # arbitrary float64 bit patterns: NaN payloads, infinities, subnormals
+    bits = np.random.default_rng(seed).integers(0, 2**64, (n_rows, n_cols),
+                                                dtype=np.uint64)
+    flat = bits.view(np.float64).reshape(-1)
+    for index, value in planted:
+        if flat.size:
+            flat[index % flat.size] = value
+    rows = np.asarray(flat.reshape(n_rows, n_cols), order=order)
+    assert ("".join(fileio._table_chunks("# t", rows))
+            == "".join(repr_table_chunks("# t", rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
-"""The public surface: what the package exports resolves, and so does every
-point the benchmark tracer hooks into."""
+"""The public surface: what the package exports resolves, so does every
+point the benchmark tracer hooks into, and every third-party module the
+package imports is a declared dependency."""
 
+import ast
 import importlib
+import importlib.metadata
 import importlib.util
 import inspect
 import os
+import re
+import sys
 
 import pytest
 
 import traywaiter
 
 MODULES = ("compensation", "dynamics", "fileio", "planner", "smoothers")
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -46,3 +51,31 @@ def test_tracer_hook_points_resolve():
         if not callable(owner):
             missing.append(f"{layer}.{path}")
     assert missing == []
+
+
+def _normalized(name):
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_third_party_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        declared = {_normalized(re.match(r"[A-Za-z0-9._-]+", spec).group())
+                    for spec in tomllib.load(fh)["project"]["dependencies"]}
+    package = os.path.dirname(traywaiter.__file__)
+    imported = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"traywaiter"}
+    assert {"numpy", "orjson", "yaml"} <= third_party  # the scan sees imports
+    distributions = importlib.metadata.packages_distributions()
+    undeclared = [m for m in third_party
+                  if not {_normalized(d) for d in distributions[m]} & declared]
+    assert undeclared == []
