@@ -155,6 +155,10 @@ def cmd_filter(cfg: RunConfig, args) -> int:
     if sc.motion != "complex":
         raise ConfigError("scenario.motion", "filter needs a complex scenario")
     traj = read_trajectory(args.input)
+    if traj.n < 2:
+        # one row has no sample period to write into the output headers
+        raise FormatError(
+            f"{args.input}: filter needs at least two samples, got {traj.n}")
 
     positions = traj.positions.copy()
     seed = cfg.seed if args.seed is None else args.seed

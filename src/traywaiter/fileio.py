@@ -9,8 +9,9 @@ Every float is written as its repr(), the shortest decimal that
 round-trips, so write-then-read is lossless and repeated runs are
 byte-identical. A block of rows is formatted in one orjson call: its Ryu
 digits (Adams, PLDI 2018) are repr()'s shortest, correctly rounded digits,
-and its text equals repr() for 0 and 1e-4 <= |x| < 1e16. Values outside
-that range, NaN and inf included, are formatted by repr() itself.
+and its text equals repr() for |x| < 1e-9 (0 and subnormals included) and
+1e-4 <= |x| < 1e16. Values outside those ranges, NaN and inf included, are
+formatted by repr() itself.
 
 Tables are streamed: rows are formatted and written a fixed-size block at a
 time, so the text of a whole file is never held in memory. Writes still go
@@ -98,9 +99,9 @@ def _table_chunks(header: str, rows: np.ndarray):
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         size = np.abs(block)
-        # Ryu's text is repr()'s for 0 and 1e-4 <= |x| < 1e16; every other
-        # value goes out as null and is spliced back as its repr()
-        odd = ~((size >= 1e-4) & (size < 1e16)) & (block != 0.0)
+        # Ryu's text is repr()'s for |x| < 1e-9 and 1e-4 <= |x| < 1e16;
+        # every other value goes out as null and is spliced back as its repr()
+        odd = ~((size < 1e-9) | ((size >= 1e-4) & (size < 1e16)))
         text = orjson.dumps(np.where(odd, np.nan, block),
                             option=orjson.OPT_SERIALIZE_NUMPY)
         pieces = text[2:-2].replace(b"],[", b"\n").decode().split("null")
@@ -323,8 +324,14 @@ def read_sim_trace(path: str) -> SimTrace:
     meta, data = _load_table(path, "sim_trace")
     if data.shape[1] != 8:
         raise FormatError(f"{path}: expected 8 columns, got {data.shape[1]}")
+    mode = data[:, 5]
+    bad = (mode != 0.0) & (mode != 1.0)
+    if bad.any():
+        row = np.argmax(bad)
+        raise FormatError(
+            f"{path}: row {row}: mode must be 0 or 1, got {float(mode[row])!r}")
     return SimTrace(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4],
-                    data[:, 5].astype(np.uint8), data[:, 6], data[:, 7], [])
+                    mode.astype(np.uint8), data[:, 6], data[:, 7], [])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
@@ -234,28 +233,14 @@ class _RectStage:
         self._sum = 0.0
 
     def prime(self, u: float, v: float, a: float) -> None:
-        self._vals = deque([u] * (self.n + 1))
-        self._vels = deque([v] * (self.n + 1))
+        self._vals = np.full(self.n + 1, u, dtype=float)
+        self._vels = np.full(self.n + 1, v, dtype=float)
         self._sum = self.n * u
 
-    def step(self, u: float, v: float, a: float):
-        vals = self._vals
-        prev = vals[-1]
-        old2 = vals.popleft()          # u[k-N-1]
-        old1 = vals[0]                 # u[k-N]
-        vals.append(u)
-        self._sum += 0.5 * ((u + prev) - (old1 + old2))
-        vels = self._vels
-        vels.popleft()
-        vold = vels[0]
-        vels.append(v)
-        return (self._sum / self.n,
-                (u - old1) / self.t_span,
-                (v - vold) / self.t_span)
-
     def run(self, u: np.ndarray, v: np.ndarray, a: np.ndarray):
-        """step() over a whole block: the running sum is a cumulative sum of
-        the same increments, added left to right as the loop adds them."""
+        """The running sum is a cumulative sum of per-sample increments,
+        added left to right, so a block gives the bits of its samples fed
+        one at a time."""
         m, n = u.size, self.n
         vals = np.concatenate((self._vals, u))   # u[k-N-1] ... u[k+m-1]
         vels = np.concatenate((self._vels, v))
@@ -264,8 +249,8 @@ class _RectStage:
         inc[0] += self._sum
         sums = np.cumsum(inc, out=inc)
         self._sum = float(sums[-1])
-        self._vals = deque(vals[m:].tolist())
-        self._vels = deque(vels[m:].tolist())
+        self._vals = vals[m:].copy()
+        self._vels = vels[m:].copy()
         return (sums / n,
                 (u - old1) / self.t_span,
                 (v - vels[1:m + 1]) / self.t_span)
@@ -305,26 +290,14 @@ class _OscStage:
         self._buf = None
 
     def prime(self, u: float, v: float, a: float) -> None:
-        self._buf = deque([u] * (self.n + 1))
+        self._buf = np.full(self.n + 1, u, dtype=float)
         self.x1 = u
         self.x2 = 0.0
         self._w_prev = self.a0 * u
 
-    def step(self, u: float, v: float, a: float):
-        buf = self._buf
-        buf.popleft()
-        delayed = buf[0]
-        buf.append(u)
-        w = self.gain * (u + self.w_tap * delayed)
-        f = 0.5 * (self._w_prev + w)
-        x1 = self.f11 * self.x1 + self.f12 * self.x2 + self.g1 * f
-        x2 = self.f21 * self.x1 + self.f22 * self.x2 + self.g2 * f
-        self.x1, self.x2, self._w_prev = x1, x2, w
-        return x1, x2, w - self.a0 * x1 - self.a1 * x2
-
     def run(self, u: np.ndarray, v: np.ndarray, a: np.ndarray):
-        """step() over a whole block: forcing and acceleration as arrays, the
-        2x2 recurrence as one loop over Python floats in step()'s order."""
+        """Forcing and acceleration as arrays, the 2x2 recurrence as one
+        loop over Python floats."""
         m = u.size
         buf = np.concatenate((self._buf, u))
         w = self.gain * (u + self.w_tap * buf[1:m + 1])
@@ -343,7 +316,7 @@ class _OscStage:
             x1s[lo:lo + len(c1)] = c1
             x2s[lo:lo + len(c2)] = c2
         self.x1, self.x2, self._w_prev = x1, x2, float(w[-1])
-        self._buf = deque(buf[m:].tolist())
+        self._buf = buf[m:].copy()
         return x1s, x2s, w - self.a0 * x1s - self.a1 * x2s
 
 
@@ -383,12 +356,12 @@ class CascadeState:
     """Streaming realization of one smoother kind, a sequence of kinds or a
     CascadeSpec, all sharing one sample period.
 
-    The stages of every kind are flattened into one serial list. step()
-    consumes the next input sample (optionally with its known first and
-    second derivatives) and returns the filtered triple (p, p', p'').
-    Unless an initial value is given, each kind pre-charges itself with the
-    first triple that reaches it, as if that sample had been held forever,
-    so a stationary stream produces no startup transient.
+    run() filters the next block of input samples (optionally with their
+    known first and second derivatives) and returns the filtered triple
+    (p, p', p''); step() is run() on one sample. Unless an initial value is
+    given, each kind pre-charges itself with the first triple that reaches
+    it, as if that sample had been held forever, so a stationary stream
+    produces no startup transient.
     """
 
     def __init__(self, spec, sample_period: float,
@@ -404,7 +377,6 @@ class CascadeState:
         # stage lists per kind: a lazy start primes each kind with its own
         # input triple, and the delay is summed kind by kind
         self._kinds = [_build_stages(k, sample_period) for k in spec.stages]
-        self._stages = [st for stages in self._kinds for st in stages]
         self._primed = False
         if initial_value is not None:
             self.reset(initial_value)
@@ -415,33 +387,24 @@ class CascadeState:
         return sum(sum(st.t_span for st in stages) for stages in self._kinds)
 
     def reset(self, value: float = 0.0, vel: float = 0.0, acc: float = 0.0) -> None:
-        for st in self._stages:
-            st.prime(value, vel, acc)
+        for stages in self._kinds:
+            for st in stages:
+                st.prime(value, vel, acc)
         self._primed = True
 
     def step(self, u: float, u_dot: float = 0.0, u_ddot: float = 0.0):
-        p, v, a = u, u_dot, u_ddot
-        if not self._primed:
-            self._primed = True
-            for stages in self._kinds:
-                for st in stages:
-                    st.prime(p, v, a)
-                for st in stages:
-                    p, v, a = st.step(p, v, a)
-            return p, v, a
-        for st in self._stages:
-            p, v, a = st.step(p, v, a)
-        return p, v, a
+        """run() on one sample; returns three floats."""
+        p, v, a = self.run([u], [u_dot], [u_ddot])
+        return float(p[0]), float(v[0]), float(a[0])
 
     def run(self, series, vel=None, acc=None):
         """Filter a whole series; returns (p, v, a) arrays of equal length.
 
         `series` must be 1-D, and `vel` and `acc`, when given, must have its
         shape; otherwise ValueError is raised before any state changes. The
-        block is filtered stage by stage and gives the bytes of step() called
-        on every sample in turn, so runs and steps can be mixed freely. An
-        empty series returns three empty arrays and leaves the state as it
-        was.
+        block is filtered stage by stage, and a series cut into consecutive
+        blocks gives the bytes of one run() over all of it. An empty series
+        returns three empty arrays and leaves the state as it was.
         """
         p = np.asarray(series, dtype=float)
         if p.ndim != 1:
@@ -455,8 +418,8 @@ class CascadeState:
             return np.empty(0), np.empty(0), np.empty(0)
         for stages in self._kinds:
             if not self._primed:
-                # the lazy start of step(): each kind primes itself with the
-                # first triple that reaches it
+                # lazy start: each kind primes itself with the first triple
+                # that reaches it
                 for st in stages:
                     st.prime(float(p[0]), float(v[0]), float(a[0]))
             for st in stages:

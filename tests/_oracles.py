@@ -1,11 +1,20 @@
-"""Closed forms and reference writers the tests compare the package against."""
+"""Closed forms, reference writers and per-sample smoother stages the tests
+compare the package against."""
 
 import math
+from collections import deque
 
 import numpy as np
 
 from traywaiter.compensation import FreeFallError
 from traywaiter.dynamics import PlantParams
+from traywaiter.smoothers import (
+    DampedHarmonic,
+    Harmonic,
+    Rectangular,
+    Trapezoidal,
+    _quantize,
+)
 
 
 def planar_tilt(ax: float, az: float, g: float) -> float:
@@ -33,3 +42,103 @@ def repr_table_chunks(header: str, rows):
     for start in range(0, len(rows), 1024):
         block = rows[start:start + 1024].tolist()
         yield "\n".join(",".join(map(repr, row)) for row in block) + "\n"
+
+
+# The per-sample realizations of the smoother stages that CascadeState.run
+# replaced, kept verbatim (apart from their names): one sample per step() on
+# deque delay lines.
+
+class RectStageRef:
+    """Moving average with trapezoid weights (exact integral of the linearly
+    interpolated input over the box support); derivatives come from the
+    delay-line differences, never from differentiating the output."""
+
+    def __init__(self, n: int, dt: float):
+        self.n = n
+        self.t_span = n * dt
+        self._vals = None
+        self._vels = None
+        self._sum = 0.0
+
+    def prime(self, u: float, v: float, a: float) -> None:
+        self._vals = deque([u] * (self.n + 1))
+        self._vels = deque([v] * (self.n + 1))
+        self._sum = self.n * u
+
+    def step(self, u: float, v: float, a: float):
+        vals = self._vals
+        prev = vals[-1]
+        old2 = vals.popleft()          # u[k-N-1]
+        old1 = vals[0]                 # u[k-N]
+        vals.append(u)
+        self._sum += 0.5 * ((u + prev) - (old1 + old2))
+        vels = self._vels
+        vels.popleft()
+        vold = vels[0]
+        vels.append(v)
+        return (self._sum / self.n,
+                (u - old1) / self.t_span,
+                (v - vold) / self.t_span)
+
+
+class OscStageRef:
+    """Second-order core in controllable canonical form, fed by the
+    two-impulse stage K*(u(t) + e^{sigma T} u(t-T)).
+
+    The pole pair sigma +/- j pi/T is propagated with the exact matrix
+    exponential over one sample (forcing held at the midpoint average), so
+    the pole/zero cancellation that ends the transient is exact at float
+    precision and the DC fixed point is reached bit-tightly.
+    """
+
+    def __init__(self, sigma: float, n: int, dt: float):
+        self.n = n
+        self.t_span = n * dt
+        t_span = self.t_span
+        wp = math.pi / t_span
+        self.a0 = sigma * sigma + wp * wp
+        self.a1 = -2.0 * sigma
+        self.w_tap = math.exp(sigma * t_span)
+        self.gain = self.a0 / (1.0 + self.w_tap)
+        e = math.exp(sigma * dt)
+        c = math.cos(wp * dt)
+        s = math.sin(wp * dt)
+        self.f11 = e * (c - sigma * s / wp)
+        self.f12 = e * s / wp
+        self.f21 = -self.a0 * self.f12
+        self.f22 = e * (c + sigma * s / wp)
+        self.g1 = (1.0 - self.f22 - self.a1 * self.f12) / self.a0
+        self.g2 = self.f12
+        self._buf = None
+
+    def prime(self, u: float, v: float, a: float) -> None:
+        self._buf = deque([u] * (self.n + 1))
+        self.x1 = u
+        self.x2 = 0.0
+        self._w_prev = self.a0 * u
+
+    def step(self, u: float, v: float, a: float):
+        buf = self._buf
+        buf.popleft()
+        delayed = buf[0]
+        buf.append(u)
+        w = self.gain * (u + self.w_tap * delayed)
+        f = 0.5 * (self._w_prev + w)
+        x1 = self.f11 * self.x1 + self.f12 * self.x2 + self.g1 * f
+        x2 = self.f21 * self.x1 + self.f22 * self.x2 + self.g2 * f
+        self.x1, self.x2, self._w_prev = x1, x2, w
+        return x1, x2, w - self.a0 * x1 - self.a1 * x2
+
+
+def per_sample_stages(kind, dt: float) -> list:
+    """The serial stages of one smoother kind, as per-sample references."""
+    if isinstance(kind, Rectangular):
+        return [RectStageRef(_quantize(kind.T, dt), dt)]
+    if isinstance(kind, Trapezoidal):
+        return [RectStageRef(_quantize(kind.T1, dt), dt),
+                RectStageRef(_quantize(kind.T2, dt), dt)]
+    if isinstance(kind, Harmonic):
+        return [OscStageRef(0.0, _quantize(kind.T, dt), dt)]
+    if isinstance(kind, DampedHarmonic):
+        return [OscStageRef(kind.sigma, _quantize(kind.T, dt), dt)]
+    raise TypeError(f"not a smoother kind: {kind!r}")

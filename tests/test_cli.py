@@ -308,6 +308,18 @@ def test_filter_rejects_nonuniform_input(tmp_path):
                  "--output", str(tmp_path / "out")]) == 2
 
 
+def test_filter_rejects_a_one_row_input(tmp_path, capsys):
+    # one sample has no period: the output headers would read dt=0.0, which
+    # the package's own readers reject
+    cfg = _write(tmp_path, "cfg.yaml", COMPLEX_SOLID_CONFIG)
+    traj = _const_traj(tmp_path, "in.csv", n=1)
+    out = tmp_path / "out"
+    assert main(["filter", "--config", cfg, "--input", traj, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {traj}: filter needs at least two samples, got 1\n")
+    assert not (out / "filtered.csv").exists()
+
+
 def test_filter_noise_injection_deterministic(tmp_path):
     noisy_cfg = COMPLEX_SOLID_CONFIG + "noise: {amplitude: 0.003, cutoff_hz: 4.0}\n"
     cfg = _write(tmp_path, "cfg.yaml", noisy_cfg)

@@ -229,6 +229,19 @@ def test_sim_trace_round_trip(tmp_path):
     assert np.array_equal(back.mode, trace.mode)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 2.7, 0.5, 2.0])
+def test_sim_trace_rejects_modes_other_than_0_and_1(tmp_path, bad):
+    path = str(tmp_path / "trace.csv")
+    with open(path, "w") as fh:
+        fh.write("# sim_trace dt=0.001 columns=t,theta,theta_dot,d_x,d_x_dot,"
+                 "mode,demand,f_s\n")
+        for k, mode in enumerate([0.0, 1.0, -0.0, bad, 3.0]):
+            fh.write(f"{k * 0.001!r},0.0,0.0,0.0,0.0,{mode!r},0.0,1.0\n")
+    with pytest.raises(FormatError) as exc:
+        read_sim_trace(path)
+    assert str(exc.value) == f"{path}: row 3: mode must be 0 or 1, got {bad!r}"
+
+
 # finite floats that stress the writer: ±0.0, subnormals, the ranges just
 # outside [1e-4, 1e16) where repr() writes an exponent, and the extremes
 csv_floats = st.one_of(

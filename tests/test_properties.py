@@ -29,7 +29,7 @@ from traywaiter.smoothers import (
     make_trapezoidal_params,
 )
 
-from _oracles import repr_table_chunks
+from _oracles import per_sample_stages, repr_table_chunks
 
 G = 9.81
 BLOCK = fileio._BLOCK_ROWS
@@ -207,13 +207,17 @@ def test_streamed_table_row_counts_around_block(tmp_path, n):
         assert fh.read() == _per_repr_text("# table columns=a,b,c,d", rows)
 
 
-# repr() and Ryu's fixed-point text part at 1e-4 and 1e16: these values sit on
-# either side of both bounds, and the ranges just outside them
-TEXT_BOUNDS = [b * s for b in (1e-4, 1e16) for s in (1.0, -1.0)]
+# repr() and Ryu's fixed-point text part at 1e-4 and 1e16, and their exponent
+# spellings (1e-09 against 1e-9) from 1e-9 on: these values sit on either side
+# of the three bounds, and the ranges around them; subnormals lie below 1e-9
+TEXT_BOUNDS = [b * s for b in (1e-9, 1e-4, 1e16) for s in (1.0, -1.0)]
+SUBNORMAL_MAX = np.nextafter(2.2250738585072014e-308, 0.0)
 ODD_FLOATS = st.one_of(
     st.sampled_from([v for b in TEXT_BOUNDS for v in
                      (b, np.nextafter(b, 0.0), np.nextafter(b, 2.0 * b))]
-                    + [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+                    + [0.0, -0.0, 5e-324, -5e-324, 1.5e-320, SUBNORMAL_MAX,
+                       -SUBNORMAL_MAX, math.nan, math.inf, -math.inf]),
+    st.floats(1e-10, 1e-8), st.floats(-1e-8, -1e-10),
     st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5),
     st.floats(1e16, 1e17), st.floats(-1e17, -1e16))
 
@@ -224,6 +228,8 @@ ODD_FLOATS = st.one_of(
        st.lists(st.tuples(st.integers(0), ODD_FLOATS), max_size=30),
        st.sampled_from("CF"))
 @example(1, 2, 0, [(0, 5e-5), (1, 3e16)], "C")
+@example(1, 4, 0, [(0, 1e-9), (1, np.nextafter(1e-9, 1.0)), (2, -SUBNORMAL_MAX),
+                   (3, np.nextafter(1e-9, 0.0))], "C")
 def test_table_chunks_match_per_float_repr(n_rows, n_cols, seed, planted, order):
     # arbitrary float64 bit patterns: NaN payloads, infinities, subnormals
     bits = np.random.default_rng(seed).integers(0, 2**64, (n_rows, n_cols),
@@ -243,7 +249,8 @@ def test_table_chunks_match_per_float_repr(n_rows, n_cols, seed, planted, order)
 
 class _ReferenceSmootherState:
     """The one-kind streaming realization that CascadeState now flattens,
-    kept verbatim (apart from its name) as a reference."""
+    kept verbatim (apart from its name and the per-sample stages of
+    _oracles it is built from) as a reference."""
 
     def __init__(self, kind, sample_period: float,
                  initial_value: float | None = None):
@@ -251,7 +258,7 @@ class _ReferenceSmootherState:
             raise ValueError(f"sample_period must be positive, got {sample_period}")
         self.kind = kind
         self.sample_period = sample_period
-        self._stages = smoothers._build_stages(kind, sample_period)
+        self._stages = per_sample_stages(kind, sample_period)
         self._primed = False
         if initial_value is not None:
             self.reset(initial_value)

@@ -1,6 +1,6 @@
 """The public surface: what the package exports resolves, so does every
 point the benchmark tracer hooks into, and every third-party module the
-package imports is a declared dependency."""
+package or its tests import is a declared dependency."""
 
 import ast
 import importlib
@@ -57,25 +57,44 @@ def _normalized(name):
     return re.sub(r"[-_.]+", "-", name).lower()
 
 
+def _declared(specs):
+    return {_normalized(re.match(r"[A-Za-z0-9._-]+", spec).group()) for spec in specs}
+
+
+def _third_party_imports(directory):
+    """Top-level modules the .py files of a directory import, less the
+    standard library, the package and the directory's own modules."""
+    files = [name for name in os.listdir(directory) if name.endswith(".py")]
+    imported = set()
+    for name in files:
+        with open(os.path.join(directory, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {name[:-3] for name in files}
+    return imported - set(sys.stdlib_module_names) - {"traywaiter"} - local
+
+
+def _undeclared(modules, declared):
+    distributions = importlib.metadata.packages_distributions()
+    return [m for m in modules
+            if not {_normalized(d) for d in distributions[m]} & declared]
+
+
 def test_third_party_imports_are_declared_dependencies():
+    # the package needs its dependencies; the tests also need the test extra
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
-        declared = {_normalized(re.match(r"[A-Za-z0-9._-]+", spec).group())
-                    for spec in tomllib.load(fh)["project"]["dependencies"]}
-    package = os.path.dirname(traywaiter.__file__)
-    imported = set()
-    for name in os.listdir(package):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name)) as fh:
-                tree = ast.parse(fh.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    imported.update(a.name.split(".")[0] for a in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    imported.add(node.module.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"traywaiter"}
-    assert {"numpy", "orjson", "yaml"} <= third_party  # the scan sees imports
-    distributions = importlib.metadata.packages_distributions()
-    undeclared = [m for m in third_party
-                  if not {_normalized(d) for d in distributions[m]} & declared]
-    assert undeclared == []
+        project = tomllib.load(fh)["project"]
+    runtime = _declared(project["dependencies"])
+    testing = runtime | _declared(project["optional-dependencies"]["test"])
+    package = _third_party_imports(os.path.dirname(traywaiter.__file__))
+    tests = _third_party_imports(os.path.join(ROOT, "tests"))
+    # the scans see imports
+    assert {"numpy", "orjson", "yaml"} <= package
+    assert {"hypothesis", "numpy", "pytest", "yaml"} <= tests
+    assert _undeclared(package, runtime) == []
+    assert _undeclared(tests, testing) == []
