@@ -52,6 +52,15 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
+def _read_input(path: str, command: str) -> TrajectoryFile:
+    """The --input trajectory. One row has no sample period: the output
+    headers and the simulator's tilt derivatives need at least two."""
+    traj = read_trajectory(path)
+    if traj.n < 2:
+        raise FormatError(f"{path}: {command} needs at least two samples, got {traj.n}")
+    return traj
+
+
 def _pose_rows(t, positions, accelerations, g, mounting, delay=0.0):
     """Tilt-compensated flange poses for a stream of samples."""
     try:
@@ -154,11 +163,7 @@ def cmd_filter(cfg: RunConfig, args) -> int:
     sc = cfg.scenario
     if sc.motion != "complex":
         raise ConfigError("scenario.motion", "filter needs a complex scenario")
-    traj = read_trajectory(args.input)
-    if traj.n < 2:
-        # one row has no sample period to write into the output headers
-        raise FormatError(
-            f"{args.input}: filter needs at least two samples, got {traj.n}")
+    traj = _read_input(args.input, "filter")
 
     positions = traj.positions.copy()
     seed = cfg.seed if args.seed is None else args.seed
@@ -217,7 +222,7 @@ def _planar_projection(traj: TrajectoryFile):
 def cmd_simulate(cfg: RunConfig, args) -> int:
     if cfg.plant is None:
         raise ConfigError("plant", "simulation needs a plant block")
-    traj = read_trajectory(args.input)
+    traj = _read_input(args.input, "simulate")
     acc_x, acc_z = _planar_projection(traj)
     p = cfg.plant
 

@@ -14,10 +14,11 @@ stick/slip transitions, so runs are deterministic and convergence is clean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .compensation import FreeFallError
 from .smoothers import transfer_function
 
 __all__ = [
@@ -168,17 +169,30 @@ class TrayMotion:
         return cls(dt, x_ddot, z_ddot, beta, beta_dot, beta_ddot, interp=interp)
 
 
+def _supported(acc_z, g) -> np.ndarray:
+    """g + acc_z, which tilt compensation needs positive on every sample; the
+    first sample in free fall raises FreeFallError with its index in
+    `sample`."""
+    v = g + np.asarray(acc_z, dtype=float)
+    bad = np.flatnonzero(v <= 0.0)
+    if bad.size:
+        k = int(bad[0])
+        exc = FreeFallError(f"g + acc_z = {v[k]!r} <= 0 at sample {k}: "
+                            "tilt compensation undefined")
+        exc.sample = k
+        raise exc
+    return v
+
+
 def analytic_tilt_channel(acc_x, jerk_x, snap_x, acc_z, jerk_z, snap_z, g):
     """(beta, beta_dot, beta_ddot) of the planar compensation angle
     beta = -atan(acc_x / (g + acc_z)) from analytic derivative chains."""
     u = np.asarray(acc_x, dtype=float)
     du = np.asarray(jerk_x, dtype=float)
     ddu = np.asarray(snap_x, dtype=float)
-    v = g + np.asarray(acc_z, dtype=float)
+    v = _supported(acc_z, g)
     dv = np.asarray(jerk_z, dtype=float)
     ddv = np.asarray(snap_z, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("g + acc_z must stay positive for tilt compensation")
     q = u * u + v * v
     num = du * v - u * dv
     beta = -np.arctan2(u, v)
@@ -191,9 +205,7 @@ def fd_tilt_channel(acc_x, acc_z, dt, g):
     """Tilt channel with beta exact per sample and derivatives from central
     finite differences (for motions whose jerk is not available)."""
     u = np.asarray(acc_x, dtype=float)
-    v = g + np.asarray(acc_z, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("g + acc_z must stay positive for tilt compensation")
+    v = _supported(acc_z, g)
     beta = -np.arctan2(u, v)
     beta_dot = np.gradient(beta, dt)
     beta_ddot = np.gradient(beta_dot, dt)
@@ -220,6 +232,8 @@ class SimTrace:
     (the same stick test friction_margin computes), so their margin decides
     stick/slip onset; during slip the force actually applied is mu times the
     normal force of the sliding dynamics, which differs at O(m l theta_ddot).
+    simulate_pendulum glues the container with unbounded friction, so there
+    f_s is inf.
     """
 
     t: np.ndarray
@@ -251,17 +265,17 @@ class SimTrace:
 # ---------------------------------------------------------------------------
 
 def _pendulum_rhs(p: PlantParams, damp: float, th: float, thd: float,
-                  dx: float, dxd: float, dxdd: float, u) -> float:
-    """theta_ddot for a prescribed container motion (d_x channel given)."""
+                  dx: float, dxd: float, u) -> float:
+    """l theta_ddot + cos(theta) d_x_ddot: the pendulum equation with the
+    container's acceleration moved to the left-hand side."""
     xtt, ztt, b, bd, bdd = u
     st, ct = math.sin(th), math.cos(th)
     gz = p.g + ztt
-    b1 = -(damp * thd
-           + (p.l - p.h * ct + dx * st) * bdd
-           + ct * (dxdd - dx * bd * bd)
-           + st * (2.0 * bd * dxd - p.h * bd * bd)
-           + math.sin(b + th) * gz + math.cos(b + th) * xtt)
-    return b1 / p.l
+    return -(damp * thd
+             + (p.l - p.h * ct + dx * st) * bdd
+             + ct * (-dx * bd * bd)
+             + st * (2.0 * bd * dxd - p.h * bd * bd)
+             + math.sin(b + th) * gz + math.cos(b + th) * xtt)
 
 
 def _square(w: float) -> float:
@@ -288,7 +302,7 @@ def _stick_rates(p: PlantParams, damp: float, th: float, thd: float,
     gz = p.g + ztt
     m, M, l, h, dz = p.m, p.M, p.l, p.h, p.d_z
     if m > 0.0:
-        thdd = _pendulum_rhs(p, damp, th, thd, dx, dxd, 0.0, u)
+        thdd = _pendulum_rhs(p, damp, th, thd, dx, dxd, u) / l
     else:
         thdd = 0.0
     normal = ((M + m) * (cb * gz - sb * xtt + dx * bdd + 2.0 * bd * dxd - dz * bd * bd)
@@ -335,11 +349,7 @@ def _slip_eval(p: PlantParams, damp: float, th: float, thd: float,
     if m > 0.0:
         # Solve [l, ct; a21, m+M] [thdd, dxdd] = [r1, b2]; the theta_ddot
         # part of F_s has been moved into a21 so the system stays linear.
-        r1 = -(damp * thd
-               + (l - h * ct + dx * st) * bdd
-               + ct * (-dx * bd * bd)
-               + st * (2.0 * bd * dxd - h * bd * bd)
-               + math.sin(b + th) * gz + math.cos(b + th) * xtt)
+        r1 = _pendulum_rhs(p, damp, th, thd, dx, dxd, u)
         a21 = m * l * ct + s * p.mu * m * l * st
         det = l * (m + M) - ct * a21
         if abs(det) < 1e-12 * l * (m + M):
@@ -379,7 +389,6 @@ class _MotionSampler:
 
     def __init__(self, motion: TrayMotion, dt: float, n_steps: int):
         self.motion = motion
-        self.dt = dt
         self.chan = np.vstack([getattr(motion, c) for c in _CHANNELS])
         t_grid = np.arange(n_steps + 1) * dt
         t_mid = (np.arange(n_steps) + 0.5) * dt
@@ -442,45 +451,12 @@ def simulate_pendulum(params: PlantParams, motion: TrayMotion,
                       init: tuple[float, float] = (0.0, 0.0),
                       dt: float | None = None) -> SimTrace:
     """Integrate the nonlinear slosh pendulum with the container fixed on the
-    tray (d_x identically zero)."""
-    p = params
-    if p.m <= 0.0:
+    tray: the stick/slip engine with unbounded friction, so d_x stays zero,
+    every row sticks and f_s is inf."""
+    if params.m <= 0.0:
         raise ValueError("simulate_pendulum needs a pendulum mass m > 0")
-    damp = p.b_lc / (p.m * p.l)
-    dt, n_steps = _resolve_steps(motion, dt)
-    smp = _MotionSampler(motion, dt, n_steps)
-    th, thd = float(init[0]), float(init[1])
-
-    theta = np.empty(n_steps + 1)
-    theta_dot = np.empty(n_steps + 1)
-    demand = np.empty(n_steps + 1)
-    f_s = np.empty(n_steps + 1)
-
-    def record(k, th, thd, u):
-        theta[k] = th
-        theta_dot[k] = thd
-        _, dem, fs, normal = _stick_eval(p, damp, th, thd, 0.0, 0.0, u)
-        demand[k] = dem
-        f_s[k] = fs
-        if normal <= 0.0:
-            raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
-
-    def rates(y, u):
-        return y[1], _pendulum_rhs(p, damp, y[0], y[1], 0.0, 0.0, 0.0, u)
-
-    u1 = smp.grid[0].tolist()
-    record(0, th, thd, u1)
-    for k in range(n_steps):
-        u0, u1 = u1, smp.grid[k + 1].tolist()
-        th, thd = _rk4(rates, (th, thd), dt, u0, smp.mid[k].tolist(), u1)
-        if not (math.isfinite(th) and math.isfinite(thd)):
-            raise IntegrationError(f"non-finite pendulum state at t = {(k + 1) * dt:.6g} s")
-        record(k + 1, th, thd, u1)
-
-    t = np.arange(n_steps + 1) * dt
-    zeros = np.zeros(n_steps + 1)
-    return SimTrace(t, theta, theta_dot, zeros, zeros.copy(),
-                    np.zeros(n_steps + 1, dtype=np.uint8), demand, f_s, [])
+    return _TraySim(replace(params, mu=math.inf), motion, dt,
+                    (init[0], init[1], 0.0, 0.0)).run()
 
 
 def _midpoints(u: np.ndarray) -> np.ndarray:
@@ -539,8 +515,9 @@ def simulate_linear_slosh(omega_n: float, delta: float, accel_series, dt: float,
 
 
 class _TraySim:
-    """Shared stick/slip event-stepping engine for the container (with or
-    without the coupled pendulum)."""
+    """The stick/slip event-stepping engine: the container with or without
+    the coupled pendulum, and with mu = inf the pendulum on a glued
+    container."""
 
     def __init__(self, params: PlantParams, motion: TrayMotion, dt: float | None,
                  init: tuple[float, float, float, float]):
@@ -551,6 +528,7 @@ class _TraySim:
         self.y = [float(v) for v in init]      # theta, theta_dot, d_x, d_x_dot
         self.transitions: list = []
         self.slip_sign = 0.0
+        self.events = 0                        # events in the current step
 
     def _advance(self, y, t, h, mode, inputs=None):
         """One RK4 sub-step of width h from time t; `inputs` holds the samples
@@ -585,10 +563,6 @@ class _TraySim:
     def _stick_ok(self, y, u) -> bool:
         demand, f_s, _ = self._stick_test(y, u)
         return abs(demand) <= f_s
-
-    def _log(self, t, old, new):
-        names = {STICK: "stick", SLIP: "slip"}
-        self.transitions.append((t, names[old], names[new]))
 
     def run(self) -> SimTrace:
         p = self.p
@@ -634,7 +608,7 @@ class _TraySim:
             t_end = (k + 1) * dt
             u_start, u_end = u_end, self.smp.grid[k + 1].tolist()
             t = t0
-            events = 0
+            self.events = 0
             end_test = None
             # first attempt covers the whole interval with precomputed inputs
             full_grid = True
@@ -659,12 +633,9 @@ class _TraySim:
                     # slip onset: bisect |demand| - F_s = 0 on (t, t+h]
                     t_ev, y_ev = self._bisect(y, t, h, mode,
                                               lambda yy, uu: not self._stick_ok(yy, uu))
-                    events += 1
-                    if events > _MAX_EVENTS_PER_STEP:
-                        raise IntegrationError(f"event chatter at t = {t_ev:.6g} s")
                     demand, _, _ = self._stick_test(y_ev, self.smp.at(t_ev))
                     self.slip_sign = -math.copysign(1.0, demand)
-                    self._log(t_ev, STICK, SLIP)
+                    self.transitions.append((t_ev, "stick", "slip"))
                     mode = SLIP
                     y = y_ev
                     t = t_ev
@@ -675,13 +646,10 @@ class _TraySim:
                     if y_new[3] * self.slip_sign <= 0.0:
                         t_ev, y_ev = self._bisect(y, t, h, mode,
                                                   lambda yy, uu: yy[3] * self.slip_sign <= 0.0)
-                        events += 1
-                        if events > _MAX_EVENTS_PER_STEP:
-                            raise IntegrationError(f"event chatter at t = {t_ev:.6g} s")
                         y_ev = (y_ev[0], y_ev[1], y_ev[2], 0.0)
                         u_ev = self.smp.at(t_ev)
                         if self._stick_ok(y_ev, u_ev):
-                            self._log(t_ev, SLIP, STICK)
+                            self.transitions.append((t_ev, "slip", "stick"))
                             mode = STICK
                         else:
                             self.slip_sign = -self.slip_sign
@@ -694,7 +662,7 @@ class _TraySim:
                             u_now = u_end if t >= t_end - 1e-15 else self.smp.at(t)
                             if self._stick_ok((y[0], y[1], y[2], 0.0), u_now):
                                 y = (y[0], y[1], y[2], 0.0)
-                                self._log(t, SLIP, STICK)
+                                self.transitions.append((t, "slip", "stick"))
                                 mode = STICK
                 if not all(math.isfinite(v) for v in y):
                     raise IntegrationError(f"non-finite state at t = {t:.6g} s")
@@ -706,7 +674,8 @@ class _TraySim:
 
     def _bisect(self, y0, t0, h, mode, tripped):
         """Locate the first time in (t0, t0+h] where `tripped(state, inputs)`
-        becomes true, to within the event tolerance."""
+        becomes true, to within the event tolerance, and count it among the
+        events of the current step."""
         lo, hi = 0.0, h
         y_hi = None
         for _ in range(80):
@@ -721,6 +690,9 @@ class _TraySim:
                 lo = mid
         if y_hi is None:
             y_hi = self._advance(y0, t0, hi, mode)
+        self.events += 1
+        if self.events > _MAX_EVENTS_PER_STEP:
+            raise IntegrationError(f"event chatter at t = {t0 + hi:.6g} s")
         return t0 + hi, y_hi
 
 
@@ -729,11 +701,8 @@ def simulate_solid_sliding(params: PlantParams, motion: TrayMotion,
                            init: tuple[float, float] = (0.0, 0.0)) -> SimTrace:
     """Stick/slip integration of a solid object of mass M on the tray (the
     m = 0 reduction of the coupled model)."""
-    p = params
-    if p.m != 0.0:
-        p = PlantParams(0.0, p.M, p.l, p.h, p.d_z, 0.0, p.b_ct, p.mu, p.g)
-    sim = _TraySim(p, motion, dt, (0.0, 0.0, init[0], init[1]))
-    return sim.run()
+    solid = replace(params, m=0.0, b_lc=0.0)
+    return _TraySim(solid, motion, dt, (0.0, 0.0, init[0], init[1])).run()
 
 
 def simulate_coupled(params: PlantParams, motion: TrayMotion,
@@ -742,8 +711,7 @@ def simulate_coupled(params: PlantParams, motion: TrayMotion,
                      ) -> SimTrace:
     """Co-integrate the slosh pendulum and the sliding container with full
     coupling; the pendulum is frozen when m == 0."""
-    sim = _TraySim(params, motion, dt, init)
-    return sim.run()
+    return _TraySim(params, motion, dt, init).run()
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,11 @@ class Scenario:
                 raise ValueError("point-to-point scenario needs v_max and a_max")
             if not (self.v_max > 0.0 and self.a_max > 0.0):
                 raise ValueError("kinematic limits must be positive")
+            # the norm squares the displacement, which overflows beyond ~1e154 m
+            with np.errstate(over="ignore"):
+                if not math.isfinite(np.linalg.norm(self.goal - self.start)):
+                    raise ValueError("the distance from start to goal must be "
+                                     "finite in float64 (below ~1e154 m)")
         if self.material == "liquid":
             if self.omega_n is None:
                 raise ValueError("liquid scenario needs the slosh frequency omega_n")

@@ -50,6 +50,13 @@ class Rectangular:
             raise ValueError(f"rectangular smoother needs T > 0, got {self.T}")
 
 
+def _oscillator_span_ok(T: float) -> bool:
+    """T > 0 and finite, with (pi/T)^2 > 0: the oscillator's transfer
+    function and realization divide by that square, which underflows to 0
+    for T beyond ~2e154 s."""
+    return T > 0.0 and math.isfinite(T) and (math.pi / T) * (math.pi / T) > 0.0
+
+
 @dataclass(frozen=True)
 class Harmonic:
     """Half-sine kernel (pi/2T) sin(pi t / T) on [0, T]."""
@@ -57,8 +64,9 @@ class Harmonic:
     T: float
 
     def __post_init__(self):
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"harmonic smoother needs T > 0, got {self.T}")
+        if not _oscillator_span_ok(self.T):
+            raise ValueError(f"harmonic smoother needs T > 0 with (pi/T)^2 > 0, "
+                             f"got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +91,9 @@ class DampedHarmonic:
     T: float
 
     def __post_init__(self):
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"damped harmonic smoother needs T > 0, got {self.T}")
+        if not _oscillator_span_ok(self.T):
+            raise ValueError(f"damped harmonic smoother needs T > 0 with "
+                             f"(pi/T)^2 > 0, got {self.T}")
         if not math.isfinite(self.sigma):
             raise ValueError("sigma must be finite")
 
@@ -155,7 +164,7 @@ def _expm1c(z: complex) -> complex:
 
 
 def _rect_tf(T: float, s: complex) -> complex:
-    if s == 0:
+    if s * T == 0:      # s = 0, or |s T| below the float range: H = 1
         return 1.0 + 0.0j
     return -_expm1c(-s * T) / (s * T)
 

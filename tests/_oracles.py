@@ -1,5 +1,5 @@
-"""Closed forms, reference writers and per-sample smoother stages the tests
-compare the package against."""
+"""Closed forms, reference writers, per-sample smoother stages and the
+pendulum's own integration loop, which the tests compare the package against."""
 
 import math
 from collections import deque
@@ -7,7 +7,17 @@ from collections import deque
 import numpy as np
 
 from traywaiter.compensation import FreeFallError
-from traywaiter.dynamics import PlantParams
+from traywaiter.dynamics import (
+    ContactLostError,
+    IntegrationError,
+    PlantParams,
+    SimTrace,
+    TrayMotion,
+    _MotionSampler,
+    _pendulum_rhs,
+    _resolve_steps,
+    _stick_eval,
+)
 from traywaiter.smoothers import (
     DampedHarmonic,
     Harmonic,
@@ -142,3 +152,63 @@ def per_sample_stages(kind, dt: float) -> list:
     if isinstance(kind, DampedHarmonic):
         return [OscStageRef(kind.sigma, _quantize(kind.T, dt), dt)]
     raise TypeError(f"not a smoother kind: {kind!r}")
+
+
+# The pendulum's own fixed-step loop that simulate_pendulum replaced with the
+# stick/slip engine at unbounded friction, kept as it was apart from the
+# _pendulum_rhs call. It carries its own copy of the RK4 step, so that a
+# change to the package's step routine shows against it.
+
+def _rk4_ref(rates, y, h, u0, um, u1):
+    hh = 0.5 * h
+    k1 = rates(y, u0)
+    k2 = rates([a + hh * b for a, b in zip(y, k1)], um)
+    k3 = rates([a + hh * b for a, b in zip(y, k2)], um)
+    k4 = rates([a + h * b for a, b in zip(y, k3)], u1)
+    return tuple([a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+
+
+def pinned_pendulum(params: PlantParams, motion: TrayMotion,
+                    init: tuple[float, float] = (0.0, 0.0),
+                    dt: float | None = None) -> SimTrace:
+    """Integrate the nonlinear slosh pendulum with the container fixed on the
+    tray (d_x identically zero)."""
+    p = params
+    if p.m <= 0.0:
+        raise ValueError("simulate_pendulum needs a pendulum mass m > 0")
+    damp = p.b_lc / (p.m * p.l)
+    dt, n_steps = _resolve_steps(motion, dt)
+    smp = _MotionSampler(motion, dt, n_steps)
+    th, thd = float(init[0]), float(init[1])
+
+    theta = np.empty(n_steps + 1)
+    theta_dot = np.empty(n_steps + 1)
+    demand = np.empty(n_steps + 1)
+    f_s = np.empty(n_steps + 1)
+
+    def record(k, th, thd, u):
+        theta[k] = th
+        theta_dot[k] = thd
+        _, dem, fs, normal = _stick_eval(p, damp, th, thd, 0.0, 0.0, u)
+        demand[k] = dem
+        f_s[k] = fs
+        if normal <= 0.0:
+            raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
+
+    def rates(y, u):
+        return y[1], _pendulum_rhs(p, damp, y[0], y[1], 0.0, 0.0, u) / p.l
+
+    u1 = smp.grid[0].tolist()
+    record(0, th, thd, u1)
+    for k in range(n_steps):
+        u0, u1 = u1, smp.grid[k + 1].tolist()
+        th, thd = _rk4_ref(rates, (th, thd), dt, u0, smp.mid[k].tolist(), u1)
+        if not (math.isfinite(th) and math.isfinite(thd)):
+            raise IntegrationError(f"non-finite pendulum state at t = {(k + 1) * dt:.6g} s")
+        record(k + 1, th, thd, u1)
+
+    t = np.arange(n_steps + 1) * dt
+    zeros = np.zeros(n_steps + 1)
+    return SimTrace(t, theta, theta_dot, zeros, zeros.copy(),
+                    np.zeros(n_steps + 1, dtype=np.uint8), demand, f_s, [])

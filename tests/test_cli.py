@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traywaiter import fileio
 from traywaiter.cli import main
@@ -19,6 +21,7 @@ from traywaiter.planner import friction_limited_duration
 from traywaiter.smoothers import Trapezoidal, freq_response
 
 from _oracles import planar_tilt
+from test_golden import DEMO_CONFIG, SOLID_SLIP_CONFIG
 
 G = 9.81
 
@@ -211,6 +214,45 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, field, value):
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+def _config_nodes(node, path=()):
+    """Key paths of every mapping entry and list element of a parsed config."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _config_nodes(value, path + (key,))
+
+
+with open(DEMO_CONFIG) as _fh:
+    FUZZ_BASES = {"demo": yaml.safe_load(_fh), "solid": yaml.safe_load(SOLID_SLIP_CONFIG)}
+FUZZ_TARGETS = [(name, path) for name, base in FUZZ_BASES.items()
+                for path in _config_nodes(base)]
+# no other small positive durations: omega_n = 1e-4 already asks for ~1e8
+# samples per array, and freqresp.points = 1e9 for ~8 GB
+FUZZ_VALUES = [None, True, "text", [1.0, 2.0, 3.0], [0.1, 0.2], 0, -1, math.nan,
+               math.inf, -math.inf, 10**400, 1e-300, 1e300]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(target=st.sampled_from(FUZZ_TARGETS), value=st.sampled_from(FUZZ_VALUES))
+@example(target=("demo", ("scenario", "slosh", "omega_n")), value=1e-300)
+@example(target=("demo", ("scenario", "goal", 0)), value=1e300)
+@example(target=("solid", ("scenario", "v_max")), value=1e-300)
+def test_fuzzed_config_ends_in_a_documented_exit_code(tmp_path_factory, target, value):
+    # one field replaced; plan and freqresp end in 0-3, never in a traceback
+    # (the suite also turns a RuntimeWarning into an error)
+    name, path = target
+    cfg = yaml.safe_load(yaml.safe_dump(FUZZ_BASES[name]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg_path = _write(tmp, "cfg.yaml", yaml.safe_dump(cfg))
+    for command in ("plan", "freqresp"):
+        assert main([command, "--config", cfg_path, "--output", str(tmp / "out")]) \
+            in (0, 1, 2, 3)
+
+
 def test_plan_free_fall_exit_code(tmp_path, capsys):
     # the free-stage search meets g + az <= 0 on a fast solid drop
     cfg = _write(tmp_path, "cfg.yaml", """
@@ -391,6 +433,32 @@ def test_simulate_rest_trajectory_passes(tmp_path):
     write_trajectory(path, TrajectoryFile(dt, t, positions, accels))
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--input", path, "--output", out]) == 0
+
+
+def test_simulate_rejects_a_one_row_input(tmp_path, capsys):
+    # np.gradient needs two samples for the tilt channel's derivatives
+    cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG)
+    path = str(tmp_path / "one.csv")
+    write_trajectory(path, TrajectoryFile(1e-3, np.zeros(1), np.array([[0.0, 0.0, 0.4]]),
+                                          np.zeros((1, 3))))
+    assert main(["simulate", "--config", cfg, "--input", path,
+                 "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: simulate needs at least two samples, got 1\n")
+
+
+def test_simulate_free_fall_exit_code(tmp_path, capsys):
+    # a compensated simulation of a steady -15 m/s^2 dive has no tilt angle
+    cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG)
+    dt, n = 1e-3, 200
+    t = np.arange(n) * dt
+    positions = np.column_stack([np.zeros(n), np.zeros(n), 0.4 - 7.5 * t ** 2])
+    accels = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, -15.0)])
+    path = str(tmp_path / "dive.csv")
+    write_trajectory(path, TrajectoryFile(dt, t, positions, accels))
+    assert main(["simulate", "--config", cfg, "--input", path,
+                 "--output", str(tmp_path / "out")]) == 3
+    assert "free fall" in capsys.readouterr().err
 
 
 def test_simulate_requires_accel_columns(tmp_path):
