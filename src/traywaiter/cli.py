@@ -46,6 +46,17 @@ log = logging.getLogger("traywaiter")
 
 _SETTLE = 0.05  # s of tail appended after the kernel support in planned files
 
+# Samples per array one command may allocate: far above any real run (a 30 s
+# trace at 1 kHz is 3e4 samples), so that an absurd duration or sample period
+# exits 2 before it asks for gigabytes.
+_MAX_SAMPLES = 10_000_000
+
+
+def _check_samples(samples: float, field: str, what: str) -> None:
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"{field}: {what} needs {samples:.3g} samples, beyond "
+                         f"the budget of {_MAX_SAMPLES}")
+
 
 def _ensure_outdir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
@@ -75,6 +86,7 @@ def _write_freq_response(path: str, cfg: RunConfig, result) -> float:
     """Write the stage and cascade magnitudes of a plan up to omega_max and
     return omega_max: the configured value, else five slosh frequencies,
     else 10 pi over the kernel support."""
+    _check_samples(cfg.freq_points, "freqresp.points", "the frequency grid")
     omega_max = cfg.freq_omega_max
     if omega_max is None:
         omega_n = cfg.scenario.omega_n
@@ -121,6 +133,8 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     result = plan(sc)
     log.info("planned %d stages, support %g s", len(result.cascade.stages),
              result.duration)
+    _check_samples((result.duration + _SETTLE) / dt, "numerics.dt",
+                   f"a {result.duration!r} s plan at {dt!r} s per sample")
     t, P, _, A = rollout_trajectory(result, sc, dt, settle=_SETTLE)
     pose = _pose_rows(t, P, A, sc.g, cfg.mounting, delay=result.duration)
     write_pose_trajectory(os.path.join(outdir, "trajectory.csv"), pose)
@@ -174,6 +188,9 @@ def cmd_filter(cfg: RunConfig, args) -> int:
                 seed + axis)
 
     result = plan(sc)
+    _check_samples(result.duration / traj.dt, "scenario",
+                   f"a {result.duration!r} s kernel at the input's {traj.dt!r} s "
+                   "per sample")
     log.info("filtering %d samples through %d stages", traj.n,
              len(result.cascade.stages))
     states = [CascadeState(result.cascade, traj.dt, initial_value=positions[0, axis])
@@ -234,9 +251,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     motion = TrayMotion.from_channels(traj.dt, acc_x, acc_z,
                                       beta, beta_dot, beta_ddot)
     dt = cfg.sim_dt if args.dt is None else args.dt
+    _check_samples(motion.duration / dt,
+                   "numerics.sim_dt" if args.dt is None else "--dt",
+                   f"a {motion.duration!r} s input at {dt!r} s per step")
 
     outdir = _ensure_outdir(args.output)
-    verdict_path = os.path.join(outdir, "verdict.txt")
     try:
         if cfg.scenario.material == "solid":
             trace = simulate_solid_sliding(p, motion, dt=dt)
@@ -244,28 +263,21 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             trace = simulate_coupled(p, motion, dt=dt)
     except (ContactLostError, IntegrationError) as exc:
         verdict = f"FAIL: {exc}"
-        _atomic_write(verdict_path, [verdict + "\n"])
-        print(verdict)
-        return 1
-
-    write_sim_trace(os.path.join(outdir, "trace.csv"), trace)
-    failures = []
-    if cfg.scenario.material == "liquid" and trace.max_abs_theta > cfg.max_theta:
-        failures.append(f"max|theta| = {trace.max_abs_theta!r} rad "
-                        f"> {cfg.max_theta!r}")
-    if abs(trace.net_slip) > cfg.max_slip:
-        failures.append(f"|slip| = {abs(trace.net_slip)!r} m > {cfg.max_slip!r}")
-    if failures:
-        verdict = "FAIL: " + "; ".join(failures)
-        _atomic_write(verdict_path, [verdict + "\n"])
-        print(verdict)
-        return 1
-    verdict = (f"PASS: max|theta| = {trace.max_abs_theta!r} rad, "
-               f"slip = {trace.net_slip!r} m, "
-               f"transitions = {len(trace.transitions)}")
-    _atomic_write(verdict_path, [verdict + "\n"])
+    else:
+        write_sim_trace(os.path.join(outdir, "trace.csv"), trace)
+        failures = []
+        if cfg.scenario.material == "liquid" and trace.max_abs_theta > cfg.max_theta:
+            failures.append(f"max|theta| = {trace.max_abs_theta!r} rad "
+                            f"> {cfg.max_theta!r}")
+        if abs(trace.net_slip) > cfg.max_slip:
+            failures.append(f"|slip| = {abs(trace.net_slip)!r} m > {cfg.max_slip!r}")
+        verdict = ("FAIL: " + "; ".join(failures) if failures else
+                   f"PASS: max|theta| = {trace.max_abs_theta!r} rad, "
+                   f"slip = {trace.net_slip!r} m, "
+                   f"transitions = {len(trace.transitions)}")
+    _atomic_write(os.path.join(outdir, "verdict.txt"), [verdict + "\n"])
     print(verdict)
-    return 0
+    return 1 if verdict.startswith("FAIL") else 0
 
 
 # ---------------------------------------------------------------------------

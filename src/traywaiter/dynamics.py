@@ -177,7 +177,7 @@ def _supported(acc_z, g) -> np.ndarray:
     bad = np.flatnonzero(v <= 0.0)
     if bad.size:
         k = int(bad[0])
-        exc = FreeFallError(f"g + acc_z = {v[k]!r} <= 0 at sample {k}: "
+        exc = FreeFallError(f"g + acc_z = {float(v[k])!r} <= 0 at sample {k}: "
                             "tilt compensation undefined")
         exc.sample = k
         raise exc
@@ -292,75 +292,72 @@ def _square(w: float) -> float:
         return math.inf
 
 
+def _normal(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
+            u, thdd: float) -> float:
+    """N(theta_ddot): the normal force on the container held still on the
+    tray while the pendulum accelerates at theta_ddot."""
+    xtt, ztt, b, bd, bdd = u
+    m, l = p.m, p.l
+    ct = math.cos(th)
+    return ((p.M + m) * (math.cos(b) * (p.g + ztt) - math.sin(b) * xtt + dx * bdd
+                         + 2.0 * bd * dxd - p.d_z * bd * bd)
+            + m * (l * math.sin(th) * (bdd + thdd) + l * ct * thd * (2.0 * bd + thd)
+                   + bd * bd * (l * ct - p.h)))
+
+
+def _demand(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
+            u, thdd: float) -> float:
+    """D(theta_ddot): the tangential force friction must supply to hold the
+    container still on the tray while the pendulum accelerates at
+    theta_ddot."""
+    xtt, ztt, b, bd, bdd = u
+    m, M, l = p.m, p.M, p.l
+    ct = math.cos(th)
+    return ((m + M) * (math.sin(b) * (p.g + ztt) + math.cos(b) * xtt)
+            + ((l * ct - p.h) * m - p.d_z * M) * bdd
+            + m * l * ct * thdd
+            - l * m * math.sin(th) * _square(bd + thd)
+            - (m + M) * dx * bd * bd
+            + p.b_ct * dxd)
+
+
 def _stick_rates(p: PlantParams, damp: float, th: float, thd: float,
                  dx: float, dxd: float, u) -> tuple[float, float]:
-    """(theta_ddot, normal) with the container motion frozen: all that an
-    RK4 stage in stick mode needs."""
-    xtt, ztt, b, bd, bdd = u
-    st, ct = math.sin(th), math.cos(th)
-    sb, cb = math.sin(b), math.cos(b)
-    gz = p.g + ztt
-    m, M, l, h, dz = p.m, p.M, p.l, p.h, p.d_z
-    if m > 0.0:
-        thdd = _pendulum_rhs(p, damp, th, thd, dx, dxd, u) / l
-    else:
-        thdd = 0.0
-    normal = ((M + m) * (cb * gz - sb * xtt + dx * bdd + 2.0 * bd * dxd - dz * bd * bd)
-              + m * (l * st * (bdd + thdd) + l * ct * thd * (2.0 * bd + thd)
-                     + bd * bd * (l * ct - h)))
-    return thdd, normal
+    """(theta_ddot, N) with the container held still: all that an RK4 stage
+    in stick mode needs."""
+    thdd = _pendulum_rhs(p, damp, th, thd, dx, dxd, u) / p.l if p.m > 0.0 else 0.0
+    return thdd, _normal(p, th, thd, dx, dxd, u, thdd)
 
 
 def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
-                dx: float, dxd: float, u):
-    """(theta_ddot, demand, F_s, normal) with the container motion frozen."""
+                dx: float, dxd: float, u) -> tuple[float, float, float]:
+    """(D, F_s, N) of the stick test: the contact model with the container
+    held still, so theta_ddot is the pendulum's own."""
     thdd, normal = _stick_rates(p, damp, th, thd, dx, dxd, u)
-    xtt, ztt, b, bd, bdd = u
-    st, ct = math.sin(th), math.cos(th)
-    sb, cb = math.sin(b), math.cos(b)
-    gz = p.g + ztt
-    m, M, l, h, dz = p.m, p.M, p.l, p.h, p.d_z
-    demand = ((m + M) * (sb * gz + cb * xtt)
-              + ((l * ct - h) * m - dz * M) * bdd
-              + m * l * ct * thdd
-              - l * m * st * _square(bd + thd)
-              - (m + M) * dx * bd * bd
-              + p.b_ct * dxd)
-    return thdd, demand, p.mu * normal, normal
+    return _demand(p, th, thd, dx, dxd, u, thdd), p.mu * normal, normal
 
 
 def _slip_eval(p: PlantParams, damp: float, th: float, thd: float,
-               dx: float, dxd: float, s: float, u):
-    """(theta_ddot, d_x_ddot, F_s, normal) while sliding with sign s."""
-    xtt, ztt, b, bd, bdd = u
+               dx: float, dxd: float, s: float, u) -> tuple[float, float, float]:
+    """(theta_ddot, d_x_ddot, N) while sliding with sign s.
+
+    The contact model is taken at theta_ddot = 0; its theta_ddot terms,
+    m l cos(theta) theta_ddot in D and m l sin(theta) theta_ddot in N, go
+    back in through the coupling matrix, so the system stays linear."""
+    m, M, l = p.m, p.M, p.l
+    nf0 = _normal(p, th, thd, dx, dxd, u, 0.0)
+    b2 = -_demand(p, th, thd, dx, dxd, u, 0.0) - s * p.mu * nf0
+    if m == 0.0:
+        return 0.0, b2 / M, nf0
+    # solve [l, ct; a21, m+M] [theta_ddot, d_x_ddot] = [r1, b2]
     st, ct = math.sin(th), math.cos(th)
-    sb, cb = math.sin(b), math.cos(b)
-    gz = p.g + ztt
-    m, M, l, h, dz = p.m, p.M, p.l, p.h, p.d_z
-    # normal force split: nf0 + m l sin(theta) theta_ddot
-    nf0 = ((M + m) * (cb * gz - sb * xtt + dx * bdd + 2.0 * bd * dxd - dz * bd * bd)
-           + m * (l * st * bdd + l * ct * thd * (2.0 * bd + thd)
-                  + bd * bd * (l * ct - h)))
-    b2 = -(p.b_ct * dxd
-           + ((l * ct - h) * m - dz * M) * bdd
-           - l * m * st * _square(bd + thd)
-           - (m + M) * dx * bd * bd
-           + (m + M) * (sb * gz + cb * xtt)) - s * p.mu * nf0
-    if m > 0.0:
-        # Solve [l, ct; a21, m+M] [thdd, dxdd] = [r1, b2]; the theta_ddot
-        # part of F_s has been moved into a21 so the system stays linear.
-        r1 = _pendulum_rhs(p, damp, th, thd, dx, dxd, u)
-        a21 = m * l * ct + s * p.mu * m * l * st
-        det = l * (m + M) - ct * a21
-        if abs(det) < 1e-12 * l * (m + M):
-            raise IntegrationError("singular coupling matrix in slip dynamics")
-        thdd = (r1 * (m + M) - ct * b2) / det
-        dxdd = (l * b2 - a21 * r1) / det
-    else:
-        thdd = 0.0
-        dxdd = b2 / (m + M)
-    normal = nf0 + m * l * st * thdd
-    return thdd, dxdd, p.mu * normal, normal
+    r1 = _pendulum_rhs(p, damp, th, thd, dx, dxd, u)
+    a21 = m * l * ct + s * p.mu * m * l * st
+    det = l * (m + M) - ct * a21
+    if abs(det) < 1e-12 * l * (m + M):
+        raise IntegrationError("singular coupling matrix in slip dynamics")
+    thdd = (r1 * (m + M) - ct * b2) / det
+    return thdd, (l * b2 - a21 * r1) / det, nf0 + m * l * st * thdd
 
 
 def friction_margin(state: SimState, params: PlantParams, motion_sample
@@ -374,8 +371,8 @@ def friction_margin(state: SimState, params: PlantParams, motion_sample
     """
     p = params
     damp = p.b_lc / (p.m * p.l) if p.m > 0.0 else 0.0
-    _, demand, f_s, _ = _stick_eval(p, damp, state.theta, state.theta_dot,
-                                    state.d_x, state.d_x_dot, tuple(motion_sample))
+    demand, f_s, _ = _stick_eval(p, damp, state.theta, state.theta_dot,
+                                 state.d_x, state.d_x_dot, tuple(motion_sample))
     return demand, f_s
 
 
@@ -547,25 +544,14 @@ class _TraySim:
             s = self.slip_sign
 
             def rates(y, u):
-                thdd, dxdd, _, normal = _slip_eval(p, damp, y[0], y[1], y[2], y[3], s, u)
+                thdd, dxdd, normal = _slip_eval(p, damp, y[0], y[1], y[2], y[3], s, u)
                 if normal <= 0.0:
                     raise ContactLostError(f"contact lost at t = {t:.6g} s")
                 return (y[1], thdd, y[3], dxdd)
         return _rk4(rates, y, h, *inputs)
 
-    # -- mode bookkeeping ----------------------------------------------------
-
-    def _stick_test(self, y, u):
-        """(demand, F_s, normal) of the stick test at state y, with the
-        container velocity taken as zero."""
-        return _stick_eval(self.p, self.damp, y[0], y[1], y[2], 0.0, u)[1:]
-
-    def _stick_ok(self, y, u) -> bool:
-        demand, f_s, _ = self._stick_test(y, u)
-        return abs(demand) <= f_s
-
     def run(self) -> SimTrace:
-        p = self.p
+        p, damp = self.p, self.damp
         dt = self.dt
         n = self.n_steps
         theta = np.empty(n + 1)
@@ -576,21 +562,13 @@ class _TraySim:
         demand_arr = np.empty(n + 1)
         fs_arr = np.empty(n + 1)
 
-        y = tuple(self.y)
-        u0 = self.smp.grid[0].tolist()
-        if abs(y[3]) < _V_EPS and self._stick_ok(y, u0):
-            mode = STICK
-            y = (y[0], y[1], y[2], 0.0)
-        else:
-            mode = SLIP
-            self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
-                else -math.copysign(1.0, self._stick_test(y, u0)[0])
+        def sticks(y, u) -> bool:
+            demand, f_s, _ = _stick_eval(p, damp, *y, u)
+            return abs(demand) <= f_s
 
         def record(k, y, mode, u, test=None):
             # `test`, when given, is the stick test just made at y and u
-            if test is None:
-                test = _stick_eval(p, self.damp, *y, u)[1:]
-            dem, fs, normal = test
+            dem, fs, normal = test or _stick_eval(p, damp, *y, u)
             if normal <= 0.0:
                 raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
             theta[k] = y[0]
@@ -601,6 +579,15 @@ class _TraySim:
             demand_arr[k] = dem
             fs_arr[k] = fs
 
+        y = tuple(self.y)
+        u0 = self.smp.grid[0].tolist()
+        held = (y[0], y[1], y[2], 0.0)
+        if abs(y[3]) < _V_EPS and sticks(held, u0):
+            mode, y = STICK, held
+        else:
+            mode = SLIP
+            self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
+                else -math.copysign(1.0, _stick_eval(p, damp, *held, u0)[0])
         record(0, y, mode, u0)
         u_end = u0
         for k in range(n):
@@ -623,7 +610,7 @@ class _TraySim:
                 if mode == STICK:
                     at_end = t + h >= t_end - 1e-15
                     u_new = u_end if at_end else self.smp.at(t + h)
-                    test = self._stick_test(y_new, u_new)
+                    test = _stick_eval(p, damp, y_new[0], y_new[1], y_new[2], 0.0, u_new)
                     if abs(test[0]) <= test[1]:
                         y = y_new
                         t += h
@@ -632,8 +619,8 @@ class _TraySim:
                         continue
                     # slip onset: bisect |demand| - F_s = 0 on (t, t+h]
                     t_ev, y_ev = self._bisect(y, t, h, mode,
-                                              lambda yy, uu: not self._stick_ok(yy, uu))
-                    demand, _, _ = self._stick_test(y_ev, self.smp.at(t_ev))
+                                              lambda yy, uu: not sticks(yy, uu))
+                    demand = _stick_eval(p, damp, *y_ev, self.smp.at(t_ev))[0]
                     self.slip_sign = -math.copysign(1.0, demand)
                     self.transitions.append((t_ev, "stick", "slip"))
                     mode = SLIP
@@ -648,7 +635,7 @@ class _TraySim:
                                                   lambda yy, uu: yy[3] * self.slip_sign <= 0.0)
                         y_ev = (y_ev[0], y_ev[1], y_ev[2], 0.0)
                         u_ev = self.smp.at(t_ev)
-                        if self._stick_ok(y_ev, u_ev):
+                        if sticks(y_ev, u_ev):
                             self.transitions.append((t_ev, "slip", "stick"))
                             mode = STICK
                         else:
@@ -660,7 +647,7 @@ class _TraySim:
                         t += h
                         if abs(y[3]) < _V_EPS:
                             u_now = u_end if t >= t_end - 1e-15 else self.smp.at(t)
-                            if self._stick_ok((y[0], y[1], y[2], 0.0), u_now):
+                            if sticks((y[0], y[1], y[2], 0.0), u_now):
                                 y = (y[0], y[1], y[2], 0.0)
                                 self.transitions.append((t, "slip", "stick"))
                                 mode = STICK

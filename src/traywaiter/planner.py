@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compensation import FreeFallError
+from .dynamics import fd_tilt_channel
 from .smoothers import (
     CascadeSpec,
     CascadeState,
@@ -175,18 +175,15 @@ class FeasibilityReport:
 
 
 def _max_tilt_accel(stages, h: float, direction: np.ndarray, g: float) -> float:
-    """Max |beta_ddot| of the compensation angle along the planned step."""
+    """Max |beta_ddot| of the signed compensation angle along the planned
+    step, from the simulator's tilt channel."""
     total = sum(kernel_duration(s) for s in stages)
     dt = total / 3000.0
     state = CascadeState(CascadeSpec(tuple(stages)), dt, initial_value=0.0)
     n = int(total / dt) + 8
     _, _, acc = state.run(np.full(n, h))
-    ax, ay, az = (acc * direction[i] for i in range(3))
-    gz = g + az
-    if np.any(gz <= 0.0):
-        raise FreeFallError("planned motion reaches free fall; lower a_max")
-    beta = -np.arctan2(np.hypot(ax, ay), gz)
-    beta_dd = np.gradient(np.gradient(beta, dt), dt)
+    _, _, beta_dd = fd_tilt_channel(acc * math.hypot(direction[0], direction[1]),
+                                    acc * direction[2], dt, g)
     return float(np.abs(beta_dd).max())
 
 

@@ -280,8 +280,11 @@ class _OscStage:
 
     def __init__(self, sigma: float, n: int, dt: float):
         self.n = n
-        self.t_span = n * dt
-        t_span = self.t_span
+        self.t_span = t_span = n * dt
+        if not _oscillator_span_ok(t_span):
+            raise ValueError(f"the sample period {dt!r} s quantizes an oscillator "
+                             f"span to {t_span!r} s, where (pi/span)^2 underflows; "
+                             "shorten the sample period")
         wp = math.pi / t_span
         self.a0 = sigma * sigma + wp * wp
         self.a1 = -2.0 * sigma

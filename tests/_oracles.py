@@ -190,7 +190,7 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
     def record(k, th, thd, u):
         theta[k] = th
         theta_dot[k] = thd
-        _, dem, fs, normal = _stick_eval(p, damp, th, thd, 0.0, 0.0, u)
+        dem, fs, normal = _stick_eval(p, damp, th, thd, 0.0, 0.0, u)
         demand[k] = dem
         f_s[k] = fs
         if normal <= 0.0:

@@ -268,6 +268,29 @@ scenario:
     assert "free fall" in capsys.readouterr().err
 
 
+def test_plan_names_a_sample_period_too_coarse_for_the_notch(tmp_path, capsys):
+    # undamped, the notch's pole term is (pi/span)^2 alone, and at a 1e300 s
+    # sample period the quantized span makes it underflow to zero
+    cfg = yaml.safe_load(P2P_CONFIG)
+    cfg["scenario"]["slosh"]["delta"] = 0.0
+    cfg["numerics"]["dt"] = 1.0e300
+    path = _write(tmp_path, "cfg.yaml", yaml.safe_dump(cfg))
+    assert main(["plan", "--config", path, "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the sample period 1e+300 s quantizes an oscillator span")
+
+
+def test_plan_beyond_the_sample_budget_exits_2(tmp_path, capsys):
+    # a 1e9 m move at 1 ms per sample would ask for 1e12 samples per array
+    cfg = _write(tmp_path, "cfg.yaml", _config_with("scenario.goal", [1.0e9, 0.0, 0.4]))
+    out = tmp_path / "o"
+    assert main(["plan", "--config", cfg, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerics.dt: a 1000000001.0070312 s plan at 0.001 s "
+                          "per sample needs 1e+12 samples, beyond the budget of ")
+    assert not (out / "trajectory.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # filter
 # ---------------------------------------------------------------------------
@@ -338,6 +361,16 @@ def test_filter_free_fall_exit_code(tmp_path):
     write_trajectory(path, TrajectoryFile(dt, t, positions))
     assert main(["filter", "--config", cfg, "--input", path,
                  "--output", str(tmp_path / "out")]) == 3
+
+
+def test_filter_beyond_the_sample_budget_exits_2(tmp_path, capsys):
+    # a 2e5 s kernel at the input's 2 ms would hold 1e8 samples per stage
+    cfg = _write(tmp_path, "cfg.yaml",
+                 COMPLEX_SOLID_CONFIG.replace("free_stage_T: 0.2", "free_stage_T: 1.0e+5"))
+    traj = _const_traj(tmp_path, "in.csv", n=10)
+    assert main(["filter", "--config", cfg, "--input", traj,
+                 "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario: a 200000.0 s kernel")
 
 
 def test_filter_rejects_nonuniform_input(tmp_path):
@@ -461,6 +494,40 @@ def test_simulate_free_fall_exit_code(tmp_path, capsys):
     assert "free fall" in capsys.readouterr().err
 
 
+def test_simulate_contact_loss_is_a_fail_verdict(tmp_path, capsys):
+    # uncompensated, the same dive takes the normal force below zero at once
+    cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG.replace("tilt: compensated", "tilt: none"))
+    dt, n = 1e-3, 200
+    t = np.arange(n) * dt
+    positions = np.column_stack([np.zeros(n), np.zeros(n), 0.4 - 7.5 * t ** 2])
+    accels = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, -15.0)])
+    path = str(tmp_path / "dive.csv")
+    write_trajectory(path, TrajectoryFile(dt, t, positions, accels))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--input", path, "--output", str(out)]) == 1
+    assert capsys.readouterr().out == "FAIL: contact lost at t = 0 s\n"
+    assert (out / "verdict.txt").read_text() == "FAIL: contact lost at t = 0 s\n"
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("flag, field", [(["--dt", "1e-12"], "--dt"),
+                                         ([], "numerics.sim_dt")])
+def test_simulate_beyond_the_sample_budget_exits_2(tmp_path, capsys, flag, field):
+    # 1e-12 s steps over the 1.659 s demo reference would be 1.66e12 steps
+    cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG)
+    out = str(tmp_path / "out")
+    assert main(["plan", "--config", cfg, "--output", out]) == 0
+    if not flag:
+        cfg = _write(tmp_path, "cfg.yaml", _config_with("numerics.sim_dt", 1e-12))
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--input", os.path.join(out, "reference.csv"),
+                 "--output", out] + flag) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {field}: a 1.659 s input at 1e-12 s per step needs 1.66e+12 samples, "
+        "beyond the budget of ")
+    assert not os.path.exists(os.path.join(out, "trace.csv"))
+
+
 def test_simulate_requires_accel_columns(tmp_path):
     cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG)
     path = _const_traj(tmp_path, "noacc.csv", n=200, dt=1e-3)
@@ -518,6 +585,13 @@ def test_freqresp_output(tmp_path):
     assert data2[k_nn, 2] < 1e-12                  # exact notch at omega_n
     k_c = np.argmin(np.abs(data2[:, 0] - 0.4 * omega_n))
     assert data2[k_c, 2] == pytest.approx(1 / math.sqrt(2), rel=0.10)
+
+
+def test_freqresp_beyond_the_sample_budget_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG + "freqresp: {points: 1000000000}\n")
+    assert main(["freqresp", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: freqresp.points: the frequency grid needs 1e+09 samples")
 
 
 def test_plan_and_freqresp_write_the_same_freqresp(tmp_path):

@@ -16,6 +16,8 @@ from traywaiter.planner import (
 )
 from traywaiter.smoothers import CascadeSpec, DampedHarmonic, Trapezoidal
 
+from _oracles import planar_tilt
+
 G = 9.81
 
 
@@ -109,6 +111,24 @@ def test_plan_auto_free_stage_respects_cap():
                                            result.free_stage_T / 3)],
                               result.distance, result.direction, sc.g)
     assert shorter > 15.0
+
+
+def test_plan_triangular_solid_move_keeps_a_short_free_stage():
+    # the move never reaches v_max, so its acceleration crosses zero with
+    # nonzero jerk; the signed tilt is smooth there, where an unsigned one
+    # has a kink that a second difference turns into a spike
+    sc = p2p_scenario(goal=[0.2, 0.0, 0.0], v_max=2.0, a_max=8.0,
+                      free_stage_T=None, angular_accel_cap=150.0)
+    result = plan(sc)
+    assert result.free_stage_T <= 0.2
+    assert result.duration < 0.7
+    # independent check: per-sample angles on a 10x finer grid than the
+    # planner's, second differences instead of two gradients
+    dt = result.duration / 30000
+    sdd = rollout_profile(result, dt)[3]
+    beta = np.array([planar_tilt(a, 0.0, G) for a in sdd.tolist()])
+    beta_dd = (beta[2:] - 2.0 * beta[1:-1] + beta[:-2]) / (dt * dt)
+    assert np.abs(beta_dd).max() <= 1.01 * 150.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Property tests: the batched pose path, the streamed CSV writer and the
 flattened smoother cascade give exactly the bits of the code they replace;
 smoother step responses keep unit DC gain, stay in range and respect the
-trapezoid's kinematic limits."""
+trapezoid's kinematic limits; stick and slip agree where they meet."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from traywaiter import compensation, fileio, smoothers
@@ -19,6 +20,7 @@ from traywaiter.compensation import (
     rotation_matrix,
     tilt_angles,
 )
+from traywaiter.dynamics import PlantParams, _slip_eval, _stick_eval, _stick_rates
 from traywaiter.fileio import quaternion_to_rotation, rotation_to_quaternion
 from traywaiter.smoothers import (
     CascadeState,
@@ -440,3 +442,35 @@ def test_trapezoidal_meets_velocity_and_acceleration_limits(h, v_max, a_max, dt)
     assert np.abs(v).max() <= v_max * (1.0 + 1e-12)
     assert np.abs(a).max() <= a_max * (1.0 + 1e-12)
     assert p[-1] == pytest.approx(h, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# contact model
+# ---------------------------------------------------------------------------
+
+def _plants(m):
+    b_lc = st.just(0.0) if m == 0.0 else st.floats(0.0, 1e-2)
+    return st.builds(PlantParams, m=st.just(m), M=st.floats(0.1, 5.0),
+                     l=st.floats(0.01, 0.5), h=st.floats(0.01, 0.3),
+                     d_z=st.floats(-0.1, 0.1), b_lc=b_lc, b_ct=st.floats(0.0, 1.0),
+                     mu=st.just(0.0))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(_plants),
+       st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0), st.floats(-0.1, 0.1),
+                 st.floats(-0.5, 0.5)),
+       st.tuples(st.floats(-10.0, 10.0), st.floats(-5.0, 10.0), st.floats(-0.3, 0.3),
+                 st.floats(-2.0, 2.0), st.floats(-20.0, 20.0)))
+def test_slip_meets_stick_on_the_friction_cone(plant, y, u):
+    # with mu = |D| / N the friction bound is just reached, and sliding
+    # against the demand must reproduce the held container: d_x_ddot = 0
+    # and the pendulum's own theta_ddot
+    damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
+    demand, _, normal = _stick_eval(plant, damp, *y, u)
+    assume(normal > 0.0 and demand != 0.0)
+    thdd = _stick_rates(plant, damp, *y, u)[0]
+    edge = replace(plant, mu=abs(demand) / normal)
+    thdd_slip, dxdd, _ = _slip_eval(edge, damp, *y, -math.copysign(1.0, demand), u)
+    assert abs(dxdd) <= 1e-12 * (abs(demand) / (plant.m + plant.M) + 1.0)
+    assert abs(thdd_slip - thdd) <= 1e-11 * (abs(thdd) + 1.0)
