@@ -19,12 +19,10 @@ from .dynamics import (
     SimTrace,
     TrayMotion,
     analytic_tilt_channel,
-    desk_params,
     estimate_prv,
     fd_tilt_channel,
     friction_margin,
     simulate_coupled,
-    simulate_linear_slosh,
     simulate_pendulum,
     simulate_solid_sliding,
 )

@@ -28,12 +28,10 @@ __all__ = [
     "SimTrace",
     "ContactLostError",
     "IntegrationError",
-    "desk_params",
     "analytic_tilt_channel",
     "fd_tilt_channel",
     "friction_margin",
     "simulate_pendulum",
-    "simulate_linear_slosh",
     "simulate_solid_sliding",
     "simulate_coupled",
     "estimate_prv",
@@ -92,14 +90,6 @@ class PlantParams:
             raise ValueError("b_lc requires a nonzero pendulum mass m")
 
 
-def desk_params(**overrides) -> PlantParams:
-    """Desk-scale defaults used across the test suite (delta ~= 0.05)."""
-    values = dict(m=0.1, M=0.5, l=0.05, h=0.05, d_z=0.02,
-                  b_lc=3.5e-4, b_ct=0.0, mu=0.3, g=9.81)
-    values.update(overrides)
-    return PlantParams(**values)
-
-
 # ---------------------------------------------------------------------------
 # tray motion (disturbance inputs)
 # ---------------------------------------------------------------------------
@@ -147,12 +137,6 @@ class TrayMotion:
     @property
     def duration(self) -> float:
         return (self.n - 1) * self.dt
-
-    @classmethod
-    def rest(cls, duration: float, dt: float) -> "TrayMotion":
-        n = max(2, int(round(duration / dt)) + 1)
-        z = np.zeros(n)
-        return cls(dt, z, z.copy(), z.copy(), z.copy(), z.copy())
 
     @classmethod
     def from_channels(cls, dt: float, x_ddot, z_ddot=None, beta=None,
@@ -264,17 +248,38 @@ class SimTrace:
 # physics kernels
 # ---------------------------------------------------------------------------
 
+def _input_terms(p: PlantParams, rows):
+    """The input-only terms of the contact model, one tuple per row
+    (x_ddot, z_ddot, beta, beta_dot, beta_ddot) of tray inputs, yielded as
+    the rows are read:
+
+        (x_ddot, g + z_ddot, beta, beta_dot, beta_ddot, N_u, D_u,
+         h beta_dot^2, d_z beta_dot^2, beta_dot^2)
+
+    N_u = cos(beta) (g + z_ddot) - sin(beta) x_ddot leads the bracket of the
+    normal force and D_u = (m + M) (sin(beta) (g + z_ddot) + cos(beta) x_ddot)
+    leads the demand. Each term keeps the operand order of the expression it
+    stands for, so using it changes no bit, and math.sin and math.cos give
+    the same terms on every host."""
+    g, h, d_z, mass = p.g, p.h, p.d_z, p.m + p.M
+    sin, cos = math.sin, math.cos
+    for xtt, ztt, b, bd, bdd in rows:
+        gz = g + ztt
+        sb, cb = sin(b), cos(b)
+        yield (xtt, gz, b, bd, bdd, cb * gz - sb * xtt, mass * (sb * gz + cb * xtt),
+               h * bd * bd, d_z * bd * bd, bd * bd)
+
+
 def _pendulum_rhs(p: PlantParams, damp: float, th: float, thd: float,
                   dx: float, dxd: float, u) -> float:
     """l theta_ddot + cos(theta) d_x_ddot: the pendulum equation with the
     container's acceleration moved to the left-hand side."""
-    xtt, ztt, b, bd, bdd = u
+    xtt, gz, b, bd, bdd, _, _, hbb, _, _ = u
     st, ct = math.sin(th), math.cos(th)
-    gz = p.g + ztt
     return -(damp * thd
              + (p.l - p.h * ct + dx * st) * bdd
              + ct * (-dx * bd * bd)
-             + st * (2.0 * bd * dxd - p.h * bd * bd)
+             + st * (2.0 * bd * dxd - hbb)
              + math.sin(b + th) * gz + math.cos(b + th) * xtt)
 
 
@@ -296,13 +301,12 @@ def _normal(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
             u, thdd: float) -> float:
     """N(theta_ddot): the normal force on the container held still on the
     tray while the pendulum accelerates at theta_ddot."""
-    xtt, ztt, b, bd, bdd = u
+    _, _, _, bd, bdd, n_u, _, _, dzbb, bb = u
     m, l = p.m, p.l
     ct = math.cos(th)
-    return ((p.M + m) * (math.cos(b) * (p.g + ztt) - math.sin(b) * xtt + dx * bdd
-                         + 2.0 * bd * dxd - p.d_z * bd * bd)
+    return ((p.M + m) * (n_u + dx * bdd + 2.0 * bd * dxd - dzbb)
             + m * (l * math.sin(th) * (bdd + thdd) + l * ct * thd * (2.0 * bd + thd)
-                   + bd * bd * (l * ct - p.h)))
+                   + bb * (l * ct - p.h)))
 
 
 def _demand(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
@@ -310,10 +314,10 @@ def _demand(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
     """D(theta_ddot): the tangential force friction must supply to hold the
     container still on the tray while the pendulum accelerates at
     theta_ddot."""
-    xtt, ztt, b, bd, bdd = u
+    _, _, _, bd, bdd, _, d_u, _, _, _ = u
     m, M, l = p.m, p.M, p.l
     ct = math.cos(th)
-    return ((m + M) * (math.sin(b) * (p.g + ztt) + math.cos(b) * xtt)
+    return (d_u
             + ((l * ct - p.h) * m - p.d_z * M) * bdd
             + m * l * ct * thdd
             - l * m * math.sin(th) * _square(bd + thd)
@@ -330,11 +334,11 @@ def _stick_rates(p: PlantParams, damp: float, th: float, thd: float,
 
 
 def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
-                dx: float, dxd: float, u) -> tuple[float, float, float]:
-    """(D, F_s, N) of the stick test: the contact model with the container
-    held still, so theta_ddot is the pendulum's own."""
+                dx: float, dxd: float, u) -> tuple[float, float, float, float]:
+    """(theta_ddot, N, D, F_s) of the stick test: the contact model with the
+    container held still, so theta_ddot is the pendulum's own."""
     thdd, normal = _stick_rates(p, damp, th, thd, dx, dxd, u)
-    return _demand(p, th, thd, dx, dxd, u, thdd), p.mu * normal, normal
+    return thdd, normal, _demand(p, th, thd, dx, dxd, u, thdd), p.mu * normal
 
 
 def _slip_eval(p: PlantParams, damp: float, th: float, thd: float,
@@ -371,8 +375,9 @@ def friction_margin(state: SimState, params: PlantParams, motion_sample
     """
     p = params
     damp = p.b_lc / (p.m * p.l) if p.m > 0.0 else 0.0
-    demand, f_s, _ = _stick_eval(p, damp, state.theta, state.theta_dot,
-                                 state.d_x, state.d_x_dot, tuple(motion_sample))
+    _, _, demand, f_s = _stick_eval(p, damp, state.theta, state.theta_dot,
+                                    state.d_x, state.d_x_dot,
+                                    next(_input_terms(p, [motion_sample])))
     return demand, f_s
 
 
@@ -456,61 +461,6 @@ def simulate_pendulum(params: PlantParams, motion: TrayMotion,
                     (init[0], init[1], 0.0, 0.0)).run()
 
 
-def _midpoints(u: np.ndarray) -> np.ndarray:
-    n = u.size
-    if n >= 4:
-        um = np.empty(n - 1)
-        um[1:-1] = (-u[:-3] + 9.0 * u[1:-2] + 9.0 * u[2:-1] - u[3:]) / 16.0
-        um[0] = (5.0 * u[0] + 15.0 * u[1] - 5.0 * u[2] + u[3]) / 16.0
-        um[-1] = (u[-4] - 5.0 * u[-3] + 15.0 * u[-2] + 5.0 * u[-1]) / 16.0
-        return um
-    return 0.5 * (u[:-1] + u[1:])
-
-
-def simulate_linear_slosh(omega_n: float, delta: float, accel_series, dt: float,
-                          init: tuple[float, float] = (0.0, 0.0),
-                          g: float = 9.81) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized slosh oscillator theta'' + 2 delta w theta' + w^2 theta =
-    -x_ddot / l with l = g / w^2; returns (theta, theta_dot) on the input grid.
-    """
-    if not (omega_n > 0.0 and 0.0 <= delta < 1.0 and dt > 0.0):
-        raise ValueError("need omega_n > 0, 0 <= delta < 1, dt > 0")
-    acc = np.asarray(accel_series, dtype=float)
-    if not np.all(np.isfinite(acc)):
-        raise ValueError("acceleration series contains non-finite values")
-    l = g / (omega_n * omega_n)
-    u = -acc / l
-    n = acc.size
-    um = _midpoints(u)  # 4-point stencil, same as the motion sampler
-    two_dw = 2.0 * delta * omega_n
-    w2 = omega_n * omega_n
-    th, thd = float(init[0]), float(init[1])
-    theta = np.empty(n)
-    theta_dot = np.empty(n)
-    theta[0] = th
-    theta_dot[0] = thd
-
-    def f(x, v, uk):
-        return uk - two_dw * v - w2 * x
-
-    for k in range(n - 1):
-        u0, u_half, u1 = u[k], um[k], u[k + 1]
-        k1 = f(th, thd, u0)
-        x2, v2 = th + 0.5 * dt * thd, thd + 0.5 * dt * k1
-        k2 = f(x2, v2, u_half)
-        x3, v3 = th + 0.5 * dt * v2, thd + 0.5 * dt * k2
-        k3 = f(x3, v3, u_half)
-        x4, v4 = th + dt * v3, thd + dt * k3
-        k4 = f(x4, v4, u1)
-        th += dt * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        thd += dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        theta[k + 1] = th
-        theta_dot[k + 1] = thd
-    if not np.all(np.isfinite(theta)):
-        raise IntegrationError("non-finite state in linear slosh integration")
-    return theta, theta_dot
-
-
 class _TraySim:
     """The stick/slip event-stepping engine: the container with or without
     the coupled pendulum, and with mu = inf the pendulum on a glued
@@ -527,28 +477,56 @@ class _TraySim:
         self.slip_sign = 0.0
         self.events = 0                        # events in the current step
 
-    def _advance(self, y, t, h, mode, inputs=None):
-        """One RK4 sub-step of width h from time t; `inputs` holds the samples
-        at (t, t+h/2, t+h) and is interpolated when not given. Contact loss
-        in any stage is reported at the step time t."""
-        if inputs is None:
-            inputs = (self.smp.at(t), self.smp.at(t + 0.5 * h), self.smp.at(t + h))
-        p, damp = self.p, self.damp
-        if mode == STICK:
-            def rates(y, u):
-                thdd, normal = _stick_rates(p, damp, y[0], y[1], y[2], 0.0, u)
-                if normal <= 0.0:
-                    raise ContactLostError(f"contact lost at t = {t:.6g} s")
-                return (y[1], thdd, 0.0, 0.0)
-        else:
-            s = self.slip_sign
+    def _at(self, t: float) -> tuple:
+        """The input terms at time t, off the grid."""
+        return next(_input_terms(self.p, [self.smp.at(t)]))
 
-            def rates(y, u):
-                thdd, dxdd, normal = _slip_eval(p, damp, y[0], y[1], y[2], y[3], s, u)
-                if normal <= 0.0:
-                    raise ContactLostError(f"contact lost at t = {t:.6g} s")
-                return (y[1], thdd, y[3], dxdd)
+    def _advance(self, y, t, h, mode, inputs=None, k1=None):
+        """One RK4 sub-step of width h from time t; `inputs` holds the input
+        terms at (t, t+h/2, t+h) and is interpolated when not given. Contact
+        loss in any stage is reported at the step time t."""
+        if inputs is None:
+            inputs = (self._at(t), self._at(t + 0.5 * h), self._at(t + h))
+        if mode == STICK:
+            return self._stick_step(y, t, h, inputs, k1)
+        p, damp, s = self.p, self.damp, self.slip_sign
+
+        def rates(y, u):
+            thdd, dxdd, normal = _slip_eval(p, damp, y[0], y[1], y[2], y[3], s, u)
+            if normal <= 0.0:
+                raise ContactLostError(f"contact lost at t = {t:.6g} s")
+            return (y[1], thdd, y[3], dxdd)
         return _rk4(rates, y, h, *inputs)
+
+    def _stick_step(self, y, t, h, inputs, k1):
+        """`_advance` with the container held still: RK4 on (theta,
+        theta_dot) alone. The stages get the arguments the 4-state step gave
+        them, d_x_dot = 0.0 and d_x + h/2 * 0.0 included, since either can flip
+        the sign of a zero in theta. `k1`, unless None, is (theta_ddot, N) at y
+        and inputs[0], as the stick test that ended the last step made it."""
+        p, damp = self.p, self.damp
+        u0, um, u1 = inputs
+        th, thd, dx = y[0], y[1], y[2]
+        hh = 0.5 * h
+        a1, n1 = k1 or _stick_rates(p, damp, th, thd, dx, 0.0, u0)
+        if n1 <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        dx_mid = dx + hh * 0.0
+        v2 = thd + hh * a1
+        a2, n2 = _stick_rates(p, damp, th + hh * thd, v2, dx_mid, 0.0, um)
+        if n2 <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        v3 = thd + hh * a2
+        a3, n3 = _stick_rates(p, damp, th + hh * v2, v3, dx_mid, 0.0, um)
+        if n3 <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        v4 = thd + h * a3
+        a4, n4 = _stick_rates(p, damp, th + h * v3, v4, dx + h * 0.0, 0.0, u1)
+        if n4 <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        return (th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+                thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+                dx + 0.0, 0.0)
 
     def run(self) -> SimTrace:
         p, damp = self.p, self.damp
@@ -563,12 +541,12 @@ class _TraySim:
         fs_arr = np.empty(n + 1)
 
         def sticks(y, u) -> bool:
-            demand, f_s, _ = _stick_eval(p, damp, *y, u)
+            _, _, demand, f_s = _stick_eval(p, damp, *y, u)
             return abs(demand) <= f_s
 
         def record(k, y, mode, u, test=None):
             # `test`, when given, is the stick test just made at y and u
-            dem, fs, normal = test or _stick_eval(p, damp, *y, u)
+            _, normal, dem, fs = test or _stick_eval(p, damp, *y, u)
             if normal <= 0.0:
                 raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
             theta[k] = y[0]
@@ -579,21 +557,25 @@ class _TraySim:
             demand_arr[k] = dem
             fs_arr[k] = fs
 
+        # the grid and midpoint rows as Python floats, one row at a time
+        grid = _input_terms(p, map(np.ndarray.tolist, self.smp.grid))
+        mid = _input_terms(p, map(np.ndarray.tolist, self.smp.mid))
         y = tuple(self.y)
-        u0 = self.smp.grid[0].tolist()
+        u0 = next(grid)
         held = (y[0], y[1], y[2], 0.0)
         if abs(y[3]) < _V_EPS and sticks(held, u0):
             mode, y = STICK, held
         else:
             mode = SLIP
             self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
-                else -math.copysign(1.0, _stick_eval(p, damp, *held, u0)[0])
+                else -math.copysign(1.0, _stick_eval(p, damp, *held, u0)[2])
         record(0, y, mode, u0)
         u_end = u0
+        k1 = None
         for k in range(n):
             t0 = k * dt
             t_end = (k + 1) * dt
-            u_start, u_end = u_end, self.smp.grid[k + 1].tolist()
+            u_start, u_end, u_mid = u_end, next(grid), next(mid)
             t = t0
             self.events = 0
             end_test = None
@@ -603,24 +585,24 @@ class _TraySim:
                 h = t_end - t
                 if full_grid:
                     y_new = self._advance(y, t0, dt, mode,
-                                          (u_start, self.smp.mid[k].tolist(), u_end))
+                                          (u_start, u_mid, u_end), k1)
                 else:
                     y_new = self._advance(y, t, h, mode)
                 full_grid = False
                 if mode == STICK:
                     at_end = t + h >= t_end - 1e-15
-                    u_new = u_end if at_end else self.smp.at(t + h)
+                    u_new = u_end if at_end else self._at(t + h)
                     test = _stick_eval(p, damp, y_new[0], y_new[1], y_new[2], 0.0, u_new)
-                    if abs(test[0]) <= test[1]:
+                    if abs(test[2]) <= test[3]:
                         y = y_new
                         t += h
-                        if at_end:      # the loop ends here: record reuses it
+                        if at_end:      # the loop ends here: record and k1 reuse it
                             end_test = test
                         continue
                     # slip onset: bisect |demand| - F_s = 0 on (t, t+h]
                     t_ev, y_ev = self._bisect(y, t, h, mode,
                                               lambda yy, uu: not sticks(yy, uu))
-                    demand = _stick_eval(p, damp, *y_ev, self.smp.at(t_ev))[0]
+                    demand = _stick_eval(p, damp, *y_ev, self._at(t_ev))[2]
                     self.slip_sign = -math.copysign(1.0, demand)
                     self.transitions.append((t_ev, "stick", "slip"))
                     mode = SLIP
@@ -634,7 +616,7 @@ class _TraySim:
                         t_ev, y_ev = self._bisect(y, t, h, mode,
                                                   lambda yy, uu: yy[3] * self.slip_sign <= 0.0)
                         y_ev = (y_ev[0], y_ev[1], y_ev[2], 0.0)
-                        u_ev = self.smp.at(t_ev)
+                        u_ev = self._at(t_ev)
                         if sticks(y_ev, u_ev):
                             self.transitions.append((t_ev, "slip", "stick"))
                             mode = STICK
@@ -646,14 +628,15 @@ class _TraySim:
                         y = y_new
                         t += h
                         if abs(y[3]) < _V_EPS:
-                            u_now = u_end if t >= t_end - 1e-15 else self.smp.at(t)
+                            u_now = u_end if t >= t_end - 1e-15 else self._at(t)
                             if sticks((y[0], y[1], y[2], 0.0), u_now):
                                 y = (y[0], y[1], y[2], 0.0)
                                 self.transitions.append((t, "slip", "stick"))
                                 mode = STICK
-                if not all(math.isfinite(v) for v in y):
+                if not all(map(math.isfinite, y)):
                     raise IntegrationError(f"non-finite state at t = {t:.6g} s")
             record(k + 1, y, mode, u_end, end_test)
+            k1 = end_test[:2] if end_test else None
 
         t_arr = np.arange(n + 1) * dt
         return SimTrace(t_arr, theta, theta_dot, d_x, d_x_dot, mode_arr,
@@ -670,7 +653,7 @@ class _TraySim:
                 break
             mid = 0.5 * (lo + hi)
             y_mid = self._advance(y0, t0, mid, mode)
-            if tripped(y_mid, self.smp.at(t0 + mid)):
+            if tripped(y_mid, self._at(t0 + mid)):
                 hi = mid
                 y_hi = y_mid
             else:

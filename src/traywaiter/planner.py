@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .compensation import FreeFallError
 from .dynamics import fd_tilt_channel
 from .smoothers import (
     CascadeSpec,
@@ -176,14 +177,19 @@ class FeasibilityReport:
 
 def _max_tilt_accel(stages, h: float, direction: np.ndarray, g: float) -> float:
     """Max |beta_ddot| of the signed compensation angle along the planned
-    step, from the simulator's tilt channel."""
+    step, from the simulator's tilt channel. A step that falls faster than
+    gravity raises FreeFallError naming the time along the step."""
     total = sum(kernel_duration(s) for s in stages)
     dt = total / 3000.0
     state = CascadeState(CascadeSpec(tuple(stages)), dt, initial_value=0.0)
     n = int(total / dt) + 8
     _, _, acc = state.run(np.full(n, h))
-    _, _, beta_dd = fd_tilt_channel(acc * math.hypot(direction[0], direction[1]),
-                                    acc * direction[2], dt, g)
+    try:
+        _, _, beta_dd = fd_tilt_channel(acc * math.hypot(direction[0], direction[1]),
+                                        acc * direction[2], dt, g)
+    except FreeFallError as exc:
+        raise FreeFallError(f"the planned step reaches g + acc_z <= 0 at t = "
+                            f"{exc.sample * dt:.6g} s; lower a_max") from None
     return float(np.abs(beta_dd).max())
 
 

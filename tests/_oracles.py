@@ -1,5 +1,7 @@
-"""Closed forms, reference writers, per-sample smoother stages and the
-pendulum's own integration loop, which the tests compare the package against."""
+"""Closed forms, reference writers, per-sample smoother stages, the
+pendulum's own integration loop, the generic stick sub-step, the linear
+slosh oscillator and the desk-scale plant, which the tests compare the
+package against or build their cases from."""
 
 import math
 from collections import deque
@@ -7,16 +9,19 @@ from collections import deque
 import numpy as np
 
 from traywaiter.compensation import FreeFallError
+from traywaiter import dynamics
 from traywaiter.dynamics import (
     ContactLostError,
     IntegrationError,
     PlantParams,
     SimTrace,
-    TrayMotion,
+    _input_terms,
     _MotionSampler,
     _pendulum_rhs,
     _resolve_steps,
     _stick_eval,
+    _stick_rates,
+    _TraySim,
 )
 from traywaiter.smoothers import (
     DampedHarmonic,
@@ -33,6 +38,24 @@ def planar_tilt(ax: float, az: float, g: float) -> float:
     if gz <= 0.0:
         raise FreeFallError(f"g + az = {gz} <= 0: tilt compensation undefined")
     return -math.atan2(ax, gz) + 0.0
+
+
+def desk_params(**overrides) -> PlantParams:
+    """Desk-scale defaults used across the test suite (delta ~= 0.05)."""
+    values = dict(m=0.1, M=0.5, l=0.05, h=0.05, d_z=0.02,
+                  b_lc=3.5e-4, b_ct=0.0, mu=0.3, g=9.81)
+    values.update(overrides)
+    return PlantParams(**values)
+
+
+class TrayMotion(dynamics.TrayMotion):
+    """The package's TrayMotion with the all-zero motion the tests start from."""
+
+    @classmethod
+    def rest(cls, duration: float, dt: float) -> "TrayMotion":
+        n = max(2, int(round(duration / dt)) + 1)
+        z = np.zeros(n)
+        return cls(dt, z, z.copy(), z.copy(), z.copy(), z.copy())
 
 
 def linear_slosh_params(params: PlantParams) -> tuple[float, float]:
@@ -156,7 +179,7 @@ def per_sample_stages(kind, dt: float) -> list:
 
 # The pendulum's own fixed-step loop that simulate_pendulum replaced with the
 # stick/slip engine at unbounded friction, kept as it was apart from the
-# _pendulum_rhs call. It carries its own copy of the RK4 step, so that a
+# _pendulum_rhs call and the input terms it reads. It carries its own copy of the RK4 step, so that a
 # change to the package's step routine shows against it.
 
 def _rk4_ref(rates, y, h, u0, um, u1):
@@ -190,7 +213,7 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
     def record(k, th, thd, u):
         theta[k] = th
         theta_dot[k] = thd
-        dem, fs, normal = _stick_eval(p, damp, th, thd, 0.0, 0.0, u)
+        _, normal, dem, fs = _stick_eval(p, damp, th, thd, 0.0, 0.0, u)
         demand[k] = dem
         f_s[k] = fs
         if normal <= 0.0:
@@ -199,11 +222,13 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
     def rates(y, u):
         return y[1], _pendulum_rhs(p, damp, y[0], y[1], 0.0, 0.0, u) / p.l
 
-    u1 = smp.grid[0].tolist()
+    grid = list(_input_terms(p, smp.grid.tolist()))
+    mid = list(_input_terms(p, smp.mid.tolist()))
+    u1 = grid[0]
     record(0, th, thd, u1)
     for k in range(n_steps):
-        u0, u1 = u1, smp.grid[k + 1].tolist()
-        th, thd = _rk4_ref(rates, (th, thd), dt, u0, smp.mid[k].tolist(), u1)
+        u0, u1 = u1, grid[k + 1]
+        th, thd = _rk4_ref(rates, (th, thd), dt, u0, mid[k], u1)
         if not (math.isfinite(th) and math.isfinite(thd)):
             raise IntegrationError(f"non-finite pendulum state at t = {(k + 1) * dt:.6g} s")
         record(k + 1, th, thd, u1)
@@ -212,3 +237,81 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
     zeros = np.zeros(n_steps + 1)
     return SimTrace(t, theta, theta_dot, zeros, zeros.copy(),
                     np.zeros(n_steps + 1, dtype=np.uint8), demand, f_s, [])
+
+
+# The engine's stick sub-step before _TraySim._stick_step replaced it, kept
+# as it was apart from its signature: the stick rates of the 4-state state
+# (theta, theta_dot, d_x, d_x_dot) through the generic RK4 step, five stage
+# evaluations per step counting the stick test. GenericStickSim is the engine
+# with this sub-step, which also makes it ignore the reused first stage.
+
+def generic_stick_step(p, damp, y, t, h, inputs):
+    def rates(y, u):
+        thdd, normal = _stick_rates(p, damp, y[0], y[1], y[2], 0.0, u)
+        if normal <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        return (y[1], thdd, 0.0, 0.0)
+    return _rk4_ref(rates, y, h, *inputs)
+
+
+class GenericStickSim(_TraySim):
+    def _stick_step(self, y, t, h, inputs, k1):
+        return generic_stick_step(self.p, self.damp, y, t, h, inputs)
+
+
+# The linear slosh oscillator with its own loop, independent of the engine,
+# and the 4-point midpoint stencil that the motion sampler also uses.
+
+def _midpoints(u: np.ndarray) -> np.ndarray:
+    n = u.size
+    if n >= 4:
+        um = np.empty(n - 1)
+        um[1:-1] = (-u[:-3] + 9.0 * u[1:-2] + 9.0 * u[2:-1] - u[3:]) / 16.0
+        um[0] = (5.0 * u[0] + 15.0 * u[1] - 5.0 * u[2] + u[3]) / 16.0
+        um[-1] = (u[-4] - 5.0 * u[-3] + 15.0 * u[-2] + 5.0 * u[-1]) / 16.0
+        return um
+    return 0.5 * (u[:-1] + u[1:])
+
+
+def simulate_linear_slosh(omega_n: float, delta: float, accel_series, dt: float,
+                          init: tuple[float, float] = (0.0, 0.0),
+                          g: float = 9.81) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized slosh oscillator theta'' + 2 delta w theta' + w^2 theta =
+    -x_ddot / l with l = g / w^2; returns (theta, theta_dot) on the input grid.
+    """
+    if not (omega_n > 0.0 and 0.0 <= delta < 1.0 and dt > 0.0):
+        raise ValueError("need omega_n > 0, 0 <= delta < 1, dt > 0")
+    acc = np.asarray(accel_series, dtype=float)
+    if not np.all(np.isfinite(acc)):
+        raise ValueError("acceleration series contains non-finite values")
+    l = g / (omega_n * omega_n)
+    u = -acc / l
+    n = acc.size
+    um = _midpoints(u)  # 4-point stencil, same as the motion sampler
+    two_dw = 2.0 * delta * omega_n
+    w2 = omega_n * omega_n
+    th, thd = float(init[0]), float(init[1])
+    theta = np.empty(n)
+    theta_dot = np.empty(n)
+    theta[0] = th
+    theta_dot[0] = thd
+
+    def f(x, v, uk):
+        return uk - two_dw * v - w2 * x
+
+    for k in range(n - 1):
+        u0, u_half, u1 = u[k], um[k], u[k + 1]
+        k1 = f(th, thd, u0)
+        x2, v2 = th + 0.5 * dt * thd, thd + 0.5 * dt * k1
+        k2 = f(x2, v2, u_half)
+        x3, v3 = th + 0.5 * dt * v2, thd + 0.5 * dt * k2
+        k3 = f(x3, v3, u_half)
+        x4, v4 = th + dt * v3, thd + dt * k3
+        k4 = f(x4, v4, u1)
+        th += dt * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+        thd += dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        theta[k + 1] = th
+        theta_dot[k + 1] = thd
+    if not np.all(np.isfinite(theta)):
+        raise IntegrationError("non-finite state in linear slosh integration")
+    return theta, theta_dot

@@ -22,11 +22,9 @@ from traywaiter.cli import main as cli_main
 from traywaiter.dynamics import (
     TrayMotion,
     analytic_tilt_channel,
-    desk_params,
     estimate_prv,
     fd_tilt_channel,
     simulate_coupled,
-    simulate_linear_slosh,
     simulate_pendulum,
     simulate_solid_sliding,
 )
@@ -41,6 +39,8 @@ from traywaiter.smoothers import (
     make_harmonic_T,
     make_trapezoidal_params,
 )
+
+from _oracles import desk_params, simulate_linear_slosh
 
 G = 9.81
 _CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",

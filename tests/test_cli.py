@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -265,7 +266,10 @@ scenario:
   a_max: 30.0
 """)
     assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
-    assert "free fall" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "free fall" in err and err.rstrip().endswith("lower a_max")
+    # the time along the planned step, not an index into the planner's grid
+    assert re.search(r"at t = 0\.04\d* s", err) and "sample" not in err
 
 
 def test_plan_names_a_sample_period_too_coarse_for_the_notch(tmp_path, capsys):

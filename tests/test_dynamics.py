@@ -8,19 +8,16 @@ from traywaiter.dynamics import (
     IntegrationError,
     PlantParams,
     SimState,
-    TrayMotion,
     analytic_tilt_channel,
-    desk_params,
     estimate_prv,
     fd_tilt_channel,
     friction_margin,
     simulate_coupled,
-    simulate_linear_slosh,
     simulate_pendulum,
     simulate_solid_sliding,
 )
 from traywaiter import dynamics
-from traywaiter.dynamics import _MotionSampler, _midpoints
+from traywaiter.dynamics import _MotionSampler
 from traywaiter.smoothers import (
     CascadeState,
     DampedHarmonic,
@@ -33,7 +30,15 @@ from traywaiter.smoothers import (
     make_harmonic_T,
 )
 
-from _oracles import linear_slosh_params, pinned_pendulum
+from _oracles import (
+    GenericStickSim,
+    TrayMotion,
+    _midpoints,
+    desk_params,
+    linear_slosh_params,
+    pinned_pendulum,
+    simulate_linear_slosh,
+)
 
 G = 9.81
 
@@ -381,7 +386,7 @@ def test_coupled_slip_onset_matches_margin_crossing():
 def test_stick_step_makes_one_full_friction_evaluation(monkeypatch, simulate, params):
     # the four RK4 stages need only theta_ddot and the normal force; the
     # end-of-step stick test is the step's only full evaluation, and the
-    # record of the step reuses it
+    # record of the step and the next step's first stage reuse it
     calls = dict.fromkeys(("_stick_eval", "_stick_rates", "_slip_eval"), 0)
     for name in calls:
         def counted(*args, _real=getattr(dynamics, name), _name=name):
@@ -393,7 +398,32 @@ def test_stick_step_makes_one_full_friction_evaluation(monkeypatch, simulate, pa
     assert not tr.mode.any()
     assert calls["_slip_eval"] == 0
     assert calls["_stick_eval"] <= n + 2                   # + start-up test, record
-    assert calls["_stick_rates"] <= 4 * n + calls["_stick_eval"]
+    assert calls["_stick_rates"] <= 3 * n + 1 + calls["_stick_eval"]
+
+
+def _pulse_motion(dt, accel):
+    t = np.arange(401) * dt
+    x_ddot = np.where((t >= 0.1) & (t < 0.2), accel, 0.0)
+    return TrayMotion.from_channels(dt, x_ddot, interp="linear")
+
+
+@pytest.mark.parametrize("params, motion", [
+    (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
+    (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),
+    # the slide is captured at t = 0.207 s, a step end, so the next step
+    # starts in stick without a stick test to reuse
+    (desk_params(), _pulse_motion(1e-3, 3.526)),
+], ids=["coupled", "solid", "captured-at-step-end"])
+def test_engine_matches_generic_stick_oracle(params, motion):
+    # stick -> slip -> stick, with sub-steps and bisection after each event:
+    # the engine with the 2-state stick step and the reused first stage
+    # gives the bits of the engine with the generic 4-state step
+    tr = simulate_coupled(params, motion)
+    ref = GenericStickSim(params, motion, None, (0.0, 0.0, 0.0, 0.0)).run()
+    assert tr.transitions == ref.transitions
+    assert [a for _, a, _ in tr.transitions[:2]] == ["stick", "slip"]
+    for name in ("t", "theta", "theta_dot", "d_x", "d_x_dot", "mode", "demand", "f_s"):
+        assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.mark.parametrize("params", [desk_params(), desk_params(m=0.0, b_lc=0.0),

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from traywaiter.dynamics import simulate_linear_slosh
 from traywaiter.planner import (
     FeasibilityReport,
     PlanResult,
@@ -16,7 +15,7 @@ from traywaiter.planner import (
 )
 from traywaiter.smoothers import CascadeSpec, DampedHarmonic, Trapezoidal
 
-from _oracles import planar_tilt
+from _oracles import planar_tilt, simulate_linear_slosh
 
 G = 9.81
 

@@ -1,7 +1,8 @@
 """Property tests: the batched pose path, the streamed CSV writer and the
 flattened smoother cascade give exactly the bits of the code they replace;
 smoother step responses keep unit DC gain, stay in range and respect the
-trapezoid's kinematic limits; stick and slip agree where they meet."""
+trapezoid's kinematic limits; stick and slip agree where they meet; the
+stick sub-step gives exactly the bits of the generic RK4 step it replaced."""
 
 import math
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from traywaiter import compensation, fileio, smoothers
+from traywaiter import compensation, dynamics, fileio, smoothers
 from traywaiter.compensation import (
     FreeFallError,
     MountingTransform,
@@ -20,7 +21,16 @@ from traywaiter.compensation import (
     rotation_matrix,
     tilt_angles,
 )
-from traywaiter.dynamics import PlantParams, _slip_eval, _stick_eval, _stick_rates
+from traywaiter.dynamics import (
+    ContactLostError,
+    PlantParams,
+    TrayMotion,
+    _TraySim,
+    _input_terms,
+    _slip_eval,
+    _stick_eval,
+    _stick_rates,
+)
 from traywaiter.fileio import quaternion_to_rotation, rotation_to_quaternion
 from traywaiter.smoothers import (
     CascadeState,
@@ -31,7 +41,12 @@ from traywaiter.smoothers import (
     make_trapezoidal_params,
 )
 
-from _oracles import per_sample_stages, repr_table_chunks
+from _oracles import (
+    desk_params,
+    generic_stick_step,
+    per_sample_stages,
+    repr_table_chunks,
+)
 
 G = 9.81
 BLOCK = fileio._BLOCK_ROWS
@@ -448,12 +463,12 @@ def test_trapezoidal_meets_velocity_and_acceleration_limits(h, v_max, a_max, dt)
 # contact model
 # ---------------------------------------------------------------------------
 
-def _plants(m):
+def _plants(m, mu=st.just(0.0)):
     b_lc = st.just(0.0) if m == 0.0 else st.floats(0.0, 1e-2)
     return st.builds(PlantParams, m=st.just(m), M=st.floats(0.1, 5.0),
                      l=st.floats(0.01, 0.5), h=st.floats(0.01, 0.3),
                      d_z=st.floats(-0.1, 0.1), b_lc=b_lc, b_ct=st.floats(0.0, 1.0),
-                     mu=st.just(0.0))
+                     mu=mu)
 
 
 @settings(deadline=None)
@@ -467,10 +482,104 @@ def test_slip_meets_stick_on_the_friction_cone(plant, y, u):
     # against the demand must reproduce the held container: d_x_ddot = 0
     # and the pendulum's own theta_ddot
     damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
-    demand, _, normal = _stick_eval(plant, damp, *y, u)
+    u = next(_input_terms(plant, [u]))
+    _, normal, demand, _ = _stick_eval(plant, damp, *y, u)
     assume(normal > 0.0 and demand != 0.0)
     thdd = _stick_rates(plant, damp, *y, u)[0]
     edge = replace(plant, mu=abs(demand) / normal)
     thdd_slip, dxdd, _ = _slip_eval(edge, damp, *y, -math.copysign(1.0, demand), u)
     assert abs(dxdd) <= 1e-12 * (abs(demand) / (plant.m + plant.M) + 1.0)
     assert abs(thdd_slip - thdd) <= 1e-11 * (abs(thdd) + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# stick sub-step
+# ---------------------------------------------------------------------------
+
+def _stick_outcome(step, *args):
+    """The state a sub-step returns, as hex so that the sign of a zero
+    counts, or the message of the contact loss it raises."""
+    try:
+        return tuple(map(float.hex, step(*args)))
+    except ContactLostError as exc:
+        return str(exc)
+
+
+def _stick_engine(plant):
+    # the stick sub-step reads only the plant from the engine
+    return _TraySim(plant, TrayMotion.from_channels(1e-3, [0.0, 0.0]), None,
+                    (0.0, 0.0, 0.0, 0.0))
+
+
+def _stick_step_cases(plant, y, rows, h, reuse):
+    sim = _stick_engine(plant)
+    u = tuple(_input_terms(plant, rows))
+    y = (*y, 0.0)                              # the stick state holds d_x_dot = 0
+    k1 = _stick_eval(plant, sim.damp, *y[:3], 0.0, u[0])[:2] if reuse else None
+    return (_stick_outcome(sim._stick_step, y, 0.2, h, u, k1),
+            _stick_outcome(generic_stick_step, plant, sim.damp, y, 0.2, h, u))
+
+
+_ZERO_ROWS = ((0.0,) * 5,) * 3
+_ROWS = st.tuples(*[st.tuples(st.floats(-10.0, 10.0), st.floats(-15.0, 10.0),
+                              st.floats(-0.5, 0.5), st.floats(-3.0, 3.0),
+                              st.floats(-50.0, 50.0))] * 3)
+
+
+# The examples: all-zero inputs; signed zeros in the state (d_x = -0.0
+# among them) and in the inputs, two of which flip a zero of theta if the
+# stages' d_x + h/2 * 0.0 or d_x_dot = 0.0 is changed; the pendulum (mu =
+# inf); a sub-step narrower than the step; a bisection-wide sub-step.
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
+           lambda m: _plants(m, st.sampled_from([0.3, math.inf]))),
+       st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1)),
+       _ROWS, st.floats(1e-10, 2e-3), st.booleans())
+@example(desk_params(), (0.0, 0.0, 0.0), _ZERO_ROWS, 1e-3, False)
+@example(desk_params(), (-0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, True)
+@example(desk_params(), (-0.0, -0.0, -0.0), ((-0.0, 0.0, -0.0, 0.0, -0.0),) * 3, 1e-3, False)
+@example(desk_params(), (-0.0, -0.0, -0.0), ((-0.0, 0.0, -0.0, -0.0, -0.0),) * 3, 1e-3, False)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, True)
+@example(desk_params(mu=math.inf), (0.1, -0.5, -0.0), _ZERO_ROWS, 1e-3, True)
+@example(desk_params(), (0.1, -0.5, -0.0), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4, False)
+@example(desk_params(), (0.0, 0.0, -0.0), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10, True)
+def test_stick_step_matches_generic_rk4(plant, y, rows, h, reuse):
+    # m = 0, m > 0 and mu = inf (the pendulum); the first stage evaluated or
+    # taken from the stick test at the same state and inputs; full steps and
+    # the narrower sub-steps of event handling
+    new, ref = _stick_step_cases(plant, y, rows, h, reuse)
+    assert new == ref
+
+
+# (state, one input row for all three of u0, um, u1, width) on m = 0.4,
+# M = 0.1 that lose contact first in stage 1, 2, 3 and 4
+_CONTACT_LOSS = [
+    ((-1.2690878858837644, 5.98576852779604, 0.0),
+     (-9.372444756493646, -9.631381722858967, -0.09206386438300918,
+      0.6628027378040491, -34.380100898643526), 0.001),
+    ((0.25522232221609054, 5.055107578211931, 0.0),
+     (8.084035416955501, -3.8162143603803997, 0.428945601200017,
+      2.138403398380534, 49.09896448688151), 0.05),
+    ((-0.869598854775862, -26.52618979587887, 0.0),
+     (6.718064338309503, -7.309074507153533, 0.20464446559514804,
+      1.65731174620249, -29.95420931715208), 0.05),
+    ((-0.8042339838699851, -20.902657418826834, 0.0),
+     (8.51670943546015, -7.3207593493534455, -0.48485326266727247,
+      1.6634080885662783, -34.060006023771884), 0.05),
+]
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("reuse", [False, True], ids=["evaluated", "reused"])
+def test_stick_step_contact_loss_in_each_stage(monkeypatch, stage, reuse):
+    y, row, h = _CONTACT_LOSS[stage - 1]
+    plant = desk_params(m=0.4, M=0.1)
+    calls = []
+    real = dynamics._stick_rates
+    monkeypatch.setattr(dynamics, "_stick_rates",
+                        lambda *args: calls.append(1) or real(*args))
+    new, ref = _stick_step_cases(plant, y, (row,) * 3, h, reuse)
+    assert new == ref == "contact lost at t = 0.2 s"
+    # the new step stops at the stage that lost contact; a reused stage 1 was
+    # evaluated by the stick test instead
+    assert len(calls) == stage

@@ -1,6 +1,7 @@
 """The public surface: what the package exports resolves, so does every
-point the benchmark tracer hooks into, and every third-party module the
-package or its tests import is a declared dependency."""
+point the benchmark tracer hooks into, the helpers only the tests use stay
+out of it, and every third-party module the package or its tests import is a
+declared dependency."""
 
 import ast
 import importlib
@@ -37,6 +38,15 @@ def test_root_exports_are_listed_by_their_modules():
     namespace = {}
     exec("from traywaiter import *", namespace)
     assert "plan" in namespace and "CascadeState" in namespace
+
+
+def test_test_only_helpers_live_in_the_tests():
+    # the linear slosh oracle, its midpoint stencil, the desk-scale plant and
+    # the rest motion serve only the tests, from tests/_oracles.py
+    dynamics = importlib.import_module("traywaiter.dynamics")
+    for name in ("simulate_linear_slosh", "_midpoints", "desk_params"):
+        assert not hasattr(dynamics, name) and not hasattr(traywaiter, name), name
+    assert not hasattr(dynamics.TrayMotion, "rest")
 
 
 def test_tracer_hook_points_resolve():
