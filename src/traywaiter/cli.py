@@ -72,14 +72,13 @@ def _read_input(path: str, command: str) -> TrajectoryFile:
     return traj
 
 
-def _pose_rows(t, positions, accelerations, g, mounting, delay=0.0):
-    """Tilt-compensated flange poses for a stream of samples."""
+def _pose_rows(t, dt, positions, accelerations, g, mounting, delay=0.0):
+    """Tilt-compensated flange poses for a stream of samples `dt` apart."""
     try:
         pos_out, rot_out = flange_poses(positions, accelerations, g, mounting)
     except FreeFallError as exc:
         raise FreeFallError(f"{exc} (at t = {t[exc.sample]!r} s)") from None
-    return PoseTrajectoryFile(float(t[1] - t[0]) if t.size > 1 else 0.0,
-                              delay, t, pos_out, rot_out)
+    return PoseTrajectoryFile(dt, delay, t, pos_out, rot_out)
 
 
 def _write_freq_response(path: str, cfg: RunConfig, result) -> float:
@@ -121,7 +120,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
         t = np.array([0.0, dt])
         positions = np.vstack([sc.start, sc.start])
         accels = np.zeros((2, 3))
-        pose = _pose_rows(t, positions, accels, sc.g, cfg.mounting, delay=0.0)
+        pose = _pose_rows(t, dt, positions, accels, sc.g, cfg.mounting, delay=0.0)
         write_pose_trajectory(os.path.join(outdir, "trajectory.csv"), pose)
         write_trajectory(os.path.join(outdir, "reference.csv"),
                          TrajectoryFile(dt, t, positions, accels))
@@ -136,7 +135,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     _check_samples((result.duration + _SETTLE) / dt, "numerics.dt",
                    f"a {result.duration!r} s plan at {dt!r} s per sample")
     t, P, _, A = rollout_trajectory(result, sc, dt, settle=_SETTLE)
-    pose = _pose_rows(t, P, A, sc.g, cfg.mounting, delay=result.duration)
+    pose = _pose_rows(t, dt, P, A, sc.g, cfg.mounting, delay=result.duration)
     write_pose_trajectory(os.path.join(outdir, "trajectory.csv"), pose)
     write_trajectory(os.path.join(outdir, "reference.csv"),
                      TrajectoryFile(dt, t, P, A))
@@ -193,18 +192,18 @@ def cmd_filter(cfg: RunConfig, args) -> int:
                    "per sample")
     log.info("filtering %d samples through %d stages", traj.n,
              len(result.cascade.stages))
-    states = [CascadeState(result.cascade, traj.dt, initial_value=positions[0, axis])
-              for axis in range(3)]
     filtered = np.empty_like(positions)
     accels = np.empty_like(positions)
     for axis in range(3):
-        p, v, a = states[axis].run(positions[:, axis])
+        state = CascadeState(result.cascade, traj.dt, initial_value=positions[0, axis])
+        p, v, a = state.run(positions[:, axis])
         filtered[:, axis] = p
         accels[:, axis] = a
-    delay = states[0].delay
+    delay = state.delay
 
     t_out = traj.t + delay  # output sample k reflects the input at traj.t[k]
-    pose = _pose_rows(t_out, filtered, accels, sc.g, cfg.mounting, delay=delay)
+    pose = _pose_rows(t_out, traj.dt, filtered, accels, sc.g, cfg.mounting,
+                      delay=delay)
     outdir = _ensure_outdir(args.output)
     write_pose_trajectory(os.path.join(outdir, "filtered.csv"), pose)
     write_trajectory(os.path.join(outdir, "reference.csv"),
@@ -338,13 +337,7 @@ def main(argv=None) -> int:
     except FreeFallError as exc:
         print(f"error: free fall: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

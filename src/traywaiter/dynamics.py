@@ -416,9 +416,9 @@ class _MotionSampler:
                 + self.chan[:, j + 1] * w2 + self.chan[:, j + 2] * w3)
         return vals.T.copy()
 
-    def at(self, t: float) -> list:
-        """The five channels at time t, as Python floats."""
-        return self._eval_many(np.array([t]))[0].tolist()
+    def at(self, times) -> list:
+        """The five channels at each of `times`, as rows of Python floats."""
+        return self._eval_many(np.array(times)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +477,15 @@ class _TraySim:
         self.slip_sign = 0.0
         self.events = 0                        # events in the current step
 
-    def _at(self, t: float) -> tuple:
-        """The input terms at time t, off the grid."""
-        return next(_input_terms(self.p, [self.smp.at(t)]))
+    def _at(self, *times) -> tuple:
+        """The input terms at each of `times`, off the grid, from one
+        evaluation."""
+        return tuple(_input_terms(self.p, self.smp.at(times)))
 
-    def _advance(self, y, t, h, mode, inputs=None, k1=None):
+    def _advance(self, y, t, h, mode, inputs, k1=None):
         """One RK4 sub-step of width h from time t; `inputs` holds the input
-        terms at (t, t+h/2, t+h) and is interpolated when not given. Contact
-        loss in any stage is reported at the step time t."""
-        if inputs is None:
-            inputs = (self._at(t), self._at(t + 0.5 * h), self._at(t + h))
+        terms at (t, t+h/2, t+h). Contact loss in any stage is reported at
+        the step time t."""
         if mode == STICK:
             return self._stick_step(y, t, h, inputs, k1)
         p, damp, s = self.p, self.damp, self.slip_sign
@@ -573,68 +572,52 @@ class _TraySim:
         u_end = u0
         k1 = None
         for k in range(n):
-            t0 = k * dt
+            t = k * dt
             t_end = (k + 1) * dt
-            u_start, u_end, u_mid = u_end, next(grid), next(mid)
-            t = t0
+            # the first sub-step covers the whole step with the grid inputs
+            h = dt
+            inputs = (u_end, next(mid), next(grid))
+            u_end = inputs[2]
             self.events = 0
             end_test = None
-            # first attempt covers the whole interval with precomputed inputs
-            full_grid = True
-            while t < t_end - 1e-15:
-                h = t_end - t
-                if full_grid:
-                    y_new = self._advance(y, t0, dt, mode,
-                                          (u_start, u_mid, u_end), k1)
-                else:
-                    y_new = self._advance(y, t, h, mode)
-                full_grid = False
+            while t < t_end:
+                y_new = self._advance(y, t, h, mode, inputs, k1)
                 if mode == STICK:
-                    at_end = t + h >= t_end - 1e-15
-                    u_new = u_end if at_end else self._at(t + h)
-                    test = _stick_eval(p, damp, y_new[0], y_new[1], y_new[2], 0.0, u_new)
+                    test = _stick_eval(p, damp, y_new[0], y_new[1], y_new[2], 0.0, u_end)
                     if abs(test[2]) <= test[3]:
-                        y = y_new
-                        t += h
-                        if at_end:      # the loop ends here: record and k1 reuse it
-                            end_test = test
+                        # the loop ends here: record and k1 reuse the test
+                        y, t, end_test = y_new, t_end, test
                         continue
-                    # slip onset: bisect |demand| - F_s = 0 on (t, t+h]
-                    t_ev, y_ev = self._bisect(y, t, h, mode,
-                                              lambda yy, uu: not sticks(yy, uu))
-                    demand = _stick_eval(p, damp, *y_ev, self._at(t_ev))[2]
+                    # slip onset: bisect |demand| - F_s = 0 on (t, t_end]
+                    t, y, u = self._bisect(y, t, t_end - t, mode, inputs[0],
+                                           lambda yy, uu: not sticks(yy, uu))
+                    demand = _stick_eval(p, damp, *y, u)[2]
                     self.slip_sign = -math.copysign(1.0, demand)
-                    self.transitions.append((t_ev, "stick", "slip"))
+                    self.transitions.append((t, "stick", "slip"))
                     mode = SLIP
-                    y = y_ev
-                    t = t_ev
-                else:
+                elif y_new[3] * self.slip_sign <= 0.0:
                     # the slide stopped or reversed. A NaN velocity does
                     # neither (the sign bit of a NaN depends on the operand
                     # order the interpreter uses) and ends the run below.
-                    if y_new[3] * self.slip_sign <= 0.0:
-                        t_ev, y_ev = self._bisect(y, t, h, mode,
-                                                  lambda yy, uu: yy[3] * self.slip_sign <= 0.0)
-                        y_ev = (y_ev[0], y_ev[1], y_ev[2], 0.0)
-                        u_ev = self._at(t_ev)
-                        if sticks(y_ev, u_ev):
-                            self.transitions.append((t_ev, "slip", "stick"))
-                            mode = STICK
-                        else:
-                            self.slip_sign = -self.slip_sign
-                        y = y_ev
-                        t = t_ev
+                    t, y, u = self._bisect(y, t, t_end - t, mode, inputs[0],
+                                           lambda yy, uu: yy[3] * self.slip_sign <= 0.0)
+                    y = (y[0], y[1], y[2], 0.0)
+                    if sticks(y, u):
+                        self.transitions.append((t, "slip", "stick"))
+                        mode = STICK
                     else:
-                        y = y_new
-                        t += h
-                        if abs(y[3]) < _V_EPS:
-                            u_now = u_end if t >= t_end - 1e-15 else self._at(t)
-                            if sticks((y[0], y[1], y[2], 0.0), u_now):
-                                y = (y[0], y[1], y[2], 0.0)
-                                self.transitions.append((t, "slip", "stick"))
-                                mode = STICK
+                        self.slip_sign = -self.slip_sign
+                else:
+                    y, t = y_new, t_end
+                    if abs(y[3]) < _V_EPS and sticks((y[0], y[1], y[2], 0.0), u_end):
+                        y = (y[0], y[1], y[2], 0.0)
+                        self.transitions.append((t, "slip", "stick"))
+                        mode = STICK
                 if not all(map(math.isfinite, y)):
                     raise IntegrationError(f"non-finite state at t = {t:.6g} s")
+                if t < t_end:   # an event inside the step: go on from it
+                    h = t_end - t
+                    inputs, k1 = (u, *self._at(t + 0.5 * h), u_end), None
             record(k + 1, y, mode, u_end, end_test)
             k1 = end_test[:2] if end_test else None
 
@@ -642,28 +625,31 @@ class _TraySim:
         return SimTrace(t_arr, theta, theta_dot, d_x, d_x_dot, mode_arr,
                         demand_arr, fs_arr, self.transitions)
 
-    def _bisect(self, y0, t0, h, mode, tripped):
+    def _bisect(self, y0, t0, h, mode, u0, tripped):
         """Locate the first time in (t0, t0+h] where `tripped(state, inputs)`
         becomes true, to within the event tolerance, and count it among the
-        events of the current step."""
+        events of the current step. `u0` holds the input terms at t0. Returns
+        the time, and the state and the input terms there."""
+        def advance(w):
+            um, u1 = self._at(t0 + 0.5 * w, t0 + w)
+            return self._advance(y0, t0, w, mode, (u0, um, u1)), u1
+
         lo, hi = 0.0, h
-        y_hi = None
+        end = None
         for _ in range(80):
             if hi - lo <= _EVENT_TOL:
                 break
             mid = 0.5 * (lo + hi)
-            y_mid = self._advance(y0, t0, mid, mode)
-            if tripped(y_mid, self._at(t0 + mid)):
-                hi = mid
-                y_hi = y_mid
+            y_w, u_w = advance(mid)
+            if tripped(y_w, u_w):
+                hi, end = mid, (y_w, u_w)
             else:
                 lo = mid
-        if y_hi is None:
-            y_hi = self._advance(y0, t0, hi, mode)
+        y_hi, u_hi = end or advance(hi)
         self.events += 1
         if self.events > _MAX_EVENTS_PER_STEP:
             raise IntegrationError(f"event chatter at t = {t0 + hi:.6g} s")
-        return t0 + hi, y_hi
+        return t0 + hi, y_hi, u_hi
 
 
 def simulate_solid_sliding(params: PlantParams, motion: TrayMotion,

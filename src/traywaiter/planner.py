@@ -65,9 +65,10 @@ class Scenario:
 
     Point-to-point scenarios need start, goal and kinematic limits; liquid
     scenarios need the slosh parameters (omega_n, delta). free_stage_T fixes
-    the free triangular stage; leave it None to have plan() search for the
-    smallest value keeping the simulated tilt acceleration under
-    angular_accel_cap.
+    the free triangular stage of a solid. Left None, plan() searches a
+    point-to-point move for the smallest value keeping the simulated tilt
+    acceleration under angular_accel_cap, and leaves a complex move's stage
+    at the floor MIN_FREE_STAGE_T.
     """
 
     material: str                      # "solid" | "liquid"
@@ -237,35 +238,25 @@ def plan(scenario: Scenario) -> PlanResult:
         h = s.displacement
         if h == 0.0:
             raise ValueError("zero displacement: nothing to plan")
-        t1, t2 = make_trapezoidal_params(h, s.v_max, s.a_max)
-        base = [Trapezoidal(t1, t2)]
-        if s.material == "liquid":
-            sigma, T = make_damped_harmonic_params(s.omega_n, s.delta)
-            stages = base + [DampedHarmonic(sigma, T)]
-            free_T = None
-        else:
-            free_T = s.free_stage_T
-            if free_T is None:
-                free_T = _search_free_stage(base, h, s.direction,
-                                            s.angular_accel_cap, s.g)
-                notes.append(f"free stage set to {free_T:.6g} s by bisection "
-                             f"against the {s.angular_accel_cap} rad/s^2 tilt cap")
-            stages = base + [Trapezoidal(free_T, free_T)]
+        base = [Trapezoidal(*make_trapezoidal_params(h, s.v_max, s.a_max))]
         direction = s.direction
     else:
-        h = 0.0
-        direction = np.array([1.0, 0.0, 0.0])
-        if s.material == "liquid":
-            sigma, T = make_damped_harmonic_params(s.omega_n, s.delta)
-            stages = [DampedHarmonic(sigma, T)]
-            free_T = None
-        else:
-            free_T = s.free_stage_T
-            if free_T is None:
-                free_T = MIN_FREE_STAGE_T
-                notes.append("free stage left at the floor; tune against the "
-                             "robot's angular-rate limits")
-            stages = [Trapezoidal(free_T, free_T)]
+        h, base, direction = 0.0, [], np.array([1.0, 0.0, 0.0])
+    if s.material == "liquid":
+        sigma, T = make_damped_harmonic_params(s.omega_n, s.delta)
+        stages = base + [DampedHarmonic(sigma, T)]
+        free_T = None
+    else:
+        free_T = s.free_stage_T
+        if free_T is None and base:
+            free_T = _search_free_stage(base, h, direction, s.angular_accel_cap, s.g)
+            notes.append(f"free stage set to {free_T:.6g} s by bisection "
+                         f"against the {s.angular_accel_cap} rad/s^2 tilt cap")
+        elif free_T is None:
+            free_T = MIN_FREE_STAGE_T
+            notes.append("free stage left at the floor; tune against the "
+                         "robot's angular-rate limits")
+        stages = base + [Trapezoidal(free_T, free_T)]
 
     spec = CascadeSpec(tuple(stages))
     out_class = s.input_class + spec.continuity_gain()

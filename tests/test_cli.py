@@ -325,6 +325,9 @@ def test_filter_planar_input_single_axis_tilt(tmp_path):
     assert main(["filter", "--config", cfg, "--input", path, "--output", out]) == 0
     pose = read_pose_trajectory(os.path.join(out, "filtered.csv"))
     ref = read_trajectory(os.path.join(out, "reference.csv"))
+    # both files carry the input's sample period, not a difference of the
+    # delay-shifted times
+    assert pose.dt == ref.dt == dt
     for k in range(100, n, 379):
         beta = planar_tilt(ref.accelerations[k, 0], ref.accelerations[k, 2], G)
         expect = rotation_matrix(beta, math.pi)

@@ -426,6 +426,35 @@ def test_engine_matches_generic_stick_oracle(params, motion):
         assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
+@pytest.mark.parametrize("params, motion", [
+    (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
+    (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),
+    (desk_params(), _pulse_motion(1e-3, 3.526)),
+], ids=["coupled", "solid", "captured-at-step-end"])
+def test_bisection_samples_each_probe_once(monkeypatch, params, motion):
+    # each probe of the event bisection evaluates its midpoint and end
+    # inputs in one sampler call, and the end row is what the probe's test
+    # reads; the start of the interval costs at most one call more
+    calls = dict.fromkeys(("at", "_advance"), 0)
+    per_event = []
+    for owner, name in ((_MotionSampler, "at"), (dynamics._TraySim, "_advance")):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    def bisect(*args, _real=dynamics._TraySim._bisect):
+        calls.update(at=0, _advance=0)
+        out = _real(*args)
+        per_event.append(dict(calls))
+        return out
+    monkeypatch.setattr(dynamics._TraySim, "_bisect", bisect)
+    simulate_coupled(params, motion)
+    assert per_event
+    for c in per_event:
+        assert 0 < c["at"] <= c["_advance"] + 1, c
+
+
 @pytest.mark.parametrize("params", [desk_params(), desk_params(m=0.0, b_lc=0.0),
                                     desk_params(mu=0.05)],
                          ids=["coupled", "solid", "coupled-slipping"])

@@ -85,7 +85,7 @@ GOLDEN = {
     },
     "filter": {
         "filtered.csv":
-            "0455efc824c510095732c2ff7a7fca65c20dc79a6a2372b22cb05d3ec27b0e7a",
+            "e9bbd02599cc89d0e77e65aae4f84e2d37ba0ecec1557d2d03599d6e37f7c4cc",
         "reference.csv":
             "6e464d49bad6a35e35690ec798089d6ef087017f5b6964b81dd1a9fb089fcf5c",
     },
