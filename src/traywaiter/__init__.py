@@ -27,7 +27,6 @@ from .dynamics import (
     simulate_solid_sliding,
 )
 from .planner import (
-    FeasibilityReport,
     PlanResult,
     Scenario,
     feasibility_report,

@@ -140,7 +140,6 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     write_trajectory(os.path.join(outdir, "reference.csv"),
                      TrajectoryFile(dt, t, P, A))
 
-    mu = cfg.plant.mu if cfg.plant else None
     lines = ["plan report", "==========="]
     for i, st in enumerate(result.cascade.stages):
         lines.append(f"stage {i}: {st!r}")
@@ -151,12 +150,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     for note in result.notes:
         lines.append(f"note: {note}")
     lines.append("")
-    lines.append("with tilt compensation:")
-    lines.append(feasibility_report(sc, tilt_enabled=True).render())
-    if mu is not None:
-        lines.append("")
-        lines.append(f"without tilt compensation (mu = {mu!r}):")
-        lines.append(feasibility_report(sc, tilt_enabled=False, mu=mu).render())
+    lines.append(feasibility_report(sc, cfg.plant))
     report = "\n".join(lines) + "\n"
     _atomic_write(os.path.join(outdir, "plan.txt"), [report])
 
@@ -179,12 +173,11 @@ def cmd_filter(cfg: RunConfig, args) -> int:
     traj = _read_input(args.input, "filter")
 
     positions = traj.positions.copy()
-    seed = cfg.seed if args.seed is None else args.seed
     if cfg.noise_amplitude > 0.0:
         for axis in range(3):
             positions[:, axis] += band_limited_noise(
                 traj.n, traj.dt, cfg.noise_amplitude, cfg.noise_cutoff_hz,
-                seed + axis)
+                cfg.seed + axis)
 
     result = plan(sc)
     _check_samples(result.duration / traj.dt, "scenario",
@@ -249,9 +242,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         beta = beta_dot = beta_ddot = np.zeros(traj.n)
     motion = TrayMotion.from_channels(traj.dt, acc_x, acc_z,
                                       beta, beta_dot, beta_ddot)
-    dt = cfg.sim_dt if args.dt is None else args.dt
-    _check_samples(motion.duration / dt,
-                   "numerics.sim_dt" if args.dt is None else "--dt",
+    dt = cfg.sim_dt
+    _check_samples(motion.duration / dt, "numerics.sim_dt",
                    f"a {motion.duration!r} s input at {dt!r} s per step")
 
     outdir = _ensure_outdir(args.output)
@@ -263,7 +255,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     except (ContactLostError, IntegrationError) as exc:
         verdict = f"FAIL: {exc}"
     else:
-        write_sim_trace(os.path.join(outdir, "trace.csv"), trace)
+        write_sim_trace(os.path.join(outdir, "trace.csv"), trace, dt)
         failures = []
         if cfg.scenario.material == "liquid" and trace.max_abs_theta > cfg.max_theta:
             failures.append(f"max|theta| = {trace.max_abs_theta!r} rad "
@@ -296,33 +288,20 @@ def cmd_freqresp(cfg: RunConfig, args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="traywaiter",
         description="Slosh-free, slip-free reference trajectories for "
                     "tray-carried transport, with a physics validator.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, func in (("plan", cmd_plan), ("filter", cmd_filter),
                        ("simulate", cmd_simulate), ("freqresp", cmd_freqresp)):
-        commands[name] = p = sub.add_parser(name)
+        p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--output", default=".", help="output directory")
+        if name in ("filter", "simulate"):
+            p.add_argument("--input", required=True, help="input trajectory file")
         p.set_defaults(func=func)
-    for name in ("filter", "simulate"):
-        commands[name].add_argument("--input", required=True,
-                                    help="input trajectory file")
-    commands["simulate"].add_argument("--dt", type=_positive_float, default=None,
-                                      help="override the simulation step")
-    commands["filter"].add_argument("--seed", type=int, default=None,
-                                    help="override the noise seed")
     return parser
 
 

@@ -143,28 +143,30 @@ def _header_float(meta: dict, key: str, path: str) -> float:
         raise FormatError(f"{path}: header {key} is not a number: {meta[key]!r}") from None
 
 
-def _load_table(path: str, expected_kind: str) -> tuple[dict, np.ndarray]:
+def _load_table(path: str, kind: str, widths: tuple) -> tuple[dict, float, np.ndarray]:
+    """Header items, sample period and rows of a `kind` table: a positive,
+    finite header dt, one of `widths` columns, finite values, and first-column
+    timestamps dt apart."""
     with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        meta = _parse_header(header, expected_kind, path)
+        meta = _parse_header(fh.readline().rstrip("\n"), kind, path)
+        dt = _header_float(meta, "dt", path)
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise FormatError(f"{path}: header dt must be positive and finite, got {dt!r}")
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise FormatError(f"bad data row in {path}: {exc}") from None
     if data.size == 0:
         raise FormatError(f"{path} contains no data rows")
+    if data.shape[1] not in widths:
+        raise FormatError(f"{path}: expected {' or '.join(map(str, widths))} columns, "
+                          f"got {data.shape[1]}")
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path} contains non-finite values")
-    return meta, data
-
-
-def _check_uniform_time(t: np.ndarray, dt: float, path: str) -> None:
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise FormatError(f"{path}: header dt must be positive and finite, got {dt!r}")
-    if t.size >= 2:
-        ref = t[0] + np.arange(t.size) * dt
-        if np.abs(t - ref).max() > 1e-9 * max(1.0, abs(t[-1])):
-            raise FormatError(f"{path}: timestamps are not uniform at dt={dt!r}")
+    t = data[:, 0]
+    if np.abs(t - (t[0] + np.arange(t.size) * dt)).max() > 1e-9 * max(1.0, abs(t[-1])):
+        raise FormatError(f"{path}: timestamps are not uniform at dt={dt!r}")
+    return meta, dt, data
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +198,9 @@ def write_trajectory(path: str, traj: TrajectoryFile) -> None:
 
 
 def read_trajectory(path: str) -> TrajectoryFile:
-    meta, data = _load_table(path, "trajectory")
-    dt = _header_float(meta, "dt", path)
-    if data.shape[1] not in (4, 7):
-        raise FormatError(f"{path}: expected 4 or 7 columns, got {data.shape[1]}")
-    t = data[:, 0]
-    _check_uniform_time(t, dt, path)
+    _, dt, data = _load_table(path, "trajectory", (4, 7))
     acc = data[:, 4:7] if data.shape[1] == 7 else None
-    return TrajectoryFile(dt, t, data[:, 1:4], acc)
+    return TrajectoryFile(dt, data[:, 0], data[:, 1:4], acc)
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +283,17 @@ def write_pose_trajectory(path: str, pose: PoseTrajectoryFile) -> None:
 
 
 def read_pose_trajectory(path: str) -> PoseTrajectoryFile:
-    meta, data = _load_table(path, "pose_trajectory")
-    dt = _header_float(meta, "dt", path)
+    meta, dt, data = _load_table(path, "pose_trajectory", (17,))
     delay = _header_float(meta, "delay", path)
     if not math.isfinite(delay):
         raise FormatError(f"{path}: header delay is not finite: {meta['delay']!r}")
-    if data.shape[1] != 17:
-        raise FormatError(f"{path}: expected 17 columns, got {data.shape[1]}")
-    t = data[:, 0]
-    _check_uniform_time(t, dt, path)
     rot = data[:, 8:17].reshape(-1, 3, 3)
     quat = data[:, 4:8]
     bad = np.abs(quaternion_to_rotation(quat) - rot).max(axis=(1, 2)) > 1e-9
     if bad.any():
         raise FormatError(
             f"{path}: row {np.argmax(bad)}: quaternion and matrix disagree")
-    return PoseTrajectoryFile(dt, delay, t, data[:, 1:4], rot)
+    return PoseTrajectoryFile(dt, delay, data[:, 0], data[:, 1:4], rot)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +303,8 @@ def read_pose_trajectory(path: str) -> PoseTrajectoryFile:
 _TRACE_COLS = "t,theta,theta_dot,d_x,d_x_dot,mode,demand,f_s"
 
 
-def write_sim_trace(path: str, trace: SimTrace) -> None:
-    dt = float(trace.t[1] - trace.t[0]) if trace.t.size > 1 else 0.0
+def write_sim_trace(path: str, trace: SimTrace, dt: float) -> None:
+    """A trace sampled every `dt` seconds, the simulation step."""
     header = f"# sim_trace dt={dt!r} columns={_TRACE_COLS}"
     rows = np.column_stack([trace.t, trace.theta, trace.theta_dot, trace.d_x,
                             trace.d_x_dot, trace.mode.astype(float),
@@ -321,9 +313,7 @@ def write_sim_trace(path: str, trace: SimTrace) -> None:
 
 
 def read_sim_trace(path: str) -> SimTrace:
-    meta, data = _load_table(path, "sim_trace")
-    if data.shape[1] != 8:
-        raise FormatError(f"{path}: expected 8 columns, got {data.shape[1]}")
+    _, _, data = _load_table(path, "sim_trace", (8,))
     mode = data[:, 5]
     bad = (mode != 0.0) & (mode != 1.0)
     if bad.any():
@@ -364,6 +354,15 @@ def _finite_float(path: str, number) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ConfigError(path, f"must be finite, got {value!r}")
+    return value
+
+
+def _get_bounded(cfg: dict, path: str, default, zero_ok: bool = False):
+    """An optional float field that must be positive, or with zero_ok not
+    negative. An absent field takes `default` unchecked."""
+    value = _get(cfg, path, float, required=False, default=default)
+    if value is not None and not (value > 0.0 or zero_ok and value == 0.0):
+        raise ConfigError(path, "must not be negative" if zero_ok else "must be positive")
     return value
 
 
@@ -440,8 +439,6 @@ def load_config(path: str) -> RunConfig:
                           required=False, default=None),
         angular_accel_cap=_get(cfg, "scenario.angular_accel_cap", float,
                                required=False, default=20.0),
-        cor_offset_d_z=_get(cfg, "scenario.cor_offset_d_z", float,
-                            required=False, default=0.0),
         g=g,
     )
     try:
@@ -467,16 +464,10 @@ def load_config(path: str) -> RunConfig:
     if tilt_mode not in ("compensated", "none"):
         raise ConfigError("sim.tilt", "must be 'compensated' or 'none'")
 
-    dt = _get(cfg, "numerics.dt", float, required=False, default=1e-3)
-    sim_dt = _get(cfg, "numerics.sim_dt", float, required=False, default=dt)
-    if dt <= 0.0:
-        raise ConfigError("numerics.dt", "must be positive")
-    if sim_dt <= 0.0:
-        raise ConfigError("numerics.sim_dt", "must be positive")
-
-    omega_max = _get(cfg, "freqresp.omega_max", float, required=False, default=None)
-    if omega_max is not None and omega_max <= 0.0:
-        raise ConfigError("freqresp.omega_max", "must be positive")
+    dt = _get_bounded(cfg, "numerics.dt", 1e-3)
+    seed = _get(cfg, "numerics.seed", int, required=False, default=0)
+    if seed < 0:                        # numpy's generators take no negative seed
+        raise ConfigError("numerics.seed", "must not be negative")
     points = _get(cfg, "freqresp.points", int, required=False, default=500)
     if points < 2:
         raise ConfigError("freqresp.points", "need at least two grid points")
@@ -486,18 +477,14 @@ def load_config(path: str) -> RunConfig:
         plant=plant,
         mounting=mounting,
         dt=dt,
-        sim_dt=sim_dt,
-        seed=_get(cfg, "numerics.seed", int, required=False, default=0),
+        sim_dt=_get_bounded(cfg, "numerics.sim_dt", dt),
+        seed=seed,
         tilt_mode=tilt_mode,
-        max_theta=_get(cfg, "thresholds.max_theta", float, required=False,
-                       default=1e-6),
-        max_slip=_get(cfg, "thresholds.max_slip", float, required=False,
-                      default=1e-6),
-        noise_amplitude=_get(cfg, "noise.amplitude", float, required=False,
-                             default=0.0),
-        noise_cutoff_hz=_get(cfg, "noise.cutoff_hz", float, required=False,
-                             default=5.0),
-        freq_omega_max=omega_max,
+        max_theta=_get_bounded(cfg, "thresholds.max_theta", 1e-6, zero_ok=True),
+        max_slip=_get_bounded(cfg, "thresholds.max_slip", 1e-6, zero_ok=True),
+        noise_amplitude=_get_bounded(cfg, "noise.amplitude", 0.0, zero_ok=True),
+        noise_cutoff_hz=_get_bounded(cfg, "noise.cutoff_hz", 5.0),
+        freq_omega_max=_get_bounded(cfg, "freqresp.omega_max", None),
         freq_points=points,
         emit_freq_response=_get(cfg, "output.emit_freq_response", bool,
                                 required=False, default=False),

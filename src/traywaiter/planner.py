@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compensation import FreeFallError
-from .dynamics import fd_tilt_channel
+from .dynamics import PlantParams, fd_tilt_channel
 from .smoothers import (
     CascadeSpec,
     CascadeState,
@@ -30,7 +30,6 @@ from .smoothers import (
 __all__ = [
     "Scenario",
     "PlanResult",
-    "FeasibilityReport",
     "friction_limited_duration",
     "plan",
     "feasibility_report",
@@ -81,8 +80,6 @@ class Scenario:
     delta: float = 0.0
     free_stage_T: float | None = None
     angular_accel_cap: float = 20.0    # rad/s^2
-    input_class: int | None = None     # continuity class of the reference
-    cor_offset_d_z: float = 0.0        # CoR offset from the CoM, for reports
     g: float = 9.81
 
     def __post_init__(self):
@@ -114,8 +111,6 @@ class Scenario:
                 raise ValueError("liquid scenario needs omega_n > 0 and delta in [0, 1)")
         if self.free_stage_T is not None and self.free_stage_T <= 0.0:
             raise ValueError("free_stage_T must be positive")
-        if self.input_class is None:
-            self.input_class = -1 if self.motion == "point_to_point" else 2
 
     @property
     def displacement(self) -> float:
@@ -150,30 +145,6 @@ class PlanResult:
     def jerk_continuous(self) -> bool:
         """Tilt compensation needs at least C^3 position."""
         return self.output_class >= 3
-
-
-@dataclass
-class FeasibilityReport:
-    tilt_enabled: bool
-    friction_floor: float | None       # s; None = no floor, inf = infeasible
-    caveats: list
-    assumptions: list
-
-    def render(self) -> str:
-        lines = []
-        if not self.tilt_enabled:
-            if self.friction_floor == math.inf:
-                lines.append("friction floor: infeasible (mu = 0 with lateral motion)")
-            else:
-                lines.append(f"friction floor: T >= {self.friction_floor!r} s "
-                             "(duration below this slips)")
-        elif self.friction_floor is None:
-            lines.append("friction floor: none (tilt compensation removes the bound)")
-        for c in self.caveats:
-            lines.append(f"caveat: {c}")
-        for a in self.assumptions:
-            lines.append(f"assumption: {a}")
-        return "\n".join(lines)
 
 
 def _max_tilt_accel(stages, h: float, direction: np.ndarray, g: float) -> float:
@@ -259,39 +230,40 @@ def plan(scenario: Scenario) -> PlanResult:
         stages = base + [Trapezoidal(free_T, free_T)]
 
     spec = CascadeSpec(tuple(stages))
-    out_class = s.input_class + spec.continuity_gain()
+    # a step input is discontinuous in position; a recorded trace is taken as C^2
+    in_class = -1 if s.motion == "point_to_point" else 2
+    out_class = in_class + spec.continuity_gain()
     if out_class < 3:
         notes.append("output is below C^3: tilt compensation would demand "
                      "unbounded angular acceleration")
     return PlanResult(spec, spec.total_duration(), h, direction,
-                      s.input_class, out_class, free_T, notes)
+                      in_class, out_class, free_T, notes)
 
 
-def feasibility_report(scenario: Scenario, tilt_enabled: bool,
-                       mu: float | None = None) -> FeasibilityReport:
-    """Duration feasibility of a point-to-point scenario.
+def feasibility_report(scenario: Scenario, plant: PlantParams | None) -> str:
+    """The feasibility section of a point-to-point plan report.
 
-    With tilt disabled the friction coefficient bounds the duration from
-    below; with tilt enabled and the CoR at the CoM no friction bound
-    remains and only the kinematic limits plus the free angular-rate stage
-    constrain the motion.
+    With tilt compensation and the CoR at the CoM no friction bound remains;
+    a CoR offset plant.d_z adds the caveat |d_z M beta_ddot| <= F_s. Given a
+    plant, the section also states the duration floor that its mu and g set
+    when tilt compensation is off.
     """
-    s = scenario
-    caveats = []
-    assumptions = []
-    if not tilt_enabled:
-        if mu is None:
-            raise ValueError("the friction floor needs the friction coefficient mu")
-        h_o, h_v = s.horizontal_vertical_split
-        floor = friction_limited_duration(h_o, h_v, mu, s.g)
-        assumptions.append("worst-case vertical coupling z_ddot = -4 h_v / T^2")
-        return FeasibilityReport(False, floor, caveats, assumptions)
-    if s.cor_offset_d_z != 0.0:
-        caveats.append(
-            f"CoR offset d_z = {s.cor_offset_d_z} m from the CoM: sticking "
-            "additionally requires |d_z M beta_ddot| <= F_s; keep the free "
-            "stage long enough")
-    return FeasibilityReport(True, None, caveats, assumptions)
+    lines = ["with tilt compensation:",
+             "friction floor: none (tilt compensation removes the bound)"]
+    if plant is None:
+        return "\n".join(lines)
+    if plant.d_z != 0.0:
+        lines.append(f"caveat: CoR offset d_z = {plant.d_z} m from the CoM: sticking "
+                     "additionally requires |d_z M beta_ddot| <= F_s; keep the free "
+                     "stage long enough")
+    h_o, h_v = scenario.horizontal_vertical_split
+    floor = friction_limited_duration(h_o, h_v, plant.mu, plant.g)
+    bound = ("infeasible (mu = 0 with lateral motion)" if floor == math.inf
+             else f"T >= {floor!r} s (duration below this slips)")
+    lines += ["", f"without tilt compensation (mu = {plant.mu!r}):",
+              f"friction floor: {bound}",
+              "assumption: worst-case vertical coupling z_ddot = -4 h_v / T^2"]
+    return "\n".join(lines)
 
 
 def rollout_profile(result: PlanResult, dt: float, settle: float = 0.0,

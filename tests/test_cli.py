@@ -170,7 +170,7 @@ def test_bool_for_number_exit_code(tmp_path, capsys):
 FLOAT_FIELDS = [
     "scenario.slosh.omega_n", "scenario.slosh.delta", "scenario.v_max",
     "scenario.a_max", "scenario.free_stage_T", "scenario.angular_accel_cap",
-    "scenario.cor_offset_d_z", "plant.g", "plant.m", "plant.M", "plant.l",
+    "plant.g", "plant.m", "plant.M", "plant.l",
     "plant.h", "plant.d_z", "plant.b_lc", "plant.b_ct", "plant.mu",
     "numerics.dt", "numerics.sim_dt", "freqresp.omega_max",
     "thresholds.max_theta", "thresholds.max_slip", "noise.amplitude",
@@ -213,6 +213,34 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, field, value):
     cfg = _write(tmp_path, "cfg.yaml", _config_with(field, value))
     assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("command, field, value, problem", [
+    ("filter", "noise.amplitude", -0.001, "must not be negative"),
+    ("filter", "noise.cutoff_hz", 0.0, "must be positive"),
+    ("filter", "numerics.seed", -5, "must not be negative"),
+    ("simulate", "thresholds.max_theta", -1.0, "must not be negative"),
+    ("simulate", "thresholds.max_slip", -1.0, "must not be negative"),
+])
+def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, field, value,
+                                           problem):
+    # unchecked, a negative amplitude would add no noise, numpy would refuse
+    # a negative seed without naming the field, and a negative threshold
+    # would fail every run ("|slip| = 0.0 m > -1.0")
+    noisy = COMPLEX_SOLID_CONFIG + "noise: {amplitude: 0.003, cutoff_hz: 4.0}\n"
+    cfg = yaml.safe_load(noisy if command == "filter" else P2P_CONFIG)
+    section, leaf = field.split(".")
+    cfg[section][leaf] = value
+    n, dt = 200, 2e-3
+    rest = str(tmp_path / "rest.csv")
+    write_trajectory(rest, TrajectoryFile(dt, np.arange(n) * dt,
+                                          np.tile([0.0, 0.0, 0.4], (n, 1)),
+                                          np.zeros((n, 3))))
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, "cfg.yaml", yaml.safe_dump(cfg)),
+                 "--input", rest, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: {problem}\n"
+    assert not out.exists()
 
 
 def _config_nodes(node, path=()):
@@ -404,20 +432,17 @@ def test_filter_rejects_a_one_row_input(tmp_path, capsys):
 
 def test_filter_noise_injection_deterministic(tmp_path):
     noisy_cfg = COMPLEX_SOLID_CONFIG + "noise: {amplitude: 0.003, cutoff_hz: 4.0}\n"
-    cfg = _write(tmp_path, "cfg.yaml", noisy_cfg)
     traj = _const_traj(tmp_path, "in.csv", n=1500)
     outs = []
-    for name in ("a", "b"):
+    for name, seed in (("a", 9), ("b", 9), ("c", 10)):
+        cfg = _write(tmp_path, f"{name}.yaml",
+                     noisy_cfg.replace("seed: 1", f"seed: {seed}"))
         out = str(tmp_path / name)
-        assert main(["filter", "--config", cfg, "--input", traj,
-                     "--output", out, "--seed", "9"]) == 0
+        assert main(["filter", "--config", cfg, "--input", traj, "--output", out]) == 0
         outs.append(open(os.path.join(out, "filtered.csv"), "rb").read())
     assert outs[0] == outs[1]
-    # a different seed changes the bytes
-    out = str(tmp_path / "c")
-    assert main(["filter", "--config", cfg, "--input", traj,
-                 "--output", out, "--seed", "10"]) == 0
-    assert open(os.path.join(out, "filtered.csv"), "rb").read() != outs[0]
+    # a different numerics.seed changes the bytes
+    assert outs[2] != outs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +542,17 @@ def test_simulate_contact_loss_is_a_fail_verdict(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("flag, field", [(["--dt", "1e-12"], "--dt"),
-                                         ([], "numerics.sim_dt")])
-def test_simulate_beyond_the_sample_budget_exits_2(tmp_path, capsys, flag, field):
+def test_simulate_beyond_the_sample_budget_exits_2(tmp_path, capsys):
     # 1e-12 s steps over the 1.659 s demo reference would be 1.66e12 steps
     cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG)
     out = str(tmp_path / "out")
     assert main(["plan", "--config", cfg, "--output", out]) == 0
-    if not flag:
-        cfg = _write(tmp_path, "cfg.yaml", _config_with("numerics.sim_dt", 1e-12))
+    cfg = _write(tmp_path, "cfg.yaml", _config_with("numerics.sim_dt", 1e-12))
     capsys.readouterr()
     assert main(["simulate", "--config", cfg, "--input", os.path.join(out, "reference.csv"),
-                 "--output", out] + flag) == 2
+                 "--output", out]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: {field}: a 1.659 s input at 1e-12 s per step needs 1.66e+12 samples, "
+        "error: numerics.sim_dt: a 1.659 s input at 1e-12 s per step needs 1.66e+12 samples, "
         "beyond the budget of ")
     assert not os.path.exists(os.path.join(out, "trace.csv"))
 
@@ -630,7 +652,8 @@ def test_emit_freq_response_must_be_a_bool(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     ("plan", "--dt"), ("plan", "--seed"), ("plan", "--input"),
-    ("filter", "--dt"), ("simulate", "--seed"), ("freqresp", "--dt"),
+    ("filter", "--dt"), ("filter", "--seed"), ("simulate", "--dt"),
+    ("simulate", "--seed"), ("freqresp", "--dt"),
 ])
 def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag):
     argv = [command, "--config", _write(tmp_path, "cfg.yaml", P2P_CONFIG),
@@ -641,16 +664,6 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag)
         main(argv + [flag, "4"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("dt", ["0", "-0.001", "nan", "inf"])
-def test_simulate_rejects_a_bad_dt_flag(tmp_path, capsys, dt):
-    argv = ["simulate", "--config", _write(tmp_path, "cfg.yaml", P2P_CONFIG),
-            "--input", "in.csv", "--output", str(tmp_path / "out")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--dt", dt])
-    assert exc.value.code == 2
-    assert f"--dt: must be positive and finite, got {dt}" in capsys.readouterr().err
 
 
 def test_end_to_end_determinism(tmp_path):

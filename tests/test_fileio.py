@@ -166,8 +166,18 @@ def _pose_file(tmp_path, n):
     return path
 
 
+def _trace_file(tmp_path, n):
+    t = np.arange(n) * 0.01
+    zeros = np.zeros(n)
+    path = str(tmp_path / f"trace{n}.csv")
+    write_sim_trace(path, SimTrace(t, zeros, zeros, zeros, zeros, zeros.astype(np.uint8),
+                                   zeros, zeros + 1.0, []), 0.01)
+    return path
+
+
 @pytest.mark.parametrize("make, read", [(_trajectory_file, read_trajectory),
-                                        (_pose_file, read_pose_trajectory)])
+                                        (_pose_file, read_pose_trajectory),
+                                        (_trace_file, read_sim_trace)])
 @pytest.mark.parametrize("dt_text, n", [("nan", 5), ("nan", 1), ("inf", 5),
                                         ("-0.001", 1), ("0.0", 1)])
 def test_readers_reject_bad_header_dt(tmp_path, make, read, dt_text, n):
@@ -182,10 +192,12 @@ def test_readers_reject_bad_header_dt(tmp_path, make, read, dt_text, n):
 @pytest.mark.parametrize("make, read, key, text, problem", [
     (_trajectory_file, read_trajectory, "dt", "abc", "is not a number"),
     (_pose_file, read_pose_trajectory, "dt", "abc", "is not a number"),
+    (_trace_file, read_sim_trace, "dt", "abc", "is not a number"),
     (_pose_file, read_pose_trajectory, "delay", "xyz", "is not a number"),
     (_pose_file, read_pose_trajectory, "delay", "nan", "is not finite"),
     (_pose_file, read_pose_trajectory, "delay", "inf", "is not finite"),
-], ids=["trajectory-dt", "pose-dt", "pose-delay", "pose-delay-nan", "pose-delay-inf"])
+], ids=["trajectory-dt", "pose-dt", "trace-dt", "pose-delay", "pose-delay-nan",
+        "pose-delay-inf"])
 def test_readers_reject_non_numeric_header_values(tmp_path, make, read, key, text,
                                                   problem):
     path = _with_header_item(make(tmp_path, 5), key, text)
@@ -213,6 +225,23 @@ def test_readers_name_the_file_on_a_bad_header_line(tmp_path, read, kind, first_
     assert str(exc.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("make, read", [(_trajectory_file, read_trajectory),
+                                        (_pose_file, read_pose_trajectory),
+                                        (_trace_file, read_sim_trace)],
+                         ids=["trajectory", "pose", "trace"])
+def test_readers_reject_non_uniform_timestamps(tmp_path, make, read):
+    # the three readers share one loader, so a trace is held to its dt too
+    path = make(tmp_path, 3)
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    rows[2] = "0.015" + rows[2][rows[2].index(","):]   # 0.0, 0.01, 0.015
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + rows) + "\n")
+    with pytest.raises(FormatError, match=r"timestamps are not uniform at dt=0\.01") as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_sim_trace_round_trip(tmp_path):
     n = 30
     t = np.arange(n) * 1e-3
@@ -222,7 +251,7 @@ def test_sim_trace_round_trip(tmp_path):
                      (rng.random(n) > 0.5).astype(np.uint8),
                      rng.normal(size=n), np.abs(rng.normal(size=n)), [])
     path = str(tmp_path / "trace.csv")
-    write_sim_trace(path, trace)
+    write_sim_trace(path, trace, 1e-3)
     back = read_sim_trace(path)
     for name in ("t", "theta", "theta_dot", "d_x", "d_x_dot", "demand", "f_s"):
         assert np.array_equal(getattr(back, name), getattr(trace, name))
@@ -303,7 +332,7 @@ def test_sim_trace_round_trip_is_bit_exact(tmp_path_factory, data, n, t0, dt):
     trace = SimTrace(t0 + np.arange(n) * dt, *columns[:, :4].T, mode,
                      *columns[:, 4:].T, [])
     path = str(tmp_path_factory.mktemp("trace") / "trace.csv")
-    write_sim_trace(path, trace)
+    write_sim_trace(path, trace, dt)
     back = read_sim_trace(path)
     for name in ("t", "theta", "theta_dot", "d_x", "d_x_dot", "demand", "f_s"):
         assert _same_bits(getattr(back, name), getattr(trace, name)), name

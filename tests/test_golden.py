@@ -73,7 +73,7 @@ GOLDEN = {
     },
     "solid_slip": {
         "plan.txt":
-            "fb71e315b421530d928d8d62c51fe5c06cfe92281f804313eb9868baa763e3f5",
+            "ef90f3df91a6bcf3799b38bdedfc87064e83734acff46c3b16ab452e3198dd65",
         "reference.csv":
             "7997eae7e4f438774de33d918fe18e0c9c103015aea848856011a4f70fc3609b",
         "trace.csv":

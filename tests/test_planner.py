@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from traywaiter.dynamics import PlantParams
 from traywaiter.planner import (
-    FeasibilityReport,
     PlanResult,
     Scenario,
     feasibility_report,
@@ -202,26 +202,39 @@ def test_planned_liquid_cascade_suppresses_slosh():
 # feasibility reports
 # ---------------------------------------------------------------------------
 
+def _plant(**kw):
+    base = dict(m=0.0, M=0.5, l=0.05, h=0.05, d_z=0.0, b_lc=0.0, b_ct=0.0, mu=0.5)
+    base.update(kw)
+    return PlantParams(**base)
+
+
 def test_feasibility_tilt_off_floor():
-    rep = feasibility_report(p2p_scenario(), tilt_enabled=False, mu=0.5)
+    text = feasibility_report(p2p_scenario(), _plant(mu=0.5))
     # 2 sqrt(1 / (0.5 * 9.81)), evaluated independently
-    assert rep.friction_floor == pytest.approx(0.9030472819714618, abs=1e-12)
-    assert any("vertical coupling" in a for a in rep.assumptions)
-    assert "friction floor" in rep.render()
+    assert ("\n\nwithout tilt compensation (mu = 0.5):\n"
+            "friction floor: T >= 0.9030472819714618 s (duration below this slips)\n"
+            "assumption: worst-case vertical coupling z_ddot = -4 h_v / T^2") in text
+    assert "friction floor: infeasible (mu = 0 with lateral motion)" in \
+        feasibility_report(p2p_scenario(), _plant(mu=0.0))
+    # the plant's gravity: 2 sqrt(1 / (0.5 * 4)) = sqrt(2)
+    assert f"T >= {math.sqrt(2.0)!r} s" in feasibility_report(p2p_scenario(),
+                                                              _plant(mu=0.5, g=4.0))
 
 
 def test_feasibility_tilt_on_removes_floor():
-    rep = feasibility_report(p2p_scenario(), tilt_enabled=True)
-    assert rep.friction_floor is None
-    assert rep.caveats == []
-    assert "removes the bound" in rep.render()
+    assert feasibility_report(p2p_scenario(), _plant()).startswith(
+        "with tilt compensation:\n"
+        "friction floor: none (tilt compensation removes the bound)\n\n")
 
 
 def test_feasibility_tilt_on_cor_offset_caveat():
-    rep = feasibility_report(p2p_scenario(cor_offset_d_z=0.02), tilt_enabled=True)
-    assert any("d_z" in c for c in rep.caveats)
+    # the caveat reads the plant's CoR offset, the one the simulator integrates
+    assert "\ncaveat: CoR offset d_z = 0.02 m from the CoM: " in feasibility_report(
+        p2p_scenario(), _plant(d_z=0.02))
+    assert "caveat" not in feasibility_report(p2p_scenario(), _plant(d_z=0.0))
 
 
-def test_feasibility_tilt_off_needs_mu():
-    with pytest.raises(ValueError):
-        feasibility_report(p2p_scenario(), tilt_enabled=False)
+def test_feasibility_without_a_plant_is_the_tilt_section_alone():
+    assert feasibility_report(p2p_scenario(), None) == (
+        "with tilt compensation:\n"
+        "friction floor: none (tilt compensation removes the bound)")
