@@ -120,22 +120,22 @@ def cmd_plan(cfg: RunConfig, args) -> int:
         t = np.array([0.0, dt])
         positions = np.vstack([sc.start, sc.start])
         accels = np.zeros((2, 3))
-        pose = _pose_rows(t, dt, positions, accels, sc.g, cfg.mounting, delay=0.0)
+        pose = _pose_rows(t, dt, positions, accels, cfg.g, cfg.mounting, delay=0.0)
         write_pose_trajectory(os.path.join(outdir, "trajectory.csv"), pose)
         write_trajectory(os.path.join(outdir, "reference.csv"),
                          TrajectoryFile(dt, t, positions, accels))
         report = "plan: goal equals start; nothing to do\n"
-        _atomic_write(os.path.join(outdir, "plan.txt"), [report])
+        _atomic_write(os.path.join(outdir, "plan.txt"), [report.encode()])
         print(report.strip())
         return 0
 
-    result = plan(sc)
+    result = plan(sc, cfg.g)
     log.info("planned %d stages, support %g s", len(result.cascade.stages),
              result.duration)
     _check_samples((result.duration + _SETTLE) / dt, "numerics.dt",
                    f"a {result.duration!r} s plan at {dt!r} s per sample")
     t, P, _, A = rollout_trajectory(result, sc, dt, settle=_SETTLE)
-    pose = _pose_rows(t, dt, P, A, sc.g, cfg.mounting, delay=result.duration)
+    pose = _pose_rows(t, dt, P, A, cfg.g, cfg.mounting, delay=result.duration)
     write_pose_trajectory(os.path.join(outdir, "trajectory.csv"), pose)
     write_trajectory(os.path.join(outdir, "reference.csv"),
                      TrajectoryFile(dt, t, P, A))
@@ -152,7 +152,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     lines.append("")
     lines.append(feasibility_report(sc, cfg.plant))
     report = "\n".join(lines) + "\n"
-    _atomic_write(os.path.join(outdir, "plan.txt"), [report])
+    _atomic_write(os.path.join(outdir, "plan.txt"), [report.encode()])
 
     if cfg.emit_freq_response:
         _write_freq_response(os.path.join(outdir, "freqresp.csv"), cfg, result)
@@ -179,7 +179,7 @@ def cmd_filter(cfg: RunConfig, args) -> int:
                 traj.n, traj.dt, cfg.noise_amplitude, cfg.noise_cutoff_hz,
                 cfg.seed + axis)
 
-    result = plan(sc)
+    result = plan(sc, cfg.g)
     _check_samples(result.duration / traj.dt, "scenario",
                    f"a {result.duration!r} s kernel at the input's {traj.dt!r} s "
                    "per sample")
@@ -195,7 +195,7 @@ def cmd_filter(cfg: RunConfig, args) -> int:
     delay = state.delay
 
     t_out = traj.t + delay  # output sample k reflects the input at traj.t[k]
-    pose = _pose_rows(t_out, traj.dt, filtered, accels, sc.g, cfg.mounting,
+    pose = _pose_rows(t_out, traj.dt, filtered, accels, cfg.g, cfg.mounting,
                       delay=delay)
     outdir = _ensure_outdir(args.output)
     write_pose_trajectory(os.path.join(outdir, "filtered.csv"), pose)
@@ -236,8 +236,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     p = cfg.plant
 
     if cfg.tilt_mode == "compensated":
-        beta, beta_dot, beta_ddot = fd_tilt_channel(acc_x, acc_z, traj.dt,
-                                                    cfg.scenario.g)
+        beta, beta_dot, beta_ddot = fd_tilt_channel(acc_x, acc_z, traj.dt, cfg.g)
     else:
         beta = beta_dot = beta_ddot = np.zeros(traj.n)
     motion = TrayMotion.from_channels(traj.dt, acc_x, acc_z,
@@ -266,7 +265,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                    f"PASS: max|theta| = {trace.max_abs_theta!r} rad, "
                    f"slip = {trace.net_slip!r} m, "
                    f"transitions = {len(trace.transitions)}")
-    _atomic_write(os.path.join(outdir, "verdict.txt"), [verdict + "\n"])
+    _atomic_write(os.path.join(outdir, "verdict.txt"), [(verdict + "\n").encode()])
     print(verdict)
     return 1 if verdict.startswith("FAIL") else 0
 
@@ -277,7 +276,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_freqresp(cfg: RunConfig, args) -> int:
     sc = cfg.scenario
-    result = plan(sc)
+    result = plan(sc, cfg.g)
     outdir = _ensure_outdir(args.output)
     omega_max = _write_freq_response(os.path.join(outdir, "freqresp.csv"), cfg, result)
     print(f"freqresp: {cfg.freq_points} points up to {omega_max!r} rad/s -> {outdir}")

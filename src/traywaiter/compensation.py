@@ -149,26 +149,33 @@ def flange_poses(positions, accelerations, g: float,
     """Flange positions (n, 3) and rotations (n, 3, 3) of a stream of samples.
 
     Bit for bit the same as tilt_angles -> rotation_matrix ->
-    compose_flange_pose applied to each sample: the angles come from
-    tilt_angles one sample at a time, the matrices are built and multiplied
-    as stacks, a block of samples at a time. A sample in free fall raises
-    FreeFallError with its index in `sample`.
+    compose_flange_pose on each sample: the libm calls of tilt_angles and
+    _wrap_angle are mapped over a block of samples, and the matrices built
+    and multiplied as stacks. A sample in free fall raises FreeFallError with
+    its index in `sample`.
     """
-    accelerations = np.asarray(accelerations, dtype=float)
     n = len(accelerations)
+    accelerations = np.asarray(accelerations, dtype=float).reshape(n, 3)
+    gz = g + accelerations[:, 2]
+    for k in np.flatnonzero(gz <= 0.0)[:1].tolist():  # the first in free fall
+        try:
+            tilt_angles(accelerations[k], g)  # raises
+        except FreeFallError as exc:
+            exc.sample = k
+            raise
     pos_out = np.empty((n, 3))
     rot_out = np.empty((n, 3, 3))
     inverse = mount.inverse()
     for start in range(0, n, _BLOCK_SAMPLES):
         stop = min(start + _BLOCK_SAMPLES, n)
-        angles = []
-        try:
-            for accel in accelerations[start:stop].tolist():
-                angles.append(tilt_angles(accel, g))
-        except FreeFallError as exc:
-            exc.sample = start + len(angles)
-            raise
-        beta, phi = np.array(angles).T
+        ax, ay = accelerations[start:stop, :2].T.tolist()
+        # libm through math, as in tilt_angles: numpy's SIMD arctan2 and
+        # hypot can differ from it in the last bit
+        rho = map(math.hypot, ax, ay)
+        beta = -np.array(list(map(math.atan2, rho, gz[start:stop].tolist()))) + 0.0
+        shifted = (math.pi + np.array(list(map(math.atan2, ay, ax)))).tolist()
+        phi = np.array(list(map(math.remainder, shifted, [2.0 * math.pi] * len(ax))))
+        phi[phi <= -math.pi] += 2.0 * math.pi
         T = np.zeros((stop - start, 4, 4))
         T[:, :3, :3] = _rot_z_stack(phi) @ _rot_y_stack(beta) @ _rot_z_stack(-phi)
         T[:, :3, 3] = positions[start:stop]
@@ -177,4 +184,3 @@ def flange_poses(positions, accelerations, g: float,
         pos_out[start:stop] = flange[:, :3, 3]
         rot_out[start:stop] = flange[:, :3, :3]
     return pos_out, rot_out
-

@@ -10,13 +10,13 @@ round-trips, so write-then-read is lossless and repeated runs are
 byte-identical. A block of rows is formatted in one orjson call: its Ryu
 digits (Adams, PLDI 2018) are repr()'s shortest, correctly rounded digits,
 and its text equals repr() for |x| < 1e-9 (0 and subnormals included) and
-1e-4 <= |x| < 1e16. Values outside those ranges, NaN and inf included, are
-formatted by repr() itself.
+1e-4 <= |x| < 1e16. Other finite values are dumped by orjson a range at a
+time with their notation fixed to repr()'s; NaN and inf are written by repr().
 
-Tables are streamed: rows are formatted and written a fixed-size block at a
-time, so the text of a whole file is never held in memory. Writes still go
-to a temporary file in the target directory followed by an atomic rename,
-so a reader never sees a partly written file.
+Tables are streamed as bytes: rows are formatted and written a fixed-size
+block at a time, so the text of a whole file is never held in memory. Writes
+still go to a temporary file in the target directory followed by an atomic
+rename, so a reader never sees a partly written file.
 """
 
 from __future__ import annotations
@@ -76,14 +76,14 @@ _BLOCK_ROWS = 128
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write an iterable of text chunks to `path` atomically, with the mode
+    """Write an iterable of byte chunks to `path` atomically, with the mode
     a plain open() would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     umask = os.umask(0)  # the only way to read it is to set it
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -93,24 +93,44 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
+def _e05(text: bytes) -> bytes:  # orjson's 0.0000ddd to d.dde-05, 0.0000d to de-05
+    for d in b"123456789":
+        text = text.replace(b"0.0000%c" % d, b"%c." % d)
+    return (text.replace(b",", b"e-05,") + b"e-05").replace(b".e", b"e")
+
+
+# |x| ranges of the odd values ([1e-4, 1e16) holds none), each with its text fix
+_ODD_BOUNDS = np.array([1e-5, 1e-4, math.inf])  # NaN and inf lie past the last
+_ODD_FIXES = (lambda t: t.replace(b"e-", b"e-0"), _e05, lambda t: t.replace(b"e", b"e+"))
+
+
 def _table_chunks(header: str, rows: np.ndarray):
     rows = np.ascontiguousarray(rows, dtype=float)  # orjson takes C order only
-    yield header + "\n"
+    yield (header + "\n").encode()
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         size = np.abs(block)
-        # Ryu's text is repr()'s for |x| < 1e-9 and 1e-4 <= |x| < 1e16;
-        # every other value goes out as null and is spliced back as its repr()
+        # Ryu's text is repr()'s for |x| < 1e-9 and 1e-4 <= |x| < 1e16; every
+        # other value goes out as null and is spliced back fixed, range by range
         odd = ~((size < 1e-9) | ((size >= 1e-4) & (size < 1e16)))
         text = orjson.dumps(np.where(odd, np.nan, block),
                             option=orjson.OPT_SERIALIZE_NUMPY)
-        pieces = text[2:-2].replace(b"],[", b"\n").decode().split("null")
-        reprs = list(map(repr, block[odd].tolist()))
-        assert len(pieces) == len(reprs) + 1, "a null that the mask did not make"
-        spliced = [None] * (2 * len(reprs) + 1)
+        pieces = b"\n".join(text[2:-2].split(b"],[")).split(b"null")
+        values = block[odd]
+        ranges = np.searchsorted(_ODD_BOUNDS, size[odd], side="right")
+        texts = np.empty(values.size, dtype=object)
+        for k in np.flatnonzero(np.bincount(ranges)).tolist():
+            mask = ranges == k
+            if k == len(_ODD_BOUNDS):
+                texts[mask] = [repr(v).encode() for v in values[mask].tolist()]
+            else:
+                dump = orjson.dumps(values[mask], option=orjson.OPT_SERIALIZE_NUMPY)
+                texts[mask] = _ODD_FIXES[k](dump[1:-1]).split(b",")
+        assert len(pieces) == texts.size + 1, "a null that the mask did not make"
+        spliced = [None] * (2 * texts.size + 1)
         spliced[::2] = pieces
-        spliced[1::2] = reprs
-        yield "".join(spliced) + "\n"
+        spliced[1::2] = texts.tolist()
+        yield b"".join(spliced) + b"\n"
 
 
 def _write_table(path: str, header: str, rows: np.ndarray) -> None:
@@ -394,6 +414,7 @@ class RunConfig:
 
     scenario: Scenario
     plant: PlantParams | None
+    g: float                              # plant.g, also without a plant block
     mounting: MountingTransform
     dt: float
     sim_dt: float
@@ -439,7 +460,6 @@ def load_config(path: str) -> RunConfig:
                           required=False, default=None),
         angular_accel_cap=_get(cfg, "scenario.angular_accel_cap", float,
                                required=False, default=20.0),
-        g=g,
     )
     try:
         scenario = Scenario(**fields)
@@ -475,6 +495,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         scenario=scenario,
         plant=plant,
+        g=g,
         mounting=mounting,
         dt=dt,
         sim_dt=_get_bounded(cfg, "numerics.sim_dt", dt),

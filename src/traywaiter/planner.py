@@ -80,7 +80,6 @@ class Scenario:
     delta: float = 0.0
     free_stage_T: float | None = None
     angular_accel_cap: float = 20.0    # rad/s^2
-    g: float = 9.81
 
     def __post_init__(self):
         if self.material not in ("solid", "liquid"):
@@ -195,8 +194,8 @@ def _search_free_stage(base_stages, h, direction, cap, g) -> float:
     return hi
 
 
-def plan(scenario: Scenario) -> PlanResult:
-    """Choose the smoother cascade for a scenario.
+def plan(scenario: Scenario, g: float) -> PlanResult:
+    """Choose the smoother cascade for a scenario under gravity g.
 
     point-to-point solid : trapezoidal (min-time under limits) + free triangular
     point-to-point liquid: trapezoidal + damped harmonic tuned to the slosh mode
@@ -220,7 +219,7 @@ def plan(scenario: Scenario) -> PlanResult:
     else:
         free_T = s.free_stage_T
         if free_T is None and base:
-            free_T = _search_free_stage(base, h, direction, s.angular_accel_cap, s.g)
+            free_T = _search_free_stage(base, h, direction, s.angular_accel_cap, g)
             notes.append(f"free stage set to {free_T:.6g} s by bisection "
                          f"against the {s.angular_accel_cap} rad/s^2 tilt cap")
         elif free_T is None:

@@ -51,7 +51,7 @@ def test_friction_limited_duration_infeasible():
 # ---------------------------------------------------------------------------
 
 def test_plan_solid_p2p():
-    result = plan(p2p_scenario())
+    result = plan(p2p_scenario(), G)
     assert result.cascade.stages == (Trapezoidal(0.5, 0.4), Trapezoidal(0.1, 0.1))
     assert result.duration == pytest.approx(1.1)
     assert result.output_class == 3
@@ -61,7 +61,7 @@ def test_plan_solid_p2p():
 def test_plan_liquid_p2p():
     sc = p2p_scenario(material="liquid", omega_n=2 * math.pi, delta=0.1,
                       free_stage_T=None)
-    result = plan(sc)
+    result = plan(sc, G)
     trap, dh = result.cascade.stages
     assert trap == Trapezoidal(0.5, 0.4)
     assert isinstance(dh, DampedHarmonic)
@@ -73,7 +73,7 @@ def test_plan_liquid_p2p():
 
 def test_plan_liquid_complex_single_stage():
     sc = Scenario(material="liquid", motion="complex", omega_n=2 * math.pi, delta=0.1)
-    result = plan(sc)
+    result = plan(sc, G)
     assert len(result.cascade.stages) == 1
     dh = result.cascade.stages[0]
     assert dh.sigma == pytest.approx(-0.2 * math.pi)
@@ -82,7 +82,7 @@ def test_plan_liquid_complex_single_stage():
 
 def test_plan_solid_complex_continuity():
     sc = Scenario(material="solid", motion="complex", free_stage_T=0.2)
-    result = plan(sc)
+    result = plan(sc, G)
     assert result.cascade.stages == (Trapezoidal(0.2, 0.2),)
     assert result.input_class == 2
     assert result.output_class == 4
@@ -96,20 +96,29 @@ def test_plan_liquid_requires_slosh_params():
 
 def test_plan_auto_free_stage_respects_cap():
     sc = p2p_scenario(free_stage_T=None, angular_accel_cap=15.0)
-    result = plan(sc)
+    result = plan(sc, G)
     assert result.free_stage_T >= 0.05
     # the chosen stage actually meets the cap
     from traywaiter.planner import _max_tilt_accel
     got = _max_tilt_accel(list(result.cascade.stages[:-1]) +
                           [result.cascade.stages[-1]], result.distance,
-                          result.direction, sc.g)
+                          result.direction, G)
     assert got <= 15.0 * 1.001
     # a clearly shorter stage would violate it
     shorter = _max_tilt_accel([result.cascade.stages[0],
                                Trapezoidal(result.free_stage_T / 3,
                                            result.free_stage_T / 3)],
-                              result.distance, result.direction, sc.g)
+                              result.distance, result.direction, G)
     assert shorter > 15.0
+
+
+def test_plan_searches_the_free_stage_under_the_given_gravity():
+    # the golden solid move: weaker gravity tilts the tray further for the
+    # same acceleration, so the stage that meets the cap is longer
+    sc = Scenario(material="solid", motion="point_to_point", start=[0.0, 0.0, 0.4],
+                  goal=[0.72, 0.96, 0.4], v_max=2.0, a_max=8.0, angular_accel_cap=150.0)
+    assert plan(sc, G).free_stage_T == pytest.approx(0.0850, abs=5e-5)
+    assert plan(sc, 5.0).free_stage_T == pytest.approx(0.1276, abs=5e-5)
 
 
 def test_plan_triangular_solid_move_keeps_a_short_free_stage():
@@ -118,7 +127,7 @@ def test_plan_triangular_solid_move_keeps_a_short_free_stage():
     # has a kink that a second difference turns into a spike
     sc = p2p_scenario(goal=[0.2, 0.0, 0.0], v_max=2.0, a_max=8.0,
                       free_stage_T=None, angular_accel_cap=150.0)
-    result = plan(sc)
+    result = plan(sc, G)
     assert result.free_stage_T <= 0.2
     assert result.duration < 0.7
     # independent check: per-sample angles on a 10x finer grid than the
@@ -139,7 +148,7 @@ def test_rollout_reaches_goal_exactly():
     for sc in (p2p_scenario(),
                p2p_scenario(material="liquid", omega_n=14.0, delta=0.05,
                             free_stage_T=None)):
-        result = plan(sc)
+        result = plan(sc, G)
         t, s, sd, sdd = rollout_profile(result, dt, settle=0.05)
         h = result.distance
         after = t >= result.duration + 2 * dt
@@ -150,7 +159,7 @@ def test_rollout_reaches_goal_exactly():
 
 def test_rollout_straight_line():
     sc = p2p_scenario(goal=[0.6, 0.8, 0.0])
-    result = plan(sc)
+    result = plan(sc, G)
     t, P, V, A = rollout_trajectory(result, sc, 1e-3, settle=0.02)
     # path stays on the segment: cross product of displacement with direction
     d = P - sc.start[None, :]
@@ -161,7 +170,7 @@ def test_rollout_straight_line():
 
 def test_rollout_jerk_has_no_jumps():
     sc = p2p_scenario()
-    result = plan(sc)
+    result = plan(sc, G)
 
     def max_jerk_jump(dt):
         t, s, sd, sdd = rollout_profile(result, dt)
@@ -177,10 +186,10 @@ def test_planned_liquid_cascade_suppresses_slosh():
     omega_n, delta = 14.0, 0.05
     sc = p2p_scenario(material="liquid", omega_n=omega_n, delta=delta,
                       free_stage_T=None)
-    result = plan(sc)
+    result = plan(sc, G)
     dt = 2e-4
     t, s, sd, sdd = rollout_profile(result, dt, settle=1.0)
-    theta, _ = simulate_linear_slosh(omega_n, delta, sdd, dt, g=sc.g)
+    theta, _ = simulate_linear_slosh(omega_n, delta, sdd, dt, g=G)
     k_end = int(result.duration / dt) + 2
     peak = np.abs(theta).max()
     residual = np.abs(theta[k_end:]).max()
@@ -193,7 +202,7 @@ def test_planned_liquid_cascade_suppresses_slosh():
         result.duration, result.distance, result.direction,
         result.input_class, 3, dh.T / 2)
     t2, _, _, sdd2 = rollout_profile(ablated, dt, settle=1.0)
-    theta2, _ = simulate_linear_slosh(omega_n, delta, sdd2, dt, g=sc.g)
+    theta2, _ = simulate_linear_slosh(omega_n, delta, sdd2, dt, g=G)
     residual2 = np.abs(theta2[k_end:]).max()
     assert residual2 > 3.0 * residual
 

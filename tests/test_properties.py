@@ -52,8 +52,11 @@ G = 9.81
 BLOCK = fileio._BLOCK_ROWS
 POSE_BLOCK = compensation._BLOCK_SAMPLES
 
+# tiny and subnormal lateral accelerations, mixed with signed zeros, reach
+# the corners of hypot and atan2
 lateral = st.one_of(st.sampled_from([0.0, -0.0]),
-                    st.floats(-30.0, 30.0, allow_subnormal=False))
+                    st.floats(-30.0, 30.0),
+                    st.floats(-1e-300, 1e-300))
 accels = st.tuples(lateral, lateral, st.floats(-9.0, 30.0))
 unit_quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
     lambda q: sum(v * v for v in q) > 1e-3).map(
@@ -135,6 +138,21 @@ def test_flange_poses_free_fall_names_first_sample(bad):
     accelerations[bad + 3, 2] = -2 * G
     with pytest.raises(FreeFallError) as info:
         flange_poses(np.zeros((n, 3)), accelerations, G, MountingTransform())
+    assert info.value.sample == bad
+    with pytest.raises(FreeFallError) as scalar:
+        tilt_angles(accelerations[bad], G)
+    assert str(info.value) == str(scalar.value)
+
+
+@settings(deadline=None)
+@given(st.lists(accels, min_size=1, max_size=40), st.data())
+def test_flange_poses_free_fall_in_a_later_block_matches_tilt_angles(samples, data):
+    accelerations = np.zeros((POSE_BLOCK + len(samples), 3))
+    accelerations[POSE_BLOCK:] = samples
+    bad = POSE_BLOCK + data.draw(st.integers(0, len(samples) - 1))
+    accelerations[bad, 2] = -G  # g + az is exactly 0
+    with pytest.raises(FreeFallError) as info:
+        flange_poses(np.zeros_like(accelerations), accelerations, G, MountingTransform())
     assert info.value.sample == bad
     with pytest.raises(FreeFallError) as scalar:
         tilt_angles(accelerations[bad], G)
@@ -256,8 +274,27 @@ def test_table_chunks_match_per_float_repr(n_rows, n_cols, seed, planted, order)
         if flat.size:
             flat[index % flat.size] = value
     rows = np.asarray(flat.reshape(n_rows, n_cols), order=order)
-    assert ("".join(fileio._table_chunks("# t", rows))
-            == "".join(repr_table_chunks("# t", rows)))
+    assert b"".join(fileio._table_chunks("# t", rows)) == _per_repr_text("# t", rows)
+
+
+def _neighbours(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, 2.0 * x)]
+
+
+# every bound where orjson's notation and repr()'s part, from both sides, and
+# 1-digit and 17-digit values in each range whose notation is fixed
+NOTATION_EDGES = ([s * v for s in (1.0, -1.0) for b in (1e-9, 1e-5, 1e-4, 1e16)
+                   for v in _neighbours(b)]
+                  + [s * v for s in (1.0, -1.0) for v in
+                     (3e-9, 1.2345678901234567e-08, 7e-6, 3.3333333333333333e-06,
+                      2e-5, 1.2345678901234568e-05, 8e16, 3.3333333333333336e+16,
+                      1.7976931348623157e+308)]
+                  + [-0.0, 5e-324, math.nan, math.inf, -math.inf])
+
+
+def test_table_chunks_match_per_float_repr_at_notation_edges():
+    rows = np.array(NOTATION_EDGES + [0.0] * (-len(NOTATION_EDGES) % 5)).reshape(-1, 5)
+    assert b"".join(fileio._table_chunks("# t", rows)) == _per_repr_text("# t", rows)
 
 
 # ---------------------------------------------------------------------------
