@@ -102,8 +102,9 @@ class TrayMotion:
     """Uniformly sampled tray acceleration and tilt channels.
 
     `interp` selects how values between samples are produced for the
-    integrator: 'cubic' (4-point Lagrange, for smooth channels) or 'linear'
-    (shape preserving, for bang-bang profiles).
+    integrator: 'cubic' (4-point Lagrange, for smooth channels; linear on
+    motions of fewer than four samples) or 'linear' (shape preserving, for
+    bang-bang profiles).
     """
 
     dt: float
@@ -401,7 +402,7 @@ class _MotionSampler:
         m = self.motion
         nm = m.n
         uu = tq / m.dt
-        if m.interp == "linear":
+        if m.interp == "linear" or nm < 4:     # the cubic stencil needs 4 samples
             j = np.clip(np.floor(uu).astype(int), 0, nm - 2)
             x = uu - j
             vals = self.chan[:, j] * (1.0 - x) + self.chan[:, j + 1] * x
@@ -435,18 +436,6 @@ def _resolve_steps(motion: TrayMotion, dt: float | None) -> tuple[float, int]:
     if abs(n_steps * dt - motion.duration) > 1e-9 * max(1.0, motion.duration):
         n_steps = int(math.floor(motion.duration / dt + 1e-12))
     return dt, n_steps
-
-
-def _rk4(rates, y, h, u0, um, u1):
-    """One classical RK4 step of y' = rates(y, u) with the inputs sampled at
-    the start (u0), midpoint (um) and end (u1) of the step."""
-    hh = 0.5 * h
-    k1 = rates(y, u0)
-    k2 = rates([a + hh * b for a, b in zip(y, k1)], um)
-    k3 = rates([a + hh * b for a, b in zip(y, k2)], um)
-    k4 = rates([a + h * b for a, b in zip(y, k3)], u1)
-    return tuple([a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
 
 def simulate_pendulum(params: PlantParams, motion: TrayMotion,
@@ -488,21 +477,43 @@ class _TraySim:
         the step time t."""
         if mode == STICK:
             return self._stick_step(y, t, h, inputs, k1)
-        p, damp, s = self.p, self.damp, self.slip_sign
+        return self._slip_step(y, t, h, inputs)
 
-        def rates(y, u):
-            thdd, dxdd, normal = _slip_eval(p, damp, y[0], y[1], y[2], y[3], s, u)
-            if normal <= 0.0:
-                raise ContactLostError(f"contact lost at t = {t:.6g} s")
-            return (y[1], thdd, y[3], dxdd)
-        return _rk4(rates, y, h, *inputs)
+    def _slip_step(self, y, t, h, inputs):
+        """`_advance` while sliding: classical RK4 on (theta, theta_dot, d_x,
+        d_x_dot), each stage state formed as y + h/2 * k in that operand
+        order."""
+        p, damp, s = self.p, self.damp, self.slip_sign
+        u0, um, u1 = inputs
+        th, thd, dx, dxd = y
+        hh = 0.5 * h
+        a1, x1, n1 = _slip_eval(p, damp, th, thd, dx, dxd, s, u0)
+        if n1 <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        v2, w2 = thd + hh * a1, dxd + hh * x1
+        a2, x2, n2 = _slip_eval(p, damp, th + hh * thd, v2, dx + hh * dxd, w2, s, um)
+        if n2 <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        v3, w3 = thd + hh * a2, dxd + hh * x2
+        a3, x3, n3 = _slip_eval(p, damp, th + hh * v2, v3, dx + hh * w2, w3, s, um)
+        if n3 <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        v4, w4 = thd + h * a3, dxd + h * x3
+        a4, x4, n4 = _slip_eval(p, damp, th + h * v3, v4, dx + h * w3, w4, s, u1)
+        if n4 <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        return (th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+                thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+                dx + h * (dxd + 2.0 * w2 + 2.0 * w3 + w4) / 6.0,
+                dxd + h * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0)
 
     def _stick_step(self, y, t, h, inputs, k1):
         """`_advance` with the container held still: RK4 on (theta,
-        theta_dot) alone. The stages get the arguments the 4-state step gave
-        them, d_x_dot = 0.0 and d_x + h/2 * 0.0 included, since either can flip
-        the sign of a zero in theta. `k1`, unless None, is (theta_ddot, N) at y
-        and inputs[0], as the stick test that ended the last step made it."""
+        theta_dot) alone. The stages get the arguments the generic 4-state
+        step gave them, d_x_dot = 0.0 and d_x + h/2 * 0.0 included, since
+        either can flip the sign of a zero in theta. `k1`, unless None, is
+        (theta_ddot, N) at y and inputs[0], as the stick test that ended the
+        last step made it."""
         p, damp = self.p, self.damp
         u0, um, u1 = inputs
         th, thd, dx = y[0], y[1], y[2]

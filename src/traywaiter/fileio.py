@@ -432,7 +432,7 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError("<document>", f"not valid YAML: {exc}") from None
     if not isinstance(cfg, dict):

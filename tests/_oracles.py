@@ -1,6 +1,6 @@
 """Closed forms, reference writers, per-sample smoother stages, the
-pendulum's own integration loop, the generic stick sub-step, the linear
-slosh oscillator and the desk-scale plant, which the tests compare the
+pendulum's own integration loop, the generic stick and slip sub-steps, the
+linear slosh oscillator and the desk-scale plant, which the tests compare the
 package against or build their cases from."""
 
 import math
@@ -19,6 +19,7 @@ from traywaiter.dynamics import (
     _MotionSampler,
     _pendulum_rhs,
     _resolve_steps,
+    _slip_eval,
     _stick_eval,
     _stick_rates,
     _TraySim,
@@ -179,8 +180,10 @@ def per_sample_stages(kind, dt: float) -> list:
 
 # The pendulum's own fixed-step loop that simulate_pendulum replaced with the
 # stick/slip engine at unbounded friction, kept as it was apart from the
-# _pendulum_rhs call and the input terms it reads. It carries its own copy of the RK4 step, so that a
-# change to the package's step routine shows against it.
+# _pendulum_rhs call and the input terms it reads. _rk4_ref is the generic
+# classical RK4 step; the package unrolls it for each mode, and this loop and
+# the generic stick and slip sub-steps below are the oracles those unrolled
+# steps are checked against.
 
 def _rk4_ref(rates, y, h, u0, um, u1):
     hh = 0.5 * h
@@ -257,6 +260,24 @@ def generic_stick_step(p, damp, y, t, h, inputs):
 class GenericStickSim(_TraySim):
     def _stick_step(self, y, t, h, inputs, k1):
         return generic_stick_step(self.p, self.damp, y, t, h, inputs)
+
+
+# The engine's slip sub-step before _TraySim._slip_step replaced it, kept as
+# it was apart from its signature: the slip rates of the 4-state state through
+# the generic RK4 step. GenericSlipSim is the engine with this sub-step.
+
+def generic_slip_step(p, damp, s, y, t, h, inputs):
+    def rates(y, u):
+        thdd, dxdd, normal = _slip_eval(p, damp, y[0], y[1], y[2], y[3], s, u)
+        if normal <= 0.0:
+            raise ContactLostError(f"contact lost at t = {t:.6g} s")
+        return (y[1], thdd, y[3], dxdd)
+    return _rk4_ref(rates, y, h, *inputs)
+
+
+class GenericSlipSim(_TraySim):
+    def _slip_step(self, y, t, h, inputs):
+        return generic_slip_step(self.p, self.damp, self.slip_sign, y, t, h, inputs)
 
 
 # The linear slosh oscillator with its own loop, independent of the engine,

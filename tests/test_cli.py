@@ -1,3 +1,5 @@
+import dataclasses
+import glob
 import math
 import os
 import re
@@ -22,7 +24,7 @@ from traywaiter.planner import friction_limited_duration
 from traywaiter.smoothers import Trapezoidal, freq_response
 
 from _oracles import planar_tilt
-from test_golden import DEMO_CONFIG, SOLID_SLIP_CONFIG
+from test_golden import DEMO_CONFIG, FILTER_CONFIG, SOLID_SLIP_CONFIG
 
 G = 9.81
 
@@ -163,6 +165,49 @@ def test_bool_for_number_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG.replace("mu: 0.3", "mu: true"))
     assert main(["plan", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
     assert "plant.mu: expected float, got bool" in capsys.readouterr().err
+
+
+# load_config parses with libyaml's C loader when PyYAML has it, else with
+# the pure-Python SafeLoader; both must give the same configs and errors
+
+def _bits(value):
+    """A loaded config as nested tuples that keep each leaf's type, with
+    every float as hex and every array as its bytes."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,
+                tuple((f.name, _bits(getattr(value, f.name)))
+                      for f in dataclasses.fields(value)))
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+CONFIG_FILES = sorted(glob.glob(os.path.join(os.path.dirname(DEMO_CONFIG), "*.yaml")))
+CONFIG_TEXTS = [P2P_CONFIG, COMPLEX_SOLID_CONFIG, SOLID_SLIP_CONFIG, FILTER_CONFIG,
+                COMPLEX_SOLID_CONFIG + "noise: {amplitude: 0.003, cutoff_hz: 4.0}\n"]
+
+
+def test_both_yaml_loaders_give_the_same_config(tmp_path, monkeypatch):
+    paths = CONFIG_FILES + [_write(tmp_path, f"cfg{i}.yaml", text)
+                            for i, text in enumerate(CONFIG_TEXTS)]
+    assert len(CONFIG_FILES) >= 2
+    loaded = [_bits(fileio.load_config(path)) for path in paths]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert [_bits(fileio.load_config(path)) for path in paths] == loaded
+
+
+@pytest.mark.parametrize("c_loader", [True, False], ids=["CSafeLoader", "SafeLoader"])
+def test_malformed_yaml_exit_code(tmp_path, capsys, monkeypatch, c_loader):
+    if not c_loader:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    cfg = _write(tmp_path, "cfg.yaml", P2P_CONFIG.replace("v_max: 1.0", "v_max: [1.0"))
+    out = tmp_path / "o"
+    assert main(["plan", "--config", cfg, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: <document>: not valid YAML: ")
+    assert not out.exists()
 
 
 # every float and three-number field load_config reads; freqresp.points is an

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from traywaiter.smoothers import (
 )
 
 from _oracles import (
+    GenericSlipSim,
     GenericStickSim,
     TrayMotion,
     _midpoints,
@@ -407,30 +409,43 @@ def _pulse_motion(dt, accel):
     return TrayMotion.from_channels(dt, x_ddot, interp="linear")
 
 
-@pytest.mark.parametrize("params, motion", [
+# stick -> slip -> stick runs, with sub-steps and bisection after each event
+STICK_SLIP_STICK = pytest.mark.parametrize("params, motion", [
     (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
     (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),
     # the slide is captured at t = 0.207 s, a step end, so the next step
     # starts in stick without a stick test to reuse
     (desk_params(), _pulse_motion(1e-3, 3.526)),
 ], ids=["coupled", "solid", "captured-at-step-end"])
-def test_engine_matches_generic_stick_oracle(params, motion):
-    # stick -> slip -> stick, with sub-steps and bisection after each event:
-    # the engine with the 2-state stick step and the reused first stage
-    # gives the bits of the engine with the generic 4-state step
-    tr = simulate_coupled(params, motion)
-    ref = GenericStickSim(params, motion, None, (0.0, 0.0, 0.0, 0.0)).run()
+
+
+def _assert_same_stick_slip_run(tr, ref):
     assert tr.transitions == ref.transitions
     assert [a for _, a, _ in tr.transitions[:2]] == ["stick", "slip"]
     for name in ("t", "theta", "theta_dot", "d_x", "d_x_dot", "mode", "demand", "f_s"):
         assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
-@pytest.mark.parametrize("params, motion", [
-    (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
-    (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),
-    (desk_params(), _pulse_motion(1e-3, 3.526)),
-], ids=["coupled", "solid", "captured-at-step-end"])
+@STICK_SLIP_STICK
+def test_engine_matches_generic_stick_oracle(params, motion):
+    # the engine with the 2-state stick step and the reused first stage
+    # gives the bits of the engine with the generic 4-state step
+    ref = GenericStickSim(params, motion, None, (0.0, 0.0, 0.0, 0.0)).run()
+    _assert_same_stick_slip_run(simulate_coupled(params, motion), ref)
+
+
+@pytest.mark.parametrize("simulate", [simulate_coupled, simulate_solid_sliding],
+                         ids=["simulate_coupled", "simulate_solid_sliding"])
+@STICK_SLIP_STICK
+def test_engine_matches_generic_slip_oracle(simulate, params, motion):
+    # the engine with the unrolled slip step gives the bits of the engine
+    # with the generic 4-state RK4 step while sliding
+    plant = params if simulate is simulate_coupled else replace(params, m=0.0, b_lc=0.0)
+    ref = GenericSlipSim(plant, motion, None, (0.0, 0.0, 0.0, 0.0)).run()
+    _assert_same_stick_slip_run(simulate(params, motion), ref)
+
+
+@STICK_SLIP_STICK
 def test_bisection_samples_each_probe_once(monkeypatch, params, motion):
     # each probe of the event bisection evaluates its midpoint and end
     # inputs in one sampler call, and the end row is what the probe's test
@@ -471,6 +486,20 @@ def test_recorded_friction_matches_friction_margin(params):
         assert (float(demand).hex(), float(f_s).hex()) == \
             (float(tr.demand[k]).hex(), float(tr.f_s[k]).hex()), k
     assert tr.mode.any() == (params.mu == 0.05)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cubic_sampler_is_exact_on_short_ramps(n):
+    # the 4-point stencil needs four samples; a shorter motion is sampled
+    # linearly instead of wrapping its stencil to the other end of the array
+    dt, sim_dt = 0.1, 0.05
+    motion = TrayMotion.from_channels(dt, np.arange(n, dtype=float))
+    assert motion.interp == "cubic"
+    smp = _MotionSampler(motion, sim_dt, 2 * (n - 1))
+    t_grid = np.arange(2 * n - 1) * sim_dt
+    t_mid = (np.arange(2 * n - 2) + 0.5) * sim_dt
+    assert np.abs(smp.grid[:, 0] - t_grid / dt).max() <= 1e-15
+    assert np.abs(smp.mid[:, 0] - t_mid / dt).max() <= 1e-15
 
 
 def test_coupled_reduces_to_solid_as_m_vanishes():

@@ -2,7 +2,8 @@
 flattened smoother cascade give exactly the bits of the code they replace;
 smoother step responses keep unit DC gain, stay in range and respect the
 trapezoid's kinematic limits; stick and slip agree where they meet; the
-stick sub-step gives exactly the bits of the generic RK4 step it replaced."""
+stick and slip sub-steps give exactly the bits of the generic RK4 step they
+replaced."""
 
 import math
 from dataclasses import replace
@@ -23,6 +24,7 @@ from traywaiter.compensation import (
 )
 from traywaiter.dynamics import (
     ContactLostError,
+    IntegrationError,
     PlantParams,
     TrayMotion,
     _TraySim,
@@ -43,6 +45,7 @@ from traywaiter.smoothers import (
 
 from _oracles import (
     desk_params,
+    generic_slip_step,
     generic_stick_step,
     per_sample_stages,
     repr_table_chunks,
@@ -533,28 +536,29 @@ def test_slip_meets_stick_on_the_friction_cone(plant, y, u):
 # stick sub-step
 # ---------------------------------------------------------------------------
 
-def _stick_outcome(step, *args):
+def _step_outcome(step, *args):
     """The state a sub-step returns, as hex so that the sign of a zero
-    counts, or the message of the contact loss it raises."""
+    counts, or the message of the contact loss or integration error it
+    raises."""
     try:
         return tuple(map(float.hex, step(*args)))
-    except ContactLostError as exc:
+    except (ContactLostError, IntegrationError) as exc:
         return str(exc)
 
 
-def _stick_engine(plant):
-    # the stick sub-step reads only the plant from the engine
+def _step_engine(plant):
+    # the sub-steps read only the plant and the slip sign from the engine
     return _TraySim(plant, TrayMotion.from_channels(1e-3, [0.0, 0.0]), None,
                     (0.0, 0.0, 0.0, 0.0))
 
 
 def _stick_step_cases(plant, y, rows, h, reuse):
-    sim = _stick_engine(plant)
+    sim = _step_engine(plant)
     u = tuple(_input_terms(plant, rows))
     y = (*y, 0.0)                              # the stick state holds d_x_dot = 0
     k1 = _stick_eval(plant, sim.damp, *y[:3], 0.0, u[0])[:2] if reuse else None
-    return (_stick_outcome(sim._stick_step, y, 0.2, h, u, k1),
-            _stick_outcome(generic_stick_step, plant, sim.damp, y, 0.2, h, u))
+    return (_step_outcome(sim._stick_step, y, 0.2, h, u, k1),
+            _step_outcome(generic_stick_step, plant, sim.damp, y, 0.2, h, u))
 
 
 _ZERO_ROWS = ((0.0,) * 5,) * 3
@@ -619,4 +623,85 @@ def test_stick_step_contact_loss_in_each_stage(monkeypatch, stage, reuse):
     assert new == ref == "contact lost at t = 0.2 s"
     # the new step stops at the stage that lost contact; a reused stage 1 was
     # evaluated by the stick test instead
+    assert len(calls) == stage
+
+
+# ---------------------------------------------------------------------------
+# slip sub-step
+# ---------------------------------------------------------------------------
+
+def _slip_step_cases(plant, y, rows, h, s):
+    sim = _step_engine(plant)
+    sim.slip_sign = s
+    u = tuple(_input_terms(plant, rows))
+    return (_step_outcome(sim._slip_step, y, 0.2, h, u),
+            _step_outcome(generic_slip_step, plant, sim.damp, s, y, 0.2, h, u))
+
+
+# m = 2, M = 0.1 at theta = 0.7 with this mu: the slip coupling matrix is singular
+_SINGULAR_MU = (0.1 + 2.0 * math.sin(0.7) ** 2) / (2.0 * math.sin(0.7) * math.cos(0.7))
+
+
+# The examples: all-zero inputs; signed zeros in the state and the inputs,
+# for both slip signs; a sub-step narrower than the step; a
+# bisection-wide sub-step.
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
+           lambda m: _plants(m, st.floats(0.0, 1.5))),
+       st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1),
+                 st.floats(-1.0, 1.0)),
+       _ROWS, st.floats(1e-10, 2e-3), st.sampled_from([1.0, -1.0]))
+@example(desk_params(), (0.0, 0.0, 0.0, 0.0), _ZERO_ROWS, 1e-3, 1.0)
+@example(desk_params(), (-0.0, -0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, -1.0)
+@example(desk_params(), (-0.0, -0.0, -0.0, 0.2), ((-0.0, 0.0, -0.0, 0.0, -0.0),) * 3,
+         1e-3, 1.0)
+@example(desk_params(), (-0.0, -0.0, -0.0, -0.2), ((-0.0, 0.0, -0.0, -0.0, -0.0),) * 3,
+         1e-3, -1.0)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.3), _ZERO_ROWS, 1e-3, -1.0)
+@example(desk_params(m=0.0, b_lc=0.0), (0.0, 0.0, 0.01, 0.3), ((3.0, 0.5, 0.1, 0.2, -3.0),) * 3,
+         3.7e-4, 1.0)
+@example(desk_params(), (0.1, -0.5, -0.0, 0.05), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4, 1.0)
+@example(desk_params(), (0.0, 0.0, -0.0, -1e-7), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10, -1.0)
+def test_slip_step_matches_generic_rk4(plant, y, rows, h, s):
+    # m = 0 and m > 0, both slip signs, full steps and the narrower sub-steps
+    # of event handling
+    new, ref = _slip_step_cases(plant, y, rows, h, s)
+    assert new == ref
+
+
+def test_slip_step_reports_a_singular_coupling_matrix():
+    # the generic step raises the same error, from the first stage
+    new, ref = _slip_step_cases(desk_params(m=2.0, M=0.1, mu=_SINGULAR_MU),
+                                (0.7, 0.0, 0.0, 0.1), _ZERO_ROWS, 1e-3, 1.0)
+    assert new == ref == "singular coupling matrix in slip dynamics"
+
+
+# (state, one input row for all three of u0, um, u1, width, slip sign) on
+# m = 0.4, M = 0.1 that lose contact first in stage 1, 2, 3 and 4
+_SLIP_CONTACT_LOSS = [
+    ((-1.3711153334392332, -2.3509291092597557, 0.030054236624571434, 0.04132366463739179),
+     (2.733528435403244, -9.131213184755072, 0.3865369963019609, -2.681611402075583,
+      12.74442858707279), 0.05, -1.0),
+    ((0.15255432309743688, 25.312940320656786, -0.04418530090835635, -0.26404844225563895),
+     (-9.279743237842613, -9.855345327113465, -0.3918806940334827, 0.21346901497443405,
+      44.8895493130273), 0.05, -1.0),
+    ((0.5963753329546546, -22.5682539134066, -0.07425080890944039, -0.3273361298520776),
+     (-1.703682740300703, -7.568840029480159, -0.053508554516106144, 2.456742941933414,
+      14.99909738942921), 0.05, 1.0),
+    ((0.714102867756103, -28.669051860551406, -0.08788463927084054, 0.1760203094873768),
+     (9.266111607725147, -4.977554436330596, -0.04368787036362076, 0.5560312539989347,
+      -17.997461425199347), 0.05, 1.0),
+]
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_slip_step_contact_loss_in_each_stage(monkeypatch, stage):
+    y, row, h, s = _SLIP_CONTACT_LOSS[stage - 1]
+    calls = []
+    real = dynamics._slip_eval
+    monkeypatch.setattr(dynamics, "_slip_eval",
+                        lambda *args: calls.append(1) or real(*args))
+    new, ref = _slip_step_cases(desk_params(m=0.4, M=0.1), y, (row,) * 3, h, s)
+    assert new == ref == "contact lost at t = 0.2 s"
+    # the new step stops at the stage that lost contact
     assert len(calls) == stage
