@@ -453,7 +453,10 @@ def simulate_pendulum(params: PlantParams, motion: TrayMotion,
 class _TraySim:
     """The stick/slip event-stepping engine: the container with or without
     the coupled pendulum, and with mu = inf the pendulum on a glued
-    container."""
+    container. A sticking sub-step is one call of the stick kernel built
+    for the plant at construction (`_stick_kernel`); its end-of-step stick
+    test decides stick or slip, fills the record and is the next step's
+    first stage. Sliding, the module-level contact model is evaluated."""
 
     def __init__(self, params: PlantParams, motion: TrayMotion, dt: float | None,
                  init: tuple[float, float, float, float]):
@@ -465,6 +468,7 @@ class _TraySim:
         self.transitions: list = []
         self.slip_sign = 0.0
         self.events = 0                        # events in the current step
+        self._stick = self._stick_kernel()
 
     def _at(self, *times) -> tuple:
         """The input terms at each of `times`, off the grid, from one
@@ -474,10 +478,11 @@ class _TraySim:
     def _advance(self, y, t, h, mode, inputs, k1=None):
         """One RK4 sub-step of width h from time t; `inputs` holds the input
         terms at (t, t+h/2, t+h). Contact loss in any stage is reported at
-        the step time t."""
+        the step time t. Returns the new state and, sticking, the stick test
+        at it and inputs[2], or None sliding."""
         if mode == STICK:
-            return self._stick_step(y, t, h, inputs, k1)
-        return self._slip_step(y, t, h, inputs)
+            return self._stick(y, t, h, inputs, k1)
+        return self._slip_step(y, t, h, inputs), None
 
     def _slip_step(self, y, t, h, inputs):
         """`_advance` while sliding: classical RK4 on (theta, theta_dot, d_x,
@@ -507,36 +512,89 @@ class _TraySim:
                 dx + h * (dxd + 2.0 * w2 + 2.0 * w3 + w4) / 6.0,
                 dxd + h * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0)
 
-    def _stick_step(self, y, t, h, inputs, k1):
-        """`_advance` with the container held still: RK4 on (theta,
-        theta_dot) alone. The stages get the arguments the generic 4-state
-        step gave them, d_x_dot = 0.0 and d_x + h/2 * 0.0 included, since
-        either can flip the sign of a zero in theta. `k1`, unless None, is
-        (theta_ddot, N) at y and inputs[0], as the stick test that ended the
-        last step made it."""
+    def _stick_kernel(self):
+        """The stick sub-step of this plant as one straight-line call:
+        `_advance` with the container held still, RK4 on (theta, theta_dot)
+        alone, then the stick test (theta_ddot, N, D, F_s) at the new state
+        and inputs[2]. `k1`, unless None, is the stick test at y and
+        inputs[0], as the last step's call returned it.
+
+        Each stage is _stick_rates and the end test _stick_eval, written out
+        at d_x_dot = 0.0 with sin and cos of theta taken once, in their
+        operand order. What is hoisted (the plant products, the row terms
+        two stages share) is a whole operand there, and m l equals l m bit
+        for bit, so the bits are theirs. The stages get the d_x of the
+        generic 4-state step, d_x + h/2 * 0.0, since it can flip the sign of
+        a zero in theta."""
         p, damp = self.p, self.damp
-        u0, um, u1 = inputs
-        th, thd, dx = y[0], y[1], y[2]
-        hh = 0.5 * h
-        a1, n1 = k1 or _stick_rates(p, damp, th, thd, dx, 0.0, u0)
-        if n1 <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        dx_mid = dx + hh * 0.0
-        v2 = thd + hh * a1
-        a2, n2 = _stick_rates(p, damp, th + hh * thd, v2, dx_mid, 0.0, um)
-        if n2 <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        v3 = thd + hh * a2
-        a3, n3 = _stick_rates(p, damp, th + hh * v2, v3, dx_mid, 0.0, um)
-        if n3 <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        v4 = thd + h * a3
-        a4, n4 = _stick_rates(p, damp, th + h * v3, v4, dx + h * 0.0, 0.0, u1)
-        if n4 <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        return (th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
-                thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
-                dx + 0.0, 0.0)
+        m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
+        mass, ml, dz_m, pendulum = M + m, m * l, p.d_z * M, m > 0.0
+        sin, cos = math.sin, math.cos
+
+        def stick_step(y, t, h, inputs, k1):
+            u0, um, u1 = inputs
+            th, thd, dx = y[0], y[1], y[2]
+            hh = 0.5 * h
+            if k1 is None:
+                xtt, gz, b, bd, bdd, n_u, _, hbb, dzbb, bb = u0
+                st, ct = sin(th), cos(th)
+                a1 = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
+                       + st * (2.0 * bd * 0.0 - hbb) + sin(b + th) * gz
+                       + cos(b + th) * xtt) / l if pendulum else 0.0
+                n1 = (mass * (n_u + dx * bdd + 2.0 * bd * 0.0 - dzbb)
+                      + m * (l * st * (bdd + a1) + l * ct * thd * (2.0 * bd + thd)
+                             + bb * (l * ct - hgt)))
+            else:
+                a1, n1 = k1[0], k1[1]
+            if n1 <= 0.0:
+                raise ContactLostError(f"contact lost at t = {t:.6g} s")
+            dx = dx + 0.0                      # d_x + h/2 * 0.0, as h > 0
+            # stages 2 and 3: the midpoint row
+            xtt, gz, b, bd, bdd, n_u, _, hbb, dzbb, bb = um
+            bd2 = 2.0 * bd
+            r_dx, r_s = -dx * bd * bd, bd2 * 0.0 - hbb
+            n_row = mass * (n_u + dx * bdd + bd2 * 0.0 - dzbb)
+            th2, v2 = th + hh * thd, thd + hh * a1
+            st, ct = sin(th2), cos(th2)
+            a2 = -(damp * v2 + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
+                   + sin(b + th2) * gz + cos(b + th2) * xtt) / l if pendulum else 0.0
+            n2 = n_row + m * (l * st * (bdd + a2) + l * ct * v2 * (bd2 + v2)
+                              + bb * (l * ct - hgt))
+            if n2 <= 0.0:
+                raise ContactLostError(f"contact lost at t = {t:.6g} s")
+            th3, v3 = th + hh * v2, thd + hh * a2
+            st, ct = sin(th3), cos(th3)
+            a3 = -(damp * v3 + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
+                   + sin(b + th3) * gz + cos(b + th3) * xtt) / l if pendulum else 0.0
+            n3 = n_row + m * (l * st * (bdd + a3) + l * ct * v3 * (bd2 + v3)
+                              + bb * (l * ct - hgt))
+            if n3 <= 0.0:
+                raise ContactLostError(f"contact lost at t = {t:.6g} s")
+            # stage 4 and the end test: the end row
+            xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb = u1
+            bd2 = 2.0 * bd
+            r_dx, r_s = -dx * bd * bd, bd2 * 0.0 - hbb
+            n_row = mass * (n_u + dx * bdd + bd2 * 0.0 - dzbb)
+            th4, v4 = th + h * v3, thd + h * a3
+            st, ct = sin(th4), cos(th4)
+            a4 = -(damp * v4 + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
+                   + sin(b + th4) * gz + cos(b + th4) * xtt) / l if pendulum else 0.0
+            n4 = n_row + m * (l * st * (bdd + a4) + l * ct * v4 * (bd2 + v4)
+                              + bb * (l * ct - hgt))
+            if n4 <= 0.0:
+                raise ContactLostError(f"contact lost at t = {t:.6g} s")
+            th = th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+            thd = thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+            st, ct = sin(th), cos(th)
+            a = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
+                  + sin(b + th) * gz + cos(b + th) * xtt) / l if pendulum else 0.0
+            lct = l * ct
+            n = n_row + m * (l * st * (bdd + a) + lct * thd * (bd2 + thd) + bb * (lct - hgt))
+            d = (d_u + ((lct - hgt) * m - dz_m) * bdd + ml * ct * a
+                 - ml * st * _square(bd + thd) - mass * dx * bd * bd + b_ct * 0.0)
+            return (th, thd, dx, 0.0), (a, n, d, mu * n)
+
+        return stick_step
 
     def run(self) -> SimTrace:
         p, damp = self.p, self.damp
@@ -573,15 +631,16 @@ class _TraySim:
         y = tuple(self.y)
         u0 = next(grid)
         held = (y[0], y[1], y[2], 0.0)
-        if abs(y[3]) < _V_EPS and sticks(held, u0):
+        k1 = _stick_eval(p, damp, *held, u0)   # sticking, row 0's test and the first k1
+        if abs(y[3]) < _V_EPS and abs(k1[2]) <= k1[3]:
             mode, y = STICK, held
         else:
             mode = SLIP
             self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
-                else -math.copysign(1.0, _stick_eval(p, damp, *held, u0)[2])
-        record(0, y, mode, u0)
+                else -math.copysign(1.0, k1[2])
+            k1 = None
+        record(0, y, mode, u0, k1)
         u_end = u0
-        k1 = None
         for k in range(n):
             t = k * dt
             t_end = (k + 1) * dt
@@ -592,26 +651,24 @@ class _TraySim:
             self.events = 0
             end_test = None
             while t < t_end:
-                y_new = self._advance(y, t, h, mode, inputs, k1)
+                y_new, test = self._advance(y, t, h, mode, inputs, k1)
                 if mode == STICK:
-                    test = _stick_eval(p, damp, y_new[0], y_new[1], y_new[2], 0.0, u_end)
                     if abs(test[2]) <= test[3]:
                         # the loop ends here: record and k1 reuse the test
                         y, t, end_test = y_new, t_end, test
                         continue
                     # slip onset: bisect |demand| - F_s = 0 on (t, t_end]
-                    t, y, u = self._bisect(y, t, t_end - t, mode, inputs[0],
-                                           lambda yy, uu: not sticks(yy, uu))
-                    demand = _stick_eval(p, damp, *y, u)[2]
-                    self.slip_sign = -math.copysign(1.0, demand)
+                    t, y, test, u = self._bisect(y, t, t_end - t, mode, inputs[0],
+                                                 lambda yy, test: not abs(test[2]) <= test[3])
+                    self.slip_sign = -math.copysign(1.0, test[2])
                     self.transitions.append((t, "stick", "slip"))
                     mode = SLIP
                 elif y_new[3] * self.slip_sign <= 0.0:
                     # the slide stopped or reversed. A NaN velocity does
                     # neither (the sign bit of a NaN depends on the operand
                     # order the interpreter uses) and ends the run below.
-                    t, y, u = self._bisect(y, t, t_end - t, mode, inputs[0],
-                                           lambda yy, uu: yy[3] * self.slip_sign <= 0.0)
+                    t, y, _, u = self._bisect(y, t, t_end - t, mode, inputs[0],
+                                              lambda yy, _: yy[3] * self.slip_sign <= 0.0)
                     y = (y[0], y[1], y[2], 0.0)
                     if sticks(y, u):
                         self.transitions.append((t, "slip", "stick"))
@@ -630,20 +687,21 @@ class _TraySim:
                     h = t_end - t
                     inputs, k1 = (u, *self._at(t + 0.5 * h), u_end), None
             record(k + 1, y, mode, u_end, end_test)
-            k1 = end_test[:2] if end_test else None
+            k1 = end_test
 
         t_arr = np.arange(n + 1) * dt
         return SimTrace(t_arr, theta, theta_dot, d_x, d_x_dot, mode_arr,
                         demand_arr, fs_arr, self.transitions)
 
     def _bisect(self, y0, t0, h, mode, u0, tripped):
-        """Locate the first time in (t0, t0+h] where `tripped(state, inputs)`
+        """Locate the first time in (t0, t0+h] where `tripped(state, test)`
         becomes true, to within the event tolerance, and count it among the
-        events of the current step. `u0` holds the input terms at t0. Returns
-        the time, and the state and the input terms there."""
+        events of the current step; `test` is the stick test `_advance`
+        returns with the state. `u0` holds the input terms at t0. Returns the
+        time, and the state, its test and the input terms there."""
         def advance(w):
             um, u1 = self._at(t0 + 0.5 * w, t0 + w)
-            return self._advance(y0, t0, w, mode, (u0, um, u1)), u1
+            return (*self._advance(y0, t0, w, mode, (u0, um, u1)), u1)
 
         lo, hi = 0.0, h
         end = None
@@ -651,16 +709,16 @@ class _TraySim:
             if hi - lo <= _EVENT_TOL:
                 break
             mid = 0.5 * (lo + hi)
-            y_w, u_w = advance(mid)
-            if tripped(y_w, u_w):
-                hi, end = mid, (y_w, u_w)
+            probe = advance(mid)
+            if tripped(probe[0], probe[1]):
+                hi, end = mid, probe
             else:
                 lo = mid
-        y_hi, u_hi = end or advance(hi)
+        y_hi, test, u_hi = end or advance(hi)
         self.events += 1
         if self.events > _MAX_EVENTS_PER_STEP:
             raise IntegrationError(f"event chatter at t = {t0 + hi:.6g} s")
-        return t0 + hi, y_hi, u_hi
+        return t0 + hi, y_hi, test, u_hi
 
 
 def simulate_solid_sliding(params: PlantParams, motion: TrayMotion,

@@ -242,11 +242,12 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
                     np.zeros(n_steps + 1, dtype=np.uint8), demand, f_s, [])
 
 
-# The engine's stick sub-step before _TraySim._stick_step replaced it, kept
-# as it was apart from its signature: the stick rates of the 4-state state
-# (theta, theta_dot, d_x, d_x_dot) through the generic RK4 step, five stage
-# evaluations per step counting the stick test. GenericStickSim is the engine
-# with this sub-step, which also makes it ignore the reused first stage.
+# The engine's stick sub-step before the straight-line stick kernel replaced
+# it, kept as it was apart from its signature: the stick rates of the 4-state
+# state (theta, theta_dot, d_x, d_x_dot) through the generic RK4 step.
+# GenericStickSim is the engine with this sub-step followed by the module's
+# stick test at the end state in place of the kernel, which also makes it
+# ignore the reused first stage; `steps` counts the sub-steps it took.
 
 def generic_stick_step(p, damp, y, t, h, inputs):
     def rates(y, u):
@@ -258,8 +259,14 @@ def generic_stick_step(p, damp, y, t, h, inputs):
 
 
 class GenericStickSim(_TraySim):
-    def _stick_step(self, y, t, h, inputs, k1):
-        return generic_stick_step(self.p, self.damp, y, t, h, inputs)
+    steps = 0
+
+    def _stick_kernel(self):
+        def stick_step(y, t, h, inputs, k1):
+            self.steps += 1
+            y_new = generic_stick_step(self.p, self.damp, y, t, h, inputs)
+            return y_new, _stick_eval(self.p, self.damp, *y_new[:3], 0.0, inputs[2])
+        return stick_step
 
 
 # The engine's slip sub-step before _TraySim._slip_step replaced it, kept as

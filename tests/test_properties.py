@@ -552,13 +552,23 @@ def _step_engine(plant):
                     (0.0, 0.0, 0.0, 0.0))
 
 
-def _stick_step_cases(plant, y, rows, h, reuse):
-    sim = _step_engine(plant)
+def _stick_step_cases(plant, y, rows, h, reuse, sim=None):
+    # the kernel's new state and end test, and the generic step's new state
+    # and the module's stick test there
+    sim = sim or _step_engine(plant)
     u = tuple(_input_terms(plant, rows))
     y = (*y, 0.0)                              # the stick state holds d_x_dot = 0
-    k1 = _stick_eval(plant, sim.damp, *y[:3], 0.0, u[0])[:2] if reuse else None
-    return (_step_outcome(sim._stick_step, y, 0.2, h, u, k1),
-            _step_outcome(generic_stick_step, plant, sim.damp, y, 0.2, h, u))
+    k1 = _stick_eval(plant, sim.damp, *y[:3], 0.0, u[0]) if reuse else None
+
+    def kernel(*args):
+        y_new, test = sim._stick(*args)
+        return (*y_new, *test)
+
+    def generic(*args):
+        y_new = generic_stick_step(*args)
+        return (*y_new, *_stick_eval(plant, sim.damp, *y_new[:3], 0.0, u[2]))
+    return (_step_outcome(kernel, y, 0.2, h, u, k1),
+            _step_outcome(generic, plant, sim.damp, y, 0.2, h, u))
 
 
 _ZERO_ROWS = ((0.0,) * 5,) * 3
@@ -587,7 +597,8 @@ _ROWS = st.tuples(*[st.tuples(st.floats(-10.0, 10.0), st.floats(-15.0, 10.0),
 def test_stick_step_matches_generic_rk4(plant, y, rows, h, reuse):
     # m = 0, m > 0 and mu = inf (the pendulum); the first stage evaluated or
     # taken from the stick test at the same state and inputs; full steps and
-    # the narrower sub-steps of event handling
+    # the narrower sub-steps of event handling. The kernel's end test is the
+    # module's stick test at the new state, bit for bit.
     new, ref = _stick_step_cases(plant, y, rows, h, reuse)
     assert new == ref
 
@@ -616,14 +627,18 @@ def test_stick_step_contact_loss_in_each_stage(monkeypatch, stage, reuse):
     y, row, h = _CONTACT_LOSS[stage - 1]
     plant = desk_params(m=0.4, M=0.1)
     calls = []
-    real = dynamics._stick_rates
-    monkeypatch.setattr(dynamics, "_stick_rates",
-                        lambda *args: calls.append(1) or real(*args))
-    new, ref = _stick_step_cases(plant, y, (row,) * 3, h, reuse)
+    with monkeypatch.context() as mp:
+        for name in ("sin", "cos"):
+            mp.setattr(math, name, lambda x, _real=getattr(math, name), _name=name:
+                       calls.append(_name) or _real(x))
+        sim = _step_engine(plant)              # its kernel takes the counting sin and cos
+    new, ref = _stick_step_cases(plant, y, (row,) * 3, h, reuse, sim)
     assert new == ref == "contact lost at t = 0.2 s"
-    # the new step stops at the stage that lost contact; a reused stage 1 was
-    # evaluated by the stick test instead
-    assert len(calls) == stage
+    # the kernel stops at the stage that lost contact, and each stage it
+    # evaluates takes sin and cos of theta and of beta + theta once; a reused
+    # stage 1 was evaluated by the stick test instead
+    evaluated = stage - 1 if reuse else stage
+    assert calls.count("sin") == calls.count("cos") == 2 * evaluated
 
 
 # ---------------------------------------------------------------------------
