@@ -342,29 +342,6 @@ def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
     return thdd, normal, _demand(p, th, thd, dx, dxd, u, thdd), p.mu * normal
 
 
-def _slip_eval(p: PlantParams, damp: float, th: float, thd: float,
-               dx: float, dxd: float, s: float, u) -> tuple[float, float, float]:
-    """(theta_ddot, d_x_ddot, N) while sliding with sign s.
-
-    The contact model is taken at theta_ddot = 0; its theta_ddot terms,
-    m l cos(theta) theta_ddot in D and m l sin(theta) theta_ddot in N, go
-    back in through the coupling matrix, so the system stays linear."""
-    m, M, l = p.m, p.M, p.l
-    nf0 = _normal(p, th, thd, dx, dxd, u, 0.0)
-    b2 = -_demand(p, th, thd, dx, dxd, u, 0.0) - s * p.mu * nf0
-    if m == 0.0:
-        return 0.0, b2 / M, nf0
-    # solve [l, ct; a21, m+M] [theta_ddot, d_x_ddot] = [r1, b2]
-    st, ct = math.sin(th), math.cos(th)
-    r1 = _pendulum_rhs(p, damp, th, thd, dx, dxd, u)
-    a21 = m * l * ct + s * p.mu * m * l * st
-    det = l * (m + M) - ct * a21
-    if abs(det) < 1e-12 * l * (m + M):
-        raise IntegrationError("singular coupling matrix in slip dynamics")
-    thdd = (r1 * (m + M) - ct * b2) / det
-    return thdd, (l * b2 - a21 * r1) / det, nf0 + m * l * st * thdd
-
-
 def friction_margin(state: SimState, params: PlantParams, motion_sample
                     ) -> tuple[float, float]:
     """Both sides of the no-slip condition at one instant.
@@ -453,10 +430,11 @@ def simulate_pendulum(params: PlantParams, motion: TrayMotion,
 class _TraySim:
     """The stick/slip event-stepping engine: the container with or without
     the coupled pendulum, and with mu = inf the pendulum on a glued
-    container. A sticking sub-step is one call of the stick kernel built
-    for the plant at construction (`_stick_kernel`); its end-of-step stick
-    test decides stick or slip, fills the record and is the next step's
-    first stage. Sliding, the module-level contact model is evaluated."""
+    container. A sub-step is one call of the stick or the slip kernel built
+    for the plant at construction (`_stick_kernel`, `_slip_kernel`). Both
+    end in the stick test at the new state, which fills the record and is
+    the next step's first stage where the kernel can reuse it; sticking, it
+    also decides stick or slip."""
 
     def __init__(self, params: PlantParams, motion: TrayMotion, dt: float | None,
                  init: tuple[float, float, float, float]):
@@ -469,6 +447,7 @@ class _TraySim:
         self.slip_sign = 0.0
         self.events = 0                        # events in the current step
         self._stick = self._stick_kernel()
+        self._slip = self._slip_kernel()
 
     def _at(self, *times) -> tuple:
         """The input terms at each of `times`, off the grid, from one
@@ -477,40 +456,105 @@ class _TraySim:
 
     def _advance(self, y, t, h, mode, inputs, k1=None):
         """One RK4 sub-step of width h from time t; `inputs` holds the input
-        terms at (t, t+h/2, t+h). Contact loss in any stage is reported at
-        the step time t. Returns the new state and, sticking, the stick test
-        at it and inputs[2], or None sliding."""
+        terms at (t, t+h/2, t+h) and `k1`, unless None, the stick test at y
+        and inputs[0]. Contact loss in any stage is reported at the step
+        time t. Returns the kernel's new state and its stick test at that
+        state and inputs[2]."""
         if mode == STICK:
             return self._stick(y, t, h, inputs, k1)
-        return self._slip_step(y, t, h, inputs), None
+        return self._slip(y, t, h, inputs, k1, self.slip_sign)
 
-    def _slip_step(self, y, t, h, inputs):
-        """`_advance` while sliding: classical RK4 on (theta, theta_dot, d_x,
-        d_x_dot), each stage state formed as y + h/2 * k in that operand
-        order."""
-        p, damp, s = self.p, self.damp, self.slip_sign
-        u0, um, u1 = inputs
-        th, thd, dx, dxd = y
-        hh = 0.5 * h
-        a1, x1, n1 = _slip_eval(p, damp, th, thd, dx, dxd, s, u0)
-        if n1 <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        v2, w2 = thd + hh * a1, dxd + hh * x1
-        a2, x2, n2 = _slip_eval(p, damp, th + hh * thd, v2, dx + hh * dxd, w2, s, um)
-        if n2 <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        v3, w3 = thd + hh * a2, dxd + hh * x2
-        a3, x3, n3 = _slip_eval(p, damp, th + hh * v2, v3, dx + hh * w2, w3, s, um)
-        if n3 <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        v4, w4 = thd + h * a3, dxd + h * x3
-        a4, x4, n4 = _slip_eval(p, damp, th + h * v3, v4, dx + h * w3, w4, s, u1)
-        if n4 <= 0.0:
-            raise ContactLostError(f"contact lost at t = {t:.6g} s")
-        return (th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
-                thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
-                dx + h * (dxd + 2.0 * w2 + 2.0 * w3 + w4) / 6.0,
-                dxd + h * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0)
+    def _slip_kernel(self):
+        """The slip sub-step of this plant as one call: `_advance` while
+        sliding with sign s, classical RK4 on (theta, theta_dot, d_x,
+        d_x_dot) with each stage state formed as y + h/2 * k in that operand
+        order, then the stick test (theta_ddot, N, D, F_s) at the new state
+        and inputs[2], or None where theta is infinite there and sin raises:
+        run() reports that state. With m = 0 the stick test is N and D at
+        theta_ddot = 0, the first stage's own, so `k1`, unless None, is that
+        stage; with m > 0 it is ignored.
+
+        A stage is the contact model at theta_ddot = 0 and, with m > 0, the
+        2x2 coupling solve of the sliding dynamics: _normal, _demand and
+        _pendulum_rhs written out with sin and cos of theta taken once, in
+        their operand order, followed by the stage's contact-loss check. The
+        end test is _stick_eval written out the same way. What is hoisted
+        (the plant products, s mu and ((s mu) m) l, the tolerance of the
+        singular matrix) is a whole operand there, and m l equals l m bit for
+        bit, so the bits are theirs."""
+        p, damp = self.p, self.damp
+        m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
+        mass, ml, dz_m, l_mass = M + m, m * l, p.d_z * M, l * (m + M)
+        tol = 1e-12 * l * (m + M)
+        solid, pendulum = m == 0.0, m > 0.0
+        sin, cos = math.sin, math.cos
+
+        def stage(th, thd, dx, dxd, u, t, smu, smml):
+            # N(0) and b2 = -D(0) - s mu N(0); the theta_ddot = 0.0 terms
+            # stay, as their signed zeros count
+            xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb = u
+            st, ct = sin(th), cos(th)
+            lct, bd2 = l * ct, 2.0 * bd
+            nf0 = (mass * (n_u + dx * bdd + bd2 * dxd - dzbb)
+                   + m * (l * st * (bdd + 0.0) + lct * thd * (bd2 + thd) + bb * (lct - hgt)))
+            b2 = -(d_u + ((lct - hgt) * m - dz_m) * bdd + ml * ct * 0.0
+                   - ml * st * _square(bd + thd) - mass * dx * bd * bd + b_ct * dxd) - smu * nf0
+            if solid:
+                thdd, dxdd = 0.0, b2 / M
+            else:
+                r1 = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
+                       + st * (bd2 * dxd - hbb) + sin(b + th) * gz + cos(b + th) * xtt)
+                a21 = ml * ct + smml * st
+                det = l_mass - ct * a21
+                if abs(det) < tol:
+                    raise IntegrationError("singular coupling matrix in slip dynamics")
+                thdd = (r1 * mass - ct * b2) / det
+                dxdd = (l * b2 - a21 * r1) / det
+                nf0 = nf0 + ml * st * thdd
+            if nf0 <= 0.0:
+                raise ContactLostError(f"contact lost at t = {t:.6g} s")
+            return thdd, dxdd
+
+        def slip_step(y, t, h, inputs, k1, s):
+            u0, um, u1 = inputs
+            th, thd, dx, dxd = y
+            hh = 0.5 * h
+            smu = s * mu
+            smml = smu * m * l
+            if solid and k1 is not None:
+                if k1[1] <= 0.0:
+                    raise ContactLostError(f"contact lost at t = {t:.6g} s")
+                a1, x1 = 0.0, (-k1[2] - smu * k1[1]) / M
+            else:
+                a1, x1 = stage(th, thd, dx, dxd, u0, t, smu, smml)
+            v2, w2 = thd + hh * a1, dxd + hh * x1
+            a2, x2 = stage(th + hh * thd, v2, dx + hh * dxd, w2, um, t, smu, smml)
+            v3, w3 = thd + hh * a2, dxd + hh * x2
+            a3, x3 = stage(th + hh * v2, v3, dx + hh * w2, w3, um, t, smu, smml)
+            v4, w4 = thd + h * a3, dxd + h * x3
+            a4, x4 = stage(th + h * v3, v4, dx + h * w3, w4, u1, t, smu, smml)
+            th = th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+            thd = thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+            dx = dx + h * (dxd + 2.0 * w2 + 2.0 * w3 + w4) / 6.0
+            dxd = dxd + h * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0
+            y = (th, thd, dx, dxd)
+            # the stick test at y and u1
+            xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb = u1
+            try:
+                st, ct = sin(th), cos(th)
+            except ValueError:
+                return y, None
+            a = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
+                  + st * (2.0 * bd * dxd - hbb) + sin(b + th) * gz
+                  + cos(b + th) * xtt) / l if pendulum else 0.0
+            lct = l * ct
+            n = (mass * (n_u + dx * bdd + 2.0 * bd * dxd - dzbb)
+                 + m * (l * st * (bdd + a) + lct * thd * (2.0 * bd + thd) + bb * (lct - hgt)))
+            d = (d_u + ((lct - hgt) * m - dz_m) * bdd + ml * ct * a
+                 - ml * st * _square(bd + thd) - mass * dx * bd * bd + b_ct * dxd)
+            return y, (a, n, d, mu * n)
+
+        return slip_step
 
     def _stick_kernel(self):
         """The stick sub-step of this plant as one straight-line call:
@@ -608,9 +652,10 @@ class _TraySim:
         demand_arr = np.empty(n + 1)
         fs_arr = np.empty(n + 1)
 
-        def sticks(y, u) -> bool:
-            _, _, demand, f_s = _stick_eval(p, damp, *y, u)
-            return abs(demand) <= f_s
+        def held(y, u):
+            # the state y with the container held still, and its stick test
+            y = (y[0], y[1], y[2], 0.0)
+            return y, _stick_eval(p, damp, *y, u)
 
         def record(k, y, mode, u, test=None):
             # `test`, when given, is the stick test just made at y and u
@@ -630,10 +675,9 @@ class _TraySim:
         mid = _input_terms(p, map(np.ndarray.tolist, self.smp.mid))
         y = tuple(self.y)
         u0 = next(grid)
-        held = (y[0], y[1], y[2], 0.0)
-        k1 = _stick_eval(p, damp, *held, u0)   # sticking, row 0's test and the first k1
+        y_held, k1 = held(y, u0)               # sticking, row 0's test and the first k1
         if abs(y[3]) < _V_EPS and abs(k1[2]) <= k1[3]:
-            mode, y = STICK, held
+            mode, y = STICK, y_held
         else:
             mode = SLIP
             self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
@@ -669,23 +713,27 @@ class _TraySim:
                     # order the interpreter uses) and ends the run below.
                     t, y, _, u = self._bisect(y, t, t_end - t, mode, inputs[0],
                                               lambda yy, _: yy[3] * self.slip_sign <= 0.0)
-                    y = (y[0], y[1], y[2], 0.0)
-                    if sticks(y, u):
+                    y, test = held(y, u)
+                    if abs(test[2]) <= test[3]:
                         self.transitions.append((t, "slip", "stick"))
                         mode = STICK
                     else:
                         self.slip_sign = -self.slip_sign
                 else:
-                    y, t = y_new, t_end
-                    if abs(y[3]) < _V_EPS and sticks((y[0], y[1], y[2], 0.0), u_end):
-                        y = (y[0], y[1], y[2], 0.0)
-                        self.transitions.append((t, "slip", "stick"))
-                        mode = STICK
+                    # the loop ends here: record and k1 reuse the test,
+                    # or the held state's where the slide is captured
+                    y, t, end_test = y_new, t_end, test
+                    if abs(y[3]) < _V_EPS:
+                        y_held, test = held(y, u_end)
+                        if abs(test[2]) <= test[3]:
+                            y, end_test = y_held, test
+                            self.transitions.append((t, "slip", "stick"))
+                            mode = STICK
                 if not all(map(math.isfinite, y)):
                     raise IntegrationError(f"non-finite state at t = {t:.6g} s")
-                if t < t_end:   # an event inside the step: go on from it
+                if t < t_end:   # an event inside the step: go on from it and its test
                     h = t_end - t
-                    inputs, k1 = (u, *self._at(t + 0.5 * h), u_end), None
+                    inputs, k1 = (u, *self._at(t + 0.5 * h), u_end), test
             record(k + 1, y, mode, u_end, end_test)
             k1 = end_test
 

@@ -15,11 +15,12 @@ from traywaiter.dynamics import (
     IntegrationError,
     PlantParams,
     SimTrace,
+    _demand,
     _input_terms,
     _MotionSampler,
+    _normal,
     _pendulum_rhs,
     _resolve_steps,
-    _slip_eval,
     _stick_eval,
     _stick_rates,
     _TraySim,
@@ -269,9 +270,36 @@ class GenericStickSim(_TraySim):
         return stick_step
 
 
-# The engine's slip sub-step before _TraySim._slip_step replaced it, kept as
-# it was apart from its signature: the slip rates of the 4-state state through
-# the generic RK4 step. GenericSlipSim is the engine with this sub-step.
+# The contact model while sliding and the engine's slip sub-step before the
+# per-plant slip kernel replaced them, kept as they were apart from the
+# sub-step's signature: the slip rates of the 4-state state through the
+# generic RK4 step. GenericSlipSim is the engine with this sub-step followed
+# by the module's stick test at the end state in place of the kernel, which
+# also makes it ignore the reused first stage; `steps` counts the sub-steps
+# it took.
+
+def _slip_eval(p: PlantParams, damp: float, th: float, thd: float,
+               dx: float, dxd: float, s: float, u) -> tuple[float, float, float]:
+    """(theta_ddot, d_x_ddot, N) while sliding with sign s.
+
+    The contact model is taken at theta_ddot = 0; its theta_ddot terms,
+    m l cos(theta) theta_ddot in D and m l sin(theta) theta_ddot in N, go
+    back in through the coupling matrix, so the system stays linear."""
+    m, M, l = p.m, p.M, p.l
+    nf0 = _normal(p, th, thd, dx, dxd, u, 0.0)
+    b2 = -_demand(p, th, thd, dx, dxd, u, 0.0) - s * p.mu * nf0
+    if m == 0.0:
+        return 0.0, b2 / M, nf0
+    # solve [l, ct; a21, m+M] [theta_ddot, d_x_ddot] = [r1, b2]
+    st, ct = math.sin(th), math.cos(th)
+    r1 = _pendulum_rhs(p, damp, th, thd, dx, dxd, u)
+    a21 = m * l * ct + s * p.mu * m * l * st
+    det = l * (m + M) - ct * a21
+    if abs(det) < 1e-12 * l * (m + M):
+        raise IntegrationError("singular coupling matrix in slip dynamics")
+    thdd = (r1 * (m + M) - ct * b2) / det
+    return thdd, (l * b2 - a21 * r1) / det, nf0 + m * l * st * thdd
+
 
 def generic_slip_step(p, damp, s, y, t, h, inputs):
     def rates(y, u):
@@ -283,8 +311,14 @@ def generic_slip_step(p, damp, s, y, t, h, inputs):
 
 
 class GenericSlipSim(_TraySim):
-    def _slip_step(self, y, t, h, inputs):
-        return generic_slip_step(self.p, self.damp, self.slip_sign, y, t, h, inputs)
+    steps = 0
+
+    def _slip_kernel(self):
+        def slip_step(y, t, h, inputs, k1, s):
+            self.steps += 1
+            y_new = generic_slip_step(self.p, self.damp, s, y, t, h, inputs)
+            return y_new, _stick_eval(self.p, self.damp, *y_new, inputs[2])
+        return slip_step
 
 
 # The linear slosh oscillator with its own loop, independent of the engine,

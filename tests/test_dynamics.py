@@ -347,6 +347,15 @@ def test_nan_slip_velocity_ends_in_integration_error_on_every_run():
             simulate_coupled(desk_params(), rest, init=(0.1, 1e150, 0.0, 1e150))
 
 
+def test_infinite_theta_after_a_slide_step_ends_in_integration_error():
+    # theta_dot = 1e308 holds on the solid, so the RK4 sum overflows and the
+    # slide step ends at theta = inf, where math.sin raises ValueError: the
+    # run must still report the non-finite state
+    rest = TrayMotion.rest(0.1, 1e-3)
+    with pytest.raises(IntegrationError, match=r"non-finite state at t = 0\.001 s"):
+        simulate_coupled(desk_params(m=0.0, b_lc=0.0), rest, init=(0.0, 1e308, 0.0, 0.3))
+
+
 # ---------------------------------------------------------------------------
 # coupled system
 # ---------------------------------------------------------------------------
@@ -380,6 +389,31 @@ def test_coupled_slip_onset_matches_margin_crossing():
     assert abs(t_onset - tr.t[k_cross]) <= dt + 1e-12
 
 
+def _count_engine_calls(monkeypatch):
+    # the calls of the module's stick test and of its parts, and of the
+    # kernels the engine builds; "at_slide" counts the stick tests made at a
+    # sliding state, d_x_dot != 0
+    names = ("_stick_eval", "_stick_rates", "_pendulum_rhs", "_normal", "_demand")
+    calls = dict.fromkeys((*names, "at_slide", "stick", "slip"), 0)
+    for name in names:
+        def counted(*args, _real=getattr(dynamics, name), _name=name):
+            calls[_name] += 1
+            if _name == "_stick_eval" and args[5] != 0.0:
+                calls["at_slide"] += 1
+            return _real(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    for kind in ("stick", "slip"):
+        def kernel(self, _real=getattr(dynamics._TraySim, f"_{kind}_kernel"), _kind=kind):
+            step = _real(self)
+
+            def counted(*args):
+                calls[_kind] += 1
+                return step(*args)
+            return counted
+        monkeypatch.setattr(dynamics._TraySim, f"_{kind}_kernel", kernel)
+    return calls
+
+
 @pytest.mark.parametrize("simulate, params", [
     (simulate_coupled, desk_params()),
     (simulate_coupled, desk_params(m=0.0, b_lc=0.0)),
@@ -390,26 +424,31 @@ def test_stick_step_makes_one_full_friction_evaluation(monkeypatch, simulate, pa
     # the stick test that the record of the step and the next step's first
     # stage reuse; the start-up stick test is the run's only module-level
     # evaluation, and the first step reuses it too
-    calls = dict.fromkeys(("_stick_eval", "_stick_rates", "_slip_eval", "kernel"), 0)
-    for name in ("_stick_eval", "_stick_rates", "_slip_eval"):
-        def counted(*args, _real=getattr(dynamics, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(dynamics, name, counted)
-
-    def kernel(self, _real=dynamics._TraySim._stick_kernel):
-        step = _real(self)
-
-        def counted(*args):
-            calls["kernel"] += 1
-            return step(*args)
-        return counted
-    monkeypatch.setattr(dynamics._TraySim, "_stick_kernel", kernel)
+    calls = _count_engine_calls(monkeypatch)
     tr = simulate(params, _compensated_cascade_motion(1e-3))
     assert not tr.mode.any()
-    assert calls["kernel"] == tr.t.size - 1
-    assert calls["_slip_eval"] == 0
+    assert calls["stick"] == tr.t.size - 1
+    assert calls["slip"] == 0
     assert calls["_stick_eval"] == calls["_stick_rates"] == 1
+
+
+@pytest.mark.parametrize("params", [desk_params(), desk_params(m=0.0, b_lc=0.0)],
+                         ids=["coupled", "solid"])
+def test_slip_step_makes_one_full_friction_evaluation(monkeypatch, params):
+    # a sliding step is one call of the plant's slip kernel, which ends in
+    # the stick test that fills the record of the step. On a slide without
+    # events the start-up makes the run's only module-level evaluations: the
+    # stick test of the held state, which decides the start mode, and the
+    # test at the sliding state, which fills row 0
+    calls = _count_engine_calls(monkeypatch)
+    n = 300
+    motion = TrayMotion.from_channels(1e-3, np.full(n + 1, 10.0))   # 10 > mu g
+    tr = simulate_coupled(params, motion, init=(0.0, 0.0, 0.0, -0.3))
+    assert tr.mode.all() and not tr.transitions
+    assert calls["slip"] == n
+    assert calls["stick"] == 0
+    assert calls["_stick_eval"] == calls["_normal"] == calls["_demand"] == 2
+    assert calls["at_slide"] == 1
 
 
 def _pulse_motion(dt, accel):
@@ -425,7 +464,11 @@ STICK_SLIP_STICK = pytest.mark.parametrize("params, motion", [
     # the slide is captured at t = 0.207 s, a step end, so the next step
     # starts in stick without a stick test to reuse
     (desk_params(), _pulse_motion(1e-3, 3.526)),
-], ids=["coupled", "solid", "captured-at-step-end"])
+    # captured at t = 0.21 s, a step end, with d_x_dot ~ 1e-7 that viscous
+    # friction turns into demand: the record and the next step's first stage
+    # must take the held state's stick test, not the slide step's
+    (desk_params(b_ct=0.5), _pulse_motion(1e-3, 3.6228179931640625)),
+], ids=["coupled", "solid", "captured-at-step-end", "captured-with-viscous-friction"])
 
 
 def _assert_same_stick_slip_run(tr, ref):
@@ -450,11 +493,43 @@ def test_engine_matches_generic_stick_oracle(params, motion):
                          ids=["simulate_coupled", "simulate_solid_sliding"])
 @STICK_SLIP_STICK
 def test_engine_matches_generic_slip_oracle(simulate, params, motion):
-    # the engine with the unrolled slip step gives the bits of the engine
-    # with the generic 4-state RK4 step while sliding
+    # the engine with the slip kernel and, for the solid, the reused first
+    # stage gives the bits of the engine with the generic 4-state RK4 step
+    # while sliding
     plant = params if simulate is simulate_coupled else replace(params, m=0.0, b_lc=0.0)
-    ref = GenericSlipSim(plant, motion, None, (0.0, 0.0, 0.0, 0.0)).run()
+    oracle = GenericSlipSim(plant, motion, None, (0.0, 0.0, 0.0, 0.0))
+    ref = oracle.run()
+    # the generic sub-step ran every sliding step, not the engine's kernel
+    assert oracle.steps >= np.count_nonzero(ref.mode[1:] == 1) > 0
     _assert_same_stick_slip_run(simulate(params, motion), ref)
+
+
+@STICK_SLIP_STICK
+def test_record_holds_the_friction_margin_of_each_row(params, motion):
+    # demand and f_s of every row are friction_margin at the row's state and
+    # grid inputs, whichever kernel's or held state's stick test filled it
+    tr = simulate_coupled(params, motion)
+    grid = _MotionSampler(motion, motion.dt, tr.t.size - 1).grid.tolist()
+    states = zip(tr.theta.tolist(), tr.theta_dot.tolist(), tr.d_x.tolist(),
+                 tr.d_x_dot.tolist())
+    for k, (y, row) in enumerate(zip(states, grid)):
+        assert friction_margin(SimState(*y), params, row) == (tr.demand[k], tr.f_s[k]), k
+
+
+@STICK_SLIP_STICK
+def test_stick_test_only_at_start_up_and_held_states(monkeypatch, params, motion):
+    # sliding rows are filled by the slip kernel's end test; past the
+    # start-up the engine makes the module's stick test only where it holds
+    # the container still, after a stop or at a capture, and hands it on
+    calls = _count_engine_calls(monkeypatch)
+    bisections = []
+    real = dynamics._TraySim._bisect
+    monkeypatch.setattr(dynamics._TraySim, "_bisect",
+                        lambda self, *args: bisections.append(1) or real(self, *args))
+    tr = simulate_coupled(params, motion)
+    assert np.count_nonzero(tr.mode) > 0
+    assert calls["at_slide"] == 0
+    assert 1 < calls["_stick_eval"] <= 1 + len(bisections) + len(tr.transitions)
 
 
 @STICK_SLIP_STICK

@@ -29,7 +29,6 @@ from traywaiter.dynamics import (
     TrayMotion,
     _TraySim,
     _input_terms,
-    _slip_eval,
     _stick_eval,
     _stick_rates,
 )
@@ -44,6 +43,7 @@ from traywaiter.smoothers import (
 )
 
 from _oracles import (
+    _slip_eval,
     desk_params,
     generic_slip_step,
     generic_stick_step,
@@ -645,12 +645,22 @@ def test_stick_step_contact_loss_in_each_stage(monkeypatch, stage, reuse):
 # slip sub-step
 # ---------------------------------------------------------------------------
 
-def _slip_step_cases(plant, y, rows, h, s):
-    sim = _step_engine(plant)
-    sim.slip_sign = s
+def _slip_step_cases(plant, y, rows, h, s, reuse=False, sim=None):
+    # the kernel's new state and end test, and the generic step's new state
+    # and the module's stick test there
+    sim = sim or _step_engine(plant)
     u = tuple(_input_terms(plant, rows))
-    return (_step_outcome(sim._slip_step, y, 0.2, h, u),
-            _step_outcome(generic_slip_step, plant, sim.damp, s, y, 0.2, h, u))
+    k1 = _stick_eval(plant, sim.damp, *y, u[0]) if reuse else None
+
+    def kernel(*args):
+        y_new, test = sim._slip(*args)
+        return (*y_new, *test)
+
+    def generic(*args):
+        y_new = generic_slip_step(*args)
+        return (*y_new, *_stick_eval(plant, sim.damp, *y_new, u[2]))
+    return (_step_outcome(kernel, y, 0.2, h, u, k1, s),
+            _step_outcome(generic, plant, sim.damp, s, y, 0.2, h, u))
 
 
 # m = 2, M = 0.1 at theta = 0.7 with this mu: the slip coupling matrix is singular
@@ -658,29 +668,36 @@ _SINGULAR_MU = (0.1 + 2.0 * math.sin(0.7) ** 2) / (2.0 * math.sin(0.7) * math.co
 
 
 # The examples: all-zero inputs; signed zeros in the state and the inputs,
-# for both slip signs; a sub-step narrower than the step; a
-# bisection-wide sub-step.
+# for both slip signs, with the solid's first stage evaluated and reused; a
+# sub-step narrower than the step; a bisection-wide sub-step.
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
            lambda m: _plants(m, st.floats(0.0, 1.5))),
        st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1),
                  st.floats(-1.0, 1.0)),
-       _ROWS, st.floats(1e-10, 2e-3), st.sampled_from([1.0, -1.0]))
-@example(desk_params(), (0.0, 0.0, 0.0, 0.0), _ZERO_ROWS, 1e-3, 1.0)
-@example(desk_params(), (-0.0, -0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, -1.0)
+       _ROWS, st.floats(1e-10, 2e-3), st.sampled_from([1.0, -1.0]), st.booleans())
+@example(desk_params(), (0.0, 0.0, 0.0, 0.0), _ZERO_ROWS, 1e-3, 1.0, False)
+@example(desk_params(), (-0.0, -0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, -1.0, True)
 @example(desk_params(), (-0.0, -0.0, -0.0, 0.2), ((-0.0, 0.0, -0.0, 0.0, -0.0),) * 3,
-         1e-3, 1.0)
+         1e-3, 1.0, False)
 @example(desk_params(), (-0.0, -0.0, -0.0, -0.2), ((-0.0, 0.0, -0.0, -0.0, -0.0),) * 3,
-         1e-3, -1.0)
-@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.3), _ZERO_ROWS, 1e-3, -1.0)
+         1e-3, -1.0, False)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.3), _ZERO_ROWS, 1e-3, -1.0, False)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, -1.0, True)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, 0.0), ((-0.0, 0.0, -0.0, -0.0, -0.0),) * 3,
+         1e-3, 1.0, True)
 @example(desk_params(m=0.0, b_lc=0.0), (0.0, 0.0, 0.01, 0.3), ((3.0, 0.5, 0.1, 0.2, -3.0),) * 3,
-         3.7e-4, 1.0)
-@example(desk_params(), (0.1, -0.5, -0.0, 0.05), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4, 1.0)
-@example(desk_params(), (0.0, 0.0, -0.0, -1e-7), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10, -1.0)
-def test_slip_step_matches_generic_rk4(plant, y, rows, h, s):
-    # m = 0 and m > 0, both slip signs, full steps and the narrower sub-steps
-    # of event handling
-    new, ref = _slip_step_cases(plant, y, rows, h, s)
+         3.7e-4, 1.0, True)
+@example(desk_params(), (0.1, -0.5, -0.0, 0.05), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4, 1.0,
+         False)
+@example(desk_params(), (0.0, 0.0, -0.0, -1e-7), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10, -1.0,
+         True)
+def test_slip_step_matches_generic_rk4(plant, y, rows, h, s, reuse):
+    # m = 0 and m > 0, both slip signs, the first stage evaluated or, for
+    # the solid, taken from the stick test at the same state and inputs;
+    # full steps and the narrower sub-steps of event handling. The kernel's
+    # end test is the module's stick test at the new state, bit for bit.
+    new, ref = _slip_step_cases(plant, y, rows, h, s, reuse)
     assert new == ref
 
 
@@ -712,11 +729,36 @@ _SLIP_CONTACT_LOSS = [
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
 def test_slip_step_contact_loss_in_each_stage(monkeypatch, stage):
     y, row, h, s = _SLIP_CONTACT_LOSS[stage - 1]
+    plant = desk_params(m=0.4, M=0.1)
     calls = []
-    real = dynamics._slip_eval
-    monkeypatch.setattr(dynamics, "_slip_eval",
-                        lambda *args: calls.append(1) or real(*args))
-    new, ref = _slip_step_cases(desk_params(m=0.4, M=0.1), y, (row,) * 3, h, s)
+    with monkeypatch.context() as mp:
+        for name in ("sin", "cos"):
+            mp.setattr(math, name, lambda x, _real=getattr(math, name), _name=name:
+                       calls.append(_name) or _real(x))
+        sim = _step_engine(plant)              # its kernel takes the counting sin and cos
+    for reuse in (False, True):
+        calls.clear()
+        new, ref = _slip_step_cases(plant, y, (row,) * 3, h, s, reuse, sim)
+        assert new == ref == "contact lost at t = 0.2 s"
+        # the kernel stops at the stage that lost contact, and each stage it
+        # evaluates takes sin and cos of theta and of beta + theta once; with
+        # m > 0 a stick test at y is no first stage, so it is evaluated anyway
+        assert calls.count("sin") == calls.count("cos") == 2 * stage
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["evaluated", "reused"])
+def test_solid_slip_step_contact_loss_in_the_first_stage(monkeypatch, reuse):
+    # the solid's first stage, evaluated or taken from the stick test at y,
+    # reports its contact loss at the step time; a reused stage takes no
+    # sin or cos
+    plant = desk_params(m=0.0, b_lc=0.0)
+    calls = []
+    with monkeypatch.context() as mp:
+        for name in ("sin", "cos"):
+            mp.setattr(math, name, lambda x, _real=getattr(math, name), _name=name:
+                       calls.append(_name) or _real(x))
+        sim = _step_engine(plant)
+    row = (0.0, -12.0, 0.0, 0.0, 0.0)          # the tray falls faster than gravity
+    new, ref = _slip_step_cases(plant, (0.0, 0.0, 0.0, 0.1), (row,) * 3, 1e-3, 1.0, reuse, sim)
     assert new == ref == "contact lost at t = 0.2 s"
-    # the new step stops at the stage that lost contact
-    assert len(calls) == stage
+    assert calls.count("sin") == calls.count("cos") == (0 if reuse else 1)
