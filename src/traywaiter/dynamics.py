@@ -63,7 +63,8 @@ class PlantParams:
     d_z    container height offset from the center of rotation (m)
     b_lc   liquid-container damping (N m s), enters as b_lc/(m l) theta_dot
     b_ct   container-tray viscous friction (N s/m)
-    mu     static dry friction coefficient (kinetic is taken equal)
+    mu     static dry friction coefficient (kinetic is taken equal); +inf,
+           the only non-finite value a field takes, glues the container
     g      gravity (m/s^2)
     """
 
@@ -78,6 +79,10 @@ class PlantParams:
     g: float = 9.81
 
     def __post_init__(self):
+        for name in ("m", "M", "l", "h", "d_z", "b_lc", "b_ct", "mu", "g"):
+            value = getattr(self, name)
+            if not math.isfinite(value) and not (name == "mu" and value == math.inf):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.m < 0.0:
             raise ValueError(f"m must be >= 0, got {self.m}")
         for name in ("M", "l", "h", "g"):
@@ -116,8 +121,8 @@ class TrayMotion:
     interp: str = "cubic"
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.interp not in ("cubic", "linear"):
             raise ValueError(f"interp must be 'cubic' or 'linear', got {self.interp!r}")
         arrays = [np.asarray(getattr(self, name), dtype=float) for name in _CHANNELS]
@@ -271,19 +276,6 @@ def _input_terms(p: PlantParams, rows):
                h * bd * bd, d_z * bd * bd, bd * bd)
 
 
-def _pendulum_rhs(p: PlantParams, damp: float, th: float, thd: float,
-                  dx: float, dxd: float, u) -> float:
-    """l theta_ddot + cos(theta) d_x_ddot: the pendulum equation with the
-    container's acceleration moved to the left-hand side."""
-    xtt, gz, b, bd, bdd, _, _, hbb, _, _ = u
-    st, ct = math.sin(th), math.cos(th)
-    return -(damp * thd
-             + (p.l - p.h * ct + dx * st) * bdd
-             + ct * (-dx * bd * bd)
-             + st * (2.0 * bd * dxd - hbb)
-             + math.sin(b + th) * gz + math.cos(b + th) * xtt)
-
-
 def _square(w: float) -> float:
     """w ** 2, or inf where that overflows.
 
@@ -298,48 +290,32 @@ def _square(w: float) -> float:
         return math.inf
 
 
-def _normal(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
-            u, thdd: float) -> float:
-    """N(theta_ddot): the normal force on the container held still on the
-    tray while the pendulum accelerates at theta_ddot."""
-    _, _, _, bd, bdd, n_u, _, _, dzbb, bb = u
-    m, l = p.m, p.l
-    ct = math.cos(th)
-    return ((p.M + m) * (n_u + dx * bdd + 2.0 * bd * dxd - dzbb)
-            + m * (l * math.sin(th) * (bdd + thdd) + l * ct * thd * (2.0 * bd + thd)
-                   + bb * (l * ct - p.h)))
+def _stick_test(p: PlantParams, damp: float):
+    """The stick test of the plant as one call (th, thd, dx, dxd, u) ->
+    (theta_ddot, N, D, F_s): the contact model with the container held still,
+    so theta_ddot is the pendulum's own (0 for a solid), N the normal force on
+    the container, D the tangential force friction must supply to hold it and
+    F_s = mu N the friction bound. sin and cos of theta are taken once; the
+    operand order is the one the kernels and the tests' reference formulas
+    share, so every caller gets the same bits."""
+    m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
+    mass, ml, dz_m, pendulum = M + m, m * l, p.d_z * M, m > 0.0
+    sin, cos = math.sin, math.cos
 
+    def stick_test(th, thd, dx, dxd, u):
+        xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb = u
+        st, ct = sin(th), cos(th)
+        a = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
+              + st * (2.0 * bd * dxd - hbb) + sin(b + th) * gz
+              + cos(b + th) * xtt) / l if pendulum else 0.0
+        lct = l * ct
+        n = (mass * (n_u + dx * bdd + 2.0 * bd * dxd - dzbb)
+             + m * (l * st * (bdd + a) + lct * thd * (2.0 * bd + thd) + bb * (lct - hgt)))
+        d = (d_u + ((lct - hgt) * m - dz_m) * bdd + ml * ct * a
+             - ml * st * _square(bd + thd) - mass * dx * bd * bd + b_ct * dxd)
+        return a, n, d, mu * n
 
-def _demand(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
-            u, thdd: float) -> float:
-    """D(theta_ddot): the tangential force friction must supply to hold the
-    container still on the tray while the pendulum accelerates at
-    theta_ddot."""
-    _, _, _, bd, bdd, _, d_u, _, _, _ = u
-    m, M, l = p.m, p.M, p.l
-    ct = math.cos(th)
-    return (d_u
-            + ((l * ct - p.h) * m - p.d_z * M) * bdd
-            + m * l * ct * thdd
-            - l * m * math.sin(th) * _square(bd + thd)
-            - (m + M) * dx * bd * bd
-            + p.b_ct * dxd)
-
-
-def _stick_rates(p: PlantParams, damp: float, th: float, thd: float,
-                 dx: float, dxd: float, u) -> tuple[float, float]:
-    """(theta_ddot, N) with the container held still: all that an RK4 stage
-    in stick mode needs."""
-    thdd = _pendulum_rhs(p, damp, th, thd, dx, dxd, u) / p.l if p.m > 0.0 else 0.0
-    return thdd, _normal(p, th, thd, dx, dxd, u, thdd)
-
-
-def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
-                dx: float, dxd: float, u) -> tuple[float, float, float, float]:
-    """(theta_ddot, N, D, F_s) of the stick test: the contact model with the
-    container held still, so theta_ddot is the pendulum's own."""
-    thdd, normal = _stick_rates(p, damp, th, thd, dx, dxd, u)
-    return thdd, normal, _demand(p, th, thd, dx, dxd, u, thdd), p.mu * normal
+    return stick_test
 
 
 def friction_margin(state: SimState, params: PlantParams, motion_sample
@@ -353,9 +329,9 @@ def friction_margin(state: SimState, params: PlantParams, motion_sample
     """
     p = params
     damp = p.b_lc / (p.m * p.l) if p.m > 0.0 else 0.0
-    _, _, demand, f_s = _stick_eval(p, damp, state.theta, state.theta_dot,
-                                    state.d_x, state.d_x_dot,
-                                    next(_input_terms(p, [motion_sample])))
+    _, _, demand, f_s = _stick_test(p, damp)(state.theta, state.theta_dot,
+                                             state.d_x, state.d_x_dot,
+                                             next(_input_terms(p, [motion_sample])))
     return demand, f_s
 
 
@@ -405,8 +381,8 @@ class _MotionSampler:
 
 def _resolve_steps(motion: TrayMotion, dt: float | None) -> tuple[float, int]:
     dt = motion.dt if dt is None else float(dt)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n_steps = int(round(motion.duration / dt))
     if n_steps < 1:
         raise ValueError("motion shorter than one integration step")
@@ -432,9 +408,10 @@ class _TraySim:
     the coupled pendulum, and with mu = inf the pendulum on a glued
     container. A sub-step is one call of the stick or the slip kernel built
     for the plant at construction (`_stick_kernel`, `_slip_kernel`). Both
-    end in the stick test at the new state, which fills the record and is
-    the next step's first stage where the kernel can reuse it; sticking, it
-    also decides stick or slip."""
+    start from the stick test at the state they advance (`k1`) and end in
+    the stick test at the new state, which fills the record and is the next
+    sub-step's `k1`; sticking, it also decides stick or slip. Elsewhere,
+    that test is the plant's one `_stick_test` closure."""
 
     def __init__(self, params: PlantParams, motion: TrayMotion, dt: float | None,
                  init: tuple[float, float, float, float]):
@@ -446,6 +423,7 @@ class _TraySim:
         self.transitions: list = []
         self.slip_sign = 0.0
         self.events = 0                        # events in the current step
+        self._test = _stick_test(params, self.damp)
         self._stick = self._stick_kernel()
         self._slip = self._slip_kernel()
 
@@ -454,12 +432,11 @@ class _TraySim:
         evaluation."""
         return tuple(_input_terms(self.p, self.smp.at(times)))
 
-    def _advance(self, y, t, h, mode, inputs, k1=None):
+    def _advance(self, y, t, h, mode, inputs, k1):
         """One RK4 sub-step of width h from time t; `inputs` holds the input
-        terms at (t, t+h/2, t+h) and `k1`, unless None, the stick test at y
-        and inputs[0]. Contact loss in any stage is reported at the step
-        time t. Returns the kernel's new state and its stick test at that
-        state and inputs[2]."""
+        terms at (t, t+h/2, t+h) and `k1` the stick test at y and inputs[0].
+        Contact loss in any stage is reported at the step time t. Returns the
+        kernel's new state and its stick test at that state and inputs[2]."""
         if mode == STICK:
             return self._stick(y, t, h, inputs, k1)
         return self._slip(y, t, h, inputs, k1, self.slip_sign)
@@ -471,22 +448,22 @@ class _TraySim:
         order, then the stick test (theta_ddot, N, D, F_s) at the new state
         and inputs[2], or None where theta is infinite there and sin raises:
         run() reports that state. With m = 0 the stick test is N and D at
-        theta_ddot = 0, the first stage's own, so `k1`, unless None, is that
-        stage; with m > 0 it is ignored.
+        theta_ddot = 0, the first stage's own, so `k1` is that stage; with
+        m > 0 it is ignored.
 
         A stage is the contact model at theta_ddot = 0 and, with m > 0, the
-        2x2 coupling solve of the sliding dynamics: _normal, _demand and
-        _pendulum_rhs written out with sin and cos of theta taken once, in
-        their operand order, followed by the stage's contact-loss check. The
-        end test is _stick_eval written out the same way. What is hoisted
-        (the plant products, s mu and ((s mu) m) l, the tolerance of the
-        singular matrix) is a whole operand there, and m l equals l m bit for
-        bit, so the bits are theirs."""
-        p, damp = self.p, self.damp
+        2x2 coupling solve of the sliding dynamics: N, D and the pendulum
+        equation of the stick test written out with sin and cos of theta
+        taken once, in its operand order, followed by the stage's
+        contact-loss check. What is hoisted (the plant products, s mu and
+        ((s mu) m) l, the tolerance of the singular matrix) is a whole
+        operand there, and m l equals l m bit for bit, so the bits are the
+        stick test's."""
+        p, damp, test = self.p, self.damp, self._test
         m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
         mass, ml, dz_m, l_mass = M + m, m * l, p.d_z * M, l * (m + M)
         tol = 1e-12 * l * (m + M)
-        solid, pendulum = m == 0.0, m > 0.0
+        solid = m == 0.0
         sin, cos = math.sin, math.cos
 
         def stage(th, thd, dx, dxd, u, t, smu, smml):
@@ -521,7 +498,7 @@ class _TraySim:
             hh = 0.5 * h
             smu = s * mu
             smml = smu * m * l
-            if solid and k1 is not None:
+            if solid:
                 if k1[1] <= 0.0:
                     raise ContactLostError(f"contact lost at t = {t:.6g} s")
                 a1, x1 = 0.0, (-k1[2] - smu * k1[1]) / M
@@ -537,22 +514,10 @@ class _TraySim:
             thd = thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
             dx = dx + h * (dxd + 2.0 * w2 + 2.0 * w3 + w4) / 6.0
             dxd = dxd + h * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0
-            y = (th, thd, dx, dxd)
-            # the stick test at y and u1
-            xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb = u1
             try:
-                st, ct = sin(th), cos(th)
-            except ValueError:
-                return y, None
-            a = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
-                  + st * (2.0 * bd * dxd - hbb) + sin(b + th) * gz
-                  + cos(b + th) * xtt) / l if pendulum else 0.0
-            lct = l * ct
-            n = (mass * (n_u + dx * bdd + 2.0 * bd * dxd - dzbb)
-                 + m * (l * st * (bdd + a) + lct * thd * (2.0 * bd + thd) + bb * (lct - hgt)))
-            d = (d_u + ((lct - hgt) * m - dz_m) * bdd + ml * ct * a
-                 - ml * st * _square(bd + thd) - mass * dx * bd * bd + b_ct * dxd)
-            return y, (a, n, d, mu * n)
+                return (th, thd, dx, dxd), test(th, thd, dx, dxd, u1)
+            except ValueError:                 # sin of an infinite theta
+                return (th, thd, dx, dxd), None
 
         return slip_step
 
@@ -560,37 +525,27 @@ class _TraySim:
         """The stick sub-step of this plant as one straight-line call:
         `_advance` with the container held still, RK4 on (theta, theta_dot)
         alone, then the stick test (theta_ddot, N, D, F_s) at the new state
-        and inputs[2]. `k1`, unless None, is the stick test at y and
-        inputs[0], as the last step's call returned it.
+        and inputs[2]. `k1`, the stick test at y and inputs[0], is the first
+        stage.
 
-        Each stage is _stick_rates and the end test _stick_eval, written out
-        at d_x_dot = 0.0 with sin and cos of theta taken once, in their
-        operand order. What is hoisted (the plant products, the row terms
+        Stages 2 to 4 (theta_ddot and N) and the end test are the stick test
+        written out at d_x_dot = 0.0 with sin and cos of theta taken once, in
+        its operand order. What is hoisted (the plant products, the row terms
         two stages share) is a whole operand there, and m l equals l m bit
-        for bit, so the bits are theirs. The stages get the d_x of the
-        generic 4-state step, d_x + h/2 * 0.0, since it can flip the sign of
-        a zero in theta."""
+        for bit, so the bits are the stick test's. The stages get the d_x of
+        the generic 4-state step, d_x + h/2 * 0.0, since it can flip the
+        sign of a zero in theta."""
         p, damp = self.p, self.damp
         m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
         mass, ml, dz_m, pendulum = M + m, m * l, p.d_z * M, m > 0.0
         sin, cos = math.sin, math.cos
 
         def stick_step(y, t, h, inputs, k1):
-            u0, um, u1 = inputs
+            _, um, u1 = inputs
             th, thd, dx = y[0], y[1], y[2]
             hh = 0.5 * h
-            if k1 is None:
-                xtt, gz, b, bd, bdd, n_u, _, hbb, dzbb, bb = u0
-                st, ct = sin(th), cos(th)
-                a1 = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
-                       + st * (2.0 * bd * 0.0 - hbb) + sin(b + th) * gz
-                       + cos(b + th) * xtt) / l if pendulum else 0.0
-                n1 = (mass * (n_u + dx * bdd + 2.0 * bd * 0.0 - dzbb)
-                      + m * (l * st * (bdd + a1) + l * ct * thd * (2.0 * bd + thd)
-                             + bb * (l * ct - hgt)))
-            else:
-                a1, n1 = k1[0], k1[1]
-            if n1 <= 0.0:
+            a1 = k1[0]
+            if k1[1] <= 0.0:
                 raise ContactLostError(f"contact lost at t = {t:.6g} s")
             dx = dx + 0.0                      # d_x + h/2 * 0.0, as h > 0
             # stages 2 and 3: the midpoint row
@@ -641,7 +596,7 @@ class _TraySim:
         return stick_step
 
     def run(self) -> SimTrace:
-        p, damp = self.p, self.damp
+        test_at = self._test
         dt = self.dt
         n = self.n_steps
         theta = np.empty(n + 1)
@@ -655,11 +610,11 @@ class _TraySim:
         def held(y, u):
             # the state y with the container held still, and its stick test
             y = (y[0], y[1], y[2], 0.0)
-            return y, _stick_eval(p, damp, *y, u)
+            return y, test_at(*y, u)
 
-        def record(k, y, mode, u, test=None):
-            # `test`, when given, is the stick test just made at y and u
-            _, normal, dem, fs = test or _stick_eval(p, damp, *y, u)
+        def record(k, y, mode, test):
+            # `test` is the stick test at y and row k's inputs
+            _, normal, dem, fs = test
             if normal <= 0.0:
                 raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
             theta[k] = y[0]
@@ -671,8 +626,8 @@ class _TraySim:
             fs_arr[k] = fs
 
         # the grid and midpoint rows as Python floats, one row at a time
-        grid = _input_terms(p, map(np.ndarray.tolist, self.smp.grid))
-        mid = _input_terms(p, map(np.ndarray.tolist, self.smp.mid))
+        grid = _input_terms(self.p, map(np.ndarray.tolist, self.smp.grid))
+        mid = _input_terms(self.p, map(np.ndarray.tolist, self.smp.mid))
         y = tuple(self.y)
         u0 = next(grid)
         y_held, k1 = held(y, u0)               # sticking, row 0's test and the first k1
@@ -682,8 +637,8 @@ class _TraySim:
             mode = SLIP
             self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
                 else -math.copysign(1.0, k1[2])
-            k1 = None
-        record(0, y, mode, u0, k1)
+            k1 = test_at(*y, u0)               # sliding, row 0's test and the first k1
+        record(0, y, mode, k1)
         u_end = u0
         for k in range(n):
             t = k * dt
@@ -702,7 +657,7 @@ class _TraySim:
                         y, t, end_test = y_new, t_end, test
                         continue
                     # slip onset: bisect |demand| - F_s = 0 on (t, t_end]
-                    t, y, test, u = self._bisect(y, t, t_end - t, mode, inputs[0],
+                    t, y, test, u = self._bisect(y, t, t_end - t, mode, inputs[0], k1,
                                                  lambda yy, test: not abs(test[2]) <= test[3])
                     self.slip_sign = -math.copysign(1.0, test[2])
                     self.transitions.append((t, "stick", "slip"))
@@ -711,7 +666,7 @@ class _TraySim:
                     # the slide stopped or reversed. A NaN velocity does
                     # neither (the sign bit of a NaN depends on the operand
                     # order the interpreter uses) and ends the run below.
-                    t, y, _, u = self._bisect(y, t, t_end - t, mode, inputs[0],
+                    t, y, _, u = self._bisect(y, t, t_end - t, mode, inputs[0], k1,
                                               lambda yy, _: yy[3] * self.slip_sign <= 0.0)
                     y, test = held(y, u)
                     if abs(test[2]) <= test[3]:
@@ -734,22 +689,25 @@ class _TraySim:
                 if t < t_end:   # an event inside the step: go on from it and its test
                     h = t_end - t
                     inputs, k1 = (u, *self._at(t + 0.5 * h), u_end), test
-            record(k + 1, y, mode, u_end, end_test)
+            if end_test is None:    # an event at the step's end, tested off the grid
+                end_test = test_at(*y, u_end)
+            record(k + 1, y, mode, end_test)
             k1 = end_test
 
         t_arr = np.arange(n + 1) * dt
         return SimTrace(t_arr, theta, theta_dot, d_x, d_x_dot, mode_arr,
                         demand_arr, fs_arr, self.transitions)
 
-    def _bisect(self, y0, t0, h, mode, u0, tripped):
+    def _bisect(self, y0, t0, h, mode, u0, k1, tripped):
         """Locate the first time in (t0, t0+h] where `tripped(state, test)`
         becomes true, to within the event tolerance, and count it among the
         events of the current step; `test` is the stick test `_advance`
-        returns with the state. `u0` holds the input terms at t0. Returns the
-        time, and the state, its test and the input terms there."""
+        returns with the state. `u0` holds the input terms at t0 and `k1` the
+        stick test at y0 and u0, every probe's first stage. Returns the time,
+        and the state, its test and the input terms there."""
         def advance(w):
             um, u1 = self._at(t0 + 0.5 * w, t0 + w)
-            return (*self._advance(y0, t0, w, mode, (u0, um, u1)), u1)
+            return (*self._advance(y0, t0, w, mode, (u0, um, u1), k1), u1)
 
         lo, hi = 0.0, h
         end = None

@@ -1,11 +1,12 @@
 """Finite-support smoothing filters with structural derivative outputs.
 
-Four kernel families are provided, all with unit DC gain:
+Three kernel kinds are provided, all with unit DC gain:
 
 * rectangular  -- box kernel of duration T (first order)
-* harmonic     -- half-sine kernel of duration T (second order)
 * trapezoidal  -- two rectangular kernels in series, durations T1 and T2
 * damped harmonic -- exponentially weighted half-sine, parameters (sigma, T)
+  (second order); the harmonic kernel, a plain half-sine of duration T, is
+  its sigma = 0 case, which Harmonic(T) returns
 
 Each discrete realization emits the filtered signal together with its first
 and second derivatives; nothing downstream ever differentiates the output
@@ -58,18 +59,6 @@ def _oscillator_span_ok(T: float) -> bool:
 
 
 @dataclass(frozen=True)
-class Harmonic:
-    """Half-sine kernel (pi/2T) sin(pi t / T) on [0, T]."""
-
-    T: float
-
-    def __post_init__(self):
-        if not _oscillator_span_ok(self.T):
-            raise ValueError(f"harmonic smoother needs T > 0 with (pi/T)^2 > 0, "
-                             f"got {self.T}")
-
-
-@dataclass(frozen=True)
 class Trapezoidal:
     """Two rectangular kernels in series; T1 == T2 is the triangular case."""
 
@@ -84,8 +73,8 @@ class Trapezoidal:
 
 @dataclass(frozen=True)
 class DampedHarmonic:
-    """Harmonic kernel with exponential weight exp(sigma t); sigma = 0 reduces
-    to the plain harmonic smoother of the same T."""
+    """Half-sine kernel with exponential weight exp(sigma t) on [0, T];
+    sigma = 0 is the plain harmonic smoother of the same T."""
 
     sigma: float
     T: float
@@ -98,7 +87,13 @@ class DampedHarmonic:
             raise ValueError("sigma must be finite")
 
 
-SmootherKind = Union[Rectangular, Harmonic, Trapezoidal, DampedHarmonic]
+def Harmonic(T: float) -> DampedHarmonic:
+    """Half-sine kernel (pi/2T) sin(pi t / T) on [0, T]: the damped harmonic
+    kernel with sigma = 0."""
+    return DampedHarmonic(0.0, T)
+
+
+SmootherKind = Union[Rectangular, Trapezoidal, DampedHarmonic]
 
 
 def kernel_duration(kind: SmootherKind) -> float:
@@ -200,8 +195,6 @@ def transfer_function(kind, s: complex) -> complex:
         return _rect_tf(kind.T, s)
     if isinstance(kind, Trapezoidal):
         return _rect_tf(kind.T1, s) * _rect_tf(kind.T2, s)
-    if isinstance(kind, Harmonic):
-        return _osc_tf(0.0, kind.T, s)
     if isinstance(kind, DampedHarmonic):
         return _osc_tf(kind.sigma, kind.T, s)
     raise TypeError(f"not a smoother kind: {kind!r}")
@@ -338,8 +331,6 @@ def _build_stages(kind: SmootherKind, dt: float) -> list:
     if isinstance(kind, Trapezoidal):
         return [_RectStage(_quantize(kind.T1, dt), dt),
                 _RectStage(_quantize(kind.T2, dt), dt)]
-    if isinstance(kind, Harmonic):
-        return [_OscStage(0.0, _quantize(kind.T, dt), dt)]
     if isinstance(kind, DampedHarmonic):
         return [_OscStage(kind.sigma, _quantize(kind.T, dt), dt)]
     raise TypeError(f"not a smoother kind: {kind!r}")

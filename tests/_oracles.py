@@ -1,7 +1,8 @@
-"""Closed forms, reference writers, per-sample smoother stages, the
-pendulum's own integration loop, the generic stick and slip sub-steps, the
-linear slosh oscillator and the desk-scale plant, which the tests compare the
-package against or build their cases from."""
+"""Closed forms, reference writers, per-sample smoother stages, the contact
+model's reference formulas, the pendulum's own integration loop, the generic
+stick and slip sub-steps, the linear slosh oscillator and the desk-scale
+plant, which the tests compare the package against or build their cases
+from."""
 
 import math
 from collections import deque
@@ -15,19 +16,14 @@ from traywaiter.dynamics import (
     IntegrationError,
     PlantParams,
     SimTrace,
-    _demand,
     _input_terms,
     _MotionSampler,
-    _normal,
-    _pendulum_rhs,
     _resolve_steps,
-    _stick_eval,
-    _stick_rates,
+    _square,
     _TraySim,
 )
 from traywaiter.smoothers import (
     DampedHarmonic,
-    Harmonic,
     Rectangular,
     Trapezoidal,
     _quantize,
@@ -172,11 +168,72 @@ def per_sample_stages(kind, dt: float) -> list:
     if isinstance(kind, Trapezoidal):
         return [RectStageRef(_quantize(kind.T1, dt), dt),
                 RectStageRef(_quantize(kind.T2, dt), dt)]
-    if isinstance(kind, Harmonic):
-        return [OscStageRef(0.0, _quantize(kind.T, dt), dt)]
     if isinstance(kind, DampedHarmonic):
         return [OscStageRef(kind.sigma, _quantize(kind.T, dt), dt)]
     raise TypeError(f"not a smoother kind: {kind!r}")
+
+
+# The contact model as the reference formulas the engine's stick test and
+# kernels were written out from, kept verbatim: the pendulum equation, the
+# normal force N and the demand D of the container held still, and the stick
+# test built from them. The property tests pin the stick test and both
+# kernels to these bit for bit.
+
+def _pendulum_rhs(p: PlantParams, damp: float, th: float, thd: float,
+                  dx: float, dxd: float, u) -> float:
+    """l theta_ddot + cos(theta) d_x_ddot: the pendulum equation with the
+    container's acceleration moved to the left-hand side."""
+    xtt, gz, b, bd, bdd, _, _, hbb, _, _ = u
+    st, ct = math.sin(th), math.cos(th)
+    return -(damp * thd
+             + (p.l - p.h * ct + dx * st) * bdd
+             + ct * (-dx * bd * bd)
+             + st * (2.0 * bd * dxd - hbb)
+             + math.sin(b + th) * gz + math.cos(b + th) * xtt)
+
+
+def _normal(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
+            u, thdd: float) -> float:
+    """N(theta_ddot): the normal force on the container held still on the
+    tray while the pendulum accelerates at theta_ddot."""
+    _, _, _, bd, bdd, n_u, _, _, dzbb, bb = u
+    m, l = p.m, p.l
+    ct = math.cos(th)
+    return ((p.M + m) * (n_u + dx * bdd + 2.0 * bd * dxd - dzbb)
+            + m * (l * math.sin(th) * (bdd + thdd) + l * ct * thd * (2.0 * bd + thd)
+                   + bb * (l * ct - p.h)))
+
+
+def _demand(p: PlantParams, th: float, thd: float, dx: float, dxd: float,
+            u, thdd: float) -> float:
+    """D(theta_ddot): the tangential force friction must supply to hold the
+    container still on the tray while the pendulum accelerates at
+    theta_ddot."""
+    _, _, _, bd, bdd, _, d_u, _, _, _ = u
+    m, M, l = p.m, p.M, p.l
+    ct = math.cos(th)
+    return (d_u
+            + ((l * ct - p.h) * m - p.d_z * M) * bdd
+            + m * l * ct * thdd
+            - l * m * math.sin(th) * _square(bd + thd)
+            - (m + M) * dx * bd * bd
+            + p.b_ct * dxd)
+
+
+def _stick_rates(p: PlantParams, damp: float, th: float, thd: float,
+                 dx: float, dxd: float, u) -> tuple[float, float]:
+    """(theta_ddot, N) with the container held still: all that an RK4 stage
+    in stick mode needs."""
+    thdd = _pendulum_rhs(p, damp, th, thd, dx, dxd, u) / p.l if p.m > 0.0 else 0.0
+    return thdd, _normal(p, th, thd, dx, dxd, u, thdd)
+
+
+def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
+                dx: float, dxd: float, u) -> tuple[float, float, float, float]:
+    """(theta_ddot, N, D, F_s) of the stick test: the contact model with the
+    container held still, so theta_ddot is the pendulum's own."""
+    thdd, normal = _stick_rates(p, damp, th, thd, dx, dxd, u)
+    return thdd, normal, _demand(p, th, thd, dx, dxd, u, thdd), p.mu * normal
 
 
 # The pendulum's own fixed-step loop that simulate_pendulum replaced with the
@@ -246,7 +303,7 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
 # The engine's stick sub-step before the straight-line stick kernel replaced
 # it, kept as it was apart from its signature: the stick rates of the 4-state
 # state (theta, theta_dot, d_x, d_x_dot) through the generic RK4 step.
-# GenericStickSim is the engine with this sub-step followed by the module's
+# GenericStickSim is the engine with this sub-step followed by the reference
 # stick test at the end state in place of the kernel, which also makes it
 # ignore the reused first stage; `steps` counts the sub-steps it took.
 
@@ -274,7 +331,7 @@ class GenericStickSim(_TraySim):
 # per-plant slip kernel replaced them, kept as they were apart from the
 # sub-step's signature: the slip rates of the 4-state state through the
 # generic RK4 step. GenericSlipSim is the engine with this sub-step followed
-# by the module's stick test at the end state in place of the kernel, which
+# by the reference stick test at the end state in place of the kernel, which
 # also makes it ignore the reused first stage; `steps` counts the sub-steps
 # it took.
 

@@ -88,6 +88,20 @@ def test_params_validation():
     with pytest.raises(ValueError):
         desk_params(m=0.0)  # keeps b_lc > 0
     desk_params(m=0.0, b_lc=0.0)
+    desk_params(mu=math.inf)  # simulate_pendulum glues the container
+
+
+_PLANT_FIELDS = ("m", "M", "l", "h", "d_z", "b_lc", "b_ct", "mu", "g")
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in _PLANT_FIELDS for value in (math.nan, math.inf, -math.inf)
+    if (name, value) != ("mu", math.inf)])
+def test_params_reject_non_finite_fields(name, value):
+    # a NaN or infinite field used to pass and end the run late in
+    # "IntegrationError: non-finite state at t = 0.001 s"
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        desk_params(**{name: value})
 
 
 def test_desk_params_give_target_damping():
@@ -101,6 +115,18 @@ def test_motion_validation():
         TrayMotion.rest(1.0, -1e-3)
     with pytest.raises(ValueError):
         TrayMotion.from_channels(1e-3, np.zeros(5), beta=np.zeros(3))  # length mismatch
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_motion_and_simulators_reject_a_bad_dt(dt):
+    # a NaN dt used to pass TrayMotion and, as the simulators' step, end in
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+        TrayMotion.from_channels(dt, np.zeros(5))
+    motion = TrayMotion.from_channels(1e-3, np.zeros(5))
+    for simulate in (simulate_coupled, simulate_solid_sliding, simulate_pendulum):
+        with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+            simulate(desk_params(), motion, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +416,38 @@ def test_coupled_slip_onset_matches_margin_crossing():
 
 
 def _count_engine_calls(monkeypatch):
-    # the calls of the module's stick test and of its parts, and of the
-    # kernels the engine builds; "at_slide" counts the stick tests made at a
-    # sliding state, d_x_dot != 0
-    names = ("_stick_eval", "_stick_rates", "_pendulum_rhs", "_normal", "_demand")
-    calls = dict.fromkeys((*names, "at_slide", "stick", "slip"), 0)
-    for name in names:
-        def counted(*args, _real=getattr(dynamics, name), _name=name):
-            calls[_name] += 1
-            if _name == "_stick_eval" and args[5] != 0.0:
-                calls["at_slide"] += 1
-            return _real(*args)
-        monkeypatch.setattr(dynamics, name, counted)
+    # the calls of the kernels the engine builds and of the plant's stick
+    # test closure, split into "kernel_test" (made inside a kernel call: the
+    # slip kernel's end test) and "test" (made by run(): start-up, row 0 and
+    # held states); "at_slide" counts the tests of run() at a sliding state,
+    # d_x_dot != 0
+    calls = dict.fromkeys(("stick", "slip", "kernel_test", "test", "at_slide"), 0)
+    in_kernel = []
+
+    def factory(p, damp, _real=dynamics._stick_test):
+        test = _real(p, damp)
+
+        def counted(*args):
+            if in_kernel:
+                calls["kernel_test"] += 1
+            else:
+                calls["test"] += 1
+                calls["at_slide"] += args[3] != 0.0
+            return test(*args)
+        return counted
+    monkeypatch.setattr(dynamics, "_stick_test", factory)
     for kind in ("stick", "slip"):
         def kernel(self, _real=getattr(dynamics._TraySim, f"_{kind}_kernel"), _kind=kind):
             step = _real(self)
 
             def counted(*args):
                 calls[_kind] += 1
-                return step(*args)
+                assert args[4] is not None     # every call starts from k1
+                in_kernel.append(_kind)
+                try:
+                    return step(*args)
+                finally:
+                    in_kernel.pop()
             return counted
         monkeypatch.setattr(dynamics._TraySim, f"_{kind}_kernel", kernel)
     return calls
@@ -421,25 +460,27 @@ def _count_engine_calls(monkeypatch):
 ], ids=["coupled", "solid", "pendulum"])
 def test_stick_step_makes_one_full_friction_evaluation(monkeypatch, simulate, params):
     # a sticking step is one call of the plant's stick kernel, which ends in
-    # the stick test that the record of the step and the next step's first
-    # stage reuse; the start-up stick test is the run's only module-level
-    # evaluation, and the first step reuses it too
+    # its written-out stick test that the record of the step and the next
+    # step's first stage reuse; the start-up stick test is the run's only
+    # call of the plant's stick test, and row 0 and the first step reuse it
     calls = _count_engine_calls(monkeypatch)
     tr = simulate(params, _compensated_cascade_motion(1e-3))
     assert not tr.mode.any()
     assert calls["stick"] == tr.t.size - 1
     assert calls["slip"] == 0
-    assert calls["_stick_eval"] == calls["_stick_rates"] == 1
+    assert calls["test"] == 1
+    assert calls["kernel_test"] == 0
 
 
 @pytest.mark.parametrize("params", [desk_params(), desk_params(m=0.0, b_lc=0.0)],
                          ids=["coupled", "solid"])
 def test_slip_step_makes_one_full_friction_evaluation(monkeypatch, params):
     # a sliding step is one call of the plant's slip kernel, which ends in
-    # the stick test that fills the record of the step. On a slide without
-    # events the start-up makes the run's only module-level evaluations: the
-    # stick test of the held state, which decides the start mode, and the
-    # test at the sliding state, which fills row 0
+    # the stick test that fills the record of the step and is the next
+    # step's k1. On a slide without events the start-up makes the run's
+    # only other stick tests: the one of the held state, which decides the
+    # start mode, and the one at the sliding state, which fills row 0 and is
+    # the first step's k1. An n-step slide thus makes n + 2 stick tests.
     calls = _count_engine_calls(monkeypatch)
     n = 300
     motion = TrayMotion.from_channels(1e-3, np.full(n + 1, 10.0))   # 10 > mu g
@@ -447,7 +488,8 @@ def test_slip_step_makes_one_full_friction_evaluation(monkeypatch, params):
     assert tr.mode.all() and not tr.transitions
     assert calls["slip"] == n
     assert calls["stick"] == 0
-    assert calls["_stick_eval"] == calls["_normal"] == calls["_demand"] == 2
+    assert calls["kernel_test"] == n
+    assert calls["test"] == 2
     assert calls["at_slide"] == 1
 
 
@@ -457,18 +499,36 @@ def _pulse_motion(dt, accel):
     return TrayMotion.from_channels(dt, x_ddot, interp="linear")
 
 
+# slides captured at a step end, with the capture time
+_CAPTURES = {
+    # the next step starts in stick from the held state's stick test
+    "captured-at-step-end": (desk_params(), _pulse_motion(1e-3, 3.526), 0.207),
+    # d_x_dot ~ 1e-7 at the capture, which viscous friction turns into
+    # demand: the record and the next step's first stage must take the held
+    # state's stick test, not the slide step's
+    "captured-with-viscous-friction": (desk_params(b_ct=0.5),
+                                       _pulse_motion(1e-3, 3.6228179931640625), 0.21),
+    # the same on a tilted (compensated) move
+    "tilted-captured-with-viscous-friction": (
+        desk_params(b_ct=0.5, mu=0.05), _compensated_cascade_motion(1e-3, goal=0.40098), 0.222),
+}
+
 # stick -> slip -> stick runs, with sub-steps and bisection after each event
 STICK_SLIP_STICK = pytest.mark.parametrize("params, motion", [
     (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
     (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),
-    # the slide is captured at t = 0.207 s, a step end, so the next step
-    # starts in stick without a stick test to reuse
-    (desk_params(), _pulse_motion(1e-3, 3.526)),
-    # captured at t = 0.21 s, a step end, with d_x_dot ~ 1e-7 that viscous
-    # friction turns into demand: the record and the next step's first stage
-    # must take the held state's stick test, not the slide step's
-    (desk_params(b_ct=0.5), _pulse_motion(1e-3, 3.6228179931640625)),
-], ids=["coupled", "solid", "captured-at-step-end", "captured-with-viscous-friction"])
+    *[case[:2] for case in _CAPTURES.values()],
+], ids=["coupled", "solid", *_CAPTURES])
+
+
+@pytest.mark.parametrize("params, motion, t_capture", _CAPTURES.values(), ids=_CAPTURES)
+def test_capture_cases_end_their_slide_on_the_grid(params, motion, t_capture):
+    # the capture cases stay what their names say: the first slide ends at
+    # a step end, where |d_x_dot| < 1e-6, and not by a bisection
+    tr = simulate_coupled(params, motion)
+    t = tr.transitions[1][0]
+    assert tr.transitions[1][1:] == ("slip", "stick")
+    assert t == round(t_capture / 1e-3) * 1e-3
 
 
 def _assert_same_stick_slip_run(tr, ref):
@@ -504,11 +564,7 @@ def test_engine_matches_generic_slip_oracle(simulate, params, motion):
     _assert_same_stick_slip_run(simulate(params, motion), ref)
 
 
-@STICK_SLIP_STICK
-def test_record_holds_the_friction_margin_of_each_row(params, motion):
-    # demand and f_s of every row are friction_margin at the row's state and
-    # grid inputs, whichever kernel's or held state's stick test filled it
-    tr = simulate_coupled(params, motion)
+def _assert_rows_hold_the_friction_margin(tr, params, motion):
     grid = _MotionSampler(motion, motion.dt, tr.t.size - 1).grid.tolist()
     states = zip(tr.theta.tolist(), tr.theta_dot.tolist(), tr.d_x.tolist(),
                  tr.d_x_dot.tolist())
@@ -517,10 +573,30 @@ def test_record_holds_the_friction_margin_of_each_row(params, motion):
 
 
 @STICK_SLIP_STICK
+def test_record_holds_the_friction_margin_of_each_row(params, motion):
+    # demand and f_s of every row are friction_margin at the row's state and
+    # grid inputs, whichever kernel's or held state's stick test filled it
+    _assert_rows_hold_the_friction_margin(simulate_coupled(params, motion), params, motion)
+
+
+@STICK_SLIP_STICK
+def test_events_at_a_step_end_hand_on_the_grid_stick_test(monkeypatch, params, motion):
+    # with an event tolerance wider than a step every bisection ends at the
+    # step's end, where the last probe tested its state at inputs sampled
+    # off the grid; the record and the next step's k1 take the stick test at
+    # the grid row
+    monkeypatch.setattr(dynamics, "_EVENT_TOL", 1.0)
+    tr = simulate_coupled(params, motion)
+    assert len(tr.transitions) >= 2
+    assert all(t == round(t / motion.dt) * motion.dt for t, _, _ in tr.transitions)
+    _assert_rows_hold_the_friction_margin(tr, params, motion)
+
+
+@STICK_SLIP_STICK
 def test_stick_test_only_at_start_up_and_held_states(monkeypatch, params, motion):
     # sliding rows are filled by the slip kernel's end test; past the
-    # start-up the engine makes the module's stick test only where it holds
-    # the container still, after a stop or at a capture, and hands it on
+    # start-up, run() makes the plant's stick test only where it holds the
+    # container still, after a stop or at a capture, and hands it on
     calls = _count_engine_calls(monkeypatch)
     bisections = []
     real = dynamics._TraySim._bisect
@@ -529,7 +605,8 @@ def test_stick_test_only_at_start_up_and_held_states(monkeypatch, params, motion
     tr = simulate_coupled(params, motion)
     assert np.count_nonzero(tr.mode) > 0
     assert calls["at_slide"] == 0
-    assert 1 < calls["_stick_eval"] <= 1 + len(bisections) + len(tr.transitions)
+    assert calls["kernel_test"] == calls["slip"]
+    assert 1 < calls["test"] <= 1 + len(bisections) + len(tr.transitions)
 
 
 @STICK_SLIP_STICK

@@ -29,8 +29,7 @@ from traywaiter.dynamics import (
     TrayMotion,
     _TraySim,
     _input_terms,
-    _stick_eval,
-    _stick_rates,
+    _stick_test,
 )
 from traywaiter.fileio import quaternion_to_rotation, rotation_to_quaternion
 from traywaiter.smoothers import (
@@ -44,6 +43,8 @@ from traywaiter.smoothers import (
 
 from _oracles import (
     _slip_eval,
+    _stick_eval,
+    _stick_rates,
     desk_params,
     generic_slip_step,
     generic_stick_step,
@@ -532,6 +533,30 @@ def test_slip_meets_stick_on_the_friction_cone(plant, y, u):
     assert abs(thdd_slip - thdd) <= 1e-11 * (abs(thdd) + 1.0)
 
 
+# The examples: signed zeros in the state and the inputs; the pendulum
+# (mu = inf); a diverging theta_dot whose square overflows to inf.
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
+           lambda m: _plants(m, st.sampled_from([0.0, 0.3, math.inf]))),
+       st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1),
+                 st.floats(-1.0, 1.0)),
+       st.tuples(st.floats(-10.0, 10.0), st.floats(-15.0, 10.0), st.floats(-0.5, 0.5),
+                 st.floats(-3.0, 3.0), st.floats(-50.0, 50.0)))
+@example(desk_params(), (-0.0, -0.0, -0.0, -0.0), (-0.0, 0.0, -0.0, -0.0, -0.0))
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, 0.0, -0.0, 0.0), (0.0, -0.0, 0.0, -0.0, 0.0))
+@example(desk_params(mu=math.inf), (0.1, -0.5, -0.0, 0.0), (1.0, 0.5, 0.1, 0.2, -3.0))
+@example(desk_params(), (0.1, 1e300, 0.0, 0.0), (1.0, 0.5, 0.1, 0.2, -3.0))
+def test_stick_test_matches_the_reference_formulas(plant, y, row):
+    # the plant's stick test, which run(), held states, friction_margin and
+    # the slip kernel's end test share, is the reference stick test bit for
+    # bit, at held (d_x_dot = 0) and sliding states alike
+    damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
+    u = next(_input_terms(plant, [row]))
+    new = _stick_test(plant, damp)(*y, u)
+    ref = _stick_eval(plant, damp, *y, u)
+    assert tuple(map(float.hex, new)) == tuple(map(float.hex, ref))
+
+
 # ---------------------------------------------------------------------------
 # stick sub-step
 # ---------------------------------------------------------------------------
@@ -552,13 +577,14 @@ def _step_engine(plant):
                     (0.0, 0.0, 0.0, 0.0))
 
 
-def _stick_step_cases(plant, y, rows, h, reuse, sim=None):
-    # the kernel's new state and end test, and the generic step's new state
-    # and the module's stick test there
+def _stick_step_cases(plant, y, rows, h, sim=None):
+    # the kernel's new state and end test from k1, the reference stick test
+    # at y and u0, and the generic step's new state and the reference stick
+    # test there
     sim = sim or _step_engine(plant)
     u = tuple(_input_terms(plant, rows))
     y = (*y, 0.0)                              # the stick state holds d_x_dot = 0
-    k1 = _stick_eval(plant, sim.damp, *y[:3], 0.0, u[0]) if reuse else None
+    k1 = _stick_eval(plant, sim.damp, *y[:3], 0.0, u[0])
 
     def kernel(*args):
         y_new, test = sim._stick(*args)
@@ -585,21 +611,21 @@ _ROWS = st.tuples(*[st.tuples(st.floats(-10.0, 10.0), st.floats(-15.0, 10.0),
 @given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
            lambda m: _plants(m, st.sampled_from([0.3, math.inf]))),
        st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1)),
-       _ROWS, st.floats(1e-10, 2e-3), st.booleans())
-@example(desk_params(), (0.0, 0.0, 0.0), _ZERO_ROWS, 1e-3, False)
-@example(desk_params(), (-0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, True)
-@example(desk_params(), (-0.0, -0.0, -0.0), ((-0.0, 0.0, -0.0, 0.0, -0.0),) * 3, 1e-3, False)
-@example(desk_params(), (-0.0, -0.0, -0.0), ((-0.0, 0.0, -0.0, -0.0, -0.0),) * 3, 1e-3, False)
-@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, True)
-@example(desk_params(mu=math.inf), (0.1, -0.5, -0.0), _ZERO_ROWS, 1e-3, True)
-@example(desk_params(), (0.1, -0.5, -0.0), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4, False)
-@example(desk_params(), (0.0, 0.0, -0.0), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10, True)
-def test_stick_step_matches_generic_rk4(plant, y, rows, h, reuse):
-    # m = 0, m > 0 and mu = inf (the pendulum); the first stage evaluated or
-    # taken from the stick test at the same state and inputs; full steps and
-    # the narrower sub-steps of event handling. The kernel's end test is the
-    # module's stick test at the new state, bit for bit.
-    new, ref = _stick_step_cases(plant, y, rows, h, reuse)
+       _ROWS, st.floats(1e-10, 2e-3))
+@example(desk_params(), (0.0, 0.0, 0.0), _ZERO_ROWS, 1e-3)
+@example(desk_params(), (-0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3)
+@example(desk_params(), (-0.0, -0.0, -0.0), ((-0.0, 0.0, -0.0, 0.0, -0.0),) * 3, 1e-3)
+@example(desk_params(), (-0.0, -0.0, -0.0), ((-0.0, 0.0, -0.0, -0.0, -0.0),) * 3, 1e-3)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3)
+@example(desk_params(mu=math.inf), (0.1, -0.5, -0.0), _ZERO_ROWS, 1e-3)
+@example(desk_params(), (0.1, -0.5, -0.0), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4)
+@example(desk_params(), (0.0, 0.0, -0.0), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10)
+def test_stick_step_matches_generic_rk4(plant, y, rows, h):
+    # m = 0, m > 0 and mu = inf (the pendulum); the first stage taken from
+    # the stick test at the same state and inputs; full steps and the
+    # narrower sub-steps of event handling. The kernel's end test is the
+    # reference stick test at the new state, bit for bit.
+    new, ref = _stick_step_cases(plant, y, rows, h)
     assert new == ref
 
 
@@ -622,8 +648,7 @@ _CONTACT_LOSS = [
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
-@pytest.mark.parametrize("reuse", [False, True], ids=["evaluated", "reused"])
-def test_stick_step_contact_loss_in_each_stage(monkeypatch, stage, reuse):
+def test_stick_step_contact_loss_in_each_stage(monkeypatch, stage):
     y, row, h = _CONTACT_LOSS[stage - 1]
     plant = desk_params(m=0.4, M=0.1)
     calls = []
@@ -632,25 +657,25 @@ def test_stick_step_contact_loss_in_each_stage(monkeypatch, stage, reuse):
             mp.setattr(math, name, lambda x, _real=getattr(math, name), _name=name:
                        calls.append(_name) or _real(x))
         sim = _step_engine(plant)              # its kernel takes the counting sin and cos
-    new, ref = _stick_step_cases(plant, y, (row,) * 3, h, reuse, sim)
+    new, ref = _stick_step_cases(plant, y, (row,) * 3, h, sim)
     assert new == ref == "contact lost at t = 0.2 s"
     # the kernel stops at the stage that lost contact, and each stage it
-    # evaluates takes sin and cos of theta and of beta + theta once; a reused
-    # stage 1 was evaluated by the stick test instead
-    evaluated = stage - 1 if reuse else stage
-    assert calls.count("sin") == calls.count("cos") == 2 * evaluated
+    # evaluates takes sin and cos of theta and of beta + theta once; stage 1
+    # is k1, the stick test at y, whose N <= 0 in the first case
+    assert calls.count("sin") == calls.count("cos") == 2 * (stage - 1)
 
 
 # ---------------------------------------------------------------------------
 # slip sub-step
 # ---------------------------------------------------------------------------
 
-def _slip_step_cases(plant, y, rows, h, s, reuse=False, sim=None):
-    # the kernel's new state and end test, and the generic step's new state
-    # and the module's stick test there
+def _slip_step_cases(plant, y, rows, h, s, sim=None):
+    # the kernel's new state and end test from k1, the reference stick test
+    # at y and u0, and the generic step's new state and the reference stick
+    # test there
     sim = sim or _step_engine(plant)
     u = tuple(_input_terms(plant, rows))
-    k1 = _stick_eval(plant, sim.damp, *y, u[0]) if reuse else None
+    k1 = _stick_eval(plant, sim.damp, *y, u[0])
 
     def kernel(*args):
         y_new, test = sim._slip(*args)
@@ -668,36 +693,34 @@ _SINGULAR_MU = (0.1 + 2.0 * math.sin(0.7) ** 2) / (2.0 * math.sin(0.7) * math.co
 
 
 # The examples: all-zero inputs; signed zeros in the state and the inputs,
-# for both slip signs, with the solid's first stage evaluated and reused; a
+# for both slip signs, with the solid's first stage taken from k1; a
 # sub-step narrower than the step; a bisection-wide sub-step.
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
            lambda m: _plants(m, st.floats(0.0, 1.5))),
        st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1),
                  st.floats(-1.0, 1.0)),
-       _ROWS, st.floats(1e-10, 2e-3), st.sampled_from([1.0, -1.0]), st.booleans())
-@example(desk_params(), (0.0, 0.0, 0.0, 0.0), _ZERO_ROWS, 1e-3, 1.0, False)
-@example(desk_params(), (-0.0, -0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, -1.0, True)
+       _ROWS, st.floats(1e-10, 2e-3), st.sampled_from([1.0, -1.0]))
+@example(desk_params(), (0.0, 0.0, 0.0, 0.0), _ZERO_ROWS, 1e-3, 1.0)
+@example(desk_params(), (-0.0, -0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, -1.0)
 @example(desk_params(), (-0.0, -0.0, -0.0, 0.2), ((-0.0, 0.0, -0.0, 0.0, -0.0),) * 3,
-         1e-3, 1.0, False)
+         1e-3, 1.0)
 @example(desk_params(), (-0.0, -0.0, -0.0, -0.2), ((-0.0, 0.0, -0.0, -0.0, -0.0),) * 3,
-         1e-3, -1.0, False)
-@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.3), _ZERO_ROWS, 1e-3, -1.0, False)
-@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, -1.0, True)
+         1e-3, -1.0)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.3), _ZERO_ROWS, 1e-3, -1.0)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, -1.0)
 @example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, 0.0), ((-0.0, 0.0, -0.0, -0.0, -0.0),) * 3,
-         1e-3, 1.0, True)
+         1e-3, 1.0)
 @example(desk_params(m=0.0, b_lc=0.0), (0.0, 0.0, 0.01, 0.3), ((3.0, 0.5, 0.1, 0.2, -3.0),) * 3,
-         3.7e-4, 1.0, True)
-@example(desk_params(), (0.1, -0.5, -0.0, 0.05), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4, 1.0,
-         False)
-@example(desk_params(), (0.0, 0.0, -0.0, -1e-7), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10, -1.0,
-         True)
-def test_slip_step_matches_generic_rk4(plant, y, rows, h, s, reuse):
-    # m = 0 and m > 0, both slip signs, the first stage evaluated or, for
-    # the solid, taken from the stick test at the same state and inputs;
+         3.7e-4, 1.0)
+@example(desk_params(), (0.1, -0.5, -0.0, 0.05), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4, 1.0)
+@example(desk_params(), (0.0, 0.0, -0.0, -1e-7), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10, -1.0)
+def test_slip_step_matches_generic_rk4(plant, y, rows, h, s):
+    # m = 0 and m > 0, both slip signs, the first stage evaluated (m > 0)
+    # or taken from k1, the stick test at the same state and inputs (m = 0);
     # full steps and the narrower sub-steps of event handling. The kernel's
-    # end test is the module's stick test at the new state, bit for bit.
-    new, ref = _slip_step_cases(plant, y, rows, h, s, reuse)
+    # end test is the reference stick test at the new state, bit for bit.
+    new, ref = _slip_step_cases(plant, y, rows, h, s)
     assert new == ref
 
 
@@ -736,21 +759,17 @@ def test_slip_step_contact_loss_in_each_stage(monkeypatch, stage):
             mp.setattr(math, name, lambda x, _real=getattr(math, name), _name=name:
                        calls.append(_name) or _real(x))
         sim = _step_engine(plant)              # its kernel takes the counting sin and cos
-    for reuse in (False, True):
-        calls.clear()
-        new, ref = _slip_step_cases(plant, y, (row,) * 3, h, s, reuse, sim)
-        assert new == ref == "contact lost at t = 0.2 s"
-        # the kernel stops at the stage that lost contact, and each stage it
-        # evaluates takes sin and cos of theta and of beta + theta once; with
-        # m > 0 a stick test at y is no first stage, so it is evaluated anyway
-        assert calls.count("sin") == calls.count("cos") == 2 * stage
+    new, ref = _slip_step_cases(plant, y, (row,) * 3, h, s, sim)
+    assert new == ref == "contact lost at t = 0.2 s"
+    # the kernel stops at the stage that lost contact, and each stage it
+    # evaluates takes sin and cos of theta and of beta + theta once; with
+    # m > 0 the stick test at y, k1, is no first stage, so it is evaluated
+    assert calls.count("sin") == calls.count("cos") == 2 * stage
 
 
-@pytest.mark.parametrize("reuse", [False, True], ids=["evaluated", "reused"])
-def test_solid_slip_step_contact_loss_in_the_first_stage(monkeypatch, reuse):
-    # the solid's first stage, evaluated or taken from the stick test at y,
-    # reports its contact loss at the step time; a reused stage takes no
-    # sin or cos
+def test_solid_slip_step_contact_loss_in_the_first_stage(monkeypatch):
+    # the solid's first stage, taken from k1, the stick test at y, reports
+    # its contact loss at the step time and takes no sin or cos
     plant = desk_params(m=0.0, b_lc=0.0)
     calls = []
     with monkeypatch.context() as mp:
@@ -759,6 +778,6 @@ def test_solid_slip_step_contact_loss_in_the_first_stage(monkeypatch, reuse):
                        calls.append(_name) or _real(x))
         sim = _step_engine(plant)
     row = (0.0, -12.0, 0.0, 0.0, 0.0)          # the tray falls faster than gravity
-    new, ref = _slip_step_cases(plant, (0.0, 0.0, 0.0, 0.1), (row,) * 3, 1e-3, 1.0, reuse, sim)
+    new, ref = _slip_step_cases(plant, (0.0, 0.0, 0.0, 0.1), (row,) * 3, 1e-3, 1.0, sim)
     assert new == ref == "contact lost at t = 0.2 s"
-    assert calls.count("sin") == calls.count("cos") == (0 if reuse else 1)
+    assert calls.count("sin") == calls.count("cos") == 0

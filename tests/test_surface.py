@@ -41,10 +41,12 @@ def test_root_exports_are_listed_by_their_modules():
 
 
 def test_test_only_helpers_live_in_the_tests():
-    # the linear slosh oracle, its midpoint stencil, the desk-scale plant and
-    # the rest motion serve only the tests, from tests/_oracles.py
+    # the linear slosh oracle, its midpoint stencil, the desk-scale plant,
+    # the rest motion and the contact model's reference formulas serve only
+    # the tests, from tests/_oracles.py
     dynamics = importlib.import_module("traywaiter.dynamics")
-    for name in ("simulate_linear_slosh", "_midpoints", "desk_params"):
+    for name in ("simulate_linear_slosh", "_midpoints", "desk_params", "_pendulum_rhs",
+                 "_normal", "_demand", "_stick_rates", "_stick_eval"):
         assert not hasattr(dynamics, name) and not hasattr(traywaiter, name), name
     assert not hasattr(dynamics.TrayMotion, "rest")
 
@@ -108,3 +110,15 @@ def test_third_party_imports_are_declared_dependencies():
     assert {"hypothesis", "numpy", "pytest", "yaml"} <= tests
     assert _undeclared(package, runtime) == []
     assert _undeclared(tests, testing) == []
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the README's "Library sketch" block runs as written, so a renamed or
+    # moved name cannot rot it unnoticed
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Library sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md (Library sketch)", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) >= 3 and printed[-1].endswith("]")   # theta, slip, transitions
