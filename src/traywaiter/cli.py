@@ -174,10 +174,9 @@ def cmd_filter(cfg: RunConfig, args) -> int:
 
     positions = traj.positions.copy()
     if cfg.noise_amplitude > 0.0:
-        for axis in range(3):
-            positions[:, axis] += band_limited_noise(
-                traj.n, traj.dt, cfg.noise_amplitude, cfg.noise_cutoff_hz,
-                cfg.seed + axis)
+        positions += band_limited_noise(
+            traj.n, traj.dt, cfg.noise_amplitude, cfg.noise_cutoff_hz,
+            range(cfg.seed, cfg.seed + 3))
 
     result = plan(sc, cfg.g)
     _check_samples(result.duration / traj.dt, "scenario",

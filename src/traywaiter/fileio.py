@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -517,19 +518,33 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def band_limited_noise(n: int, dt: float, amplitude: float, cutoff_hz: float,
-                       seed: int) -> np.ndarray:
+                       seed: int | Sequence[int]) -> np.ndarray:
     """Gaussian noise low-passed at cutoff_hz and scaled to the requested RMS
     amplitude; used to emulate sensor noise and hand tremor on recorded
-    trajectories. Deterministic for a given seed."""
-    if n < 2 or amplitude < 0.0 or cutoff_hz <= 0.0:
-        raise ValueError("need n >= 2, amplitude >= 0, cutoff_hz > 0")
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal(n)
+    trajectories. Deterministic for a given seed.
+
+    An int seed gives shape (n,). A sequence of k seeds gives shape (n, k),
+    one RMS-scaled column per seed: the white rows go through one rfft/irfft
+    pair, and column j has the bits of the call with the int seeds[j].
+    """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (amplitude >= 0.0 and math.isfinite(amplitude)):
+        raise ValueError(f"amplitude must be non-negative and finite, got {amplitude}")
+    if not (cutoff_hz > 0.0 and math.isfinite(cutoff_hz)):
+        raise ValueError(f"cutoff_hz must be positive and finite, got {cutoff_hz}")
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    if not seeds:
+        raise ValueError("seed must be an int or a non-empty sequence of ints")
+    white = np.stack([np.random.default_rng(s).standard_normal(n) for s in seeds])
     spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, dt)
-    spec[freqs > cutoff_hz] = 0.0
+    spec[:, np.fft.rfftfreq(n, dt) > cutoff_hz] = 0.0
     out = np.fft.irfft(spec, n)
-    rms = np.sqrt(np.mean(out ** 2))
-    if rms == 0.0:
-        return np.zeros(n)
-    return out * (amplitude / rms)
+    rms = np.sqrt(np.mean(out ** 2, axis=1))
+    silent = rms == 0.0
+    out *= (amplitude / np.where(silent, 1.0, rms))[:, None]
+    out[silent] = 0.0
+    return out[0] if single else out.T

@@ -273,8 +273,10 @@ def rollout_profile(result: PlanResult, dt: float, settle: float = 0.0,
     one rest sample at t = 0; the goal is reached exactly once the total
     kernel support has elapsed.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (settle >= 0.0 and math.isfinite(settle)):
+        raise ValueError(f"settle must be non-negative and finite, got {settle}")
     state = CascadeState(result.cascade, dt, initial_value=0.0)
     n = int(math.ceil((result.duration + settle) / dt)) + 1
     pos, vel, acc = state.run(np.full(n, result.distance))

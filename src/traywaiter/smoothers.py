@@ -370,7 +370,8 @@ class CascadeState:
     def __init__(self, spec, sample_period: float,
                  initial_value: float | None = None):
         if not (sample_period > 0.0 and math.isfinite(sample_period)):
-            raise ValueError(f"sample_period must be positive, got {sample_period}")
+            raise ValueError(f"sample_period must be positive and finite, "
+                             f"got {sample_period}")
         if not isinstance(spec, CascadeSpec):
             spec = CascadeSpec((spec,) if isinstance(spec, SmootherKind) else spec)
         if len(spec.stages) == 0:
@@ -390,6 +391,10 @@ class CascadeState:
         return sum(sum(st.t_span for st in stages) for stages in self._kinds)
 
     def reset(self, value: float = 0.0, vel: float = 0.0, acc: float = 0.0) -> None:
+        """Prime every stage as if (value, vel, acc) had been held forever.
+        The triple is stored as Python floats, numpy scalars included, so
+        the oscillator's per-sample loop runs on plain floats."""
+        value, vel, acc = float(value), float(vel), float(acc)
         for stages in self._kinds:
             for st in stages:
                 st.prime(value, vel, acc)

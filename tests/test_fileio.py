@@ -402,6 +402,40 @@ def test_band_limited_noise_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 128, 1000, 4096, 4097, 12289, 30001,
+                               65537, 99991])
+def test_band_limited_noise_seed_sequence_columns_match_int_calls(n):
+    for dt, cutoff in ((1e-3, 5.0), (1e-2, 0.7)):
+        seeds = [7, 8, 9]
+        cols = band_limited_noise(n, dt, 0.0005, cutoff, seed=seeds)
+        assert cols.shape == (n, 3)
+        for j, s in enumerate(seeds):
+            alone = band_limited_noise(n, dt, 0.0005, cutoff, seed=s)
+            assert alone.shape == (n,)
+            assert np.ascontiguousarray(cols[:, j]).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 1),
+    ("dt", math.nan),
+    ("dt", math.inf),
+    ("dt", 0.0),
+    ("dt", -1e-3),
+    ("amplitude", math.inf),
+    ("amplitude", math.nan),
+    ("amplitude", -0.1),
+    ("cutoff_hz", math.nan),
+    ("cutoff_hz", math.inf),
+    ("cutoff_hz", 0.0),
+    ("seed", []),
+])
+def test_band_limited_noise_rejects_bad_arguments(name, value):
+    kwargs = dict(n=100, dt=1e-3, amplitude=0.01, cutoff_hz=5.0, seed=1)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        band_limited_noise(**kwargs)
+
+
 def test_band_limited_noise_band_and_amplitude():
     n, dt, cutoff = 8192, 1e-3, 5.0
     noise = band_limited_noise(n, dt, 0.02, cutoff, seed=1)

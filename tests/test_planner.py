@@ -182,6 +182,23 @@ def test_rollout_jerk_has_no_jumps():
     assert j2 <= 0.6 * j1  # vanishes with dt: position is C^3
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_rollout_rejects_a_bad_dt(dt):
+    sc = p2p_scenario()
+    result = plan(sc, G)
+    with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+        rollout_trajectory(result, sc, dt)
+
+
+@pytest.mark.parametrize("settle", [math.nan, math.inf, -0.1])
+def test_rollout_rejects_a_bad_settle(settle):
+    sc = p2p_scenario()
+    result = plan(sc, G)
+    with pytest.raises(ValueError,
+                       match=f"^settle must be non-negative and finite, got {settle}$"):
+        rollout_trajectory(result, sc, 1e-3, settle=settle)
+
+
 def test_planned_liquid_cascade_suppresses_slosh():
     omega_n, delta = 14.0, 0.05
     sc = p2p_scenario(material="liquid", omega_n=omega_n, delta=delta,

@@ -301,6 +301,30 @@ def test_empty_cascade_rejected():
         CascadeState([], 1e-3)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_state_rejects_a_bad_sample_period(dt):
+    with pytest.raises(ValueError,
+                       match=f"^sample_period must be positive and finite, got {dt}$"):
+        CascadeState(Harmonic(0.5), dt)
+
+
+def test_numpy_scalar_prime_is_kept_as_python_floats():
+    # a numpy scalar in the oscillator state would turn its per-sample loop
+    # into numpy-scalar arithmetic: same bits, several times slower
+    dt = 1e-3
+    u = 0.2 + 0.1 * np.sin(np.linspace(0, 7, 900))
+    spec = [Trapezoidal(0.05, 0.03), DampedHarmonic(-0.7, 0.2), Harmonic(0.1)]
+    primed_np = CascadeState(spec, dt, initial_value=np.float64(u[0]))
+    primed_float = CascadeState(spec, dt, initial_value=float(u[0]))
+    for x, y in zip(primed_np.run(u), primed_float.run(u)):
+        assert x.tobytes() == y.tobytes()
+    oscillators = [st for stages in primed_np._kinds for st in stages
+                   if hasattr(st, "x1")]
+    assert len(oscillators) == 2
+    for st in oscillators:
+        assert [type(st.x1), type(st.x2), type(st._w_prev)] == [float] * 3
+
+
 RUN_CASCADE = [Trapezoidal(0.005, 0.003), DampedHarmonic(-2.0, 0.004)]
 
 
