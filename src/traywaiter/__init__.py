@@ -39,13 +39,10 @@ from .smoothers import (
     CascadeSpec,
     CascadeState,
     DampedHarmonic,
-    Harmonic,
-    Rectangular,
     Trapezoidal,
     freq_response,
     kernel_duration,
     make_damped_harmonic_params,
-    make_harmonic_T,
     make_trapezoidal_params,
     transfer_function,
 )

@@ -757,7 +757,8 @@ def estimate_prv(kind, omega_n: float, delta: float = 0.0) -> float:
     By the input-shaping residual identity this is |H(s_p)| at the plant
     pole s_p = -delta omega_n + j omega_n sqrt(1 - delta^2).
     """
-    if not (omega_n > 0.0 and 0.0 <= delta < 1.0):
-        raise ValueError("need omega_n > 0 and 0 <= delta < 1")
+    if not (0.0 < omega_n < math.inf and 0.0 <= delta < 1.0):
+        raise ValueError(f"need 0 < omega_n < inf and 0 <= delta < 1, "
+                         f"got omega_n = {omega_n}, delta = {delta}")
     s_p = complex(-delta * omega_n, omega_n * math.sqrt(1.0 - delta * delta))
     return abs(transfer_function(kind, s_p))

@@ -457,10 +457,8 @@ def load_config(path: str) -> RunConfig:
                    required=(motion == "point_to_point"), default=None),
         omega_n=omega_n,
         delta=delta,
-        free_stage_T=_get(cfg, "scenario.free_stage_T", float,
-                          required=False, default=None),
-        angular_accel_cap=_get(cfg, "scenario.angular_accel_cap", float,
-                               required=False, default=20.0),
+        free_stage_T=_get_bounded(cfg, "scenario.free_stage_T", None),
+        angular_accel_cap=_get_bounded(cfg, "scenario.angular_accel_cap", 20.0),
     )
     try:
         scenario = Scenario(**fields)

@@ -47,10 +47,13 @@ def friction_limited_duration(h_o: float, h_v: float, mu: float, g: float) -> fl
 
     Returns inf when mu == 0 with lateral displacement (infeasible).
     """
-    if g <= 0.0:
+    if not g > 0.0:
         raise ValueError(f"g must be positive, got {g}")
-    if h_o < 0.0 or h_v < 0.0 or mu < 0.0:
-        raise ValueError("h_o, h_v, mu must be non-negative")
+    for name, val in (("h_o", h_o), ("h_v", h_v), ("mu", mu)):
+        if not val >= 0.0:
+            raise ValueError(f"{name} must be non-negative, got {val}")
+    if mu == math.inf:  # the mu -> inf limit, where the formula gives nan
+        return 2.0 * math.sqrt(h_v / g)
     if mu == 0.0:
         if h_o > 0.0:
             return math.inf
@@ -108,8 +111,10 @@ class Scenario:
                 raise ValueError("liquid scenario needs the slosh frequency omega_n")
             if not (self.omega_n > 0.0 and 0.0 <= self.delta < 1.0):
                 raise ValueError("liquid scenario needs omega_n > 0 and delta in [0, 1)")
-        if self.free_stage_T is not None and self.free_stage_T <= 0.0:
+        if self.free_stage_T is not None and not self.free_stage_T > 0.0:
             raise ValueError("free_stage_T must be positive")
+        if not self.angular_accel_cap > 0.0:
+            raise ValueError("angular_accel_cap must be positive")
 
     @property
     def displacement(self) -> float:

@@ -1,12 +1,10 @@
 """Finite-support smoothing filters with structural derivative outputs.
 
-Three kernel kinds are provided, all with unit DC gain:
+Two kernel kinds are provided, both with unit DC gain:
 
-* rectangular  -- box kernel of duration T (first order)
-* trapezoidal  -- two rectangular kernels in series, durations T1 and T2
-* damped harmonic -- exponentially weighted half-sine, parameters (sigma, T)
-  (second order); the harmonic kernel, a plain half-sine of duration T, is
-  its sigma = 0 case, which Harmonic(T) returns
+* trapezoidal  -- two box kernels in series, durations T1 and T2
+* damped harmonic -- exponentially weighted half-sine, parameters (sigma, T);
+  sigma = 0 is the plain half-sine of duration T
 
 Each discrete realization emits the filtered signal together with its first
 and second derivatives; nothing downstream ever differentiates the output
@@ -23,32 +21,17 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "Rectangular",
-    "Harmonic",
     "Trapezoidal",
     "DampedHarmonic",
     "SmootherKind",
     "CascadeSpec",
     "CascadeState",
     "make_trapezoidal_params",
-    "make_harmonic_T",
     "make_damped_harmonic_params",
     "kernel_duration",
-    "continuity_gain",
     "transfer_function",
     "freq_response",
 ]
-
-
-@dataclass(frozen=True)
-class Rectangular:
-    """Box kernel 1/T on [0, T]."""
-
-    T: float
-
-    def __post_init__(self):
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"rectangular smoother needs T > 0, got {self.T}")
 
 
 def _oscillator_span_ok(T: float) -> bool:
@@ -60,7 +43,7 @@ def _oscillator_span_ok(T: float) -> bool:
 
 @dataclass(frozen=True)
 class Trapezoidal:
-    """Two rectangular kernels in series; T1 == T2 is the triangular case."""
+    """Two box kernels in series; T1 == T2 is the triangular case."""
 
     T1: float
     T2: float
@@ -87,13 +70,7 @@ class DampedHarmonic:
             raise ValueError("sigma must be finite")
 
 
-def Harmonic(T: float) -> DampedHarmonic:
-    """Half-sine kernel (pi/2T) sin(pi t / T) on [0, T]: the damped harmonic
-    kernel with sigma = 0."""
-    return DampedHarmonic(0.0, T)
-
-
-SmootherKind = Union[Rectangular, Trapezoidal, DampedHarmonic]
+SmootherKind = Union[Trapezoidal, DampedHarmonic]
 
 
 def kernel_duration(kind: SmootherKind) -> float:
@@ -101,13 +78,6 @@ def kernel_duration(kind: SmootherKind) -> float:
     if isinstance(kind, Trapezoidal):
         return kind.T1 + kind.T2
     return kind.T
-
-
-def continuity_gain(kind: SmootherKind) -> int:
-    """How many continuity classes the stage adds to its input signal."""
-    if isinstance(kind, Rectangular):
-        return 1
-    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +97,6 @@ def make_trapezoidal_params(h: float, v_max: float, a_max: float) -> tuple[float
         return h / v_max, v_max / a_max
     t = math.sqrt(h / a_max)
     return t, t
-
-
-def make_harmonic_T(omega_n: float) -> float:
-    """Harmonic smoother duration that cancels a resonance at omega_n."""
-    if not (omega_n > 0.0 and math.isfinite(omega_n)):
-        raise ValueError(f"omega_n must be positive, got {omega_n}")
-    return 3.0 * math.pi / omega_n
 
 
 def make_damped_harmonic_params(omega_n: float, delta: float) -> tuple[float, float]:
@@ -191,8 +154,6 @@ def transfer_function(kind, s: complex) -> complex:
         for stage in kind.stages:
             out *= transfer_function(stage, s)
         return out
-    if isinstance(kind, Rectangular):
-        return _rect_tf(kind.T, s)
     if isinstance(kind, Trapezoidal):
         return _rect_tf(kind.T1, s) * _rect_tf(kind.T2, s)
     if isinstance(kind, DampedHarmonic):
@@ -326,8 +287,6 @@ class _OscStage:
 
 
 def _build_stages(kind: SmootherKind, dt: float) -> list:
-    if isinstance(kind, Rectangular):
-        return [_RectStage(_quantize(kind.T, dt), dt)]
     if isinstance(kind, Trapezoidal):
         return [_RectStage(_quantize(kind.T1, dt), dt),
                 _RectStage(_quantize(kind.T2, dt), dt)]
@@ -352,7 +311,7 @@ class CascadeSpec:
         return sum(kernel_duration(st) for st in self.stages)
 
     def continuity_gain(self) -> int:
-        return sum(continuity_gain(st) for st in self.stages)
+        return 2 * len(self.stages)
 
 
 class CascadeState:

@@ -24,7 +24,6 @@ from traywaiter.dynamics import (
 )
 from traywaiter.smoothers import (
     DampedHarmonic,
-    Rectangular,
     Trapezoidal,
     _quantize,
 )
@@ -163,8 +162,6 @@ class OscStageRef:
 
 def per_sample_stages(kind, dt: float) -> list:
     """The serial stages of one smoother kind, as per-sample references."""
-    if isinstance(kind, Rectangular):
-        return [RectStageRef(_quantize(kind.T, dt), dt)]
     if isinstance(kind, Trapezoidal):
         return [RectStageRef(_quantize(kind.T1, dt), dt),
                 RectStageRef(_quantize(kind.T2, dt), dt)]

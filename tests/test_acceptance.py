@@ -32,11 +32,9 @@ from traywaiter.planner import friction_limited_duration
 from traywaiter.smoothers import (
     CascadeState,
     DampedHarmonic,
-    Harmonic,
     Trapezoidal,
     freq_response,
     make_damped_harmonic_params,
-    make_harmonic_T,
     make_trapezoidal_params,
 )
 
@@ -63,11 +61,11 @@ def _triangular_motion(h_o, T, dt, tail=0.35):
 def test_criterion_01_notch_cancellation():
     start = time.perf_counter()
     omega_n = 2 * math.pi
-    T = make_harmonic_T(omega_n)
-    mag = freq_response(Harmonic(T), [omega_n])[0]
+    T = make_damped_harmonic_params(omega_n, 0.0)[1]
+    mag = freq_response(DampedHarmonic(0.0, T), [omega_n])[0]
 
     dt = 1e-4
-    state = CascadeState(Harmonic(T), dt, initial_value=0.0)
+    state = CascadeState(DampedHarmonic(0.0, T), dt, initial_value=0.0)
     n = int((T + 2.0) / dt)
     _, _, acc = state.run(np.ones(n))
     theta, _ = simulate_linear_slosh(omega_n, 0.0, acc, dt)
@@ -199,7 +197,7 @@ def test_criterion_07_spectral_dominance():
     start = time.perf_counter()
     omega_n = 2 * math.pi
     trap = Trapezoidal(2 * math.pi / omega_n, math.pi / omega_n)
-    harm = Harmonic(make_harmonic_T(omega_n))
+    harm = DampedHarmonic(0.0, make_damped_harmonic_params(omega_n, 0.0)[1])
     grid = omega_n * np.arange(1, 601) / 100  # w_n, 2 w_n exact at [99], [199]
     mag_h = freq_response(harm, grid)
     mag_t = freq_response(trap, grid)

@@ -266,12 +266,17 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, field, value):
     ("filter", "numerics.seed", -5, "must not be negative"),
     ("simulate", "thresholds.max_theta", -1.0, "must not be negative"),
     ("simulate", "thresholds.max_slip", -1.0, "must not be negative"),
+    ("simulate", "scenario.angular_accel_cap", -1.0, "must be positive"),
+    ("simulate", "scenario.angular_accel_cap", 0.0, "must be positive"),
+    ("simulate", "scenario.free_stage_T", 0.0, "must be positive"),
 ])
 def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, field, value,
                                            problem):
     # unchecked, a negative amplitude would add no noise, numpy would refuse
     # a negative seed without naming the field, and a negative threshold
-    # would fail every run ("|slip| = 0.0 m > -1.0")
+    # would fail every run ("|slip| = 0.0 m > -1.0"); a cap that is not
+    # positive would send a solid move through a free-stage search that
+    # cannot succeed, with an error that names no field
     noisy = COMPLEX_SOLID_CONFIG + "noise: {amplitude: 0.003, cutoff_hz: 4.0}\n"
     cfg = yaml.safe_load(noisy if command == "filter" else P2P_CONFIG)
     section, leaf = field.split(".")

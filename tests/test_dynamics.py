@@ -22,13 +22,10 @@ from traywaiter.dynamics import _MotionSampler
 from traywaiter.smoothers import (
     CascadeState,
     DampedHarmonic,
-    Harmonic,
-    Rectangular,
     Trapezoidal,
     freq_response,
     kernel_duration,
     make_damped_harmonic_params,
-    make_harmonic_T,
 )
 
 from _oracles import (
@@ -236,8 +233,8 @@ def test_linear_slosh_free_oscillation():
 def test_harmonic_smoother_suppresses_residual():
     omega_n = 2 * math.pi
     dt = 1e-4
-    T = make_harmonic_T(omega_n)
-    state = CascadeState(Harmonic(T), dt, initial_value=0.0)
+    T = make_damped_harmonic_params(omega_n, 0.0)[1]
+    state = CascadeState(DampedHarmonic(0.0, T), dt, initial_value=0.0)
     n = int((T + 2.0) / dt)
     _, _, acc = state.run(np.ones(n))
     theta, _ = simulate_linear_slosh(omega_n, 0.0, acc, dt)
@@ -778,18 +775,28 @@ def test_friction_margin_matches_printed_formulas():
 
 def test_prv_notch_suppression():
     omega_n = 2 * math.pi
-    assert estimate_prv(Harmonic(make_harmonic_T(omega_n)), omega_n) < 1e-3
+    harm = DampedHarmonic(0.0, make_damped_harmonic_params(omega_n, 0.0)[1])
+    assert estimate_prv(harm, omega_n) < 1e-3
+
+
+@pytest.mark.parametrize("omega_n, delta", [
+    (math.inf, 0.0), (math.nan, 0.0), (0.0, 0.0), (2.5, 1.0), (2.5, math.nan),
+])
+def test_prv_rejects_a_bad_plant(omega_n, delta):
+    # at omega_n = inf the plant pole is infinite, where |H| is nan
+    with pytest.raises(ValueError, match=f"got omega_n = {omega_n}, delta = {delta}$"):
+        estimate_prv(Trapezoidal(0.1, 0.1), omega_n, delta)
 
 
 def test_prv_passthrough_limit():
     omega_n = 2 * math.pi
-    prv = estimate_prv(Rectangular(0.01), omega_n)
+    prv = estimate_prv(Trapezoidal(0.005, 0.005), omega_n)
     assert prv == pytest.approx(1.0, abs=0.05)
 
 
 def test_prv_harmonic_beats_trapezoidal_off_nominal():
     omega_n = 2 * math.pi
-    harm = Harmonic(make_harmonic_T(omega_n))
+    harm = DampedHarmonic(0.0, make_damped_harmonic_params(omega_n, 0.0)[1])
     trap = Trapezoidal(2 * math.pi / omega_n, math.pi / omega_n)
     w = 1.3 * omega_n
     assert estimate_prv(harm, w) <= estimate_prv(trap, w)
@@ -797,7 +804,7 @@ def test_prv_harmonic_beats_trapezoidal_off_nominal():
 
 def test_prv_proportional_to_magnitude_response():
     omega_n = 2 * math.pi
-    harm = Harmonic(make_harmonic_T(omega_n))
+    harm = DampedHarmonic(0.0, make_damped_harmonic_params(omega_n, 0.0)[1])
     for ratio in (0.6, 0.8, 1.3, 1.7):
         w = ratio * omega_n
         prv = estimate_prv(harm, w)
@@ -871,12 +878,12 @@ DAMPED = DampedHarmonic(*make_damped_harmonic_params(W0, 0.1))
 
 
 @pytest.mark.parametrize("kind, omega_n, delta", [
-    (Harmonic(make_harmonic_T(W0)), 0.7 * W0, 0.0),
-    (Harmonic(make_harmonic_T(W0)), 1.3 * W0, 0.05),
+    (DampedHarmonic(0.0, make_damped_harmonic_params(W0, 0.0)[1]), 0.7 * W0, 0.0),
+    (DampedHarmonic(0.0, make_damped_harmonic_params(W0, 0.0)[1]), 1.3 * W0, 0.05),
     (Trapezoidal(2 * math.pi / W0, math.pi / W0), 1.3 * W0, 0.0),
     (Trapezoidal(0.4, 0.25), W0, 0.1),
-    (Rectangular(0.3), W0, 0.0),
-    (Rectangular(0.45), 1.6 * W0, 0.05),
+    (Trapezoidal(0.3, 0.15), W0, 0.0),
+    (Trapezoidal(0.45, 0.2), 1.6 * W0, 0.05),
     (DAMPED, 0.8 * W0, 0.0),
     (DAMPED, 1.25 * W0, 0.1),
 ])
@@ -888,7 +895,7 @@ def test_prv_closed_form_matches_simulation_off_notch(kind, omega_n, delta):
 
 
 @pytest.mark.parametrize("kind, delta", [
-    (Harmonic(make_harmonic_T(W0)), 0.0),
+    (DampedHarmonic(0.0, make_damped_harmonic_params(W0, 0.0)[1]), 0.0),
     (Trapezoidal(2 * math.pi / W0, math.pi / W0), 0.0),
     (DAMPED, 0.1),
 ])

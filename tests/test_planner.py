@@ -46,6 +46,26 @@ def test_friction_limited_duration_infeasible():
         2.0 * math.sqrt(0.5 / G))
 
 
+def test_friction_limited_duration_unbounded_friction_is_the_limit():
+    # mu -> inf leaves only the vertical term; the formula itself gives nan
+    assert friction_limited_duration(1.0, 0.5, math.inf, G) == 2.0 * math.sqrt(0.5 / G)
+    assert friction_limited_duration(1.0, 0.0, math.inf, G) == 0.0
+
+
+@pytest.mark.parametrize("name, args, problem", [
+    ("h_o", (math.nan, 0.0, 0.3, G), "must be non-negative"),
+    ("h_v", (1.0, math.nan, 0.3, G), "must be non-negative"),
+    ("h_v", (1.0, -0.1, 0.3, G), "must be non-negative"),
+    ("mu", (1.0, 0.0, math.nan, G), "must be non-negative"),
+    ("mu", (1.0, 0.0, -0.3, G), "must be non-negative"),
+    ("g", (1.0, 0.0, 0.3, math.nan), "must be positive"),
+])
+def test_friction_limited_duration_rejects_a_bad_argument(name, args, problem):
+    bad = args[("h_o", "h_v", "mu", "g").index(name)]
+    with pytest.raises(ValueError, match=f"^{name} {problem}, got {bad}$"):
+        friction_limited_duration(*args)
+
+
 # ---------------------------------------------------------------------------
 # plan structure
 # ---------------------------------------------------------------------------
@@ -92,6 +112,19 @@ def test_plan_solid_complex_continuity():
 def test_plan_liquid_requires_slosh_params():
     with pytest.raises(ValueError):
         Scenario(material="liquid", motion="complex")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("angular_accel_cap", 0.0), ("angular_accel_cap", -1.0),
+    ("angular_accel_cap", math.nan), ("free_stage_T", -0.1), ("free_stage_T", math.nan),
+])
+def test_scenario_rejects_a_bad_free_stage_setting(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+        p2p_scenario(**{field: value})
+
+
+def test_scenario_takes_an_unbounded_angular_cap():
+    assert p2p_scenario(angular_accel_cap=math.inf).angular_accel_cap == math.inf
 
 
 def test_plan_auto_free_stage_respects_cap():

@@ -35,8 +35,6 @@ from traywaiter.fileio import quaternion_to_rotation, rotation_to_quaternion
 from traywaiter.smoothers import (
     CascadeState,
     DampedHarmonic,
-    Harmonic,
-    Rectangular,
     Trapezoidal,
     make_trapezoidal_params,
 )
@@ -371,7 +369,7 @@ class _ReferenceCascadeState:
 
 
 spans = st.floats(1e-3, 0.05)
-kinds = st.one_of(st.builds(Rectangular, spans), st.builds(Harmonic, spans),
+kinds = st.one_of(st.builds(DampedHarmonic, st.just(0.0), spans),
                   st.builds(Trapezoidal, spans, spans),
                   st.builds(DampedHarmonic, st.floats(-30.0, 10.0), spans))
 periods = st.floats(2e-4, 4e-3)
@@ -385,9 +383,9 @@ signal = st.floats(-10.0, 10.0)
        st.booleans())
 # lazy starts where a kind's first output differs from its input in the last
 # bits, and where a derivative input reaches a second stage of the kind
-@example([Harmonic(0.02), Trapezoidal(0.01, 0.005)], 1e-3, None,
+@example([DampedHarmonic(0.0, 0.02), Trapezoidal(0.01, 0.005)], 1e-3, None,
          [(0.3, 0.0, 0.0), (0.8, 0.0, 0.0), (0.05, 0.0, 0.0)], False)
-@example([Trapezoidal(0.01, 0.005), Rectangular(0.004)], 1e-3, None,
+@example([Trapezoidal(0.01, 0.005), Trapezoidal(0.004, 0.002)], 1e-3, None,
          [(1.3, 0.7, -2.0), (0.4, 0.1, 0.2)], True)
 def test_cascade_state_matches_nested_reference(cascade, dt, initial, samples,
                                                 with_derivatives):
@@ -423,12 +421,13 @@ _LONGER = _LONG * (smoothers._RECURRENCE_CHUNK // len(_LONG) + 1)
        st.lists(st.tuples(signal, signal, signal), max_size=120),
        st.lists(st.floats(0.0, 1.0), max_size=8),
        st.booleans())
-@example([Rectangular(0.007)], 1e-3, None, _LONG[:40], [0.05, 0.05, 0.1, 0.5], True)
+@example([Trapezoidal(0.007, 0.003)], 1e-3, None, _LONG[:40], [0.05, 0.05, 0.1, 0.5],
+         True)
 @example([Trapezoidal(0.085, 0.6)], 1e-3, None, _LONG, [0.0, 0.002, 0.03, 0.5, 0.52],
          True)
-@example([Trapezoidal(0.6, 0.085), Harmonic(0.085)], 1e-3, 0.4, _LONG,
+@example([Trapezoidal(0.6, 0.085), DampedHarmonic(0.0, 0.085)], 1e-3, 0.4, _LONG,
          [0.3, 0.3, 0.7], False)
-@example([DampedHarmonic(-4.0, 0.085), Rectangular(0.007)], 1e-3, None, _LONGER,
+@example([DampedHarmonic(-4.0, 0.085), Trapezoidal(0.007, 0.003)], 1e-3, None, _LONGER,
          [0.001, 0.95], True)
 def test_cascade_block_run_matches_stream(cascade, dt, initial, samples, cuts,
                                           with_derivatives):

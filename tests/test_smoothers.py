@@ -7,14 +7,12 @@ from traywaiter.smoothers import (
     CascadeSpec,
     CascadeState,
     DampedHarmonic,
-    Harmonic,
-    Rectangular,
     Trapezoidal,
-    continuity_gain,
+    _quantize,
+    _RectStage,
     freq_response,
     kernel_duration,
     make_damped_harmonic_params,
-    make_harmonic_T,
     make_trapezoidal_params,
     transfer_function,
 )
@@ -46,11 +44,11 @@ def test_trapezoidal_params_domain(bad):
 
 
 def test_harmonic_T():
-    assert make_harmonic_T(math.pi) == pytest.approx(3.0)
-    assert make_harmonic_T(3 * math.pi) == pytest.approx(1.0)
-    assert make_harmonic_T(2 * math.pi) == pytest.approx(1.5)
+    assert make_damped_harmonic_params(math.pi, 0.0)[1] == pytest.approx(3.0)
+    assert make_damped_harmonic_params(3 * math.pi, 0.0)[1] == pytest.approx(1.0)
+    assert make_damped_harmonic_params(2 * math.pi, 0.0)[1] == pytest.approx(1.5)
     with pytest.raises(ValueError):
-        make_harmonic_T(0.0)
+        make_damped_harmonic_params(0.0, 0.0)
 
 
 def test_damped_harmonic_params():
@@ -74,22 +72,21 @@ def test_damped_harmonic_params():
 
 def test_kind_validation():
     with pytest.raises(ValueError):
-        Rectangular(0.0)
+        Trapezoidal(0.0, 1.0)
     with pytest.raises(ValueError):
         Trapezoidal(1.0, -1.0)
     with pytest.raises(ValueError):
-        Harmonic(-2.0)
+        DampedHarmonic(0.0, -2.0)
     # triangular degenerate case is allowed
     Trapezoidal(0.3, 0.3)
 
 
 def test_duration_and_continuity_bookkeeping():
-    spec = CascadeSpec((Rectangular(0.2), Harmonic(0.5), Trapezoidal(0.1, 0.3),
-                        DampedHarmonic(-0.5, 0.4)))
+    spec = CascadeSpec((Trapezoidal(0.1, 0.1), DampedHarmonic(0.0, 0.5),
+                        Trapezoidal(0.1, 0.3), DampedHarmonic(-0.5, 0.4)))
     assert spec.total_duration() == pytest.approx(0.2 + 0.5 + 0.4 + 0.4)
-    assert spec.continuity_gain() == 1 + 2 + 2 + 2
+    assert spec.continuity_gain() == 2 + 2 + 2 + 2
     assert kernel_duration(Trapezoidal(1.0, 2.0)) == 3.0
-    assert continuity_gain(Rectangular(1.0)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +99,12 @@ def _step_response(kind, dt, n, h=1.0):
 
 
 def test_rectangular_step_is_ramp():
+    # one box stage, the half of a trapezoid
     dt = 1e-3
     T = 0.5
-    p, v, a = _step_response(Rectangular(T), dt, 800)
+    box = _RectStage(_quantize(T, dt), dt)
+    box.prime(0.0, 0.0, 0.0)
+    p, v, a = box.run(np.ones(800), np.zeros(800), np.zeros(800))
     t = (np.arange(800) + 0.5) * dt  # step occurs half a sample before index 0
     ref = np.clip(t / T, 0.0, 1.0)
     assert np.abs(p - ref).max() < 1e-12
@@ -116,7 +116,7 @@ def test_harmonic_step_velocity_is_kernel():
     T = 1.0
     dt = 1e-4
     n = int(1.2 * T / dt)
-    p, v, a = _step_response(Harmonic(T), dt, n)
+    p, v, a = _step_response(DampedHarmonic(0.0, T), dt, n)
     t = (np.arange(n) + 0.5) * dt
     kern = np.where(t <= T, (np.pi / (2 * T)) * np.sin(np.pi * np.minimum(t, T) / T), 0.0)
     assert np.abs(v - kern).max() < 1e-6  # O(dt^2)
@@ -124,8 +124,8 @@ def test_harmonic_step_velocity_is_kernel():
 
 def test_constant_input_reproduced_exactly():
     dt = 1e-3
-    for kind in (Rectangular(0.31), Harmonic(0.47), Trapezoidal(0.2, 0.11),
-                 DampedHarmonic(-1.3, 0.37)):
+    for kind in (Trapezoidal(0.155, 0.155), DampedHarmonic(0.0, 0.47),
+                 Trapezoidal(0.2, 0.11), DampedHarmonic(-1.3, 0.37)):
         state = CascadeState(kind, dt)
         # pre-charge from the first sample: no startup transient at all
         for _ in range(int(2 * kernel_duration(kind) / dt)):
@@ -136,8 +136,8 @@ def test_constant_input_reproduced_exactly():
 
 def test_dc_gain_after_transient():
     dt = 1e-3
-    for kind in (Rectangular(0.3), Harmonic(0.45), Trapezoidal(0.25, 0.15),
-                 DampedHarmonic(-0.8, 0.5)):
+    for kind in (Trapezoidal(0.15, 0.15), DampedHarmonic(0.0, 0.45),
+                 Trapezoidal(0.25, 0.15), DampedHarmonic(-0.8, 0.5)):
         n = int(kernel_duration(kind) / dt) + 50
         p, v, a = _step_response(kind, dt, n, h=3.25)
         assert p[-1] == pytest.approx(3.25, rel=1e-12)
@@ -153,14 +153,17 @@ def test_trapezoidal_respects_limits_harmonic_violates():
     p, v, a = _step_response(Trapezoidal(T1, T2), dt, n, h=h)
     assert np.abs(v).max() == pytest.approx(v_max, abs=1e-9)
     assert np.abs(a).max() == pytest.approx(a_max, abs=1e-6)
-    ph, vh, ah = _step_response(Harmonic(T1 + T2), dt, n, h=h)
+    ph, vh, ah = _step_response(DampedHarmonic(0.0, T1 + T2), dt, n, h=h)
     assert np.abs(ah).max() > a_max  # same duration cannot meet the bound
     assert np.abs(vh).max() > v_max * 0.85
 
 
 def test_damped_harmonic_sigma_zero_matches_harmonic():
+    # the undamped solver gives sigma = -0.0: the same values as sigma = 0.0
     dt = 1e-3
-    s1 = CascadeState(Harmonic(0.8), dt, initial_value=0.0)
+    omega_n = 3.0 * math.pi / 0.8
+    s1 = CascadeState(DampedHarmonic(*make_damped_harmonic_params(omega_n, 0.0)), dt,
+                      initial_value=0.0)
     s2 = CascadeState(DampedHarmonic(0.0, 0.8), dt, initial_value=0.0)
     u = np.sin(np.linspace(0, 7, 1500)) + 0.4
     p1 = s1.run(u)
@@ -171,7 +174,7 @@ def test_damped_harmonic_sigma_zero_matches_harmonic():
 
 def test_startup_precharge_suppresses_transient():
     # stationary stream must not produce spurious acceleration at t=0
-    state = CascadeState(Harmonic(0.5), 1e-3)
+    state = CascadeState(DampedHarmonic(0.0, 0.5), 1e-3)
     p, v, a = state.step(2.0)
     assert (p, v, a) == (2.0, 0.0, 0.0)
 
@@ -195,7 +198,7 @@ def _fd_error(kind, dt):
     return (np.abs(fd_v - v[lo:hi]).max(), np.abs(fd_a - a[lo:hi]).max())
 
 
-@pytest.mark.parametrize("kind", [Rectangular(0.3), Harmonic(0.4),
+@pytest.mark.parametrize("kind", [Trapezoidal(0.15, 0.15), DampedHarmonic(0.0, 0.4),
                                   Trapezoidal(0.25, 0.15), DampedHarmonic(-0.7, 0.4)])
 def test_structural_derivatives_match_finite_differences(kind):
     ev1, ea1 = _fd_error(kind, 2e-3)
@@ -211,7 +214,7 @@ def test_step_response_converges_to_continuous():
 
     def maxerr(dt):
         n = int(1.1 * T / dt)
-        p, _, _ = _step_response(Harmonic(T), dt, n)
+        p, _, _ = _step_response(DampedHarmonic(0.0, T), dt, n)
         t = (np.arange(n) + 0.5) * dt
         ref = np.where(t <= T, 0.5 * (1 - np.cos(np.pi * np.minimum(t, T) / T)), 1.0)
         return np.abs(p - ref).max()
@@ -226,19 +229,21 @@ def test_step_response_converges_to_continuous():
 # ---------------------------------------------------------------------------
 
 def test_freq_response_unit_dc_gain():
-    for kind in (Rectangular(0.7), Harmonic(1.1), Trapezoidal(0.5, 0.2),
-                 DampedHarmonic(-0.4, 0.9)):
+    for kind in (Trapezoidal(0.35, 0.35), DampedHarmonic(0.0, 1.1),
+                 Trapezoidal(0.5, 0.2), DampedHarmonic(-0.4, 0.9)):
         assert freq_response(kind, [0.0])[0] == 1.0
 
 
 def test_rectangular_zeros():
-    assert freq_response(Rectangular(1.0), [2 * math.pi])[0] < 1e-12
+    # each box factor has its zeros at multiples of 2 pi / T
+    zeros = [2 * math.pi, 8 * math.pi]
+    assert np.all(freq_response(Trapezoidal(1.0, 0.25), zeros) < 1e-12)
 
 
 def test_harmonic_notch():
     for omega_n in (math.pi, 2 * math.pi, 11.3):
-        T = make_harmonic_T(omega_n)
-        assert freq_response(Harmonic(T), [omega_n])[0] < 1e-12
+        T = make_damped_harmonic_params(omega_n, 0.0)[1]
+        assert freq_response(DampedHarmonic(0.0, T), [omega_n])[0] < 1e-12
 
 
 def test_damped_harmonic_pole_zero_cancellation():
@@ -252,45 +257,33 @@ def test_damped_harmonic_pole_zero_cancellation():
 def test_harmonic_pole_is_removable():
     # |H| is finite and equals pi/4 at the (cancelled) pole frequency pi/T
     T = 1.3
-    val = freq_response(Harmonic(T), [math.pi / T])[0]
+    val = freq_response(DampedHarmonic(0.0, T), [math.pi / T])[0]
     assert val == pytest.approx(math.pi / 4, rel=1e-9)
 
 
 def test_cascade_response_is_product():
-    spec = CascadeSpec((Rectangular(0.4), Harmonic(0.6)))
+    spec = CascadeSpec((Trapezoidal(0.4, 0.15), DampedHarmonic(0.0, 0.6)))
     w = np.linspace(0.1, 30.0, 57)
     combined = freq_response(spec, w)
-    product = freq_response(Rectangular(0.4), w) * freq_response(Harmonic(0.6), w)
+    product = (freq_response(Trapezoidal(0.4, 0.15), w)
+               * freq_response(DampedHarmonic(0.0, 0.6), w))
     assert np.allclose(combined, product, rtol=1e-12, atol=1e-15)
 
 
 def test_freq_response_rejects_negative():
     with pytest.raises(ValueError):
-        freq_response(Rectangular(1.0), [-1.0])
+        freq_response(Trapezoidal(1.0, 1.0), [-1.0])
 
 
 # ---------------------------------------------------------------------------
 # cascades
 # ---------------------------------------------------------------------------
 
-def test_two_rect_cascade_equals_trapezoidal():
-    dt = 1e-3
-    u = np.concatenate([np.zeros(5), np.ones(900)])
-    c = CascadeState(CascadeSpec((Rectangular(0.3), Rectangular(0.3))), dt,
-                     initial_value=0.0)
-    s = CascadeState(Trapezoidal(0.3, 0.3), dt, initial_value=0.0)
-    pc, vc, ac = c.run(u)
-    ps, vs, as_ = s.run(u)
-    assert np.array_equal(pc, ps)
-    assert np.array_equal(vc, vs)
-    assert np.array_equal(ac, as_)
-
-
 def test_single_stage_cascade_identity():
     dt = 1e-3
     u = np.sin(np.linspace(0, 5, 700))
-    c = CascadeState([Harmonic(0.5)], dt, initial_value=u[0])
-    s = CascadeState(Harmonic(0.5), dt, initial_value=u[0])
+    c = CascadeState([DampedHarmonic(0.0, 0.5)], dt, initial_value=u[0])
+    s = CascadeState(DampedHarmonic(0.0, 0.5), dt, initial_value=u[0])
     pc, _, _ = c.run(u)
     ps, _, _ = s.run(u)
     assert np.array_equal(pc, ps)
@@ -305,7 +298,7 @@ def test_empty_cascade_rejected():
 def test_state_rejects_a_bad_sample_period(dt):
     with pytest.raises(ValueError,
                        match=f"^sample_period must be positive and finite, got {dt}$"):
-        CascadeState(Harmonic(0.5), dt)
+        CascadeState(DampedHarmonic(0.0, 0.5), dt)
 
 
 def test_numpy_scalar_prime_is_kept_as_python_floats():
@@ -313,7 +306,8 @@ def test_numpy_scalar_prime_is_kept_as_python_floats():
     # into numpy-scalar arithmetic: same bits, several times slower
     dt = 1e-3
     u = 0.2 + 0.1 * np.sin(np.linspace(0, 7, 900))
-    spec = [Trapezoidal(0.05, 0.03), DampedHarmonic(-0.7, 0.2), Harmonic(0.1)]
+    spec = [Trapezoidal(0.05, 0.03), DampedHarmonic(-0.7, 0.2),
+            DampedHarmonic(0.0, 0.1)]
     primed_np = CascadeState(spec, dt, initial_value=np.float64(u[0]))
     primed_float = CascadeState(spec, dt, initial_value=float(u[0]))
     for x, y in zip(primed_np.run(u), primed_float.run(u)):
@@ -364,21 +358,22 @@ def _fd_jerk_jump(stages, dt):
 
 
 def test_four_rect_stages_give_c3_position():
-    # step through 4 rectangular stages is C^3: numerical jerk jumps vanish
-    # as O(dt); through 3 stages jerk is discontinuous and jumps stay O(1)
-    stages4 = [Rectangular(0.2)] * 4
+    # step through two trapezoids (4 box stages) is C^3: numerical jerk jumps
+    # vanish as O(dt); through one (2 boxes) the acceleration itself jumps,
+    # and the jerk jumps do not shrink
+    stages4 = [Trapezoidal(0.2, 0.2)] * 2
     j1 = _fd_jerk_jump(stages4, 2e-3)
     j2 = _fd_jerk_jump(stages4, 1e-3)
     assert j2 <= 0.6 * j1
-    stages3 = [Rectangular(0.2)] * 3
-    k1 = _fd_jerk_jump(stages3, 2e-3)
-    k2 = _fd_jerk_jump(stages3, 1e-3)
+    stages2 = [Trapezoidal(0.2, 0.2)]
+    k1 = _fd_jerk_jump(stages2, 2e-3)
+    k2 = _fd_jerk_jump(stages2, 1e-3)
     assert k2 > 0.8 * k1  # does not shrink: genuine discontinuity
 
 
 def test_cascade_delay_accounting():
     dt = 1e-3
-    c = CascadeState(CascadeSpec((Trapezoidal(0.5, 0.4), Rectangular(0.1))), dt)
+    c = CascadeState(CascadeSpec((Trapezoidal(0.5, 0.4), Trapezoidal(0.05, 0.05))), dt)
     assert c.delay == pytest.approx(1.0, abs=1e-12)
 
 
@@ -390,7 +385,7 @@ def test_spectral_dominance_grid_between_shared_zeros():
     # side-lobe envelope above it)
     omega_n = 2 * math.pi
     trap = Trapezoidal(2 * math.pi / omega_n, math.pi / omega_n)
-    harm = Harmonic(make_harmonic_T(omega_n))
+    harm = DampedHarmonic(0.0, make_damped_harmonic_params(omega_n, 0.0)[1])
     w = np.linspace(1e-3, omega_n, 200)
     assert np.all(freq_response(harm, w) <= freq_response(trap, w) + 1e-9)
 

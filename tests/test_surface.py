@@ -1,7 +1,8 @@
 """The public surface: what the package exports resolves, so does every
 point the benchmark tracer hooks into, the helpers only the tests use stay
-out of it, and every third-party module the package or its tests import is a
-declared dependency."""
+out of it, the smoother kinds have one spelling each, every third-party
+module the package or its tests import is a declared dependency, and no new
+numpy call whose bytes depend on the CPU enters the package."""
 
 import ast
 import importlib
@@ -11,10 +12,12 @@ import inspect
 import os
 import re
 import sys
+import typing
 
 import pytest
 
 import traywaiter
+from traywaiter import smoothers
 
 MODULES = ("compensation", "dynamics", "fileio", "planner", "smoothers")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,6 +52,13 @@ def test_test_only_helpers_live_in_the_tests():
                  "_normal", "_demand", "_stick_rates", "_stick_eval"):
         assert not hasattr(dynamics, name) and not hasattr(traywaiter, name), name
     assert not hasattr(dynamics.TrayMotion, "rest")
+
+
+def test_smoother_kinds_have_one_spelling_each():
+    assert typing.get_args(smoothers.SmootherKind) == (smoothers.Trapezoidal,
+                                                      smoothers.DampedHarmonic)
+    for name in ("Rectangular", "Harmonic", "make_harmonic_T", "continuity_gain"):
+        assert not hasattr(traywaiter, name) and not hasattr(smoothers, name), name
 
 
 def test_tracer_hook_points_resolve():
@@ -122,3 +132,52 @@ def test_readme_library_sketch_runs(capsys):
     exec(compile(code, "README.md (Library sketch)", "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) >= 3 and printed[-1].endswith("]")   # theta, slip, transitions
+
+
+# numpy ufuncs whose SIMD code may differ from libm in the last bit, so their
+# bytes depend on the CPU numpy dispatches for; np.sin, np.cos and np.sqrt
+# matched libm and stay allowed
+CPU_DEPENDENT = {"arctan2", "arctan", "arcsin", "arccos", "tan", "exp", "expm1",
+                 "power", "hypot", "cbrt", "sinh", "cosh", "tanh", "arcsinh",
+                 "arccosh", "arctanh"}
+# (file, enclosing function, call) sites still to move to libm
+CPU_DEPENDENT_ALLOWED = [
+    ("dynamics.py", "analytic_tilt_channel", "np.arctan2"),
+    ("dynamics.py", "fd_tilt_channel", "np.arctan2"),
+]
+
+
+def _cpu_dependent_sites(path):
+    """(file, enclosing function, what) for each CPU-dependent numpy call and
+    each ** whose exponent is not the literal 2 in one source file."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        what = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner, attr = node.func.value, node.func.attr
+            if (isinstance(owner, ast.Name) and owner.id in ("np", "numpy")
+                    and (attr in CPU_DEPENDENT or attr.startswith("log"))):
+                what = f"np.{attr}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exponent = node.right if isinstance(node, ast.BinOp) else node.value
+            if not (isinstance(exponent, ast.Constant) and exponent.value == 2):
+                what = f"** {ast.unparse(exponent)}"
+        if what is not None:
+            sites.append((os.path.basename(path), func, what))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_no_new_cpu_dependent_numpy_calls():
+    package = os.path.dirname(traywaiter.__file__)
+    sites = sorted(site for name in sorted(os.listdir(package)) if name.endswith(".py")
+                   for site in _cpu_dependent_sites(os.path.join(package, name)))
+    assert sites == CPU_DEPENDENT_ALLOWED
