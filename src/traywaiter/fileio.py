@@ -7,9 +7,12 @@ comma-separated data files with a single typed header line of the form
 
 Every float is written as its repr(), the shortest decimal that
 round-trips, so write-then-read is lossless and repeated runs are
-byte-identical. A block of rows is formatted in one orjson call: its Ryu
-digits (Adams, PLDI 2018) are repr()'s shortest, correctly rounded digits,
-and its text equals repr() for |x| < 1e-9 (0 and subnormals included) and
+byte-identical. A pose file stores each rotation once, as a unit
+quaternion from which the matrix is rebuilt.
+
+A block of rows is formatted in one orjson call: its Ryu digits (Adams,
+PLDI 2018) are repr()'s shortest, correctly rounded digits, and its text
+equals repr() for |x| < 1e-9 (0 and subnormals included) and
 1e-4 <= |x| < 1e16. Other finite values are dumped by orjson a range at a
 time with their notation fixed to repr()'s; NaN and inf are written by repr().
 
@@ -71,8 +74,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 # Table rows formatted per written chunk. Small blocks keep peak RSS level:
-# with 1024-row blocks (~350 KB of pose text each) the teleoperation filter's
-# peak RSS was ~2 MB (3.5%) higher, and formatting was no faster.
+# with 1024-row blocks (~350 KB of 17-column pose text each) the teleoperation
+# filter's peak RSS was ~2 MB (3.5%) higher, and formatting was no faster.
 _BLOCK_ROWS = 128
 
 
@@ -276,45 +279,48 @@ def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PoseTrajectoryFile:
-    """6-DOF flange trajectory; rotations live both as quaternions and
-    row-major matrices and are cross-validated on read."""
+    """6-DOF flange trajectory. Each rotation is stored once, as a unit
+    quaternion (w, x, y, z), w >= 0 as rotation_to_quaternion gives it;
+    `rotations` rebuilds the matrices."""
 
     dt: float
     delay: float
     t: np.ndarray
     positions: np.ndarray                  # (n, 3)
-    rotations: np.ndarray                  # (n, 3, 3)
+    quaternions: np.ndarray                # (n, 4), (w, x, y, z)
 
     @property
     def n(self) -> int:
         return self.t.size
 
-
-_POSE_COLS = ("t,x,y,z,qw,qx,qy,qz,"
-              "r00,r01,r02,r10,r11,r12,r20,r21,r22")
+    @property
+    def rotations(self) -> np.ndarray:
+        """(n, 3, 3) rotation matrices of the quaternions."""
+        return quaternion_to_rotation(self.quaternions)
 
 
 def write_pose_trajectory(path: str, pose: PoseTrajectoryFile) -> None:
     header = (f"# pose_trajectory dt={pose.dt!r} delay={pose.delay!r} "
-              f"columns={_POSE_COLS}")
-    rows = np.hstack([pose.t[:, None], pose.positions,
-                      rotation_to_quaternion(pose.rotations),
-                      pose.rotations.reshape(pose.n, 9)])
-    _write_table(path, header, rows)
+              "columns=t,x,y,z,qw,qx,qy,qz")
+    _write_table(path, header, np.hstack([pose.t[:, None], pose.positions,
+                                          pose.quaternions]))
 
 
 def read_pose_trajectory(path: str) -> PoseTrajectoryFile:
-    meta, dt, data = _load_table(path, "pose_trajectory", (17,))
+    """A pose file's fields exactly as written; a row whose quaternion is
+    not of unit norm is rejected."""
+    meta, dt, data = _load_table(path, "pose_trajectory", (8,))
     delay = _header_float(meta, "delay", path)
     if not math.isfinite(delay):
         raise FormatError(f"{path}: header delay is not finite: {meta['delay']!r}")
-    rot = data[:, 8:17].reshape(-1, 3, 3)
     quat = data[:, 4:8]
-    bad = np.abs(quaternion_to_rotation(quat) - rot).max(axis=(1, 2)) > 1e-9
+    norm = np.sqrt(np.sum(quat * quat, axis=1))
+    bad = np.abs(norm - 1.0) > 1e-9
     if bad.any():
+        row = np.argmax(bad)
         raise FormatError(
-            f"{path}: row {np.argmax(bad)}: quaternion and matrix disagree")
-    return PoseTrajectoryFile(dt, delay, data[:, 0], data[:, 1:4], rot)
+            f"{path}: row {row}: quaternion norm {float(norm[row])!r} is not 1")
+    return PoseTrajectoryFile(dt, delay, data[:, 0], data[:, 1:4], quat)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,12 @@ class Scenario:
             raise ValueError("free_stage_T must be positive")
         if not self.angular_accel_cap > 0.0:
             raise ValueError("angular_accel_cap must be positive")
+        # an unbounded v_max or angular_accel_cap is a limit that never binds;
+        # these three size a smoother stage, which has no infinite length
+        for name in ("a_max", "omega_n", "free_stage_T"):
+            value = getattr(self, name)
+            if value is not None and math.isinf(value):
+                raise ValueError(f"{name} must be finite, got {float(value)!r}")
 
     @property
     def displacement(self) -> float:

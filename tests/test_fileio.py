@@ -114,31 +114,15 @@ def test_pose_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     rot = np.array([rotation_matrix(rng.uniform(-1, 1), rng.uniform(-3, 3))
                     for _ in range(n)])
-    pose = PoseTrajectoryFile(dt, 0.5, t, rng.uniform(-1, 1, (n, 3)), rot)
+    pose = PoseTrajectoryFile(dt, 0.5, t, rng.uniform(-1, 1, (n, 3)),
+                              rotation_to_quaternion(rot))
     path = str(tmp_path / "pose.csv")
     write_pose_trajectory(path, pose)
     back = read_pose_trajectory(path)
     assert back.delay == 0.5
     assert np.array_equal(back.t, pose.t)
     assert np.array_equal(back.positions, pose.positions)
-    assert np.abs(back.rotations - pose.rotations).max() < 1e-15
-
-
-def test_pose_cross_validation_catches_corruption(tmp_path):
-    pose = PoseTrajectoryFile(0.01, 0.0, np.array([0.0, 0.01, 0.02]),
-                              np.zeros((3, 3)), np.array([np.eye(3)] * 3))
-    path = str(tmp_path / "pose.csv")
-    write_pose_trajectory(path, pose)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    for k in (2, 3):  # data rows 1 and 2
-        row = lines[k].split(",")
-        row[8] = "0.9"  # r00 no longer matches the quaternion
-        lines[k] = ",".join(row)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match=r"row 1: quaternion and matrix disagree"):
-        read_pose_trajectory(path)
+    assert np.abs(back.rotations - rot).max() < 1e-15
 
 
 def _with_header_item(path, key, text):
@@ -161,8 +145,9 @@ def _trajectory_file(tmp_path, n):
 def _pose_file(tmp_path, n):
     t = np.arange(n) * 0.01
     path = str(tmp_path / f"pose{n}.csv")
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
     write_pose_trajectory(path, PoseTrajectoryFile(0.01, 0.0, t, np.zeros((n, 3)),
-                                                   np.array([np.eye(3)] * n)))
+                                                   identity))
     return path
 
 
@@ -173,6 +158,41 @@ def _trace_file(tmp_path, n):
     write_sim_trace(path, SimTrace(t, zeros, zeros, zeros, zeros, zeros.astype(np.uint8),
                                    zeros, zeros + 1.0, []), 0.01)
     return path
+
+
+@pytest.mark.parametrize("rows, columns, text, message", [
+    ((1, 2), (4,), "0.9", r"row 1: quaternion norm 0\.9 is not 1"),
+    ((2,), (4, 5, 6, 7), "0.0", r"row 2: quaternion norm 0\.0 is not 1"),
+], ids=["qw-on-rows-1-and-2", "all-zero-row"])
+def test_pose_reader_rejects_a_quaternion_off_unit_norm(tmp_path, rows, columns, text,
+                                                        message):
+    path = _pose_file(tmp_path, 3)
+    with open(path) as fh:
+        header, *lines = fh.read().splitlines()
+    for k in rows:
+        row = lines[k].split(",")
+        for i in columns:
+            row[i] = text
+        lines[k] = ",".join(row)
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + lines) + "\n")
+    with pytest.raises(FormatError, match=message) as exc:
+        read_pose_trajectory(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_pose_reader_refuses_a_17_column_file(tmp_path):
+    # the earlier layout also carried each rotation as a row-major matrix
+    path = str(tmp_path / "v1.csv")
+    with open(path, "w") as fh:
+        fh.write("# pose_trajectory dt=0.01 delay=0.0 columns=t,x,y,z,qw,qx,qy,qz,"
+                 "r00,r01,r02,r10,r11,r12,r20,r21,r22\n")
+        for k in range(3):
+            fh.write(f"{k * 0.01!r},0.0,0.0,0.0,1.0,0.0,0.0,0.0,"
+                     "1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0\n")
+    with pytest.raises(FormatError, match=r"expected 8 columns, got 17") as exc:
+        read_pose_trajectory(path)
+    assert path in str(exc.value)
 
 
 @pytest.mark.parametrize("make, read", [(_trajectory_file, read_trajectory),
@@ -315,12 +335,13 @@ def test_pose_round_trip_is_bit_exact(tmp_path_factory, data, n, t0, delay, dt):
     quats = data.draw(arrays(np.float64, (n, 4), elements=st.floats(-1.0, 1.0),
                              fill=st.nothing()))
     quats[np.linalg.norm(quats, axis=1) < 1e-3] = (1.0, 0.0, 0.0, 0.0)
+    quats /= np.linalg.norm(quats, axis=1)[:, None]
     pose = PoseTrajectoryFile(dt, delay, t0 + np.arange(n) * dt,
-                              data.draw(_table(n, 3)), quaternion_to_rotation(quats))
+                              data.draw(_table(n, 3)), quats)
     path = str(tmp_path_factory.mktemp("pose") / "pose.csv")
     write_pose_trajectory(path, pose)
     back = read_pose_trajectory(path)
-    for name in ("dt", "delay", "t", "positions", "rotations"):
+    for name in ("dt", "delay", "t", "positions", "quaternions"):
         assert _same_bits(getattr(back, name), getattr(pose, name)), name
 
 

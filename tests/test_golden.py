@@ -67,7 +67,7 @@ GOLDEN = {
         "trace.csv":
             "1c769013f3b062dc23fe6449e7dc4dfd70412c7507a3a6111b443ad9dac6b6dc",
         "trajectory.csv":
-            "458d8981f1742597d2e2cafa9061aac45717ef4e88c818169e69b1632fac4847",
+            "edf7c4b15bf07df1839b4106d49ec2feb99ce7ace5c6c384ca8ecbe507f224cc",
         "verdict.txt":
             "a5684008d08119af18cb58ffd1e9dbb6fb4b1b6c0ecefd38ca3ee0a3494e80e7",
     },
@@ -79,13 +79,13 @@ GOLDEN = {
         "trace.csv":
             "2cadabd86ac402c4e3384c683a8ffdc0ffba31f7cd7a04758e5e8dc0d4991639",
         "trajectory.csv":
-            "013bbf632a4b22bd2ecb0eccd76abf282ad7124dc6170ad7f605f880d38da7c5",
+            "34425ac5e5c00d250c709adc05210a536462feeae8e2d9eff212fe3579b7c01e",
         "verdict.txt":
             "04cfc6da505c6f16dffd17ba5c122d964c6a4e80263db52f4066e55e17f35f00",
     },
     "filter": {
         "filtered.csv":
-            "e9bbd02599cc89d0e77e65aae4f84e2d37ba0ecec1557d2d03599d6e37f7c4cc",
+            "eb6f726efa4eb53e33998435494b8d8375d4ea02dc7d1ef6234a94c1d700d24a",
         "reference.csv":
             "6e464d49bad6a35e35690ec798089d6ef087017f5b6964b81dd1a9fb089fcf5c",
     },

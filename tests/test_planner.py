@@ -127,6 +127,22 @@ def test_scenario_takes_an_unbounded_angular_cap():
     assert p2p_scenario(angular_accel_cap=math.inf).angular_accel_cap == math.inf
 
 
+@pytest.mark.parametrize("field, refused", [
+    ("free_stage_T", True), ("a_max", True), ("omega_n", True),
+    ("v_max", False), ("angular_accel_cap", False),
+])
+def test_scenario_infinite_fields(field, refused):
+    # a_max, omega_n and free_stage_T size a smoother stage, so Scenario
+    # refuses them infinite; an unbounded speed or tilt cap never binds
+    sc = dict(material="liquid", omega_n=14.0) if field == "omega_n" else {}
+    sc[field] = math.inf
+    if refused:
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            p2p_scenario(**sc)
+    else:
+        assert 0.0 < plan(p2p_scenario(**sc), G).duration < 2.0
+
+
 def test_plan_auto_free_stage_respects_cap():
     sc = p2p_scenario(free_stage_T=None, angular_accel_cap=15.0)
     result = plan(sc, G)
