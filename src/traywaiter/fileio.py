@@ -20,12 +20,25 @@ Tables are streamed as bytes: rows are formatted and written a fixed-size
 block at a time, so the text of a whole file is never held in memory. Writes
 still go to a temporary file in the target directory followed by an atomic
 rename, so a reader never sees a partly written file.
+
+Tables are read as bytes as well. A first pass counts the lines, so that the
+rows fill one preallocated array; then each block of whole lines (up to
+32 KB) is parsed in one orjson call, as one JSON array of its comma-joined
+lines. orjson's float parser is correctly rounded, so every value has the
+bits float() gives its token; a bare -0, which orjson reads as the int 0,
+gets its sign back. A data line holds comma-separated JSON numbers, with
+optional spaces or tabs around them and an LF or CRLF end. Any other line
+(blank, a comment, a token such as +1 or .5) is refused with the file and
+its 0-based data row, which only the error path finds, by parsing the
+failing block again one line at a time.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
+import struct
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -143,6 +156,16 @@ def _write_table(path: str, header: str, rows: np.ndarray) -> None:
     _atomic_write(path, _table_chunks(header, rows))
 
 
+# Bytes read per call when a table is read; each block of whole lines in them
+# is parsed in one orjson call. 64 KB blocks parsed ~5% faster but left the
+# harness's peak RSS ~0.15 MB higher on every workload; 16 KB ones gave no less.
+_READ_BYTES = 1 << 15
+# The bytes of JSON numbers and of the blanks a data line may hold
+_NUMBER_BYTES = b"0123456789+-.eE \t\r"
+# A bare -0, which orjson reads as the int 0; not the -0 of an exponent
+_BARE_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])(?<![eE]-0)")
+
+
 def _parse_header(line: str, expected_kind: str, path: str) -> dict:
     if not line.startswith("#"):
         raise FormatError(f"{path}: missing '# {expected_kind} ...' header line")
@@ -167,24 +190,105 @@ def _header_float(meta: dict, key: str, path: str) -> float:
         raise FormatError(f"{path}: header {key} is not a number: {meta[key]!r}") from None
 
 
+def _parse_lines(lines: bytes, ncols: int) -> list | None:
+    """The numbers of `lines`, flat, if each line ends in a newline and holds
+    `ncols` comma-separated JSON numbers; None if one does not."""
+    # deleting the number and blank bytes leaves the commas and newlines, and
+    # any other byte a row may not hold
+    seps = lines.translate(None, _NUMBER_BYTES)
+    if seps != (b"," * (ncols - 1) + b"\n") * (len(seps) // ncols):
+        return None
+    try:
+        return orjson.loads(b"[%b]" % lines[:-1].replace(b"\n", b","))
+    except orjson.JSONDecodeError:
+        return None
+
+
+def _bad_row(path: str, lines: bytes, row: int, ncols: int,
+             expected: str | None = None) -> FormatError:
+    """The error for the first line of `lines`, data row `row` onwards, that
+    _parse_lines refuses."""
+    for k, line in enumerate(lines.split(b"\n")):
+        if _parse_lines(line + b"\n", ncols) is None:
+            break
+    text = line.decode(errors="replace").strip()
+    return FormatError(f"{path}: row {row + k}: expected {expected or ncols} "
+                       f"comma-separated numbers, got {text!r}")
+
+
+def _data_extent(fh) -> tuple[int, int]:
+    """Offset past the last non-blank byte of the rest of a binary file, and
+    the number of lines up to it."""
+    end = pos = fh.tell()
+    lines = seen = 0
+    while chunk := fh.read(_READ_BYTES):
+        # ~3x faster than chunk.count(b"\n")
+        newlines = int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10))
+        body = len(chunk.rstrip())
+        if body:
+            end = pos + body
+            lines = seen + newlines - chunk.count(b"\n", body) + 1
+        seen += newlines
+        pos += len(chunk)
+    return end, lines
+
+
+def _line_blocks(fh, size: int):
+    """The next `size` bytes of a binary file in blocks of whole lines, the
+    last line given a newline."""
+    carry = b""
+    while chunk := fh.read(min(_READ_BYTES, size)):
+        size -= len(chunk)
+        lines = carry + chunk + (b"" if size else b"\n")
+        cut = lines.rfind(b"\n") + 1
+        if cut:
+            yield lines[:cut]
+        carry = lines[cut:]
+
+
 def _load_table(path: str, kind: str, widths: tuple) -> tuple[dict, float, np.ndarray]:
     """Header items, sample period and rows of a `kind` table: a positive,
     finite header dt, one of `widths` columns, finite values, and first-column
     timestamps dt apart."""
-    with open(path) as fh:
-        meta = _parse_header(fh.readline().rstrip("\n"), kind, path)
+    with open(path, "rb") as fh:
+        try:
+            line = fh.readline().decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: header line is not UTF-8 text: {exc}") from None
+        meta = _parse_header(line.rstrip("\n"), kind, path)
         dt = _header_float(meta, "dt", path)
         if not (math.isfinite(dt) and dt > 0.0):
             raise FormatError(f"{path}: header dt must be positive and finite, got {dt!r}")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"bad data row in {path}: {exc}") from None
-    if data.size == 0:
-        raise FormatError(f"{path} contains no data rows")
-    if data.shape[1] not in widths:
-        raise FormatError(f"{path}: expected {' or '.join(map(str, widths))} columns, "
-                          f"got {data.shape[1]}")
+        start = fh.tell()
+        end, nrows = _data_extent(fh)
+        if nrows == 0:
+            raise FormatError(f"{path} contains no data rows")
+        fh.seek(start)
+        data, row = None, 0
+        for lines in _line_blocks(fh, end - start):
+            if data is None:
+                first = lines[:lines.index(b"\n") + 1]
+                ncols = first.count(b",") + 1
+                if ncols not in widths:
+                    expected = " or ".join(map(str, widths))
+                    if _parse_lines(first, ncols) is None:
+                        raise _bad_row(path, first, 0, ncols, expected)
+                    raise FormatError(f"{path}: expected {expected} columns, got {ncols}")
+                data = np.empty((nrows, ncols))
+            values = _parse_lines(lines, ncols)
+            if values is None:
+                raise _bad_row(path, lines, row, ncols)
+            # packs as float() converts, ~2.5x faster than a numpy slice assignment
+            struct.pack_into(f"{len(values)}d", data, row * ncols * 8, *values)
+            n = len(values) // ncols
+            # orjson reads a bare -0 as the int 0, so only a block that holds a
+            # zero can need its sign back
+            if not data[row:row + n].all() and _BARE_MINUS_ZERO.search(lines):
+                values = _parse_lines(_BARE_MINUS_ZERO.sub(b"-0.0", lines), ncols)
+                struct.pack_into(f"{len(values)}d", data, row * ncols * 8, *values)
+            row += n
+    if row != nrows:
+        raise FormatError(f"{path} changed while it was read")
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path} contains non-finite values")
     t = data[:, 0]

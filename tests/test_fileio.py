@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from traywaiter import fileio
 from traywaiter.compensation import rotation_matrix
 from traywaiter.dynamics import SimTrace
 from traywaiter.fileio import (
@@ -262,6 +265,74 @@ def test_readers_reject_non_uniform_timestamps(tmp_path, make, read):
     assert str(exc.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("make, read", [(_trajectory_file, read_trajectory),
+                                        (_pose_file, read_pose_trajectory),
+                                        (_trace_file, read_sim_trace)],
+                         ids=["trajectory", "pose", "trace"])
+def test_readers_name_the_file_on_a_non_utf8_header(tmp_path, make, read):
+    path = make(tmp_path, 3)
+    with open(path, "rb") as fh:
+        header, rows = fh.read().split(b"\n", 1)
+    with open(path, "wb") as fh:
+        fh.write(header + b" note=\xff\n" + rows)
+    with pytest.raises(FormatError, match=r"header line is not UTF-8") as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def _second_field(line, text):
+    fields = line.split(",")
+    fields[1] = text
+    return ",".join(fields)
+
+
+# each turns the lines from data row k on into ones with a bad line at k
+SPOILERS = {
+    "bad-token": lambda lines, k: [_second_field(lines[k], "0.5x")] + lines[k + 1:],
+    "short-row": lambda lines, k: [lines[k].rsplit(",", 1)[0]] + lines[k + 1:],
+    "blank-line": lambda lines, k: [""] + lines[k:],
+    "comment-line": lambda lines, k: ["# a note"] + lines[k:],
+    "plus-sign": lambda lines, k: [_second_field(lines[k], "+1")] + lines[k + 1:],
+}
+
+
+@pytest.mark.parametrize("spoil", SPOILERS.values(), ids=SPOILERS.keys())
+@pytest.mark.parametrize("n, k", [(5, 3), (3000, 2500)], ids=["first-block", "later-block"])
+def test_reader_names_the_row_of_a_bad_line(tmp_path, spoil, n, k):
+    path = _trajectory_file(tmp_path, n)
+    with open(path) as fh:
+        header, *lines = fh.read().splitlines()
+    if n > 5:   # the bad line lies past the first block the reader parses
+        assert len("\n".join(lines[:k])) > fileio._READ_BYTES
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + lines[:k] + spoil(lines, k)) + "\n")
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: row {k}: expected 7 "
+                                          r"comma-separated numbers, got "):
+        read_trajectory(path)
+
+
+def test_reader_names_row_0_of_a_bad_first_line(tmp_path):
+    path = str(tmp_path / "comment.csv")
+    with open(path, "w") as fh:
+        fh.write("# trajectory dt=0.01 columns=t,x,y,z\n# a note\n0.0,0.0,0.0,0.0\n")
+    with pytest.raises(FormatError) as exc:
+        read_trajectory(path)
+    assert str(exc.value) == (f"{path}: row 0: expected 4 or 7 comma-separated numbers, "
+                              "got '# a note'")
+
+
+def test_reader_keeps_the_sign_of_a_bare_minus_zero(tmp_path):
+    # orjson reads a bare -0 as the int 0; float() and np.loadtxt keep its sign
+    path = str(tmp_path / "zeros.csv")
+    with open(path, "wb") as fh:
+        fh.write(b"# trajectory dt=0.5 columns=t,x,y,z\r\n"
+                 b"0,-0,1e-0,-0e0\r\n0.5, -0\t,-0.0,2E-0\r\n1.0,0,-0 ,-0")
+    back = read_trajectory(path)
+    rows = np.column_stack([back.t, back.positions])
+    assert rows.tobytes() == np.array([[0.0, -0.0, 1.0, -0.0], [0.5, -0.0, -0.0, 2.0],
+                                       [1.0, 0.0, -0.0, -0.0]]).tobytes()
+
+
 def test_sim_trace_round_trip(tmp_path):
     n = 30
     t = np.arange(n) * 1e-3
@@ -358,6 +429,53 @@ def test_sim_trace_round_trip_is_bit_exact(tmp_path_factory, data, n, t0, dt):
     for name in ("t", "theta", "theta_dot", "d_x", "d_x_dot", "demand", "f_s"):
         assert _same_bits(getattr(back, name), getattr(trace, name)), name
     assert np.array_equal(back.mode, trace.mode)
+
+
+# JSON spellings of a float: the writer's, 17 and 25 significant digits
+# (the latter writes bare integers, and -0 for -0.0), an upper-case E with an
+# explicit exponent sign, and blanks around the token
+SPELLINGS = (repr, "%.17e".__mod__, "%.25g".__mod__, "%.17E".__mod__,
+             lambda x: f" {x!r}\t")
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 24), st.sampled_from(["\n", "\r\n"]), st.booleans(),
+       st.sampled_from([8, 64, 512]))
+def test_reader_gives_the_bits_of_float(tmp_path_factory, data, n, newline, last_newline,
+                                        block_bytes):
+    # tokens in several spellings, rows spread over several parse blocks
+    rows = np.column_stack([np.arange(n) * 0.001, data.draw(_table(n, 3))])
+    spell = data.draw(st.lists(st.sampled_from(SPELLINGS), min_size=rows.size,
+                               max_size=rows.size))
+    tokens = [[spell[4 * i + j](x) for j, x in enumerate(row)]
+              for i, row in enumerate(rows.tolist())]
+    text = newline.join(",".join(row) for row in tokens) + (newline if last_newline else "")
+    path = str(tmp_path_factory.mktemp("spelled") / "traj.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# trajectory dt=0.001 columns=t,x,y,z{newline}{text}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_READ_BYTES", block_bytes)
+        back = read_trajectory(path)
+    expected = np.array([[float(token) for token in row] for row in tokens])
+    assert _same_bits(np.column_stack([back.t, back.positions]), expected)
+
+
+def test_reader_peak_memory_stays_near_its_array(tmp_path):
+    # the rows are counted first and fill one array, block by block
+    n = 30001
+    t = np.arange(n) * 1e-3
+    path = str(tmp_path / "long.csv")
+    write_trajectory(path, TrajectoryFile(1e-3, t, np.column_stack([np.sin(t), np.cos(t),
+                                                                    0.4 + t])))
+    tracemalloc.start()
+    try:
+        back = read_trajectory(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = back.t.nbytes + back.positions.nbytes
+    assert nbytes == n * 4 * 8
+    assert peak <= 1.5 * nbytes + 0.3e6
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
