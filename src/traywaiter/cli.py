@@ -35,7 +35,6 @@ from .fileio import (
     band_limited_noise,
     load_config,
     read_trajectory,
-    rotation_to_quaternion,
     write_pose_trajectory,
     write_sim_trace,
     write_trajectory,
@@ -77,11 +76,10 @@ def _pose_rows(t, dt, positions, accelerations, g, mounting, delay=0.0):
     """Tilt-compensated flange poses for a stream of samples `dt` apart,
     their rotations as unit quaternions."""
     try:
-        pos_out, rot_out = flange_poses(positions, accelerations, g, mounting)
+        pos_out, quat_out = flange_poses(positions, accelerations, g, mounting)
     except FreeFallError as exc:
         raise FreeFallError(f"{exc} (at t = {t[exc.sample]!r} s)") from None
-    return PoseTrajectoryFile(dt, delay, t, pos_out,
-                              rotation_to_quaternion(rot_out))
+    return PoseTrajectoryFile(dt, delay, t, pos_out, quat_out)
 
 
 def _write_freq_response(path: str, cfg: RunConfig, result) -> float:

@@ -4,7 +4,7 @@ Rotating the tray so that its normal stays aligned with the combined
 gravity-plus-inertia vector removes the tangential force on anything resting
 on it, for any friction coefficient. The rotation is applied about a
 configurable center of rotation (CoR) and mapped back to the robot flange
-through a constant mounting transform.
+through a constant mounting transform, and stored as a unit quaternion.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ __all__ = [
     "MountingTransform",
     "tilt_angles",
     "flange_poses",
+    "rotation_to_quaternion",
+    "quaternion_to_rotation",
 ]
 
 
@@ -56,43 +58,32 @@ def tilt_angles(accel, g: float) -> tuple[float, float]:
     return beta, phi
 
 
-# Scalar pose chain: oracle of flange_poses in the tests, hooked by perfbench/tracer.py.
-def _rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _rot_z(a) -> np.ndarray:
+    """Rot_z(a), or an (n, 3, 3) stack of them for an (n,) stack of angles."""
+    c, s = np.cos(a), np.sin(a)
+    out = np.zeros(np.shape(a) + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 2, 2] = 1.0
+    return out
 
 
-def _rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _rot_y(a) -> np.ndarray:
+    """Rot_y(a), or an (n, 3, 3) stack of them for an (n,) stack of angles."""
+    c, s = np.cos(a), np.sin(a)
+    out = np.zeros(np.shape(a) + (3, 3))
+    out[..., 0, 0] = out[..., 2, 2] = c
+    out[..., 0, 2] = s
+    out[..., 2, 0] = -s
+    out[..., 1, 1] = 1.0
+    return out
 
 
-def rotation_matrix(beta: float, phi: float) -> np.ndarray:
-    """Tray attitude Rot_z(phi) @ Rot_y(beta) @ Rot_z(-phi)."""
+def rotation_matrix(beta, phi) -> np.ndarray:
+    """Tray attitude Rot_z(phi) @ Rot_y(beta) @ Rot_z(-phi), or an (n, 3, 3)
+    stack of them for (n,) stacks of angles."""
     return _rot_z(phi) @ _rot_y(beta) @ _rot_z(-phi)
-
-
-_BLOCK_SAMPLES = 1024  # samples per block in flange_poses
-
-
-def _rot_z_stack(a: np.ndarray) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    out = np.zeros((a.size, 3, 3))
-    out[:, 0, 0] = out[:, 1, 1] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    out[:, 2, 2] = 1.0
-    return out
-
-
-def _rot_y_stack(a: np.ndarray) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    out = np.zeros((a.size, 3, 3))
-    out[:, 0, 0] = out[:, 2, 2] = c
-    out[:, 0, 2] = s
-    out[:, 2, 0] = -s
-    out[:, 1, 1] = 1.0
-    return out
 
 
 def _check_rotation(R: np.ndarray, tol: float = 1e-9) -> None:
@@ -110,6 +101,8 @@ class MountingTransform:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"mounting transform must be 4x4, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"mounting transform must be finite, got {m.tolist()!r}")
         if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
             raise ValueError("last row of a homogeneous transform must be [0 0 0 1]")
         _check_rotation(m[:3, :3])
@@ -131,28 +124,80 @@ class MountingTransform:
         return out
 
 
-def compose_flange_pose(position, rotation: np.ndarray,
-                        mount: MountingTransform) -> np.ndarray:
-    """Flange pose T_0_F = T_0_CoR @ inv(T_F_CoR).
+def compose_flange_pose(position, rotation, mount: MountingTransform) -> np.ndarray:
+    """Flange pose T_0_F = T_0_CoR @ inv(T_F_CoR), or an (n, 4, 4) stack of
+    them for (n, 3) positions and (n, 3, 3) rotations.
 
     The CoR point itself follows `position` exactly; the flange is offset by
     the constant mounting transform.
     """
-    T = np.eye(4)
-    T[:3, :3] = rotation
-    T[:3, 3] = np.asarray(position, dtype=float)
+    rotation = np.asarray(rotation, dtype=float)
+    T = np.zeros(rotation.shape[:-2] + (4, 4))
+    T[..., :3, :3] = rotation
+    T[..., :3, 3] = position
+    T[..., 3, 3] = 1.0
     return T @ mount.inverse()
+
+
+def rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix, or an
+    (n, 4) stack of them for an (n, 3, 3) stack of matrices.
+
+    A matrix with positive trace uses the trace branch; any other uses the
+    branch of its largest diagonal entry, ties going to the earlier one.
+    """
+    R = np.asarray(R, dtype=float)
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = R.reshape(-1, 9).T
+    tr = m00 + m11 + m22
+    with np.errstate(invalid="ignore", divide="ignore"):  # branches not taken
+        s0 = np.sqrt(tr + 1.0) * 2.0
+        s1 = np.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        s2 = np.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        s3 = np.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        branches = (
+            (0.25 * s0, (m21 - m12) / s0, (m02 - m20) / s0, (m10 - m01) / s0),
+            ((m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1),
+            ((m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2),
+            ((m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3),
+        )
+    taken = [tr > 0.0, (m00 >= m11) & (m00 >= m22), m11 >= m22,
+             np.full(tr.shape, True)]
+    q = np.column_stack([np.select(taken, [b[i] for b in branches])
+                         for i in range(4)])
+    flip = q[:, 0] < 0.0
+    q[flip] = -q[flip]
+    # the row-wise dot is the one np.linalg.norm(q) takes for a single q
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    return q.reshape(R.shape[:-2] + (4,))
+
+
+def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a quaternion (w, x, y, z), or an (n, 3, 3) stack
+    of them for an (n, 4) stack of quaternions."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    n = w * w + x * x + y * y + z * z
+    s = 2.0 / n
+    R = np.stack([
+        1 - s * (y * y + z * z), s * (x * y - z * w), s * (x * z + y * w),
+        s * (x * y + z * w), 1 - s * (x * x + z * z), s * (y * z - x * w),
+        s * (x * z - y * w), s * (y * z + x * w), 1 - s * (x * x + y * y),
+    ], axis=-1)
+    return R.reshape(w.shape + (3, 3))
+
+
+_BLOCK_SAMPLES = 1024  # samples per block in flange_poses
 
 
 def flange_poses(positions, accelerations, g: float,
                  mount: MountingTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Flange positions (n, 3) and rotations (n, 3, 3) of a stream of samples.
+    """Flange positions (n, 3) and unit quaternions (n, 4) of a stream of
+    samples, the quaternions as rotation_to_quaternion gives them.
 
     Bit for bit the same as tilt_angles -> rotation_matrix ->
     compose_flange_pose on each sample: the libm calls of tilt_angles and
-    _wrap_angle are mapped over a block of samples, and the matrices built
-    and multiplied as stacks. A sample in free fall raises FreeFallError with
-    its index in `sample`.
+    _wrap_angle are mapped over a block of samples, and rotation_matrix and
+    compose_flange_pose take the block as stacks. A sample in free fall
+    raises FreeFallError with its index in `sample`.
     """
     n = len(accelerations)
     accelerations = np.asarray(accelerations, dtype=float).reshape(n, 3)
@@ -164,8 +209,7 @@ def flange_poses(positions, accelerations, g: float,
             exc.sample = k
             raise
     pos_out = np.empty((n, 3))
-    rot_out = np.empty((n, 3, 3))
-    inverse = mount.inverse()
+    quat_out = np.empty((n, 4))
     for start in range(0, n, _BLOCK_SAMPLES):
         stop = min(start + _BLOCK_SAMPLES, n)
         ax, ay = accelerations[start:stop, :2].T.tolist()
@@ -176,11 +220,7 @@ def flange_poses(positions, accelerations, g: float,
         shifted = (math.pi + np.array(list(map(math.atan2, ay, ax)))).tolist()
         phi = np.array(list(map(math.remainder, shifted, [2.0 * math.pi] * len(ax))))
         phi[phi <= -math.pi] += 2.0 * math.pi
-        T = np.zeros((stop - start, 4, 4))
-        T[:, :3, :3] = _rot_z_stack(phi) @ _rot_y_stack(beta) @ _rot_z_stack(-phi)
-        T[:, :3, 3] = positions[start:stop]
-        T[:, 3, 3] = 1.0
-        flange = T @ inverse
+        flange = compose_flange_pose(positions[start:stop], rotation_matrix(beta, phi), mount)
         pos_out[start:stop] = flange[:, :3, 3]
-        rot_out[start:stop] = flange[:, :3, :3]
-    return pos_out, rot_out
+        quat_out[start:stop] = rotation_to_quaternion(flange[:, :3, :3])
+    return pos_out, quat_out

@@ -47,7 +47,7 @@ import numpy as np
 import orjson
 import yaml
 
-from .compensation import MountingTransform
+from .compensation import MountingTransform, quaternion_to_rotation
 from .dynamics import PlantParams, SimTrace
 from .planner import Scenario
 
@@ -64,8 +64,6 @@ __all__ = [
     "write_sim_trace",
     "read_sim_trace",
     "load_config",
-    "rotation_to_quaternion",
-    "quaternion_to_rotation",
     "band_limited_noise",
 ]
 
@@ -292,7 +290,12 @@ def _load_table(path: str, kind: str, widths: tuple) -> tuple[dict, float, np.nd
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path} contains non-finite values")
     t = data[:, 0]
-    if np.abs(t - (t[0] + np.arange(t.size) * dt)).max() > 1e-9 * max(1.0, abs(t[-1])):
+    # |t - (t[0] + k dt)| in one array, updated in place
+    ramp = np.arange(t.size, dtype=float)
+    ramp *= dt
+    ramp += t[0]
+    np.abs(np.subtract(t, ramp, out=ramp), out=ramp)
+    if ramp.max() > 1e-9 * max(1.0, abs(t[-1])):
         raise FormatError(f"{path}: timestamps are not uniform at dt={dt!r}")
     return meta, dt, data
 
@@ -334,52 +337,6 @@ def read_trajectory(path: str) -> TrajectoryFile:
 # ---------------------------------------------------------------------------
 # pose (6-DOF) trajectory files
 # ---------------------------------------------------------------------------
-
-def rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix, or an
-    (n, 4) stack of them for an (n, 3, 3) stack of matrices.
-
-    A matrix with positive trace uses the trace branch; any other uses the
-    branch of its largest diagonal entry, ties going to the earlier one.
-    """
-    R = np.asarray(R, dtype=float)
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = R.reshape(-1, 9).T
-    tr = m00 + m11 + m22
-    with np.errstate(invalid="ignore", divide="ignore"):  # branches not taken
-        s0 = np.sqrt(tr + 1.0) * 2.0
-        s1 = np.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        s2 = np.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        s3 = np.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        branches = (
-            (0.25 * s0, (m21 - m12) / s0, (m02 - m20) / s0, (m10 - m01) / s0),
-            ((m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1),
-            ((m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2),
-            ((m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3),
-        )
-    taken = [tr > 0.0, (m00 >= m11) & (m00 >= m22), m11 >= m22,
-             np.full(tr.shape, True)]
-    q = np.column_stack([np.select(taken, [b[i] for b in branches])
-                         for i in range(4)])
-    flip = q[:, 0] < 0.0
-    q[flip] = -q[flip]
-    # the row-wise dot is the one np.linalg.norm(q) takes for a single q
-    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
-    return q.reshape(R.shape[:-2] + (4,))
-
-
-def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a quaternion (w, x, y, z), or an (n, 3, 3) stack
-    of them for an (n, 4) stack of quaternions."""
-    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    n = w * w + x * x + y * y + z * z
-    s = 2.0 / n
-    R = np.stack([
-        1 - s * (y * y + z * z), s * (x * y - z * w), s * (x * z + y * w),
-        s * (x * y + z * w), 1 - s * (x * x + z * z), s * (y * z - x * w),
-        s * (x * z - y * w), s * (y * z + x * w), 1 - s * (x * x + y * y),
-    ], axis=-1)
-    return R.reshape(w.shape + (3, 3))
-
 
 @dataclass
 class PoseTrajectoryFile:

@@ -90,10 +90,13 @@ class Scenario:
         if self.motion not in ("point_to_point", "complex"):
             raise ValueError(
                 f"motion must be 'point_to_point' or 'complex', got {self.motion!r}")
-        if self.start is not None:
-            self.start = np.asarray(self.start, dtype=float)
-        if self.goal is not None:
-            self.goal = np.asarray(self.goal, dtype=float)
+        for name in ("start", "goal"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=float)
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{name} must be finite, got {value.tolist()!r}")
+                setattr(self, name, value)
         if self.motion == "point_to_point":
             if self.start is None or self.goal is None:
                 raise ValueError("point-to-point scenario needs start and goal")

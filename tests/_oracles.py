@@ -1,15 +1,15 @@
-"""Closed forms, reference writers, per-sample smoother stages, the contact
-model's reference formulas, the pendulum's own integration loop, the generic
-stick and slip sub-steps, the linear slosh oscillator and the desk-scale
-plant, which the tests compare the package against or build their cases
-from."""
+"""Closed forms, the scalar pose chain, reference writers, per-sample
+smoother stages, the contact model's reference formulas, the pendulum's own
+integration loop, the generic stick and slip sub-steps, the linear slosh
+oscillator and the desk-scale plant, which the tests compare the package
+against or build their cases from."""
 
 import math
 from collections import deque
 
 import numpy as np
 
-from traywaiter.compensation import FreeFallError
+from traywaiter.compensation import FreeFallError, tilt_angles
 from traywaiter import dynamics
 from traywaiter.dynamics import (
     ContactLostError,
@@ -35,6 +35,67 @@ def planar_tilt(ax: float, az: float, g: float) -> float:
     if gz <= 0.0:
         raise FreeFallError(f"g + az = {gz} <= 0: tilt compensation undefined")
     return -math.atan2(ax, gz) + 0.0
+
+
+# The pose chain one sample at a time, as the package wrote it before
+# rotation_matrix and compose_flange_pose took stacks: the attitude built
+# from math.cos and math.sin, the flange pose from a 4x4 identity, and the
+# per-matrix quaternion formulas of rotation_to_quaternion.
+
+def _rot_z(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rot_y(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def scalar_rotation_matrix(beta: float, phi: float) -> np.ndarray:
+    """Tray attitude Rot_z(phi) @ Rot_y(beta) @ Rot_z(-phi)."""
+    return _rot_z(phi) @ _rot_y(beta) @ _rot_z(-phi)
+
+
+def scalar_flange_pose(position, rotation: np.ndarray, mount) -> np.ndarray:
+    """Flange pose T_0_F = T_0_CoR @ inv(T_F_CoR) of one sample."""
+    T = np.eye(4)
+    T[:3, :3] = rotation
+    T[:3, 3] = np.asarray(position, dtype=float)
+    return T @ mount.inverse()
+
+
+def _scalar_quaternion(R):
+    """The per-matrix formulas rotation_to_quaternion applies to each matrix."""
+    m00, m01, m02 = R[0]
+    m10, m11, m12 = R[1]
+    m20, m21, m22 = R[2]
+    tr = m00 + m11 + m22
+    if tr > 0.0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = np.array([0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s])
+    elif m00 >= m11 and m00 >= m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        q = np.array([(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s])
+    elif m11 >= m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        q = np.array([(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s])
+    else:
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        q = np.array([(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s])
+    if q[0] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def scalar_poses(positions, accelerations, g, mount):
+    """Flange positions (n, 3) and quaternions (n, 4), one sample at a time:
+    tilt_angles -> scalar_rotation_matrix -> scalar_flange_pose ->
+    _scalar_quaternion."""
+    flanges = [scalar_flange_pose(p, scalar_rotation_matrix(*tilt_angles(a, g)), mount)
+               for p, a in zip(positions, accelerations)]
+    return (np.array([f[:3, 3] for f in flanges]),
+            np.array([_scalar_quaternion(f[:3, :3]) for f in flanges]))
 
 
 def desk_params(**overrides) -> PlantParams:

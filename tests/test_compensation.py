@@ -152,6 +152,17 @@ def test_mounting_transform_validation():
         MountingTransform(bad2)
 
 
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (0, 3), (2, 3)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mounting_transform_rejects_non_finite_entries(entry, value):
+    # NaN fails no comparison of the orthonormality check, and the
+    # translation column is not checked at all
+    m = np.eye(4)
+    m[entry] = value
+    with pytest.raises(ValueError, match="^mounting transform must be finite"):
+        MountingTransform(m)
+
 def test_wrap_angle():
     assert _wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
     assert _wrap_angle(math.pi) == pytest.approx(math.pi)

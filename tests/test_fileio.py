@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from traywaiter import fileio
-from traywaiter.compensation import rotation_matrix
+from traywaiter.compensation import (
+    quaternion_to_rotation,
+    rotation_matrix,
+    rotation_to_quaternion,
+)
 from traywaiter.dynamics import SimTrace
 from traywaiter.fileio import (
     ConfigError,
@@ -19,11 +23,9 @@ from traywaiter.fileio import (
     TrajectoryFile,
     band_limited_noise,
     load_config,
-    quaternion_to_rotation,
     read_pose_trajectory,
     read_sim_trace,
     read_trajectory,
-    rotation_to_quaternion,
     write_pose_trajectory,
     write_sim_trace,
     write_trajectory,

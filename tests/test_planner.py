@@ -143,6 +143,15 @@ def test_scenario_infinite_fields(field, refused):
         assert 0.0 < plan(p2p_scenario(**sc), G).duration < 2.0
 
 
+@pytest.mark.parametrize("field", ["start", "goal"])
+@pytest.mark.parametrize("motion", ["point_to_point", "complex"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scenario_non_finite_endpoints(field, motion, value):
+    message = rf"^{field} must be finite, got \[0\.0, {value}, 0\.4\]$"
+    with pytest.raises(ValueError, match=message):
+        p2p_scenario(motion=motion, **{field: [0.0, value, 0.4]})
+
+
 def test_plan_auto_free_stage_respects_cap():
     sc = p2p_scenario(free_stage_T=None, angular_accel_cap=15.0)
     result = plan(sc, G)

@@ -19,7 +19,9 @@ from traywaiter.compensation import (
     MountingTransform,
     compose_flange_pose,
     flange_poses,
+    quaternion_to_rotation,
     rotation_matrix,
+    rotation_to_quaternion,
     tilt_angles,
 )
 from traywaiter.dynamics import (
@@ -31,7 +33,6 @@ from traywaiter.dynamics import (
     _input_terms,
     _stick_test,
 )
-from traywaiter.fileio import quaternion_to_rotation, rotation_to_quaternion
 from traywaiter.smoothers import (
     CascadeState,
     DampedHarmonic,
@@ -40,6 +41,7 @@ from traywaiter.smoothers import (
 )
 
 from _oracles import (
+    _scalar_quaternion,
     _slip_eval,
     _stick_eval,
     _stick_rates,
@@ -48,6 +50,9 @@ from _oracles import (
     generic_stick_step,
     per_sample_stages,
     repr_table_chunks,
+    scalar_flange_pose,
+    scalar_poses,
+    scalar_rotation_matrix,
 )
 
 G = 9.81
@@ -69,36 +74,6 @@ mounts = st.one_of(
         lambda qp: MountingTransform.from_parts(quaternion_to_rotation(qp[0]), qp[1])))
 
 
-def _scalar_poses(positions, accelerations, g, mount):
-    flanges = [compose_flange_pose(p, rotation_matrix(*tilt_angles(a, g)), mount)
-               for p, a in zip(positions, accelerations)]
-    return (np.array([f[:3, 3] for f in flanges]),
-            np.array([f[:3, :3] for f in flanges]))
-
-
-def _scalar_quaternion(R):
-    """The per-matrix formulas rotation_to_quaternion applies to each matrix."""
-    m00, m01, m02 = R[0]
-    m10, m11, m12 = R[1]
-    m20, m21, m22 = R[2]
-    tr = m00 + m11 + m22
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s])
-    elif m00 >= m11 and m00 >= m22:
-        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        q = np.array([(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s])
-    elif m11 >= m22:
-        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        q = np.array([(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s])
-    else:
-        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        q = np.array([(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s])
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
-
-
 # ---------------------------------------------------------------------------
 # flange poses
 # ---------------------------------------------------------------------------
@@ -112,10 +87,10 @@ def _scalar_quaternion(R):
 def test_flange_poses_match_scalar_chain(samples, mount):
     accelerations = np.array([a for a, _ in samples])
     positions = np.array([p for _, p in samples])
-    pos, rot = flange_poses(positions, accelerations, G, mount)
-    pos_ref, rot_ref = _scalar_poses(positions, accelerations, G, mount)
+    pos, quat = flange_poses(positions, accelerations, G, mount)
+    pos_ref, quat_ref = scalar_poses(positions, accelerations, G, mount)
     assert np.array_equal(pos, pos_ref)
-    assert np.array_equal(rot, rot_ref)
+    assert np.array_equal(quat, quat_ref)
 
 
 def test_flange_poses_match_scalar_chain_across_blocks():
@@ -126,10 +101,30 @@ def test_flange_poses_match_scalar_chain_across_blocks():
     accelerations[::7, :2] = 0.0  # zero lateral acceleration: phi = pi
     positions = rng.uniform(-1.0, 1.0, (n, 3))
     mount = MountingTransform.from_parts(rotation_matrix(0.3, 1.1), (0.0, 0.02, 0.12))
-    pos, rot = flange_poses(positions, accelerations, G, mount)
-    pos_ref, rot_ref = _scalar_poses(positions, accelerations, G, mount)
+    pos, quat = flange_poses(positions, accelerations, G, mount)
+    pos_ref, quat_ref = scalar_poses(positions, accelerations, G, mount)
     assert np.array_equal(pos, pos_ref)
-    assert np.array_equal(rot, rot_ref)
+    assert np.array_equal(quat, quat_ref)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                          st.tuples(*[st.floats(-2.0, 2.0)] * 3)),
+                min_size=1, max_size=40),
+       mounts)
+def test_stacked_pose_chain_matches_scalar_chain(samples, mount):
+    # rotation_matrix and compose_flange_pose on stacks give each sample the
+    # bits of the math-based chain
+    beta, phi, positions = (np.array(column) for column in zip(*samples))
+    rotations = rotation_matrix(beta, phi)
+    flanges = compose_flange_pose(positions, rotations, mount)
+    assert rotations.shape == (len(samples), 3, 3)
+    assert flanges.shape == (len(samples), 4, 4)
+    for b, f, p, R, flange in zip(beta.tolist(), phi.tolist(), positions,
+                                  rotations, flanges):
+        R_ref = scalar_rotation_matrix(b, f)
+        assert np.array_equal(R, R_ref)
+        assert np.array_equal(flange, scalar_flange_pose(p, R_ref, mount))
 
 
 @pytest.mark.parametrize("bad", [0, 5, POSE_BLOCK + 7])
