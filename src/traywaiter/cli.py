@@ -219,7 +219,8 @@ def _planar_projection(traj: TrajectoryFile):
     norm = np.linalg.norm(horiz)
     u = horiz / norm if norm > 1e-12 else np.array([1.0, 0.0, 0.0])
     acc_h = traj.accelerations[:, :2]
-    acc_par = acc_h @ u[:2]
+    # elementwise, not a BLAS product, whose rounding depends on the CPU
+    acc_par = acc_h[:, 0] * u[0] + acc_h[:, 1] * u[1]
     residual = acc_h - acc_par[:, None] * u[None, :2]
     scale = max(1.0, np.abs(traj.accelerations).max())
     if np.abs(residual).max() > 1e-9 * scale:

@@ -58,32 +58,23 @@ def tilt_angles(accel, g: float) -> tuple[float, float]:
     return beta, phi
 
 
-def _rot_z(a) -> np.ndarray:
-    """Rot_z(a), or an (n, 3, 3) stack of them for an (n,) stack of angles."""
-    c, s = np.cos(a), np.sin(a)
-    out = np.zeros(np.shape(a) + (3, 3))
-    out[..., 0, 0] = out[..., 1, 1] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 2, 2] = 1.0
-    return out
-
-
-def _rot_y(a) -> np.ndarray:
-    """Rot_y(a), or an (n, 3, 3) stack of them for an (n,) stack of angles."""
-    c, s = np.cos(a), np.sin(a)
-    out = np.zeros(np.shape(a) + (3, 3))
-    out[..., 0, 0] = out[..., 2, 2] = c
-    out[..., 0, 2] = s
-    out[..., 2, 0] = -s
-    out[..., 1, 1] = 1.0
-    return out
-
-
 def rotation_matrix(beta, phi) -> np.ndarray:
     """Tray attitude Rot_z(phi) @ Rot_y(beta) @ Rot_z(-phi), or an (n, 3, 3)
-    stack of them for (n,) stacks of angles."""
-    return _rot_z(phi) @ _rot_y(beta) @ _rot_z(-phi)
+    stack of them for (n,) stacks of angles: the rotation by beta about the
+    horizontal axis (-sin phi, cos phi, 0), entry by entry."""
+    c, s = np.cos(phi), np.sin(phi)
+    cb, sb = np.cos(beta), np.sin(beta)
+    vers = 1.0 - cb
+    out = np.empty(np.shape(c * cb) + (3, 3))
+    out[..., 0, 0] = 1.0 - vers * c * c
+    out[..., 1, 1] = 1.0 - vers * s * s
+    out[..., 0, 1] = out[..., 1, 0] = -vers * s * c
+    out[..., 0, 2] = sb * c
+    out[..., 1, 2] = sb * s
+    out[..., 2, 0] = -sb * c
+    out[..., 2, 1] = -sb * s
+    out[..., 2, 2] = cb
+    return out
 
 
 def _check_rotation(R: np.ndarray, tol: float = 1e-9) -> None:
@@ -93,9 +84,17 @@ def _check_rotation(R: np.ndarray, tol: float = 1e-9) -> None:
 
 @dataclass(frozen=True)
 class MountingTransform:
-    """Constant flange -> CoR transform for one object/container."""
+    """Constant flange -> CoR transform T_F_CoR for one object/container.
+
+    Its inverse, the flange seen from the CoR, is also kept as the two terms
+    of every flange pose: `flange_quaternion`, conj(q_mount) with q_mount
+    the unit quaternion (w >= 0) of the mounting rotation R_m, and
+    `flange_offset`, c = -R_m^T p_m.
+    """
 
     matrix: np.ndarray = field(default_factory=lambda: np.eye(4))
+    flange_quaternion: tuple = field(init=False, repr=False, compare=False)
+    flange_offset: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -107,6 +106,11 @@ class MountingTransform:
             raise ValueError("last row of a homogeneous transform must be [0 0 0 1]")
         _check_rotation(m[:3, :3])
         object.__setattr__(self, "matrix", m)
+        w, x, y, z = rotation_to_quaternion(m[:3, :3]).tolist()
+        object.__setattr__(self, "flange_quaternion", (w, -x, -y, -z))
+        R, p = m[:3, :3].tolist(), m[:3, 3].tolist()
+        object.__setattr__(self, "flange_offset", tuple(
+            -(R[0][i] * p[0] + R[1][i] * p[1] + R[2][i] * p[2]) for i in range(3)))
 
     @classmethod
     def from_parts(cls, rotation, translation) -> "MountingTransform":
@@ -115,28 +119,34 @@ class MountingTransform:
         m[:3, 3] = np.asarray(translation, dtype=float)
         return cls(m)
 
-    def inverse(self) -> np.ndarray:
-        R = self.matrix[:3, :3]
-        p = self.matrix[:3, 3]
-        out = np.eye(4)
-        out[:3, :3] = R.T
-        out[:3, 3] = -R.T @ p
-        return out
 
+def compose_flange_pose(position, tray_quaternion, mount: MountingTransform):
+    """Flange position and unit quaternion (w, x, y, z), w >= 0, of the pose
+    T_0_F = T_0_CoR @ inv(T_F_CoR), where T_0_CoR places the CoR at
+    `position` with the attitude of the unit `tray_quaternion`; or (n, 3)
+    positions and (n, 4) quaternions for stacks of them.
 
-def compose_flange_pose(position, rotation, mount: MountingTransform) -> np.ndarray:
-    """Flange pose T_0_F = T_0_CoR @ inv(T_F_CoR), or an (n, 4, 4) stack of
-    them for (n, 3) positions and (n, 3, 3) rotations.
-
-    The CoR point itself follows `position` exactly; the flange is offset by
-    the constant mounting transform.
+    Elementwise: the flange quaternion is q_tray * conj(q_mount), and the
+    flange position p + R_tray c with c = -R_m^T p_m, rotated as
+    c + w t + u x t with t = 2 u x c for q_tray = (w, u).
     """
-    rotation = np.asarray(rotation, dtype=float)
-    T = np.zeros(rotation.shape[:-2] + (4, 4))
-    T[..., :3, :3] = rotation
-    T[..., :3, 3] = position
-    T[..., 3, 3] = 1.0
-    return T @ mount.inverse()
+    w, x, y, z = np.moveaxis(np.asarray(tray_quaternion, dtype=float), -1, 0)
+    px, py, pz = np.moveaxis(np.asarray(position, dtype=float), -1, 0)
+    cx, cy, cz = mount.flange_offset
+    tx = 2.0 * (y * cz - z * cy)
+    ty = 2.0 * (z * cx - x * cz)
+    tz = 2.0 * (x * cy - y * cx)
+    flange_position = np.stack([px + (cx + w * tx + (y * tz - z * ty)),
+                                py + (cy + w * ty + (z * tx - x * tz)),
+                                pz + (cz + w * tz + (x * ty - y * tx))], axis=-1)
+    mw, mx, my, mz = mount.flange_quaternion
+    qw = w * mw - x * mx - y * my - z * mz
+    qx = w * mx + x * mw + y * mz - z * my
+    qy = w * my - x * mz + y * mw + z * mx
+    qz = w * mz + x * my - y * mx + z * mw
+    # w >= 0, then unit norm: one division by the signed norm does both
+    norm = np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz) * np.where(qw < 0.0, -1.0, 1.0)
+    return flange_position, np.stack([qw / norm, qx / norm, qy / norm, qz / norm], axis=-1)
 
 
 def rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
@@ -162,12 +172,9 @@ def rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
         )
     taken = [tr > 0.0, (m00 >= m11) & (m00 >= m22), m11 >= m22,
              np.full(tr.shape, True)]
-    q = np.column_stack([np.select(taken, [b[i] for b in branches])
-                         for i in range(4)])
-    flip = q[:, 0] < 0.0
-    q[flip] = -q[flip]
-    # the row-wise dot is the one np.linalg.norm(q) takes for a single q
-    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    w, x, y, z = (np.select(taken, [b[i] for b in branches]) for i in range(4))
+    norm = np.sqrt(w * w + x * x + y * y + z * z) * np.where(w < 0.0, -1.0, 1.0)
+    q = np.column_stack([w / norm, x / norm, y / norm, z / norm])
     return q.reshape(R.shape[:-2] + (4,))
 
 
@@ -185,19 +192,36 @@ def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     return R.reshape(w.shape + (3, 3))
 
 
+def _tilt_quaternion(accelerations, g: float) -> np.ndarray:
+    """Unit quaternions (n, 4) of the tray attitudes tilt_angles and
+    rotation_matrix give for (n, 3) accelerations, none in free fall.
+
+    Rot_z(phi) Rot_y(beta) Rot_z(-phi) is the shortest-arc rotation taking
+    z to (ax, ay, gz) / L, gz = g + az, L = |(ax, ay, gz)|, so its
+    quaternion is (L + gz, -ay, ax, 0) normalized: only square roots, and no
+    cancellation since gz > 0. Each row is first scaled by the exact power
+    of two that brings its largest entry into [0.5, 1): that keeps the
+    squares finite, and changes no bit of a row whose entries stay normal.
+    """
+    ax, ay, az = np.asarray(accelerations, dtype=float).T
+    gz = g + az
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(ax), np.abs(ay)), gz))
+    ax, ay, gz = np.ldexp(ax, -e), np.ldexp(ay, -e), np.ldexp(gz, -e)
+    w = np.sqrt(ax * ax + ay * ay + gz * gz) + gz
+    norm = np.sqrt(w * w + ay * ay + ax * ax)
+    return np.column_stack([w / norm, -ay / norm, ax / norm, np.zeros_like(w)])
+
+
 _BLOCK_SAMPLES = 1024  # samples per block in flange_poses
 
 
 def flange_poses(positions, accelerations, g: float,
                  mount: MountingTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Flange positions (n, 3) and unit quaternions (n, 4) of a stream of
-    samples, the quaternions as rotation_to_quaternion gives them.
-
-    Bit for bit the same as tilt_angles -> rotation_matrix ->
-    compose_flange_pose on each sample: the libm calls of tilt_angles and
-    _wrap_angle are mapped over a block of samples, and rotation_matrix and
-    compose_flange_pose take the block as stacks. A sample in free fall
-    raises FreeFallError with its index in `sample`.
+    """Flange positions (n, 3) and unit quaternions (n, 4), w >= 0, of a
+    stream of samples: the tray attitude of each acceleration in closed
+    form, composed with the mount by compose_flange_pose, one block of
+    samples at a time. A sample in free fall raises FreeFallError, as
+    tilt_angles words it, with its index in `sample`.
     """
     n = len(accelerations)
     accelerations = np.asarray(accelerations, dtype=float).reshape(n, 3)
@@ -212,15 +236,6 @@ def flange_poses(positions, accelerations, g: float,
     quat_out = np.empty((n, 4))
     for start in range(0, n, _BLOCK_SAMPLES):
         stop = min(start + _BLOCK_SAMPLES, n)
-        ax, ay = accelerations[start:stop, :2].T.tolist()
-        # libm through math, as in tilt_angles: numpy's SIMD arctan2 and
-        # hypot can differ from it in the last bit
-        rho = map(math.hypot, ax, ay)
-        beta = -np.array(list(map(math.atan2, rho, gz[start:stop].tolist()))) + 0.0
-        shifted = (math.pi + np.array(list(map(math.atan2, ay, ax)))).tolist()
-        phi = np.array(list(map(math.remainder, shifted, [2.0 * math.pi] * len(ax))))
-        phi[phi <= -math.pi] += 2.0 * math.pi
-        flange = compose_flange_pose(positions[start:stop], rotation_matrix(beta, phi), mount)
-        pos_out[start:stop] = flange[:, :3, 3]
-        quat_out[start:stop] = rotation_to_quaternion(flange[:, :3, :3])
+        pos_out[start:stop], quat_out[start:stop] = compose_flange_pose(
+            positions[start:stop], _tilt_quaternion(accelerations[start:stop], g), mount)
     return pos_out, quat_out

@@ -341,7 +341,7 @@ def read_trajectory(path: str) -> TrajectoryFile:
 @dataclass
 class PoseTrajectoryFile:
     """6-DOF flange trajectory. Each rotation is stored once, as a unit
-    quaternion (w, x, y, z), w >= 0 as rotation_to_quaternion gives it;
+    quaternion (w, x, y, z), w >= 0 as flange_poses gives it;
     `rotations` rebuilds the matrices."""
 
     dt: float

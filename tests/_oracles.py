@@ -1,4 +1,4 @@
-"""Closed forms, the scalar pose chain, reference writers, per-sample
+"""Closed forms, the scalar pose chains, reference writers, per-sample
 smoother stages, the contact model's reference formulas, the pendulum's own
 integration loop, the generic stick and slip sub-steps, the linear slosh
 oscillator and the desk-scale plant, which the tests compare the package
@@ -37,10 +37,11 @@ def planar_tilt(ax: float, az: float, g: float) -> float:
     return -math.atan2(ax, gz) + 0.0
 
 
-# The pose chain one sample at a time, as the package wrote it before
-# rotation_matrix and compose_flange_pose took stacks: the attitude built
-# from math.cos and math.sin, the flange pose from a 4x4 identity, and the
-# per-matrix quaternion formulas of rotation_to_quaternion.
+# The pose chain one sample at a time, as the package wrote it before the
+# closed-form tilt quaternion: tilt angles, the attitude built from math.cos
+# and math.sin, the flange pose from a 4x4 identity and the mount's matrix
+# inverse, and the per-matrix quaternion formulas of rotation_to_quaternion.
+# It shares no formula with the closed form, so it checks its geometry.
 
 def _rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
@@ -62,7 +63,7 @@ def scalar_flange_pose(position, rotation: np.ndarray, mount) -> np.ndarray:
     T = np.eye(4)
     T[:3, :3] = rotation
     T[:3, 3] = np.asarray(position, dtype=float)
-    return T @ mount.inverse()
+    return T @ np.linalg.inv(mount.matrix)
 
 
 def _scalar_quaternion(R):
@@ -73,19 +74,25 @@ def _scalar_quaternion(R):
     tr = m00 + m11 + m22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s])
+        q = [0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s]
     elif m00 >= m11 and m00 >= m22:
         s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        q = np.array([(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s])
+        q = [(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s]
     elif m11 >= m22:
         s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        q = np.array([(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s])
+        q = [(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s]
     else:
         s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        q = np.array([(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s])
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+        q = [(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s]
+    return _unit_w_nonnegative(*map(float, q))
+
+
+def _unit_w_nonnegative(w, x, y, z):
+    """(w, x, y, z) with w >= 0, divided by its norm."""
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    return np.array([w / norm, x / norm, y / norm, z / norm])
 
 
 def scalar_poses(positions, accelerations, g, mount):
@@ -96,6 +103,43 @@ def scalar_poses(positions, accelerations, g, mount):
                for p, a in zip(positions, accelerations)]
     return (np.array([f[:3, 3] for f in flanges]),
             np.array([_scalar_quaternion(f[:3, :3]) for f in flanges]))
+
+
+def closed_form_poses(positions, accelerations, g, mount):
+    """Flange positions (n, 3) and quaternions (n, 4) from the closed form,
+    one sample at a time in math: the tray quaternion (L + gz, -ay, ax, 0)
+    normalized, each row first scaled by the power of two that brings its
+    largest entry into [0.5, 1); the flange quaternion q_tray * conj(q_m)
+    with w >= 0, normalized; the flange position p + R_tray c with
+    c = -R_m^T p_m, rotated as c + w t + u x t, t = 2 u x c."""
+    R = mount.matrix[:3, :3].tolist()
+    pm = mount.matrix[:3, 3].tolist()
+    cx, cy, cz = (-(R[0][i] * pm[0] + R[1][i] * pm[1] + R[2][i] * pm[2])
+                  for i in range(3))
+    mw, mx, my, mz = _scalar_quaternion(R).tolist()
+    mx, my, mz = -mx, -my, -mz
+    pos_out, quat_out = [], []
+    for (px, py, pz), (ax, ay, az) in zip(np.asarray(positions, dtype=float).tolist(),
+                                          np.asarray(accelerations, dtype=float).tolist()):
+        gz = g + az
+        if gz <= 0.0:
+            raise FreeFallError(f"g + az = {gz} <= 0: tilt compensation undefined")
+        e = math.frexp(max(abs(ax), abs(ay), gz))[1]
+        ax, ay, gz = math.ldexp(ax, -e), math.ldexp(ay, -e), math.ldexp(gz, -e)
+        lw = math.sqrt(ax * ax + ay * ay + gz * gz) + gz
+        n = math.sqrt(lw * lw + ay * ay + ax * ax)
+        w, x, y, z = lw / n, -ay / n, ax / n, 0.0
+        tx = 2.0 * (y * cz - z * cy)
+        ty = 2.0 * (z * cx - x * cz)
+        tz = 2.0 * (x * cy - y * cx)
+        pos_out.append([px + (cx + w * tx + (y * tz - z * ty)),
+                        py + (cy + w * ty + (z * tx - x * tz)),
+                        pz + (cz + w * tz + (x * ty - y * tx))])
+        quat_out.append(_unit_w_nonnegative(w * mw - x * mx - y * my - z * mz,
+                                            w * mx + x * mw + y * mz - z * my,
+                                            w * my - x * mz + y * mw + z * mx,
+                                            w * mz + x * my - y * mx + z * mw))
+    return np.array(pos_out).reshape(-1, 3), np.array(quat_out).reshape(-1, 4)
 
 
 def desk_params(**overrides) -> PlantParams:

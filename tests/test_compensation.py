@@ -8,7 +8,9 @@ from traywaiter.compensation import (
     MountingTransform,
     _wrap_angle,
     compose_flange_pose,
+    quaternion_to_rotation,
     rotation_matrix,
+    rotation_to_quaternion,
     tilt_angles,
 )
 
@@ -116,18 +118,21 @@ def test_planar_and_3d_agree_on_planar_inputs():
 
 
 def test_compose_flange_pose_trivial():
-    pose = compose_flange_pose((1.0, 2.0, 3.0), np.eye(3), MountingTransform())
-    assert np.allclose(pose[:3, 3], [1.0, 2.0, 3.0])
-    assert np.allclose(pose[:3, :3], np.eye(3))
+    position, quaternion = compose_flange_pose((1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0),
+                                               MountingTransform())
+    assert np.array_equal(position, [1.0, 2.0, 3.0])
+    assert np.array_equal(quaternion, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_compose_flange_pose_pure_translation():
     mount = MountingTransform.from_parts(np.eye(3), [0.0, 0.0, 0.12])
-    pose = compose_flange_pose((1.0, 0.0, 0.5), np.eye(3), mount)
-    assert np.allclose(pose[:3, 3], [1.0, 0.0, 0.38])
+    position, quaternion = compose_flange_pose((1.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0), mount)
+    assert np.allclose(position, [1.0, 0.0, 0.38])
+    assert np.array_equal(quaternion, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_compose_flange_pose_round_trip():
+    # the flange pose composed with the mount gives the CoR pose back
     rng = np.random.default_rng(3)
     for _ in range(50):
         beta, phi = rng.uniform(-1.2, 1.2), rng.uniform(-3.0, 3.0)
@@ -135,7 +140,12 @@ def test_compose_flange_pose_round_trip():
         p = rng.uniform(-1, 1, 3)
         mR = rotation_matrix(rng.uniform(-1, 1), rng.uniform(-3, 3))
         mount = MountingTransform.from_parts(mR, rng.uniform(-0.2, 0.2, 3))
-        flange = compose_flange_pose(p, R, mount)
+        position, quaternion = compose_flange_pose(p, rotation_to_quaternion(R), mount)
+        assert quaternion[0] >= 0.0
+        assert abs(quaternion @ quaternion - 1.0) < 1e-15
+        flange = np.eye(4)
+        flange[:3, :3] = quaternion_to_rotation(quaternion)
+        flange[:3, 3] = position
         cor = flange @ mount.matrix
         assert np.abs(cor[:3, :3] - R).max() < 1e-12
         assert np.abs(cor[:3, 3] - p).max() < 1e-12

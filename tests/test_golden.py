@@ -1,15 +1,21 @@
 """Golden outputs: SHA-256 of every file three CLI runs write.
 
 A refactor that keeps behaviour leaves these hashes unchanged. A deliberate
-numeric change records them again and says why in CHANGES.md.
+numeric change records them again and says why in CHANGES.md. The same
+hashes hold whichever kernels OpenBLAS picks for the CPU.
 """
 
 import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import traywaiter
 from traywaiter.cli import main
 from traywaiter.fileio import _BLOCK_ROWS
 
@@ -67,7 +73,7 @@ GOLDEN = {
         "trace.csv":
             "1c769013f3b062dc23fe6449e7dc4dfd70412c7507a3a6111b443ad9dac6b6dc",
         "trajectory.csv":
-            "edf7c4b15bf07df1839b4106d49ec2feb99ce7ace5c6c384ca8ecbe507f224cc",
+            "6b7d7aad6131af5392403f78918c092ca2bbc5f0c63e75dd2f2e82c3c1bc2a2f",
         "verdict.txt":
             "a5684008d08119af18cb58ffd1e9dbb6fb4b1b6c0ecefd38ca3ee0a3494e80e7",
     },
@@ -77,15 +83,15 @@ GOLDEN = {
         "reference.csv":
             "7997eae7e4f438774de33d918fe18e0c9c103015aea848856011a4f70fc3609b",
         "trace.csv":
-            "2cadabd86ac402c4e3384c683a8ffdc0ffba31f7cd7a04758e5e8dc0d4991639",
+            "bf738b922f67da06adfb78f0ae921ff8855b350b8aa4f1579e52c71941a86cd9",
         "trajectory.csv":
-            "34425ac5e5c00d250c709adc05210a536462feeae8e2d9eff212fe3579b7c01e",
+            "1c4eb0f50bdbe2808b4746fd39d080767ed017b680086709043882f79f1a45fb",
         "verdict.txt":
-            "04cfc6da505c6f16dffd17ba5c122d964c6a4e80263db52f4066e55e17f35f00",
+            "0a8b7c1834fd691afdedeb5b30959bb4d149f960105e0511f6a8fdee041b3d06",
     },
     "filter": {
         "filtered.csv":
-            "eb6f726efa4eb53e33998435494b8d8375d4ea02dc7d1ef6234a94c1d700d24a",
+            "78b2634c473c0eabb1ba60558f28744317d9101d9e0851d478c3f8f409648343",
         "reference.csv":
             "6e464d49bad6a35e35690ec798089d6ef087017f5b6964b81dd1a9fb089fcf5c",
     },
@@ -118,21 +124,63 @@ def _hand_trace(path):
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-@pytest.mark.parametrize("run", sorted(GOLDEN))
-def test_golden_output_hashes(tmp_path, run):
-    outdir = str(tmp_path / "out")
+def _run_case(run, workdir):
+    """Run one golden case in `workdir` and return the hashes it wrote."""
+    os.makedirs(workdir, exist_ok=True)
+    outdir = os.path.join(workdir, "out")
     if run == "demo":
         assert _plan_and_simulate(DEMO_CONFIG, outdir) == [0, 0]
     elif run == "solid_slip":
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(SOLID_SLIP_CONFIG)
-        assert _plan_and_simulate(str(cfg), outdir) == [0, 1]
+        cfg = os.path.join(workdir, "cfg.yaml")
+        with open(cfg, "w") as fh:
+            fh.write(SOLID_SLIP_CONFIG)
+        assert _plan_and_simulate(cfg, outdir) == [0, 1]
     else:
         assert FILTER_ROWS > _BLOCK_ROWS
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(FILTER_CONFIG)
-        trace = str(tmp_path / "hand_trace.csv")
+        cfg = os.path.join(workdir, "cfg.yaml")
+        with open(cfg, "w") as fh:
+            fh.write(FILTER_CONFIG)
+        trace = os.path.join(workdir, "hand_trace.csv")
         _hand_trace(trace)
-        assert main(["filter", "--config", str(cfg), "--input", trace,
+        assert main(["filter", "--config", cfg, "--input", trace,
                      "--output", outdir]) == 0
-    assert _hashes(outdir) == GOLDEN[run]
+    return _hashes(outdir)
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN))
+def test_golden_output_hashes(tmp_path, run):
+    assert _run_case(run, str(tmp_path)) == GOLDEN[run]
+
+
+# Every golden case in a fresh interpreter, each in its own directory under
+# argv[1]; prints the hashes as JSON.
+_SUBPROCESS_RUN = """
+import json, os, sys
+import test_golden
+print(json.dumps({run: test_golden._run_case(run, os.path.join(sys.argv[1], run))
+                  for run in sorted(test_golden.GOLDEN)}))
+"""
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return "unknown"
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_golden_output_hashes_under_other_blas_kernels(tmp_path, coretype):
+    # OpenBLAS picks its kernels by the CPU, and OPENBLAS_CORETYPE picks them
+    # as another CPU would: no output may depend on that choice
+    if "openblas" not in _blas_name().lower():
+        pytest.skip(f"numpy's BLAS is {_blas_name()}, not OpenBLAS")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    package = os.path.dirname(os.path.dirname(os.path.abspath(traywaiter.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(
+        [tests, package] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _SUBPROCESS_RUN, str(tmp_path)],
+                          env=env, cwd=str(tmp_path), capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN

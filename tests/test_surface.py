@@ -2,7 +2,8 @@
 point the benchmark tracer hooks into, the helpers only the tests use stay
 out of it, the smoother kinds have one spelling each, every third-party
 module the package or its tests import is a declared dependency, and no new
-numpy call whose bytes depend on the CPU enters the package."""
+numpy call or BLAS product whose bytes depend on the CPU enters the
+package."""
 
 import ast
 import importlib
@@ -147,37 +148,74 @@ CPU_DEPENDENT_ALLOWED = [
 ]
 
 
-def _cpu_dependent_sites(path):
-    """(file, enclosing function, what) for each CPU-dependent numpy call and
-    each ** whose exponent is not the literal 2 in one source file."""
-    with open(path) as fh:
-        tree = ast.parse(fh.read())
+def _cpu_dependent_call(node):
+    """What a node computes whose bytes depend on the CPU's SIMD dispatch:
+    a CPU-dependent numpy call, or a ** whose exponent is not the literal 2."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner, attr = node.func.value, node.func.attr
+        if (isinstance(owner, ast.Name) and owner.id in ("np", "numpy")
+                and (attr in CPU_DEPENDENT or attr.startswith("log"))):
+            return f"np.{attr}"
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+        exponent = node.right if isinstance(node, ast.BinOp) else node.value
+        if not (isinstance(exponent, ast.Constant) and exponent.value == 2):
+            return f"** {ast.unparse(exponent)}"
+    return None
+
+
+def _sites(classify):
+    """Sorted (file, enclosing function, what) for each node of the
+    package's source files that `classify` names."""
+    package = os.path.dirname(traywaiter.__file__)
     sites = []
 
-    def visit(node, func):
+    def visit(name, node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        what = None
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owner, attr = node.func.value, node.func.attr
-            if (isinstance(owner, ast.Name) and owner.id in ("np", "numpy")
-                    and (attr in CPU_DEPENDENT or attr.startswith("log"))):
-                what = f"np.{attr}"
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
-            exponent = node.right if isinstance(node, ast.BinOp) else node.value
-            if not (isinstance(exponent, ast.Constant) and exponent.value == 2):
-                what = f"** {ast.unparse(exponent)}"
+        what = classify(node)
         if what is not None:
-            sites.append((os.path.basename(path), func, what))
+            sites.append((name, func, what))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(name, child, func)
 
-    visit(tree, "<module>")
-    return sites
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                visit(name, ast.parse(fh.read()), "<module>")
+    return sorted(sites)
 
 
 def test_no_new_cpu_dependent_numpy_calls():
-    package = os.path.dirname(traywaiter.__file__)
-    sites = sorted(site for name in sorted(os.listdir(package)) if name.endswith(".py")
-                   for site in _cpu_dependent_sites(os.path.join(package, name)))
-    assert sites == CPU_DEPENDENT_ALLOWED
+    assert _sites(_cpu_dependent_call) == CPU_DEPENDENT_ALLOWED
+
+
+# products that numpy hands to BLAS, whose kernel, and so whose rounding,
+# OpenBLAS picks by the CPU: @ and these calls
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "linalg.norm"}
+# (file, enclosing function, call) sites that stay
+BLAS_ALLOWED = [
+    # a dot product under a BLAS ddot, still to replace on the simulate path
+    ("cli.py", "_planar_projection", "np.linalg.norm"),
+    # validation only: the check's tolerance is 1e-9, its rounding reaches
+    # no output
+    ("compensation.py", "_check_rotation", "@"),
+    # the planner's distance and direction of a move, as in _planar_projection
+    ("planner.py", "__post_init__", "np.linalg.norm"),
+    ("planner.py", "direction", "np.linalg.norm"),
+    ("planner.py", "displacement", "np.linalg.norm"),
+]
+
+
+def _blas_call(node):
+    """What a node computes through BLAS: @ or one of BLAS_CALLS."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Call):
+        owner, _, call = ast.unparse(node.func).partition(".")
+        if owner in ("np", "numpy") and call in BLAS_CALLS:
+            return f"np.{call}"
+    return None
+
+
+def test_no_new_blas_calls():
+    assert _sites(_blas_call) == BLAS_ALLOWED
