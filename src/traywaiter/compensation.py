@@ -4,7 +4,9 @@ Rotating the tray so that its normal stays aligned with the combined
 gravity-plus-inertia vector removes the tangential force on anything resting
 on it, for any friction coefficient. The rotation is applied about a
 configurable center of rotation (CoR) and mapped back to the robot flange
-through a constant mounting transform, and stored as a unit quaternion.
+through a constant mounting transform, and stored as a unit quaternion. The
+mount is given as fixed-axis roll, pitch and yaw, R_m = Rot_z(yaw)
+Rot_y(pitch) Rot_x(roll), plus the CoR's position in the flange frame.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ __all__ = [
     "MountingTransform",
     "tilt_angles",
     "flange_poses",
-    "rotation_to_quaternion",
-    "quaternion_to_rotation",
 ]
 
 
@@ -39,6 +39,9 @@ def _wrap_angle(phi: float) -> float:
         out += 2.0 * math.pi
     return out
 
+
+# tilt_angles (which words flange_poses' free-fall error) and rotation_matrix stay
+# as the benchmark tracer's per-sample hook points until it hooks flange_poses.
 
 def tilt_angles(accel, g: float) -> tuple[float, float]:
     """Compensation angles (beta, phi) for a filtered acceleration sample.
@@ -77,47 +80,58 @@ def rotation_matrix(beta, phi) -> np.ndarray:
     return out
 
 
-def _check_rotation(R: np.ndarray, tol: float = 1e-9) -> None:
-    if np.abs(R @ R.T - np.eye(3)).max() > tol or abs(np.linalg.det(R) - 1.0) > tol:
-        raise ValueError("rotation block is not orthonormal with det +1")
-
-
 @dataclass(frozen=True)
 class MountingTransform:
-    """Constant flange -> CoR transform T_F_CoR for one object/container.
+    """Constant flange -> CoR transform T_F_CoR for one object/container:
+    the fixed-axis rotation R_m = Rot_z(yaw) Rot_y(pitch) Rot_x(roll) of
+    `rotation_rpy` = (roll, pitch, yaw), and the translation `position`.
 
-    Its inverse, the flange seen from the CoR, is also kept as the two terms
-    of every flange pose: `flange_quaternion`, conj(q_mount) with q_mount
-    the unit quaternion (w >= 0) of the mounting rotation R_m, and
-    `flange_offset`, c = -R_m^T p_m.
+    Its inverse, the flange seen from the CoR, is kept as the two terms of
+    every flange pose: `flange_quaternion`, conj(q_mount) with q_mount the
+    unit quaternion (w >= 0) of R_m, and `flange_offset`, c = -R_m^T p_m.
     """
 
-    matrix: np.ndarray = field(default_factory=lambda: np.eye(4))
+    rotation_rpy: tuple = (0.0, 0.0, 0.0)
+    position: tuple = (0.0, 0.0, 0.0)
     flange_quaternion: tuple = field(init=False, repr=False, compare=False)
     flange_offset: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"mounting transform must be 4x4, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError(f"mounting transform must be finite, got {m.tolist()!r}")
-        if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
-            raise ValueError("last row of a homogeneous transform must be [0 0 0 1]")
-        _check_rotation(m[:3, :3])
-        object.__setattr__(self, "matrix", m)
-        w, x, y, z = rotation_to_quaternion(m[:3, :3]).tolist()
-        object.__setattr__(self, "flange_quaternion", (w, -x, -y, -z))
-        R, p = m[:3, :3].tolist(), m[:3, 3].tolist()
+        for name in ("rotation_rpy", "position"):
+            value = tuple(map(float, getattr(self, name)))
+            if len(value) != 3 or not all(map(math.isfinite, value)):
+                raise ValueError(f"mounting {name} must be three finite numbers, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, value)
+        roll, pitch, yaw = self.rotation_rpy
+        cr, sr = math.cos(roll), math.sin(roll)
+        cp, sp = math.cos(pitch), math.sin(pitch)
+        cy, sy = math.cos(yaw), math.sin(yaw)
+        m00, m01, m02 = cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr
+        m10, m11, m12 = sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr
+        m20, m21, m22 = -sp, cp * sr, cp * cr
+        # q_mount: trace > 0, else the largest diagonal entry's branch, ties to the earlier
+        tr = m00 + m11 + m22
+        if tr > 0.0:
+            s = math.sqrt(tr + 1.0) * 2.0
+            w, x, y, z = 0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s
+        elif m00 >= m11 and m00 >= m22:
+            s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+            w, x, y, z = (m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s
+        elif m11 >= m22:
+            s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+            w, x, y, z = (m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s
+        else:
+            s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+            w, x, y, z = (m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s
+        # w >= 0, then unit norm: one division by the signed norm does both
+        norm = math.sqrt(w * w + x * x + y * y + z * z) * (-1.0 if w < 0.0 else 1.0)
+        object.__setattr__(self, "flange_quaternion",
+                           (w / norm, -(x / norm), -(y / norm), -(z / norm)))
+        px, py, pz = self.position
         object.__setattr__(self, "flange_offset", tuple(
-            -(R[0][i] * p[0] + R[1][i] * p[1] + R[2][i] * p[2]) for i in range(3)))
-
-    @classmethod
-    def from_parts(cls, rotation, translation) -> "MountingTransform":
-        m = np.eye(4)
-        m[:3, :3] = np.asarray(rotation, dtype=float)
-        m[:3, 3] = np.asarray(translation, dtype=float)
-        return cls(m)
+            -(a * px + b * py + c * pz)
+            for a, b, c in ((m00, m10, m20), (m01, m11, m21), (m02, m12, m22))))
 
 
 def compose_flange_pose(position, tray_quaternion, mount: MountingTransform):
@@ -147,49 +161,6 @@ def compose_flange_pose(position, tray_quaternion, mount: MountingTransform):
     # w >= 0, then unit norm: one division by the signed norm does both
     norm = np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz) * np.where(qw < 0.0, -1.0, 1.0)
     return flange_position, np.stack([qw / norm, qx / norm, qy / norm, qz / norm], axis=-1)
-
-
-def rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix, or an
-    (n, 4) stack of them for an (n, 3, 3) stack of matrices.
-
-    A matrix with positive trace uses the trace branch; any other uses the
-    branch of its largest diagonal entry, ties going to the earlier one.
-    """
-    R = np.asarray(R, dtype=float)
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = R.reshape(-1, 9).T
-    tr = m00 + m11 + m22
-    with np.errstate(invalid="ignore", divide="ignore"):  # branches not taken
-        s0 = np.sqrt(tr + 1.0) * 2.0
-        s1 = np.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        s2 = np.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        s3 = np.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        branches = (
-            (0.25 * s0, (m21 - m12) / s0, (m02 - m20) / s0, (m10 - m01) / s0),
-            ((m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1),
-            ((m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2),
-            ((m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3),
-        )
-    taken = [tr > 0.0, (m00 >= m11) & (m00 >= m22), m11 >= m22,
-             np.full(tr.shape, True)]
-    w, x, y, z = (np.select(taken, [b[i] for b in branches]) for i in range(4))
-    norm = np.sqrt(w * w + x * x + y * y + z * z) * np.where(w < 0.0, -1.0, 1.0)
-    q = np.column_stack([w / norm, x / norm, y / norm, z / norm])
-    return q.reshape(R.shape[:-2] + (4,))
-
-
-def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a quaternion (w, x, y, z), or an (n, 3, 3) stack
-    of them for an (n, 4) stack of quaternions."""
-    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    n = w * w + x * x + y * y + z * z
-    s = 2.0 / n
-    R = np.stack([
-        1 - s * (y * y + z * z), s * (x * y - z * w), s * (x * z + y * w),
-        s * (x * y + z * w), 1 - s * (x * x + z * z), s * (y * z - x * w),
-        s * (x * z - y * w), s * (y * z + x * w), 1 - s * (x * x + y * y),
-    ], axis=-1)
-    return R.reshape(w.shape + (3, 3))
 
 
 def _tilt_quaternion(accelerations, g: float) -> np.ndarray:

@@ -8,7 +8,7 @@ comma-separated data files with a single typed header line of the form
 Every float is written as its repr(), the shortest decimal that
 round-trips, so write-then-read is lossless and repeated runs are
 byte-identical. A pose file stores each rotation once, as a unit
-quaternion from which the matrix is rebuilt.
+quaternion.
 
 A block of rows is formatted in one orjson call: its Ryu digits (Adams,
 PLDI 2018) are repr()'s shortest, correctly rounded digits, and its text
@@ -47,7 +47,7 @@ import numpy as np
 import orjson
 import yaml
 
-from .compensation import MountingTransform, quaternion_to_rotation
+from .compensation import MountingTransform
 from .dynamics import PlantParams, SimTrace
 from .planner import Scenario
 
@@ -341,8 +341,7 @@ def read_trajectory(path: str) -> TrajectoryFile:
 @dataclass
 class PoseTrajectoryFile:
     """6-DOF flange trajectory. Each rotation is stored once, as a unit
-    quaternion (w, x, y, z), w >= 0 as flange_poses gives it;
-    `rotations` rebuilds the matrices."""
+    quaternion (w, x, y, z), w >= 0 as flange_poses gives it."""
 
     dt: float
     delay: float
@@ -353,11 +352,6 @@ class PoseTrajectoryFile:
     @property
     def n(self) -> int:
         return self.t.size
-
-    @property
-    def rotations(self) -> np.ndarray:
-        """(n, 3, 3) rotation matrices of the quaternions."""
-        return quaternion_to_rotation(self.quaternions)
 
 
 def write_pose_trajectory(path: str, pose: PoseTrajectoryFile) -> None:
@@ -464,18 +458,6 @@ def _get_vec3(cfg: dict, path: str, required=True, default=None):
     return np.array([_finite_float(path, v) for v in raw])
 
 
-def _rpy_matrix(rpy) -> np.ndarray:
-    r, p, y = rpy
-    cr, sr = math.cos(r), math.sin(r)
-    cp, sp = math.cos(p), math.sin(p)
-    cy, sy = math.cos(y), math.sin(y)
-    return np.array([
-        [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-        [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-        [-sp, cp * sr, cp * cr],
-    ])
-
-
 @dataclass
 class RunConfig:
     """Validated contents of one YAML run configuration."""
@@ -541,10 +523,9 @@ def load_config(path: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError("plant", str(exc)) from None
 
-    rpy = _get_vec3(cfg, "mounting.rotation_rpy", required=False,
-                    default=np.zeros(3))
-    pos = _get_vec3(cfg, "mounting.position", required=False, default=np.zeros(3))
-    mounting = MountingTransform.from_parts(_rpy_matrix(rpy), pos)
+    mounting = MountingTransform(
+        _get_vec3(cfg, "mounting.rotation_rpy", required=False, default=np.zeros(3)),
+        _get_vec3(cfg, "mounting.position", required=False, default=np.zeros(3)))
 
     tilt_mode = _get(cfg, "sim.tilt", str, required=False, default="compensated")
     if tilt_mode not in ("compensated", "none"):
@@ -583,14 +564,14 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def band_limited_noise(n: int, dt: float, amplitude: float, cutoff_hz: float,
-                       seed: int | Sequence[int]) -> np.ndarray:
+                       seeds: Sequence[int]) -> np.ndarray:
     """Gaussian noise low-passed at cutoff_hz and scaled to the requested RMS
     amplitude; used to emulate sensor noise and hand tremor on recorded
-    trajectories. Deterministic for a given seed.
+    trajectories. Deterministic for given seeds.
 
-    An int seed gives shape (n,). A sequence of k seeds gives shape (n, k),
-    one RMS-scaled column per seed: the white rows go through one rfft/irfft
-    pair, and column j has the bits of the call with the int seeds[j].
+    Shape (n, k) for k seeds, one RMS-scaled column per seed: the white rows
+    go through one rfft/irfft pair, and column j has the bits of the call
+    with the one seed seeds[j].
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -600,10 +581,8 @@ def band_limited_noise(n: int, dt: float, amplitude: float, cutoff_hz: float,
         raise ValueError(f"amplitude must be non-negative and finite, got {amplitude}")
     if not (cutoff_hz > 0.0 and math.isfinite(cutoff_hz)):
         raise ValueError(f"cutoff_hz must be positive and finite, got {cutoff_hz}")
-    single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else list(seed)
-    if not seeds:
-        raise ValueError("seed must be an int or a non-empty sequence of ints")
+    if not (isinstance(seeds, Sequence) and seeds):
+        raise ValueError(f"seeds must be a non-empty sequence of ints, got {seeds!r}")
     white = np.stack([np.random.default_rng(s).standard_normal(n) for s in seeds])
     spec = np.fft.rfft(white)
     spec[:, np.fft.rfftfreq(n, dt) > cutoff_hz] = 0.0
@@ -612,4 +591,4 @@ def band_limited_noise(n: int, dt: float, amplitude: float, cutoff_hz: float,
     silent = rms == 0.0
     out *= (amplitude / np.where(silent, 1.0, rms))[:, None]
     out[silent] = 0.0
-    return out[0] if single else out.T
+    return out.T

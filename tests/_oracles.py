@@ -1,8 +1,9 @@
-"""Closed forms, the scalar pose chains, reference writers, per-sample
-smoother stages, the contact model's reference formulas, the pendulum's own
-integration loop, the generic stick and slip sub-steps, the linear slosh
-oscillator and the desk-scale plant, which the tests compare the package
-against or build their cases from."""
+"""Closed forms, the matrix route of rotations and of the mount, the scalar
+pose chains, reference writers, per-sample smoother stages, the contact
+model's reference formulas, the pendulum's own integration loop, the generic
+stick and slip sub-steps, the linear slosh oscillator and the desk-scale
+plant, which the tests compare the package against or build their cases
+from."""
 
 import math
 from collections import deque
@@ -37,6 +38,85 @@ def planar_tilt(ax: float, az: float, g: float) -> float:
     return -math.atan2(ax, gz) + 0.0
 
 
+# The matrix route the package took before it kept every rotation as a
+# quaternion: the mount's 4x4 matrix from its rpy, and the stacked converters
+# between rotation matrices and unit quaternions.
+
+def _rpy_matrix(rpy) -> np.ndarray:
+    """Fixed-axis rotation Rot_z(yaw) Rot_y(pitch) Rot_x(roll) of
+    rpy = (roll, pitch, yaw)."""
+    r, p, y = rpy
+    cr, sr = math.cos(r), math.sin(r)
+    cp, sp = math.cos(p), math.sin(p)
+    cy, sy = math.cos(y), math.sin(y)
+    return np.array([
+        [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+        [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+        [-sp, cp * sr, cp * cr],
+    ])
+
+
+def mount_matrix(mount) -> np.ndarray:
+    """The homogeneous 4x4 T_F_CoR of a MountingTransform."""
+    m = np.eye(4)
+    m[:3, :3] = _rpy_matrix(mount.rotation_rpy)
+    m[:3, 3] = mount.position
+    return m
+
+
+def rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix, or an
+    (n, 4) stack of them for an (n, 3, 3) stack of matrices.
+
+    A matrix with positive trace uses the trace branch; any other uses the
+    branch of its largest diagonal entry, ties going to the earlier one.
+    """
+    R = np.asarray(R, dtype=float)
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = R.reshape(-1, 9).T
+    tr = m00 + m11 + m22
+    with np.errstate(invalid="ignore", divide="ignore"):  # branches not taken
+        s0 = np.sqrt(tr + 1.0) * 2.0
+        s1 = np.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        s2 = np.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        s3 = np.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        branches = (
+            (0.25 * s0, (m21 - m12) / s0, (m02 - m20) / s0, (m10 - m01) / s0),
+            ((m21 - m12) / s1, 0.25 * s1, (m01 + m10) / s1, (m02 + m20) / s1),
+            ((m02 - m20) / s2, (m01 + m10) / s2, 0.25 * s2, (m12 + m21) / s2),
+            ((m10 - m01) / s3, (m02 + m20) / s3, (m12 + m21) / s3, 0.25 * s3),
+        )
+    taken = [tr > 0.0, (m00 >= m11) & (m00 >= m22), m11 >= m22,
+             np.full(tr.shape, True)]
+    w, x, y, z = (np.select(taken, [b[i] for b in branches]) for i in range(4))
+    norm = np.sqrt(w * w + x * x + y * y + z * z) * np.where(w < 0.0, -1.0, 1.0)
+    q = np.column_stack([w / norm, x / norm, y / norm, z / norm])
+    return q.reshape(R.shape[:-2] + (4,))
+
+
+def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a quaternion (w, x, y, z), or an (n, 3, 3) stack
+    of them for an (n, 4) stack of quaternions."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    n = w * w + x * x + y * y + z * z
+    s = 2.0 / n
+    R = np.stack([
+        1 - s * (y * y + z * z), s * (x * y - z * w), s * (x * z + y * w),
+        s * (x * y + z * w), 1 - s * (x * x + z * z), s * (y * z - x * w),
+        s * (x * z - y * w), s * (y * z + x * w), 1 - s * (x * x + y * y),
+    ], axis=-1)
+    return R.reshape(w.shape + (3, 3))
+
+
+def matrix_route_mount(mount):
+    """(flange_quaternion, flange_offset) of a mount by the matrix route:
+    _rpy_matrix, rotation_to_quaternion and its conjugate, and -R^T p."""
+    m = mount_matrix(mount)
+    w, x, y, z = rotation_to_quaternion(m[:3, :3]).tolist()
+    R, p = m[:3, :3].tolist(), m[:3, 3].tolist()
+    return (w, -x, -y, -z), tuple(-(R[0][i] * p[0] + R[1][i] * p[1] + R[2][i] * p[2])
+                                  for i in range(3))
+
+
 # The pose chain one sample at a time, as the package wrote it before the
 # closed-form tilt quaternion: tilt angles, the attitude built from math.cos
 # and math.sin, the flange pose from a 4x4 identity and the mount's matrix
@@ -63,7 +143,7 @@ def scalar_flange_pose(position, rotation: np.ndarray, mount) -> np.ndarray:
     T = np.eye(4)
     T[:3, :3] = rotation
     T[:3, 3] = np.asarray(position, dtype=float)
-    return T @ np.linalg.inv(mount.matrix)
+    return T @ np.linalg.inv(mount_matrix(mount))
 
 
 def _scalar_quaternion(R):
@@ -112,12 +192,7 @@ def closed_form_poses(positions, accelerations, g, mount):
     largest entry into [0.5, 1); the flange quaternion q_tray * conj(q_m)
     with w >= 0, normalized; the flange position p + R_tray c with
     c = -R_m^T p_m, rotated as c + w t + u x t, t = 2 u x c."""
-    R = mount.matrix[:3, :3].tolist()
-    pm = mount.matrix[:3, 3].tolist()
-    cx, cy, cz = (-(R[0][i] * pm[0] + R[1][i] * pm[1] + R[2][i] * pm[2])
-                  for i in range(3))
-    mw, mx, my, mz = _scalar_quaternion(R).tolist()
-    mx, my, mz = -mx, -my, -mz
+    (mw, mx, my, mz), (cx, cy, cz) = matrix_route_mount(mount)
     pos_out, quat_out = [], []
     for (px, py, pz), (ax, ay, az) in zip(np.asarray(positions, dtype=float).tolist(),
                                           np.asarray(accelerations, dtype=float).tolist()):

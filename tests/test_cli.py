@@ -23,7 +23,7 @@ from traywaiter.fileio import (
 from traywaiter.planner import friction_limited_duration
 from traywaiter.smoothers import Trapezoidal, freq_response
 
-from _oracles import planar_tilt
+from _oracles import planar_tilt, quaternion_to_rotation
 from test_golden import DEMO_CONFIG, FILTER_CONFIG, SOLID_SLIP_CONFIG
 
 G = 9.81
@@ -103,7 +103,7 @@ def test_plan_outputs(tmp_path):
     assert "DampedHarmonic" in report  # the slosh-notch stage with (sigma, T)
     # starts at rest: flange = start - mount offset, identity rotation
     assert np.allclose(pose.positions[0], [0.0, 0.0, 0.28])
-    assert np.abs(pose.rotations[0] - np.eye(3)).max() < 1e-12
+    assert np.abs(quaternion_to_rotation(pose.quaternions[0]) - np.eye(3)).max() < 1e-12
     # arrives exactly: reference hits the goal after the kernel support
     assert np.allclose(ref.positions[-1], [0.6, 0.0, 0.4], atol=1e-9)
     assert pose.delay > 0
@@ -132,7 +132,7 @@ def test_plan_zero_displacement(tmp_path):
     assert main(["plan", "--config", cfg, "--output", out]) == 0
     pose = read_pose_trajectory(os.path.join(out, "trajectory.csv"))
     assert pose.n == 2
-    assert np.abs(pose.rotations - np.eye(3)).max() < 1e-12
+    assert np.abs(quaternion_to_rotation(pose.quaternions) - np.eye(3)).max() < 1e-12
 
 
 def test_plan_uses_the_plant_gravity(tmp_path):
@@ -147,7 +147,8 @@ def test_plan_uses_the_plant_gravity(tmp_path):
     ref = read_trajectory(os.path.join(out, "reference.csv"))
     k = int(np.argmax(np.abs(ref.accelerations[:, 0])))
     beta = planar_tilt(ref.accelerations[k, 0], ref.accelerations[k, 2], 5.0)
-    assert np.abs(pose.rotations[k] - rotation_matrix(beta, math.pi)).max() < 1e-12
+    rotation = quaternion_to_rotation(pose.quaternions[k])
+    assert np.abs(rotation - rotation_matrix(beta, math.pi)).max() < 1e-12
 
 
 def test_plan_rejects_complex_scenario(tmp_path):
@@ -385,7 +386,7 @@ def test_filter_constant_input_identity(tmp_path):
     pose = read_pose_trajectory(os.path.join(out, "filtered.csv"))
     assert pose.delay == pytest.approx(0.4, abs=1e-12)
     assert np.abs(pose.positions - np.array([0.3, -0.1, 0.4])).max() < 1e-12
-    assert np.abs(pose.rotations - np.eye(3)).max() < 1e-12
+    assert np.abs(quaternion_to_rotation(pose.quaternions) - np.eye(3)).max() < 1e-12
     # timestamps shifted by exactly the reported delay
     src = read_trajectory(traj)
     assert np.array_equal(pose.t, src.t + pose.delay)
@@ -409,7 +410,7 @@ def test_filter_planar_input_single_axis_tilt(tmp_path):
     for k in range(100, n, 379):
         beta = planar_tilt(ref.accelerations[k, 0], ref.accelerations[k, 2], G)
         expect = rotation_matrix(beta, math.pi)
-        assert np.abs(pose.rotations[k] - expect).max() < 1e-9
+        assert np.abs(quaternion_to_rotation(pose.quaternions[k]) - expect).max() < 1e-9
 
 
 def test_filter_noise_attenuation_matches_magnitude_response(tmp_path):

@@ -8,13 +8,16 @@ from traywaiter.compensation import (
     MountingTransform,
     _wrap_angle,
     compose_flange_pose,
-    quaternion_to_rotation,
     rotation_matrix,
-    rotation_to_quaternion,
     tilt_angles,
 )
 
-from _oracles import planar_tilt
+from _oracles import (
+    mount_matrix,
+    planar_tilt,
+    quaternion_to_rotation,
+    rotation_to_quaternion,
+)
 
 G = 9.81
 
@@ -125,7 +128,7 @@ def test_compose_flange_pose_trivial():
 
 
 def test_compose_flange_pose_pure_translation():
-    mount = MountingTransform.from_parts(np.eye(3), [0.0, 0.0, 0.12])
+    mount = MountingTransform(position=(0.0, 0.0, 0.12))
     position, quaternion = compose_flange_pose((1.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0), mount)
     assert np.allclose(position, [1.0, 0.0, 0.38])
     assert np.array_equal(quaternion, [1.0, 0.0, 0.0, 0.0])
@@ -138,40 +141,45 @@ def test_compose_flange_pose_round_trip():
         beta, phi = rng.uniform(-1.2, 1.2), rng.uniform(-3.0, 3.0)
         R = rotation_matrix(beta, phi)
         p = rng.uniform(-1, 1, 3)
-        mR = rotation_matrix(rng.uniform(-1, 1), rng.uniform(-3, 3))
-        mount = MountingTransform.from_parts(mR, rng.uniform(-0.2, 0.2, 3))
+        mount = MountingTransform(rng.uniform(-3, 3, 3), rng.uniform(-0.2, 0.2, 3))
         position, quaternion = compose_flange_pose(p, rotation_to_quaternion(R), mount)
         assert quaternion[0] >= 0.0
         assert abs(quaternion @ quaternion - 1.0) < 1e-15
         flange = np.eye(4)
         flange[:3, :3] = quaternion_to_rotation(quaternion)
         flange[:3, 3] = position
-        cor = flange @ mount.matrix
+        cor = flange @ mount_matrix(mount)
         assert np.abs(cor[:3, :3] - R).max() < 1e-12
         assert np.abs(cor[:3, 3] - p).max() < 1e-12
 
 
 def test_mounting_transform_validation():
-    bad = np.eye(4)
-    bad[:3, :3] *= 2.0
-    with pytest.raises(ValueError):
-        MountingTransform(bad)
-    bad2 = np.eye(4)
-    bad2[3, 0] = 0.1
-    with pytest.raises(ValueError):
-        MountingTransform(bad2)
+    for field in ("rotation_rpy", "position"):
+        for value in ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match=f"^mounting {field} must be three finite"):
+                MountingTransform(**{field: value})
 
 
-
-@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (0, 3), (2, 3)])
+@pytest.mark.parametrize("entry", [("rotation_rpy", 0), ("rotation_rpy", 2),
+                                   ("position", 0), ("position", 2)])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_mounting_transform_rejects_non_finite_entries(entry, value):
-    # NaN fails no comparison of the orthonormality check, and the
-    # translation column is not checked at all
-    m = np.eye(4)
-    m[entry] = value
-    with pytest.raises(ValueError, match="^mounting transform must be finite"):
-        MountingTransform(m)
+    # NaN fails no comparison, so it must be refused by name
+    field, index = entry
+    numbers = [0.0, 0.0, 0.0]
+    numbers[index] = value
+    with pytest.raises(ValueError, match=f"^mounting {field} must be three finite"):
+        MountingTransform(**{field: numbers})
+
+
+def test_mounting_transform_is_a_value():
+    # array arguments are kept as tuples of floats, so equal mounts compare equal
+    mount = MountingTransform(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 0.12]))
+    assert mount == MountingTransform((0.1, -0.2, 0.3), (0.0, 0.0, 0.12))
+    assert mount.rotation_rpy == (0.1, -0.2, 0.3)
+    assert MountingTransform() == MountingTransform((0, 0, 0), (0, 0, 0))
+    assert MountingTransform().flange_quaternion == (1.0, 0.0, 0.0, 0.0)
+
 
 def test_wrap_angle():
     assert _wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)

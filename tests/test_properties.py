@@ -1,5 +1,6 @@
 """Property tests: the batched pose path gives exactly the bits of the
 closed form it evaluates and keeps near the matrix chain it replaced; the
+mount's quaternion and offset are the bits of the matrix route; the
 streamed CSV writer and the flattened smoother cascade give exactly the bits
 of the code they replace;
 smoother step responses keep unit DC gain, stay in range and respect the
@@ -21,9 +22,7 @@ from traywaiter.compensation import (
     MountingTransform,
     compose_flange_pose,
     flange_poses,
-    quaternion_to_rotation,
     rotation_matrix,
-    rotation_to_quaternion,
     tilt_angles,
 )
 from traywaiter.dynamics import (
@@ -43,13 +42,14 @@ from traywaiter.smoothers import (
 )
 
 from _oracles import (
-    _scalar_quaternion,
+    _rpy_matrix,
     _slip_eval,
     _stick_eval,
     _stick_rates,
     desk_params,
     generic_slip_step,
     generic_stick_step,
+    matrix_route_mount,
     per_sample_stages,
     closed_form_poses,
     repr_table_chunks,
@@ -70,10 +70,10 @@ accels = st.tuples(lateral, lateral, st.floats(-9.0, 30.0))
 unit_quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
     lambda q: sum(v * v for v in q) > 1e-3).map(
     lambda q: np.array(q) / math.sqrt(sum(v * v for v in q)))
-mounts = st.one_of(
-    st.just(MountingTransform()),
-    st.tuples(unit_quaternions, st.tuples(*[st.floats(-0.5, 0.5)] * 3)).map(
-        lambda qp: MountingTransform.from_parts(quaternion_to_rotation(qp[0]), qp[1])))
+rpys = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+mount_positions = st.tuples(*[st.floats(-0.5, 0.5)] * 3)
+mounts = st.one_of(st.just(MountingTransform()),
+                   st.builds(MountingTransform, rpys, mount_positions))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def assert_near_matrix_chain(pos, quat, pos_ref, quat_ref):
                 min_size=1, max_size=40),
        mounts)
 @example([((0.0, 0.0, 0.0), (0.1, 0.2, 0.3)), ((-0.0, 0.0, 1.3), (0.0, 0.0, 0.0))],
-         MountingTransform.from_parts(rotation_matrix(0.4, -2.0), (0.01, 0.0, 0.12)))
+         MountingTransform((0.4, -0.3, -2.0), (0.01, 0.0, 0.12)))
 def test_flange_poses_match_closed_form(samples, mount):
     accelerations = np.array([a for a, _ in samples])
     positions = np.array([p for _, p in samples])
@@ -119,7 +119,7 @@ def test_flange_poses_match_closed_form_across_blocks():
     accelerations[:, 2] = rng.uniform(-9.0, 20.0, n)
     accelerations[::7, :2] = 0.0  # zero lateral acceleration: phi = pi
     positions = rng.uniform(-1.0, 1.0, (n, 3))
-    mount = MountingTransform.from_parts(rotation_matrix(0.3, 1.1), (0.0, 0.02, 0.12))
+    mount = MountingTransform((0.3, 0.2, 1.1), (0.0, 0.02, 0.12))
     pos, quat = flange_poses(positions, accelerations, G, mount)
     pos_ref, quat_ref = closed_form_poses(positions, accelerations, G, mount)
     assert np.array_equal(pos, pos_ref)
@@ -134,7 +134,7 @@ def test_flange_poses_of_extreme_accelerations_are_finite_unit_quaternions(scale
     accelerations = np.array([[scale, -scale, scale], [scale, 0.0, -0.5 * scale]])
     g = scale
     positions = np.zeros((2, 3))
-    mount = MountingTransform.from_parts(rotation_matrix(0.3, 1.1), (0.0, 0.02, 0.12))
+    mount = MountingTransform((0.3, 0.2, 1.1), (0.0, 0.02, 0.12))
     pos, quat = flange_poses(positions, accelerations, g, mount)
     assert np.isfinite(pos).all() and np.isfinite(quat).all()
     assert np.abs(np.sum(quat * quat, axis=1) - 1.0).max() < 1e-15
@@ -197,7 +197,7 @@ def test_flange_poses_free_fall_in_a_later_block_matches_tilt_angles(samples, da
 
 
 # ---------------------------------------------------------------------------
-# quaternions
+# the mount
 # ---------------------------------------------------------------------------
 
 def _branch(R):
@@ -209,40 +209,30 @@ def _branch(R):
     return 2 if R[1, 1] >= R[2, 2] else 3
 
 
-# a half turn for each branch past the first, and a rotation whose trace is
-# exactly 0: it takes branch 1, where the trace branch would give other bits
-BRANCH_CASES = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
-                np.diag([-1.0, -1.0, 1.0]),
-                quaternion_to_rotation(np.array([0.5, -0.7, -0.46, 0.22]))]
+# the identity, and a half turn about x, y and z: one rpy for each branch of
+# the quaternion formula
+BRANCH_RPYS = [(0.0, 0.0, 0.0), (math.pi, 0.0, 0.0), (0.0, math.pi, 0.0),
+               (0.0, 0.0, math.pi)]
 
 
-def test_quaternion_branches_match_scalar():
-    assert [_branch(R) for R in BRANCH_CASES] == [0, 1, 2, 3, 1]
-    assert np.trace(BRANCH_CASES[-1]) == 0.0
-    batched = rotation_to_quaternion(np.array(BRANCH_CASES))
-    for R, q in zip(BRANCH_CASES, batched):
-        assert np.array_equal(q, _scalar_quaternion(R))
+def test_branch_rpys_reach_every_branch():
+    assert [_branch(_rpy_matrix(rpy)) for rpy in BRANCH_RPYS] == [0, 1, 2, 3]
 
 
 @settings(deadline=None)
-@given(st.lists(unit_quaternions, min_size=1, max_size=30))
-def test_batched_quaternions_match_scalar(quaternions):
-    rotations = quaternion_to_rotation(np.array(quaternions))
-    batched = rotation_to_quaternion(rotations)
-    assert batched.shape == (len(quaternions), 4)
-    for R, q in zip(rotations, batched):
-        assert np.array_equal(q, _scalar_quaternion(R))
-        assert np.array_equal(rotation_to_quaternion(R), q)
-
-
-def test_random_rotations_reach_every_branch():
-    rng = np.random.default_rng(8)
-    q = rng.normal(size=(4000, 4))
-    rotations = quaternion_to_rotation(q / np.linalg.norm(q, axis=1)[:, None])
-    assert {_branch(R) for R in rotations} == {0, 1, 2, 3}
-    batched = rotation_to_quaternion(rotations)
-    for R, q_row in zip(rotations, batched):
-        assert np.array_equal(q_row, _scalar_quaternion(R))
+@given(rpys, mount_positions)
+@example(BRANCH_RPYS[0], (0.0, 0.0, 0.12))
+@example(BRANCH_RPYS[1], (0.1, 0.2, 0.3))
+@example(BRANCH_RPYS[2], (-0.5, 0.5, 0.0))
+@example(BRANCH_RPYS[3], (0.01, -0.02, 0.12))
+@example((0.1, -0.2, 0.3), (0.0, 0.0, 0.12))  # the golden filter case's mount
+def test_mount_matches_matrix_route(rpy, position):
+    # the floats MountingTransform computes from its rpy and position are
+    # the bits of the 4x4 matrix route it replaced
+    mount = MountingTransform(rpy, position)
+    quaternion, offset = matrix_route_mount(mount)
+    assert np.array(mount.flange_quaternion).tobytes() == np.array(quaternion).tobytes()
+    assert np.array(mount.flange_offset).tobytes() == np.array(offset).tobytes()
 
 
 # ---------------------------------------------------------------------------

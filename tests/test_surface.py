@@ -19,6 +19,8 @@ import pytest
 
 import traywaiter
 from traywaiter import smoothers
+from traywaiter.compensation import MountingTransform
+from traywaiter.fileio import PoseTrajectoryFile
 
 MODULES = ("compensation", "dynamics", "fileio", "planner", "smoothers")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -53,6 +55,21 @@ def test_test_only_helpers_live_in_the_tests():
                  "_normal", "_demand", "_stick_rates", "_stick_eval"):
         assert not hasattr(dynamics, name) and not hasattr(traywaiter, name), name
     assert not hasattr(dynamics.TrayMotion, "rest")
+
+
+def test_matrix_route_lives_in_the_tests():
+    # the package keeps every rotation as a quaternion and builds the mount
+    # from its rpy in floats; the rotation-matrix converters and the mount's
+    # matrix route serve only the tests, from tests/_oracles.py
+    modules = [traywaiter, importlib.import_module("traywaiter.cli")]
+    modules += [importlib.import_module(f"traywaiter.{name}") for name in MODULES]
+    for module in modules:
+        for name in ("rotation_to_quaternion", "quaternion_to_rotation",
+                     "_check_rotation", "_rpy_matrix"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(MountingTransform, "from_parts")
+    assert not hasattr(MountingTransform(), "matrix")
+    assert not hasattr(PoseTrajectoryFile, "rotations")
 
 
 def test_smoother_kinds_have_one_spelling_each():
@@ -196,9 +213,6 @@ BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "linalg.norm"}
 BLAS_ALLOWED = [
     # a dot product under a BLAS ddot, still to replace on the simulate path
     ("cli.py", "_planar_projection", "np.linalg.norm"),
-    # validation only: the check's tolerance is 1e-9, its rounding reaches
-    # no output
-    ("compensation.py", "_check_rotation", "@"),
     # the planner's distance and direction of a move, as in _planar_projection
     ("planner.py", "__post_init__", "np.linalg.norm"),
     ("planner.py", "direction", "np.linalg.norm"),
