@@ -27,9 +27,24 @@ __all__ = [
 class FreeFallError(ValueError):
     """Raised when g + az <= 0: the load is in free fall and no tray
     orientation can keep it pressed against the surface. `sample` is the
-    index of the offending sample when flange_poses raises it."""
+    index of the offending sample when _supported raises it for a stream."""
 
     sample: int | None = None
+
+
+def _supported(acc_z, g) -> np.ndarray:
+    """g + acc_z, which tilt compensation needs positive on every sample; the
+    first sample in free fall raises FreeFallError with its index in
+    `sample`."""
+    v = g + np.asarray(acc_z, dtype=float)
+    bad = np.flatnonzero(v <= 0.0)
+    if bad.size:
+        k = int(bad[0])
+        exc = FreeFallError(f"g + acc_z = {float(v[k])!r} <= 0 at sample {k}: "
+                            "tilt compensation undefined")
+        exc.sample = k
+        raise exc
+    return v
 
 
 def _wrap_angle(phi: float) -> float:
@@ -40,8 +55,9 @@ def _wrap_angle(phi: float) -> float:
     return out
 
 
-# tilt_angles (which words flange_poses' free-fall error) and rotation_matrix stay
-# as the benchmark tracer's per-sample hook points until it hooks flange_poses.
+# tilt_angles and rotation_matrix are called nowhere in the package; they stay
+# only as the benchmark tracer's per-sample hook points until it hooks
+# flange_poses.
 
 def tilt_angles(accel, g: float) -> tuple[float, float]:
     """Compensation angles (beta, phi) for a filtered acceleration sample.
@@ -191,18 +207,12 @@ def flange_poses(positions, accelerations, g: float,
     """Flange positions (n, 3) and unit quaternions (n, 4), w >= 0, of a
     stream of samples: the tray attitude of each acceleration in closed
     form, composed with the mount by compose_flange_pose, one block of
-    samples at a time. A sample in free fall raises FreeFallError, as
-    tilt_angles words it, with its index in `sample`.
+    samples at a time. The first sample in free fall raises FreeFallError
+    with its index in `sample`.
     """
     n = len(accelerations)
     accelerations = np.asarray(accelerations, dtype=float).reshape(n, 3)
-    gz = g + accelerations[:, 2]
-    for k in np.flatnonzero(gz <= 0.0)[:1].tolist():  # the first in free fall
-        try:
-            tilt_angles(accelerations[k], g)  # raises
-        except FreeFallError as exc:
-            exc.sample = k
-            raise
+    _supported(accelerations[:, 2], g)
     pos_out = np.empty((n, 3))
     quat_out = np.empty((n, 4))
     for start in range(0, n, _BLOCK_SAMPLES):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .compensation import FreeFallError
+from .compensation import _supported
 from .smoothers import transfer_function
 
 __all__ = [
@@ -157,21 +157,6 @@ class TrayMotion:
         beta_dot = zeros if beta_dot is None else np.asarray(beta_dot, dtype=float)
         beta_ddot = zeros if beta_ddot is None else np.asarray(beta_ddot, dtype=float)
         return cls(dt, x_ddot, z_ddot, beta, beta_dot, beta_ddot, interp=interp)
-
-
-def _supported(acc_z, g) -> np.ndarray:
-    """g + acc_z, which tilt compensation needs positive on every sample; the
-    first sample in free fall raises FreeFallError with its index in
-    `sample`."""
-    v = g + np.asarray(acc_z, dtype=float)
-    bad = np.flatnonzero(v <= 0.0)
-    if bad.size:
-        k = int(bad[0])
-        exc = FreeFallError(f"g + acc_z = {float(v[k])!r} <= 0 at sample {k}: "
-                            "tilt compensation undefined")
-        exc.sample = k
-        raise exc
-    return v
 
 
 def analytic_tilt_channel(acc_x, jerk_x, snap_x, acc_z, jerk_z, snap_z, g):

@@ -195,9 +195,9 @@ class _RectStage:
         self._vels = None
         self._sum = 0.0
 
-    def prime(self, u: float, v: float, a: float) -> None:
+    def prime(self, u: float) -> None:
         self._vals = np.full(self.n + 1, u, dtype=float)
-        self._vels = np.full(self.n + 1, v, dtype=float)
+        self._vels = np.zeros(self.n + 1)
         self._sum = self.n * u
 
     def run(self, u: np.ndarray, v: np.ndarray, a: np.ndarray):
@@ -255,7 +255,7 @@ class _OscStage:
         self.g2 = self.f12
         self._buf = None
 
-    def prime(self, u: float, v: float, a: float) -> None:
+    def prime(self, u: float) -> None:
         self._buf = np.full(self.n + 1, u, dtype=float)
         self.x1 = u
         self.x2 = 0.0
@@ -318,16 +318,13 @@ class CascadeState:
     """Streaming realization of one smoother kind, a sequence of kinds or a
     CascadeSpec, all sharing one sample period.
 
-    run() filters the next block of input samples (optionally with their
-    known first and second derivatives) and returns the filtered triple
-    (p, p', p''); step() is run() on one sample. Unless an initial value is
-    given, each kind pre-charges itself with the first triple that reaches
-    it, as if that sample had been held forever, so a stationary stream
-    produces no startup transient.
+    Every stage starts as if initial_value had been held forever, so a
+    stationary stream produces no startup transient. run() filters the next
+    block of input samples and returns the filtered triple (p, p', p'');
+    step() is run() on one sample.
     """
 
-    def __init__(self, spec, sample_period: float,
-                 initial_value: float | None = None):
+    def __init__(self, spec, sample_period: float, initial_value: float):
         if not (sample_period > 0.0 and math.isfinite(sample_period)):
             raise ValueError(f"sample_period must be positive and finite, "
                              f"got {sample_period}")
@@ -337,59 +334,37 @@ class CascadeState:
             raise ValueError("cascade must contain at least one stage")
         self.spec = spec
         self.sample_period = sample_period
-        # stage lists per kind: a lazy start primes each kind with its own
-        # input triple, and the delay is summed kind by kind
-        self._kinds = [_build_stages(k, sample_period) for k in spec.stages]
-        self._primed = False
-        if initial_value is not None:
-            self.reset(initial_value)
+        kinds = [_build_stages(k, sample_period) for k in spec.stages]
+        # total group delay after quantization, summed kind by kind: the
+        # filter output's header prints its bits
+        self.delay = sum(sum(st.t_span for st in stages) for stages in kinds)
+        self._stages = [st for stages in kinds for st in stages]
+        # a Python float, numpy scalars included, so the oscillator's
+        # per-sample loop runs on plain floats
+        value = float(initial_value)
+        for st in self._stages:
+            st.prime(value)
 
-    @property
-    def delay(self) -> float:
-        """Total group delay after quantization to the sample grid."""
-        return sum(sum(st.t_span for st in stages) for stages in self._kinds)
-
-    def reset(self, value: float = 0.0, vel: float = 0.0, acc: float = 0.0) -> None:
-        """Prime every stage as if (value, vel, acc) had been held forever.
-        The triple is stored as Python floats, numpy scalars included, so
-        the oscillator's per-sample loop runs on plain floats."""
-        value, vel, acc = float(value), float(vel), float(acc)
-        for stages in self._kinds:
-            for st in stages:
-                st.prime(value, vel, acc)
-        self._primed = True
-
-    def step(self, u: float, u_dot: float = 0.0, u_ddot: float = 0.0):
+    def step(self, u: float):
         """run() on one sample; returns three floats."""
-        p, v, a = self.run([u], [u_dot], [u_ddot])
+        p, v, a = self.run([u])
         return float(p[0]), float(v[0]), float(a[0])
 
-    def run(self, series, vel=None, acc=None):
+    def run(self, series):
         """Filter a whole series; returns (p, v, a) arrays of equal length.
 
-        `series` must be 1-D, and `vel` and `acc`, when given, must have its
-        shape; otherwise ValueError is raised before any state changes. The
-        block is filtered stage by stage, and a series cut into consecutive
-        blocks gives the bytes of one run() over all of it. An empty series
-        returns three empty arrays and leaves the state as it was.
+        `series` must be 1-D, otherwise ValueError is raised before any state
+        changes. The block is filtered stage by stage, and a series cut into
+        consecutive blocks gives the bytes of one run() over all of it. An
+        empty series returns three empty arrays and leaves the state as it
+        was.
         """
         p = np.asarray(series, dtype=float)
         if p.ndim != 1:
             raise ValueError(f"series must be 1-D, got shape {p.shape}")
-        v = np.zeros(p.size) if vel is None else np.asarray(vel, dtype=float)
-        a = np.zeros(p.size) if acc is None else np.asarray(acc, dtype=float)
-        for name, arr in (("vel", v), ("acc", a)):
-            if arr.shape != p.shape:
-                raise ValueError(f"{name} has shape {arr.shape}, series has {p.shape}")
         if p.size == 0:
             return np.empty(0), np.empty(0), np.empty(0)
-        for stages in self._kinds:
-            if not self._primed:
-                # lazy start: each kind primes itself with the first triple
-                # that reaches it
-                for st in stages:
-                    st.prime(float(p[0]), float(v[0]), float(a[0]))
-            for st in stages:
-                p, v, a = st.run(p, v, a)
-        self._primed = True
+        v = a = np.zeros(p.size)
+        for st in self._stages:
+            p, v, a = st.run(p, v, a)
         return p, v, a

@@ -252,9 +252,8 @@ def test_criterion_08_oracle_equivalences():
         m = int(3.0 / step)
         tt = np.arange(m) * step
         u = np.sin(1.7 * tt) + 0.3 * np.cos(4.1 * tt)
-        ud = 1.7 * np.cos(1.7 * tt) - 1.23 * np.sin(4.1 * tt)
         state = CascadeState(Trapezoidal(0.25, 0.15), step, initial_value=u[0])
-        pp, vv, aa = state.run(u, ud)
+        pp, vv, aa = state.run(u)
         lo, hi = int(1.0 / step), m - 5
         fd_v = (pp[lo + 1:hi + 1] - pp[lo - 1:hi - 1]) / (2 * step)
         fd_a = (vv[lo + 1:hi + 1] - vv[lo - 1:hi - 1]) / (2 * step)

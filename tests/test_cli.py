@@ -437,7 +437,7 @@ def test_filter_noise_attenuation_matches_magnitude_response(tmp_path):
     assert measured == pytest.approx(expected, rel=0.05)
 
 
-def test_filter_free_fall_exit_code(tmp_path):
+def test_filter_free_fall_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.yaml", COMPLEX_SOLID_CONFIG)
     dt, n = 2e-3, 1500
     t = np.arange(n) * dt
@@ -447,6 +447,10 @@ def test_filter_free_fall_exit_code(tmp_path):
     write_trajectory(path, TrajectoryFile(dt, t, positions))
     assert main(["filter", "--config", cfg, "--input", path,
                  "--output", str(tmp_path / "out")]) == 3
+    # the pose chain's free-fall check names the sample, the CLI its time
+    assert re.fullmatch(r"error: free fall: g \+ acc_z = \S+ <= 0 at sample \d+: "
+                        r"tilt compensation undefined \(at t = \S+ s\)\n",
+                        capsys.readouterr().err)
 
 
 def test_filter_beyond_the_sample_budget_exits_2(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Golden outputs: SHA-256 of every file three CLI runs write.
+"""Golden outputs: SHA-256 of every file four CLI runs write.
 
 A refactor that keeps behaviour leaves these hashes unchanged. A deliberate
 numeric change records them again and says why in CHANGES.md. The same
@@ -59,6 +59,9 @@ numerics: {dt: 0.001, seed: 3}
 noise: {amplitude: 0.0005, cutoff_hz: 5.0}
 """
 
+# the Trapezoidal-only cascade of a solid complex scenario, on the same trace
+FILTER_SOLID_CONFIG = FILTER_CONFIG.replace("material: liquid", "material: solid")
+
 # more rows than one block of the CSV writers, and not a multiple of it
 FILTER_ROWS = 2500
 
@@ -94,6 +97,12 @@ GOLDEN = {
             "78b2634c473c0eabb1ba60558f28744317d9101d9e0851d478c3f8f409648343",
         "reference.csv":
             "6e464d49bad6a35e35690ec798089d6ef087017f5b6964b81dd1a9fb089fcf5c",
+    },
+    "filter_solid": {
+        "filtered.csv":
+            "b4e341fa6d5af95663d56f676892a27d60b069117229c92e7f131d7e5a5660d1",
+        "reference.csv":
+            "146ecb536ad6bd92d668a3f4cfabd37d659c5fda0e406bc1ad1c0c8ca5bfcb85",
     },
 }
 
@@ -139,7 +148,7 @@ def _run_case(run, workdir):
         assert FILTER_ROWS > _BLOCK_ROWS
         cfg = os.path.join(workdir, "cfg.yaml")
         with open(cfg, "w") as fh:
-            fh.write(FILTER_CONFIG)
+            fh.write(FILTER_CONFIG if run == "filter" else FILTER_SOLID_CONFIG)
         trace = os.path.join(workdir, "hand_trace.csv")
         _hand_trace(trace)
         assert main(["filter", "--config", cfg, "--input", trace,

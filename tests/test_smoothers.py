@@ -103,7 +103,7 @@ def test_rectangular_step_is_ramp():
     dt = 1e-3
     T = 0.5
     box = _RectStage(_quantize(T, dt), dt)
-    box.prime(0.0, 0.0, 0.0)
+    box.prime(0.0)
     p, v, a = box.run(np.ones(800), np.zeros(800), np.zeros(800))
     t = (np.arange(800) + 0.5) * dt  # step occurs half a sample before index 0
     ref = np.clip(t / T, 0.0, 1.0)
@@ -126,8 +126,8 @@ def test_constant_input_reproduced_exactly():
     dt = 1e-3
     for kind in (Trapezoidal(0.155, 0.155), DampedHarmonic(0.0, 0.47),
                  Trapezoidal(0.2, 0.11), DampedHarmonic(-1.3, 0.37)):
-        state = CascadeState(kind, dt)
-        # pre-charge from the first sample: no startup transient at all
+        state = CascadeState(kind, dt, initial_value=0.7)
+        # primed at the held value: no startup transient at all
         for _ in range(int(2 * kernel_duration(kind) / dt)):
             p, v, a = state.step(0.7)
             assert p == pytest.approx(0.7, rel=1e-12)
@@ -174,7 +174,7 @@ def test_damped_harmonic_sigma_zero_matches_harmonic():
 
 def test_startup_precharge_suppresses_transient():
     # stationary stream must not produce spurious acceleration at t=0
-    state = CascadeState(DampedHarmonic(0.0, 0.5), 1e-3)
+    state = CascadeState(DampedHarmonic(0.0, 0.5), 1e-3, initial_value=2.0)
     p, v, a = state.step(2.0)
     assert (p, v, a) == (2.0, 0.0, 0.0)
 
@@ -187,10 +187,8 @@ def _fd_error(kind, dt):
     n = int(3.0 / dt)
     t = np.arange(n) * dt
     u = np.sin(1.7 * t) + 0.3 * np.cos(4.1 * t)
-    ud = 1.7 * np.cos(1.7 * t) - 0.3 * 4.1 * np.sin(4.1 * t)
-    udd = -1.7 ** 2 * np.sin(1.7 * t) - 0.3 * 4.1 ** 2 * np.cos(4.1 * t)
     state = CascadeState(kind, dt, initial_value=u[0])
-    p, v, a = state.run(u, ud, udd)
+    p, v, a = state.run(u)
     lo = int(1.2 / dt)
     hi = n - 10
     fd_v = (p[lo + 1:hi + 1] - p[lo - 1:hi - 1]) / (2 * dt)
@@ -291,14 +289,14 @@ def test_single_stage_cascade_identity():
 
 def test_empty_cascade_rejected():
     with pytest.raises(ValueError):
-        CascadeState([], 1e-3)
+        CascadeState([], 1e-3, initial_value=0.0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
 def test_state_rejects_a_bad_sample_period(dt):
     with pytest.raises(ValueError,
                        match=f"^sample_period must be positive and finite, got {dt}$"):
-        CascadeState(DampedHarmonic(0.0, 0.5), dt)
+        CascadeState(DampedHarmonic(0.0, 0.5), dt, initial_value=0.0)
 
 
 def test_numpy_scalar_prime_is_kept_as_python_floats():
@@ -312,8 +310,7 @@ def test_numpy_scalar_prime_is_kept_as_python_floats():
     primed_float = CascadeState(spec, dt, initial_value=float(u[0]))
     for x, y in zip(primed_np.run(u), primed_float.run(u)):
         assert x.tobytes() == y.tobytes()
-    oscillators = [st for stages in primed_np._kinds for st in stages
-                   if hasattr(st, "x1")]
+    oscillators = [st for st in primed_np._stages if hasattr(st, "x1")]
     assert len(oscillators) == 2
     for st in oscillators:
         assert [type(st.x1), type(st.x2), type(st._w_prev)] == [float] * 3
@@ -322,28 +319,22 @@ def test_numpy_scalar_prime_is_kept_as_python_floats():
 RUN_CASCADE = [Trapezoidal(0.005, 0.003), DampedHarmonic(-2.0, 0.004)]
 
 
-@pytest.mark.parametrize("series, vel, acc", [
-    (np.ones((6, 2)), None, None),
-    (1.0, None, None),
-    (np.ones(6), np.ones(5), None),
-    (np.ones(6), np.ones(7), None),
-    (np.ones(6), None, np.ones((6, 1))),
-])
-def test_run_rejects_bad_shapes_before_changing_state(series, vel, acc):
+@pytest.mark.parametrize("series", [np.ones((6, 2)), 1.0, np.ones((6, 1)), np.array(1.0),
+                                    [0.4, "spam"]])
+def test_run_rejects_bad_shapes_before_changing_state(series):
     u = np.linspace(0.3, 1.0, 12)
-    state, twin = (CascadeState(RUN_CASCADE, 1e-3) for _ in range(2))
+    state, twin = (CascadeState(RUN_CASCADE, 1e-3, initial_value=0.3) for _ in range(2))
     state.run(u[:5])
     twin.run(u[:5])
     with pytest.raises(ValueError):
-        state.run(series, vel, acc)
+        state.run(series)
     for x, y in zip(state.run(u), twin.run(u)):
         assert np.array_equal(x, y)
 
 
-def test_run_empty_series_leaves_state_unprimed():
-    state, fresh = (CascadeState(RUN_CASCADE, 1e-3) for _ in range(2))
+def test_run_empty_series_leaves_state_as_it_was():
+    state, fresh = (CascadeState(RUN_CASCADE, 1e-3, initial_value=0.3) for _ in range(2))
     assert [x.shape for x in state.run([])] == [(0,)] * 3
-    # the lazy start still takes the first real sample, not a zero
     u = np.linspace(0.3, 1.0, 12)
     for x, y in zip(state.run(u), fresh.run(u)):
         assert np.array_equal(x, y)
@@ -373,7 +364,8 @@ def test_four_rect_stages_give_c3_position():
 
 def test_cascade_delay_accounting():
     dt = 1e-3
-    c = CascadeState(CascadeSpec((Trapezoidal(0.5, 0.4), Trapezoidal(0.05, 0.05))), dt)
+    c = CascadeState(CascadeSpec((Trapezoidal(0.5, 0.4), Trapezoidal(0.05, 0.05))), dt,
+                     initial_value=0.0)
     assert c.delay == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,9 +1,9 @@
 """The public surface: what the package exports resolves, so does every
 point the benchmark tracer hooks into, the helpers only the tests use stay
-out of it, the smoother kinds have one spelling each, every third-party
-module the package or its tests import is a declared dependency, and no new
-numpy call or BLAS product whose bytes depend on the CPU enters the
-package."""
+out of it, the smoother kinds have one spelling each and their cascade one
+start, every third-party module the package or its tests import is a
+declared dependency, and no new numpy call or BLAS product whose bytes
+depend on the CPU enters the package."""
 
 import ast
 import importlib
@@ -77,6 +77,20 @@ def test_smoother_kinds_have_one_spelling_each():
                                                       smoothers.DampedHarmonic)
     for name in ("Rectangular", "Harmonic", "make_harmonic_T", "continuity_gain"):
         assert not hasattr(traywaiter, name) and not hasattr(smoothers, name), name
+
+
+def test_cascade_state_has_one_start_and_one_input():
+    # every stage starts at rest at the given initial value, and only
+    # positions go in: no lazy start and no input-derivative arguments
+    cascade = smoothers.CascadeState
+    params = inspect.signature(cascade).parameters
+    assert list(params) == ["spec", "sample_period", "initial_value"]
+    assert params["initial_value"].default is inspect.Parameter.empty
+    assert list(inspect.signature(cascade.run).parameters) == ["self", "series"]
+    assert list(inspect.signature(cascade.step).parameters) == ["self", "u"]
+    state = cascade(smoothers.Trapezoidal(0.01, 0.01), 1e-3, initial_value=0.0)
+    for name in ("reset", "_primed", "_kinds"):
+        assert not hasattr(cascade, name) and not hasattr(state, name), name
 
 
 def test_tracer_hook_points_resolve():
