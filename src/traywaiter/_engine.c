@@ -1,0 +1,331 @@
+/* The compiled loops of the stick/slip engine: consecutive steps of
+ * dynamics._TraySim.run in one call, sticking (stick_steps) or sliding with
+ * one sign (slip_steps), for the steps that run() finishes with no event and
+ * no error.
+ *
+ * A step is _input_terms for the rows it reads, the stick or the slip kernel
+ * (_TraySim._stick_kernel, _TraySim._slip_kernel) and run()'s record, each
+ * transcribed in the operand order of the Python it stands for, so that
+ * every committed value has the Python bits. That needs IEEE double
+ * arithmetic with no fused multiply-add, and libm's sin, cos and pow as
+ * Python calls them: _native.py pins the flags (-ffp-contract=off
+ * -fno-builtin) that give both.
+ *
+ * The hand-back rule: a step is committed only where Python would commit it
+ * with no event and no error (see each loop for its checks). Otherwise the
+ * loop returns that step's index with the state and k1 as they were, and
+ * run() redoes the step in Python, which raises the error or handles the
+ * event. Python's sin and cos raise on an infinite argument where these
+ * return NaN; every such NaN reaches an N or the new state, which then fails
+ * its check. */
+
+#include <math.h>
+
+/* The plant: the fields of PlantParams and the products the kernels hoist,
+ * each formed as the Python forms it. */
+struct plant {
+    double m, M, l, h, d_z, b_ct, mu, g, damp, v_eps;
+    double mass, ml, dz_m, l_mass, tol;
+    int pendulum;
+};
+
+static void plant_of(const double *p, struct plant *q)
+{
+    q->m = p[0];
+    q->M = p[1];
+    q->l = p[2];
+    q->h = p[3];
+    q->d_z = p[4];
+    q->b_ct = p[5];
+    q->mu = p[6];
+    q->g = p[7];
+    q->damp = p[8];
+    q->v_eps = p[9];
+    q->mass = q->M + q->m;
+    q->ml = q->m * q->l;
+    q->dz_m = q->d_z * q->M;
+    q->l_mass = q->l * (q->m + q->M);
+    q->tol = 1e-12 * q->l * (q->m + q->M);
+    q->pendulum = q->m > 0.0;
+}
+
+/* The input-only terms of one row (x_ddot, z_ddot, beta, beta_dot,
+ * beta_ddot), as _input_terms yields them. */
+struct row {
+    double xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb;
+};
+
+static void input_terms(const double *r, const struct plant *p, struct row *u)
+{
+    double sb, cb;
+
+    u->xtt = r[0];
+    u->gz = p->g + r[1];
+    u->b = r[2];
+    u->bd = r[3];
+    u->bdd = r[4];
+    sb = sin(u->b);
+    cb = cos(u->b);
+    u->n_u = cb * u->gz - sb * u->xtt;
+    u->d_u = p->mass * (sb * u->gz + cb * u->xtt);
+    u->hbb = p->h * u->bd * u->bd;
+    u->dzbb = p->d_z * u->bd * u->bd;
+    u->bb = u->bd * u->bd;
+}
+
+/* w ** 2 as Python's float power computes it, which is pow of |w|; pow gives
+ * inf where Python raises OverflowError and dynamics._square returns inf. */
+static double square(double w)
+{
+    if (isnan(w))
+        return w;
+    return pow(fabs(w), 2.0);
+}
+
+/* The three lines of the stick test (_stick_test) at theta `th` (st, ct its
+ * sine and cosine), theta_dot `thd`, d_x `x` and d_x_dot `w`, with theta_ddot
+ * `a` in N and D: the bracket of the pendulum equation, whose negative over
+ * l is theta_ddot, the normal force N and the demand D. */
+static double bracket(const struct plant *p, double th, double st, double ct,
+                      double thd, double x, double w, const struct row *u)
+{
+    return p->damp * thd + (p->l - p->h * ct + x * st) * u->bdd
+        + ct * (-x * u->bd * u->bd) + st * (2.0 * u->bd * w - u->hbb)
+        + sin(u->b + th) * u->gz + cos(u->b + th) * u->xtt;
+}
+
+static double normal(const struct plant *p, double st, double ct, double thd,
+                     double x, double w, double a, const struct row *u)
+{
+    return p->mass * (u->n_u + x * u->bdd + 2.0 * u->bd * w - u->dzbb)
+        + p->m * (p->l * st * (u->bdd + a) + p->l * ct * thd * (2.0 * u->bd + thd)
+                  + u->bb * (p->l * ct - p->h));
+}
+
+static double demand(const struct plant *p, double st, double ct, double thd,
+                     double x, double w, double a, const struct row *u)
+{
+    return u->d_u + ((p->l * ct - p->h) * p->m - p->dz_m) * u->bdd + p->ml * ct * a
+        - p->ml * st * square(u->bd + thd) - p->mass * x * u->bd * u->bd
+        + p->b_ct * w;
+}
+
+/* The stick test at (th, thd, x, w) and row u: theta_ddot, N and D into
+ * t[0..2] and F_s = mu N into t[3]. */
+static void stick_test(const struct plant *p, double th, double thd, double x,
+                       double w, const struct row *u, double *t)
+{
+    double st = sin(th), ct = cos(th);
+
+    t[0] = p->pendulum ? -bracket(p, th, st, ct, thd, x, w, u) / p->l : 0.0;
+    t[1] = normal(p, st, ct, thd, x, w, t[0], u);
+    t[2] = demand(p, st, ct, thd, x, w, t[0], u);
+    t[3] = p->mu * t[1];
+}
+
+/* A stage of the stick kernel: theta_ddot of the held container into *a,
+ * and N, returned. */
+static double stick_stage(const struct plant *p, double th, double thd, double x,
+                          const struct row *u, double *a)
+{
+    double st = sin(th), ct = cos(th);
+
+    *a = p->pendulum ? -bracket(p, th, st, ct, thd, x, 0.0, u) / p->l : 0.0;
+    return normal(p, st, ct, thd, x, 0.0, *a, u);
+}
+
+/* A stage of the slip kernel with s mu `smu` and ((s mu) m) l `smml`:
+ * theta_ddot and d_x_ddot into *a and *xdd. Returns 0 where the kernel
+ * raises, on a singular coupling matrix or N <= 0, and where N or the matrix
+ * is NaN. */
+static int slip_stage(const struct plant *p, double smu, double smml, double th,
+                      double thd, double x, double w, const struct row *u,
+                      double *a, double *xdd)
+{
+    double st = sin(th), ct = cos(th);
+    double nf0 = normal(p, st, ct, thd, x, w, 0.0, u);
+    double b2 = -demand(p, st, ct, thd, x, w, 0.0, u) - smu * nf0;
+    double r1, a21, det;
+
+    if (!p->pendulum) {
+        *a = 0.0;
+        *xdd = b2 / p->M;
+    } else {
+        r1 = -bracket(p, th, st, ct, thd, x, w, u);
+        a21 = p->ml * ct + smml * st;
+        det = p->l_mass - ct * a21;
+        if (!(fabs(det) >= p->tol))
+            return 0;
+        *a = (r1 * p->mass - ct * b2) / det;
+        *xdd = (p->l * b2 - a21 * r1) / det;
+        nf0 = nf0 + p->ml * st * *a;
+    }
+    return nf0 > 0.0;
+}
+
+/* run()'s record of row j: the state y, mode and the stick test t there. */
+static void record(long j, const double *y, unsigned char mode, const double *t,
+                   double *theta, double *theta_dot, double *d_x, double *d_x_dot,
+                   unsigned char *modes, double *dem, double *f_s)
+{
+    theta[j] = y[0];
+    theta_dot[j] = y[1];
+    d_x[j] = y[2];
+    d_x_dot[j] = y[3];
+    modes[j] = mode;
+    dem[j] = t[2];
+    f_s[j] = t[3];
+}
+
+/* The loops share their arguments, over a run of n steps of width `dt`:
+ *
+ * plant: m, M, l, h, d_z, b_ct, mu, g, the pendulum damping b_lc / (m l) and
+ *        the stick capture velocity dynamics._V_EPS
+ * grid:  the n + 1 grid rows, mid: the n midpoint rows, 5 doubles a row
+ * s:     the sign of the slide; stick_steps does not read it
+ * state: theta, theta_dot, d_x, d_x_dot, then k1 = (theta_ddot, N, D, F_s),
+ *        the stick test at that state and row k; updated to the state and
+ *        stick test at the returned row
+ * the trace arrays get rows k + 1 up to the returned row.
+ *
+ * Each returns the index of the first step not committed, or n. */
+
+/* Sticking steps k, k + 1, ...: committed where N > 0 in k1 and in stages 2
+ * to 4, |D| <= F_s at the end, the state is finite and N > 0 in the record. */
+long stick_steps(const double *plant, double dt, const double *grid,
+                 const double *mid, long k, long n, double s, double *state,
+                 double *theta, double *theta_dot, double *d_x,
+                 double *d_x_dot, unsigned char *mode, double *dem,
+                 double *f_s)
+{
+    struct plant p;
+    const double hh = 0.5 * dt;
+    double y[4], k1[4], t[4];
+
+    (void)s;
+    plant_of(plant, &p);
+    for (int i = 0; i < 4; i++) {
+        y[i] = state[i];
+        k1[i] = state[4 + i];
+    }
+    for (; k < n; k++) {
+        struct row um, u1;
+        double x, v2, a2, v3, a3, v4, a4, th_end, thd_end;
+
+        if (!(k1[1] > 0.0))
+            break;
+        x = y[2] + 0.0;                /* d_x + h/2 * 0.0, as h > 0 */
+        /* stages 2 and 3: the midpoint row */
+        input_terms(mid + 5 * k, &p, &um);
+        v2 = y[1] + hh * k1[0];
+        if (!(stick_stage(&p, y[0] + hh * y[1], v2, x, &um, &a2) > 0.0))
+            break;
+        v3 = y[1] + hh * a2;
+        if (!(stick_stage(&p, y[0] + hh * v2, v3, x, &um, &a3) > 0.0))
+            break;
+        /* stage 4 and the end test: the end row */
+        input_terms(grid + 5 * (k + 1), &p, &u1);
+        v4 = y[1] + dt * a3;
+        if (!(stick_stage(&p, y[0] + dt * v3, v4, x, &u1, &a4) > 0.0))
+            break;
+        th_end = y[0] + dt * (y[1] + 2.0 * v2 + 2.0 * v3 + v4) / 6.0;
+        thd_end = y[1] + dt * (k1[0] + 2.0 * a2 + 2.0 * a3 + a4) / 6.0;
+        stick_test(&p, th_end, thd_end, x, 0.0, &u1, t);
+        /* run(): the end test, the finite state, the record's N */
+        if (!(fabs(t[2]) <= t[3]) || !isfinite(th_end) || !isfinite(thd_end)
+                || !isfinite(x) || !(t[1] > 0.0))
+            break;
+        y[0] = th_end;
+        y[1] = thd_end;
+        y[2] = x;
+        y[3] = 0.0;
+        for (int i = 0; i < 4; i++)
+            k1[i] = t[i];
+        record(k + 1, y, 0, t, theta, theta_dot, d_x, d_x_dot, mode, dem, f_s);
+    }
+    for (int i = 0; i < 4; i++) {
+        state[i] = y[i];
+        state[4 + i] = k1[i];
+    }
+    return k;
+}
+
+/* Sliding steps k, k + 1, ... with sign s: committed where N > 0 in the
+ * first stage (the solid's, from k1) and in stages 2 to 4, no coupling
+ * matrix is singular, the slide neither stops nor reverses (d_x_dot s > 0),
+ * it ends outside the capture band (|d_x_dot| >= v_eps), the state is finite
+ * and N > 0 in the record. */
+long slip_steps(const double *plant, double dt, const double *grid,
+                const double *mid, long k, long n, double s, double *state,
+                double *theta, double *theta_dot, double *d_x,
+                double *d_x_dot, unsigned char *mode, double *dem,
+                double *f_s)
+{
+    struct plant p;
+    struct row u0, um, u1;
+    const double hh = 0.5 * dt;
+    double y[4], k1[4], t[4];
+    double smu, smml;
+
+    plant_of(plant, &p);
+    smu = s * p.mu;
+    smml = smu * p.m * p.l;
+    for (int i = 0; i < 4; i++) {
+        y[i] = state[i];
+        k1[i] = state[4 + i];
+    }
+    if (k < n)
+        input_terms(grid + 5 * k, &p, &u0);
+    for (; k < n; k++) {
+        double a1, x1, v2, w2, a2, x2, v3, w3, a3, x3, v4, w4, a4, x4, e[4];
+
+        if (!p.pendulum) {
+            if (!(k1[1] > 0.0))
+                break;
+            a1 = 0.0;
+            x1 = (-k1[2] - smu * k1[1]) / p.M;
+        } else if (!slip_stage(&p, smu, smml, y[0], y[1], y[2], y[3], &u0, &a1, &x1)) {
+            break;
+        }
+        /* stages 2 and 3: the midpoint row */
+        input_terms(mid + 5 * k, &p, &um);
+        v2 = y[1] + hh * a1;
+        w2 = y[3] + hh * x1;
+        if (!slip_stage(&p, smu, smml, y[0] + hh * y[1], v2, y[2] + hh * y[3], w2,
+                        &um, &a2, &x2))
+            break;
+        v3 = y[1] + hh * a2;
+        w3 = y[3] + hh * x2;
+        if (!slip_stage(&p, smu, smml, y[0] + hh * v2, v3, y[2] + hh * w2, w3,
+                        &um, &a3, &x3))
+            break;
+        /* stage 4 and the end test: the end row */
+        input_terms(grid + 5 * (k + 1), &p, &u1);
+        v4 = y[1] + dt * a3;
+        w4 = y[3] + dt * x3;
+        if (!slip_stage(&p, smu, smml, y[0] + dt * v3, v4, y[2] + dt * w3, w4,
+                        &u1, &a4, &x4))
+            break;
+        e[0] = y[0] + dt * (y[1] + 2.0 * v2 + 2.0 * v3 + v4) / 6.0;
+        e[1] = y[1] + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0;
+        e[2] = y[2] + dt * (y[3] + 2.0 * w2 + 2.0 * w3 + w4) / 6.0;
+        e[3] = y[3] + dt * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0;
+        stick_test(&p, e[0], e[1], e[2], e[3], &u1, t);
+        /* run(): no stop or reversal, no capture test, the finite state,
+         * the record's N */
+        if (!(e[3] * s > 0.0) || !(fabs(e[3]) >= p.v_eps) || !isfinite(e[0])
+                || !isfinite(e[1]) || !isfinite(e[2]) || !(t[1] > 0.0))
+            break;
+        for (int i = 0; i < 4; i++) {
+            y[i] = e[i];
+            k1[i] = t[i];
+        }
+        record(k + 1, y, 1, t, theta, theta_dot, d_x, d_x_dot, mode, dem, f_s);
+        u0 = u1;
+    }
+    for (int i = 0; i < 4; i++) {
+        state[i] = y[i];
+        state[4 + i] = k1[i];
+    }
+    return k;
+}

@@ -1,14 +1,15 @@
-"""The compiled stick loop: `_stick.c`, built with a C compiler at the first
-sticking step of a process and loaded through ctypes.
+"""The compiled loops of the stick/slip engine: `_engine.c`, built with a C
+compiler at the first step of a process and loaded through ctypes.
 
-The loop runs the sticking steps of the stick/slip engine that need no event,
-bit for bit as the Python kernels run them; those kernels stay the fallback
-and the oracle the tests compare the loop with. The library is cached in
-`$XDG_CACHE_HOME/traywaiter` (default `~/.cache/traywaiter`), a directory of
-mode 0700, under the SHA-256 of the source, the flags and the machine. Where
-that directory cannot be used the library is built for this process alone,
-in a private temporary directory. Without a compiler, or where the build or
-the load fails, `library` is None and the engine runs in Python, silently.
+The loops run the sticking steps and the sliding steps of the engine that
+need no event, bit for bit as the Python kernels run them; those kernels stay
+the fallback and the oracle the tests compare the loops with. The library is
+cached in `$XDG_CACHE_HOME/traywaiter` (default `~/.cache/traywaiter`), a
+directory of mode 0700, under the SHA-256 of the source, the flags and the
+machine. Where that directory cannot be used the library is built for this
+process alone, in a private temporary directory. Without a compiler, or
+where the build or the load fails, `library` is None and the engine runs in
+Python, silently.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_stick.c")
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_engine.c")
 # No fused multiply-add, which rounds once where Python rounds twice; sin,
 # cos and pow as calls of libm, as Python makes them: without -fno-builtin
 # gcc folds pow(w, 2) into w * w, which differs in the last bit.
@@ -62,7 +63,7 @@ def _build(cc, directory):
     with open(SOURCE, "rb") as fh:
         key = hashlib.sha256(b"\0".join(
             [fh.read(), *(s.encode() for s in FLAGS + LIBS), platform.machine().encode()]))
-    path = os.path.join(directory, f"stick-{key.hexdigest()[:16]}.so")
+    path = os.path.join(directory, f"engine-{key.hexdigest()[:16]}.so")
     if not os.path.exists(path):
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
         os.close(fd)
@@ -77,17 +78,19 @@ def _build(cc, directory):
 
 
 def _load(path):
-    fn = ctypes.CDLL(path).stick_steps
+    lib = ctypes.CDLL(path)
     doubles = ctypes.POINTER(ctypes.c_double)
-    fn.argtypes = [doubles, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-                   ctypes.c_long, ctypes.c_long, doubles, *[ctypes.c_void_p] * 7]
-    fn.restype = ctypes.c_long
-    return fn
+    for fn in (lib.stick_steps, lib.slip_steps):
+        fn.argtypes = [doubles, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_long, ctypes.c_long, ctypes.c_double, doubles,
+                       *[ctypes.c_void_p] * 7]
+        fn.restype = ctypes.c_long
+    return lib
 
 
 @functools.cache
 def library():
-    """The loop's C function, built and loaded once per process, or None."""
+    """The loops' C library, built and loaded once per process, or None."""
     cc = _compiler()
     if cc is None:
         return None
@@ -101,20 +104,24 @@ def library():
     return None
 
 
-def stick_loop(p, damp, dt, grid, mid, trace):
-    """The compiled loop bound to one run, or None where it is not built.
+def loops(p, damp, v_eps, dt, grid, mid, trace):
+    """The compiled stick loop and slip loop bound to one run, as a pair
+    indexed by the engine's mode (STICK = 0, SLIP = 1), or None where they
+    are not built.
 
-    `p` is the plant, `damp` its pendulum damping b_lc / (m l), `grid` and
-    `mid` the (n + 1, 5) grid and (n, 5) midpoint rows of tray inputs and
-    `trace` the run's theta, theta_dot, d_x, d_x_dot, mode, demand and f_s
-    arrays of n + 1 rows. The loop is a call (k, y, k1) -> (j, y, k1): from
-    step k with the state y and its stick test k1 at row k, it commits steps
-    k to j - 1 into rows k + 1 to j of `trace` and returns the state and
-    stick test at row j. It stops at the first step the Python loop would
-    end in an event or an error, and at j = n.
+    `p` is the plant, `damp` its pendulum damping b_lc / (m l), `v_eps` the
+    stick capture velocity, `grid` and `mid` the (n + 1, 5) grid and (n, 5)
+    midpoint rows of tray inputs and `trace` the run's theta, theta_dot, d_x,
+    d_x_dot, mode, demand and f_s arrays of n + 1 rows. Each loop is a call
+    (k, y, k1, s) -> (j, y, k1): from step k with the state y and its stick
+    test k1 at row k, sticking or sliding with sign s (which the stick loop
+    does not read), it commits steps k to j - 1 into rows k + 1 to j of
+    `trace` and returns the state and stick test at row j. It stops at the
+    first step the Python loop would end in an event or an error, and at
+    j = n.
     """
-    fn = library()
-    if fn is None:
+    lib = library()
+    if lib is None:
         return None
     n = grid.shape[0] - 1
     arrays = (grid, mid, *trace)
@@ -122,15 +129,17 @@ def stick_loop(p, damp, dt, grid, mid, trace):
             or [a.shape for a in trace] != [(n + 1,)] * 7 \
             or [a.dtype for a in arrays] != [np.float64] * 6 + [np.uint8] + [np.float64] * 2 \
             or not all(a.flags.c_contiguous for a in arrays):
-        raise ValueError("stick loop arrays: expected (n + 1, 5) and (n, 5) rows and "
+        raise ValueError("engine loop arrays: expected (n + 1, 5) and (n, 5) rows and "
                          "seven trace arrays of n + 1 float64 rows, the fifth uint8")
-    plant = (ctypes.c_double * 9)(p.m, p.M, p.l, p.h, p.d_z, p.b_ct, p.mu, p.g, damp)
+    plant = (ctypes.c_double * 10)(p.m, p.M, p.l, p.h, p.d_z, p.b_ct, p.mu, p.g, damp, v_eps)
     rows = (grid.ctypes.data, mid.ctypes.data)
     out = [a.ctypes.data for a in trace]
     state = (ctypes.c_double * 8)()
 
-    def steps(k, y, k1, _arrays=arrays):      # the arrays stay alive with the loop
-        state[:] = (*y, *k1)
-        j = fn(plant, dt, *rows, k, n, state, *out)
-        return j, tuple(state[:4]), tuple(state[4:])
-    return steps
+    def bind(fn):
+        def steps(k, y, k1, s, _arrays=arrays):      # the arrays stay alive with the loop
+            state[:] = (*y, *k1)
+            j = fn(plant, dt, *rows, k, n, s, state, *out)
+            return j, tuple(state[:4]), tuple(state[4:])
+        return steps
+    return bind(lib.stick_steps), bind(lib.slip_steps)

@@ -398,9 +398,10 @@ class _TraySim:
     sub-step's `k1`; sticking, it also decides stick or slip. Elsewhere,
     that test is the plant's one `_stick_test` closure.
 
-    Where a C compiler is at hand, the sticking steps that need no event run
-    in the compiled stick loop of `_native.py`, bit for bit as the stick
-    kernel runs them; it hands any other step back to the Python loop."""
+    Where a C compiler is at hand, the sticking and the sliding steps that
+    need no event run in the compiled loops of `_native.py`, bit for bit as
+    the stick and the slip kernel run them; they hand any other step back to
+    the Python loop."""
 
     # False keeps every step in the Python kernels, as the tests' oracles do
     _compiled = True
@@ -517,8 +518,9 @@ class _TraySim:
         """The stick sub-step of this plant as one straight-line call:
         `_advance` with the container held still, RK4 on (theta, theta_dot)
         alone, then the stick test (theta_ddot, N, D, F_s) at the new state
-        and inputs[2]. `k1`, the stick test at y and inputs[0], is the first
-        stage.
+        and inputs[2], or None where theta is infinite there and sin raises:
+        run() reports that state. `k1`, the stick test at y and inputs[0], is
+        the first stage.
 
         Stages 2 to 4 (theta_ddot and N) and the end test are the stick test
         written out at d_x_dot = 0.0 with sin and cos of theta taken once, in
@@ -576,7 +578,10 @@ class _TraySim:
                 raise ContactLostError(f"contact lost at t = {t:.6g} s")
             th = th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
             thd = thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            st, ct = sin(th), cos(th)
+            try:
+                st, ct = sin(th), cos(th)
+            except ValueError:                 # sin of an infinite theta
+                return (th, thd, dx, 0.0), None
             a = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
                   + sin(b + th) * gz + cos(b + th) * xtt) / l if pendulum else 0.0
             lct = l * ct
@@ -636,14 +641,12 @@ class _TraySim:
             k1 = test_at(*y, u0)               # sliding, row 0's test and the first k1
         record(0, y, mode, k1)
         u_end = u0
-        native = None          # the compiled stick loop, bound at the first sticking step
+        # the compiled loops, one per mode, or None
+        native = self._loops((theta, theta_dot, d_x, d_x_dot, mode_arr, demand_arr, fs_arr))
         k = 0
         while k < n:
-            if mode == STICK and native is None:
-                native = self._stick_loop(
-                    (theta, theta_dot, d_x, d_x_dot, mode_arr, demand_arr, fs_arr)) or False
-            if mode == STICK and native:
-                j, y, k1 = native(k, y, k1)
+            if native:
+                j, y, k1 = native[mode](k, y, k1, self.slip_sign)
                 if j > k:       # steps k to j - 1 are committed: read on from row j
                     k = j
                     if k == n:
@@ -661,6 +664,8 @@ class _TraySim:
             while t < t_end:
                 y_new, test = self._advance(y, t, h, mode, inputs, k1)
                 if mode == STICK:
+                    if not all(map(math.isfinite, y_new)):
+                        raise IntegrationError(f"non-finite state at t = {t_end:.6g} s")
                     if abs(test[2]) <= test[3]:
                         # the loop ends here: record and k1 reuse the test
                         y, t, end_test = y_new, t_end, test
@@ -708,14 +713,14 @@ class _TraySim:
         return SimTrace(t_arr, theta, theta_dot, d_x, d_x_dot, mode_arr,
                         demand_arr, fs_arr, self.transitions)
 
-    def _stick_loop(self, trace):
-        """The compiled stick loop bound to this run's rows and its `trace`
-        arrays (`_native.stick_loop`), or None."""
+    def _loops(self, trace):
+        """The compiled stick and slip loops bound to this run's rows and its
+        `trace` arrays (`_native.loops`), indexed by mode, or None."""
         if not self._compiled:
             return None
         from . import _native     # here, so that its build tools stay out of start-up
-        return _native.stick_loop(self.p, self.damp, self.dt, self.smp.grid, self.smp.mid,
-                                  trace)
+        return _native.loops(self.p, self.damp, _V_EPS, self.dt, self.smp.grid,
+                             self.smp.mid, trace)
 
     def _bisect(self, y0, t0, h, mode, u0, k1, tripped):
         """Locate the first time in (t0, t0+h] where `tripped(state, test)`

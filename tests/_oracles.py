@@ -483,7 +483,7 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
 # GenericStickSim is the engine with this sub-step followed by the reference
 # stick test at the end state in place of the kernel, which also makes it
 # ignore the reused first stage; `steps` counts the sub-steps it took. Like
-# GenericSlipSim, it runs every step in Python, not in the compiled stick loop.
+# GenericSlipSim, it runs every step in Python, not in the compiled loops.
 
 def generic_stick_step(p, damp, y, t, h, inputs):
     def rates(y, u):

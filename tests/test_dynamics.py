@@ -379,6 +379,16 @@ def test_infinite_theta_after_a_slide_step_ends_in_integration_error():
         simulate_coupled(desk_params(m=0.0, b_lc=0.0), rest, init=(0.0, 1e308, 0.0, 0.3))
 
 
+def test_infinite_theta_after_a_stick_step_ends_in_integration_error(engine_loops):
+    # the RK4 sum of theta overflows, so the stick step ends at theta = -inf,
+    # where math.sin raises ValueError: the compiled loop hands that step
+    # back, and on either path the run reports the non-finite state
+    motion = TrayMotion.from_channels(1e-3, np.zeros(10))
+    with pytest.raises(IntegrationError, match=r"^non-finite state at t = 0\.001 s$"):
+        simulate_pendulum(desk_params(), motion,
+                          init=(-1.2245396884174076, -6.41191512216294e307))
+
+
 # ---------------------------------------------------------------------------
 # coupled system
 # ---------------------------------------------------------------------------
@@ -487,6 +497,10 @@ def test_compiled_loop_runs_every_step_of_a_sticking_run(monkeypatch, simulate, 
     assert calls == dict(stick=0, slip=0, kernel_test=0, test=1, at_slide=0)
 
 
+# a 300-step slide without events: the tray pulls ahead at 10 m/s^2 > mu g
+_SLIDE = TrayMotion.from_channels(1e-3, np.full(301, 10.0))
+
+
 @pytest.mark.parametrize("params", [desk_params(), desk_params(m=0.0, b_lc=0.0)],
                          ids=["coupled", "solid"])
 def test_slip_step_makes_one_full_friction_evaluation(monkeypatch, params):
@@ -496,14 +510,14 @@ def test_slip_step_makes_one_full_friction_evaluation(monkeypatch, params):
     # only other stick tests: the one of the held state, which decides the
     # start mode, and the one at the sliding state, which fills row 0 and is
     # the first step's k1. An n-step slide thus makes n + 2 stick tests.
+    # The Python loop only: the compiled loop calls no Python kernel.
+    monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
     calls = _count_engine_calls(monkeypatch)
-    n = 300
-    motion = TrayMotion.from_channels(1e-3, np.full(n + 1, 10.0))   # 10 > mu g
-    tr = simulate_coupled(params, motion, init=(0.0, 0.0, 0.0, -0.3))
+    tr = simulate_coupled(params, _SLIDE, init=(0.0, 0.0, 0.0, -0.3))
     assert tr.mode.all() and not tr.transitions
-    assert calls["slip"] == n
+    assert calls["slip"] == _SLIDE.n - 1
     assert calls["stick"] == 0
-    assert calls["kernel_test"] == n
+    assert calls["kernel_test"] == _SLIDE.n - 1
     assert calls["test"] == 2
     assert calls["at_slide"] == 1
 
@@ -529,20 +543,63 @@ _CAPTURES = {
 }
 
 # stick -> slip -> stick runs, with sub-steps and bisection after each event;
-# each test takes the `stick_loop` fixture, so it runs with the compiled
-# stick loop and with every step in Python
-STICK_SLIP_STICK = pytest.mark.parametrize("params, motion", [
-    (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
-    (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),
-    *[case[:2] for case in _CAPTURES.values()],
-], ids=["coupled", "solid", *_CAPTURES])
+# each test takes the `engine_loops` fixture, so it runs with the compiled
+# stick and slip loops and with every step in Python
+_STICK_SLIP_STICK_RUNS = {
+    "coupled": (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
+    "solid": (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),
+    **{name: case[:2] for name, case in _CAPTURES.items()},
+}
+STICK_SLIP_STICK = pytest.mark.parametrize("params, motion", _STICK_SLIP_STICK_RUNS.values(),
+                                           ids=_STICK_SLIP_STICK_RUNS)
 
 
 @pytest.fixture(params=["compiled", "python"])
-def stick_loop(request, monkeypatch):
+def engine_loops(request, monkeypatch):
     if request.param == "python":
         monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
     return request.param
+
+
+# sliding runs from rest (stick -> slip -> stick) and the slide without
+# events, from d_x_dot = -0.3
+_SLIDING_RUNS = {
+    **{name: (*case, (0.0, 0.0, 0.0, 0.0)) for name, case in _STICK_SLIP_STICK_RUNS.items()},
+    "slide-coupled": (desk_params(), _SLIDE, (0.0, 0.0, 0.0, -0.3)),
+    "slide-solid": (desk_params(m=0.0, b_lc=0.0), _SLIDE, (0.0, 0.0, 0.0, -0.3)),
+}
+
+
+@pytest.mark.parametrize("params, motion, init", _SLIDING_RUNS.values(), ids=_SLIDING_RUNS)
+def test_compiled_loop_runs_every_step_of_a_sliding_run(monkeypatch, params, motion, init):
+    # where the compiled loops build, the Python slip kernel runs only in
+    # the steps that hold an event, a bisection or a transition; the slide
+    # without events calls no Python kernel past its start-up stick tests
+    if _native.library() is None:
+        pytest.skip("no C compiler: the compiled loops are not built")
+    dt = motion.dt
+    slip_steps, event_steps = [], set()
+    calls = _count_engine_calls(monkeypatch)
+
+    def kernel(self, _real=dynamics._TraySim._slip_kernel):
+        step = _real(self)
+
+        def tagged(y, t, *args):
+            slip_steps.append(math.floor(t / dt + 1e-6))
+            return step(y, t, *args)
+        return tagged
+
+    def bisect(self, y0, t0, *args, _real=dynamics._TraySim._bisect):
+        event_steps.add(math.floor(t0 / dt + 1e-6))
+        return _real(self, y0, t0, *args)
+    monkeypatch.setattr(dynamics._TraySim, "_slip_kernel", kernel)
+    monkeypatch.setattr(dynamics._TraySim, "_bisect", bisect)
+    tr = simulate_coupled(params, motion, init=init)
+    event_steps.update(math.ceil(t / dt - 1e-6) - 1 for t, _, _ in tr.transitions)
+    assert np.count_nonzero(tr.mode) > 10 * len(set(slip_steps))     # mostly compiled
+    assert set(slip_steps) <= event_steps
+    if not tr.transitions:
+        assert calls == dict(stick=0, slip=0, kernel_test=0, test=2, at_slide=1)
 
 
 @pytest.mark.parametrize("params, motion, t_capture", _CAPTURES.values(), ids=_CAPTURES)
@@ -563,7 +620,7 @@ def _assert_same_stick_slip_run(tr, ref):
 
 
 @STICK_SLIP_STICK
-def test_engine_matches_generic_stick_oracle(stick_loop, params, motion):
+def test_engine_matches_generic_stick_oracle(engine_loops, params, motion):
     # the engine with the stick kernel and the reused first stage
     # gives the bits of the engine with the generic 4-state step
     oracle = GenericStickSim(params, motion, None, (0.0, 0.0, 0.0, 0.0))
@@ -576,7 +633,7 @@ def test_engine_matches_generic_stick_oracle(stick_loop, params, motion):
 @pytest.mark.parametrize("simulate", [simulate_coupled, simulate_solid_sliding],
                          ids=["simulate_coupled", "simulate_solid_sliding"])
 @STICK_SLIP_STICK
-def test_engine_matches_generic_slip_oracle(stick_loop, simulate, params, motion):
+def test_engine_matches_generic_slip_oracle(engine_loops, simulate, params, motion):
     # the engine with the slip kernel and, for the solid, the reused first
     # stage gives the bits of the engine with the generic 4-state RK4 step
     # while sliding
@@ -597,14 +654,14 @@ def _assert_rows_hold_the_friction_margin(tr, params, motion):
 
 
 @STICK_SLIP_STICK
-def test_record_holds_the_friction_margin_of_each_row(stick_loop, params, motion):
+def test_record_holds_the_friction_margin_of_each_row(engine_loops, params, motion):
     # demand and f_s of every row are friction_margin at the row's state and
     # grid inputs, whichever kernel's or held state's stick test filled it
     _assert_rows_hold_the_friction_margin(simulate_coupled(params, motion), params, motion)
 
 
 @STICK_SLIP_STICK
-def test_events_at_a_step_end_hand_on_the_grid_stick_test(monkeypatch, stick_loop, params,
+def test_events_at_a_step_end_hand_on_the_grid_stick_test(monkeypatch, engine_loops, params,
                                                          motion):
     # with an event tolerance wider than a step every bisection ends at the
     # step's end, where the last probe tested its state at inputs sampled
@@ -618,7 +675,7 @@ def test_events_at_a_step_end_hand_on_the_grid_stick_test(monkeypatch, stick_loo
 
 
 @STICK_SLIP_STICK
-def test_stick_test_only_at_start_up_and_held_states(monkeypatch, stick_loop, params, motion):
+def test_stick_test_only_at_start_up_and_held_states(monkeypatch, engine_loops, params, motion):
     # sliding rows are filled by the slip kernel's end test; past the
     # start-up, run() makes the plant's stick test only where it holds the
     # container still, after a stop or at a capture, and hands it on
@@ -635,7 +692,7 @@ def test_stick_test_only_at_start_up_and_held_states(monkeypatch, stick_loop, pa
 
 
 @STICK_SLIP_STICK
-def test_bisection_samples_each_probe_once(monkeypatch, stick_loop, params, motion):
+def test_bisection_samples_each_probe_once(monkeypatch, engine_loops, params, motion):
     # each probe of the event bisection evaluates its midpoint and end
     # inputs in one sampler call, and the end row is what the probe's test
     # reads; the start of the interval costs at most one call more

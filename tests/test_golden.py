@@ -47,6 +47,33 @@ numerics: {dt: 0.001, sim_dt: 0.0002}
 sim: {tilt: none}
 """
 
+# the demo's liquid on a tray that does not tilt, with too little friction
+# to hold it: the container slides, with the pendulum coupled in
+SLIP_COUPLED_CONFIG = """
+scenario:
+  material: liquid
+  motion: point_to_point
+  start: [0.0, 0.0, 0.4]
+  goal: [0.6, 0.0, 0.4]
+  v_max: 1.0
+  a_max: 3.0
+  slosh: {omega_n: 14.0071410359145, delta: 0.05}
+mounting:
+  rotation_rpy: [0.0, 0.0, 0.0]
+  position: [0.0, 0.0, 0.12]
+plant:
+  m: 0.1
+  M: 0.5
+  l: 0.05
+  h: 0.05
+  d_z: 0.02
+  b_lc: 0.00035
+  b_ct: 0.0
+  mu: 0.1
+numerics: {dt: 0.001, sim_dt: 0.0002}
+sim: {tilt: none}
+"""
+
 FILTER_CONFIG = """
 scenario:
   material: liquid
@@ -91,6 +118,18 @@ GOLDEN = {
             "1c4eb0f50bdbe2808b4746fd39d080767ed017b680086709043882f79f1a45fb",
         "verdict.txt":
             "0a8b7c1834fd691afdedeb5b30959bb4d149f960105e0511f6a8fdee041b3d06",
+    },
+    "slip_coupled": {
+        "plan.txt":
+            "b468457a1d24552e9dfa0238ac8202e7c1bc9c07f897d6dc708e4f96d5e33fb4",
+        "reference.csv":
+            "98e604ae4c35840de7428255671b4915308d648d1d859b01d25c1fc166a4d4c6",
+        "trace.csv":
+            "a5acc09d5425a9b878d53b08f9c20b2e752f09faf6a769589dc62d3c2faed27b",
+        "trajectory.csv":
+            "6b7d7aad6131af5392403f78918c092ca2bbc5f0c63e75dd2f2e82c3c1bc2a2f",
+        "verdict.txt":
+            "248f388a25c996ee576b16aa8ca6559c8ac847b035fb6950ac2e1a56650c8751",
     },
     "filter": {
         "filtered.csv":
@@ -139,10 +178,10 @@ def _run_case(run, workdir):
     outdir = os.path.join(workdir, "out")
     if run == "demo":
         assert _plan_and_simulate(DEMO_CONFIG, outdir) == [0, 0]
-    elif run == "solid_slip":
+    elif run in ("solid_slip", "slip_coupled"):
         cfg = os.path.join(workdir, "cfg.yaml")
         with open(cfg, "w") as fh:
-            fh.write(SOLID_SLIP_CONFIG)
+            fh.write(SOLID_SLIP_CONFIG if run == "solid_slip" else SLIP_COUPLED_CONFIG)
         assert _plan_and_simulate(cfg, outdir) == [0, 1]
     else:
         assert FILTER_ROWS > _BLOCK_ROWS

@@ -1,8 +1,8 @@
-"""The compiled stick loop: the golden outputs without it, its build into a
-cold cache, the reuse of a cached build, a private build where the cache
-cannot be used, and the silent fallback to the Python kernels where no
-build is possible. test_golden.py covers the default run, which uses the
-loop where it builds."""
+"""The compiled stick and slip loops: the golden outputs without them, their
+build into a cold cache, the reuse of a cached build, a private build where
+the cache cannot be used, and the silent fallback to the Python kernels where
+no build is possible. test_golden.py covers the default run, which uses the
+loops where they build."""
 
 import os
 import shutil
@@ -16,7 +16,7 @@ from traywaiter import _native, dynamics
 from test_golden import GOLDEN, _run_case
 
 # the golden cases that simulate; the filter cases run no simulator
-SIMULATING = ("demo", "solid_slip")
+SIMULATING = ("demo", "solid_slip", "slip_coupled")
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ def test_cold_cache_builds_the_library_once(cold_cache, tmp_path):
     _needs_compiler()
     assert _run_case("demo", str(tmp_path / "run")) == GOLDEN["demo"]
     built = os.listdir(cold_cache)
-    assert len(built) == 1 and built[0].startswith("stick-") and built[0].endswith(".so")
+    assert len(built) == 1 and built[0].startswith("engine-") and built[0].endswith(".so")
     assert stat.S_IMODE(os.stat(cold_cache).st_mode) == 0o700
     assert _native.library() is not None
 

@@ -6,8 +6,8 @@ of the code they replace;
 smoother step responses keep unit DC gain, stay in range and respect the
 trapezoid's kinematic limits; stick and slip agree where they meet; the
 stick and slip sub-steps give exactly the bits of the generic RK4 step they
-replaced; the compiled stick loop commits exactly the bits of the Python
-stick kernel."""
+replaced; the compiled stick and slip loops commit exactly the bits of the
+Python stick and slip kernels."""
 
 import math
 from dataclasses import replace
@@ -26,6 +26,9 @@ from traywaiter.compensation import (
     rotation_matrix,
 )
 from traywaiter.dynamics import (
+    SLIP,
+    STICK,
+    _V_EPS,
     ContactLostError,
     IntegrationError,
     PlantParams,
@@ -697,23 +700,46 @@ def _empty_trace(n):
             + [np.full(n + 1, np.nan) for _ in range(2)])
 
 
-def _python_stick_steps(sim, h, grid, mid, k, y, k1, trace):
+def _python_stick_steps(sim, h, grid, mid, k, y, k1, s, trace):
     """run()'s sticking steps from step k with the Python stick kernel: the
     index of the first step that ends in an event or an error, and the state
     and stick test at that row. The steps before it fill `trace` as
-    record() does."""
+    record() does. The slide's sign s is not read."""
     ends = _input_terms(sim.p, grid.tolist()[k + 1:])
     for um, u1 in zip(_input_terms(sim.p, mid.tolist()[k:]), ends):
         try:
             y_new, test = sim._stick(y, k * h, h, (None, um, u1), k1)
         except (ContactLostError, ValueError):     # ValueError: sin of an infinite theta
             break
-        if not (abs(test[2]) <= test[3] and all(map(math.isfinite, y_new))
+        if not (all(map(math.isfinite, y_new)) and abs(test[2]) <= test[3]
                 and not test[1] <= 0.0):
             break
-        for arr, value in zip(trace, (*y_new, 0, *test[2:])):
+        for arr, value in zip(trace, (*y_new, STICK, *test[2:])):
             arr[k + 1] = value
         y, k1, k = y_new, test, k + 1
+    return k, y, k1
+
+
+def _python_slip_steps(sim, h, grid, mid, k, y, k1, s, trace):
+    """run()'s sliding steps with sign s from step k with the Python slip
+    kernel: the index of the first step that ends in an event (a stop, a
+    reversal or a capture test) or an error, and the state and stick test at
+    that row. The steps before it fill `trace` as record() does. A record
+    whose N is NaN, which run() would write, also ends the steps: the
+    compiled loop commits N > 0 alone."""
+    grid_rows = _input_terms(sim.p, grid.tolist()[k:])
+    u0 = next(grid_rows)
+    for um, u1 in zip(_input_terms(sim.p, mid.tolist()[k:]), grid_rows):
+        try:
+            y_new, test = sim._slip(y, k * h, h, (u0, um, u1), k1, s)
+        except (ContactLostError, IntegrationError, ValueError):
+            break                                  # ValueError: sin of an infinite theta
+        if not (y_new[3] * s > 0.0 and abs(y_new[3]) >= _V_EPS
+                and all(map(math.isfinite, y_new)) and test[1] > 0.0):
+            break
+        for arr, value in zip(trace, (*y_new, SLIP, *test[2:])):
+            arr[k + 1] = value
+        y, k1, k, u0 = y_new, test, k + 1, u1
     return k, y, k1
 
 
@@ -722,23 +748,23 @@ def _hex_run(stop, y, k1, trace):
         [[float(v).hex() for v in arr.tolist()] for arr in trace]
 
 
-def _compiled_and_python_runs(plant, y, rows, h, k):
-    # the compiled loop's run and the Python kernel's from step k, on the
-    # grid rows `rows` with each step's first row as its midpoint row, from
-    # the state y (with d_x_dot = 0) and its stick test at row k; and the
-    # run that commits nothing
+def _compiled_and_python_runs(mode, plant, y, rows, h, k, s=1.0):
+    # the compiled loop's run and the Python kernel's from step k in `mode`,
+    # sliding with sign s, on the grid rows `rows` with each step's first row
+    # as its midpoint row, from the state y and its stick test at row k; and
+    # the run that commits nothing
     if _native.library() is None:
-        pytest.skip("no C compiler: the compiled stick loop is not built")
+        pytest.skip("no C compiler: the compiled loops are not built")
     sim = _step_engine(plant)
     grid = np.array(rows, dtype=float)
     mid = np.array(rows[:-1], dtype=float)
-    y = (*y, 0.0)
     k1 = sim._test(*y, next(_input_terms(plant, [rows[k]])))
     n = len(rows) - 1
     compiled_trace, python_trace = _empty_trace(n), _empty_trace(n)
-    loop = _native.stick_loop(plant, sim.damp, h, grid, mid, compiled_trace)
-    compiled = loop(k, y, k1)
-    python = _python_stick_steps(sim, h, grid, mid, k, y, k1, python_trace)
+    loop = _native.loops(plant, sim.damp, _V_EPS, h, grid, mid, compiled_trace)[mode]
+    compiled = loop(k, y, k1, s)
+    python = (_python_stick_steps, _python_slip_steps)[mode](sim, h, grid, mid, k, y, k1, s,
+                                                             python_trace)
     return (_hex_run(*compiled, compiled_trace), _hex_run(*python, python_trace),
             _hex_run(k, y, k1, _empty_trace(n)))
 
@@ -797,14 +823,15 @@ def test_compiled_stick_loop_matches_the_python_kernel(plant, y, rows, h, k):
     # the same bits in every trace row, and returns the same stop index,
     # state and k1; rows no step wrote are left as they were
     assume(k < len(rows) - 1)
-    compiled, python, _ = _compiled_and_python_runs(plant, y, rows, h, k)
+    compiled, python, _ = _compiled_and_python_runs(STICK, plant, (*y, 0.0), rows, h, k)
     assert compiled == python
 
 
 @pytest.mark.parametrize("case", _HAND_BACK)
 def test_compiled_stick_loop_hands_back_the_step_python_ends_otherwise(case):
     # the loop commits nothing and leaves the state and k1 as they were
-    compiled, python, unchanged = _compiled_and_python_runs(*_HAND_BACK[case], 0)
+    plant, y, rows, h = _HAND_BACK[case]
+    compiled, python, unchanged = _compiled_and_python_runs(STICK, plant, (*y, 0.0), rows, h, 0)
     assert compiled == python == unchanged
 
 
@@ -924,3 +951,179 @@ def test_solid_slip_step_contact_loss_in_the_first_stage(monkeypatch):
     new, ref = _slip_step_cases(plant, (0.0, 0.0, 0.0, 0.1), (row,) * 3, 1e-3, 1.0, sim)
     assert new == ref == "contact lost at t = 0.2 s"
     assert calls.count("sin") == calls.count("cos") == 0
+
+
+# ---------------------------------------------------------------------------
+# compiled slip loop
+# ---------------------------------------------------------------------------
+
+def _slip_hand_back(plant, y, rows, h, s):
+    """How run() ends the first step of a slide on `rows`: the message of
+    the error the slip kernel or the record raises, or the event or check
+    that ends it, in run()'s order."""
+    sim = _step_engine(plant)
+    u = tuple(_input_terms(plant, (rows[0], rows[0], rows[1])))
+    try:
+        y_new, test = sim._slip(y, 0.2, h, u, sim._test(*y, u[0]), s)
+    except (ContactLostError, IntegrationError, ValueError) as exc:
+        return str(exc)
+    if y_new[3] * s <= 0.0:
+        return "stop or reversal"
+    if abs(y_new[3]) < _V_EPS:
+        return "capture test"
+    if not all(map(math.isfinite, y_new)):
+        return "non-finite state"
+    return "contact lost in the record" if test[1] <= 0.0 else None
+
+
+# (plant, y, grid rows, width, slip sign) where the first step of a slide is
+# handed back, and how run() ends it. In each, the check that ends the step
+# is the only one that fails: without it, the loop would commit the step.
+_SLIP_HAND_BACK = {
+    # the solid's first stage is k1, the stick test at y
+    "solid-contact-lost-in-stage-1": (
+        (PlantParams(m=0.0, M=4.473531240673359, l=0.44159614336138414, h=0.09149791503850231,
+                     d_z=0.03404346796401589, b_lc=0.0, b_ct=0.8299127311218815,
+                     mu=1.2781419507277176),
+         (-0.2134457836457715, 7.7718084297879955, -0.09121120864317762, -0.0055666656735609),
+         ((7.411757104841158, -9.292792399072102, 0.40739916011680133, -2.3312706479431284,
+           -21.21319812822887),
+          (9.754178808572153, -11.75065235052526, -0.27090259392843874, -0.48429811353057417,
+           7.580553357992073)), 0.05, -1.0), "contact lost at t = 0.2 s"),
+    "contact-lost-in-stage-1": (
+        (PlantParams(m=0.06465238444577906, M=3.621691998406734, l=0.3726169996655839,
+                     h=0.14841295446918132, d_z=-0.08915457122902103,
+                     b_lc=0.007661835202905536, b_ct=0.06458904360694817,
+                     mu=1.2204978159567514),
+         (0.6443656074995507, -18.273481870367576, 0.00010754659675640821, 0.5624789380847226),
+         ((8.695383035292839, -10.70041411331229, 0.11678800286532043, -1.6512812243307233,
+           42.65881128353492),
+          (1.8414715891103057, -9.652063316543376, -0.01927564248622249, -0.9883834397672833,
+           7.149033091836024)), 0.05, 1.0), "contact lost at t = 0.2 s"),
+    "contact-lost-in-stage-2": (
+        (PlantParams(m=0.22684930996329852, M=0.5324054028517758, l=0.04322152029657273,
+                     h=0.2191945815676415, d_z=0.034676494945292874,
+                     b_lc=0.008478414281982176, b_ct=0.18302785191495097,
+                     mu=0.2760494994438835),
+         (0.5676715303301183, -25.653295717529424, -0.002789100259430105, 0.3186530344719838),
+         ((-7.1629671399963835, -10.87258832736513, -0.015056608038161667, -0.5733094414843292,
+           17.226724371735713),
+          (7.681371848121351, -10.845837093072353, -0.19945945723180825, 1.0435785660542631,
+           37.988529405841206)), 0.05, 1.0), "contact lost at t = 0.2 s"),
+    "contact-lost-in-stage-3": (
+        (PlantParams(m=0.5591754733292613, M=0.9002730419004623, l=0.13931602824945444,
+                     h=0.09524970605834923, d_z=-0.0823650241215735,
+                     b_lc=0.00880970451197778, b_ct=0.09228111785403803,
+                     mu=1.4690816873697576),
+         (0.4050732171624343, 16.328071700384406, 0.016597522944792928, 0.8432211734882102),
+         ((8.900880885817706, -11.772225751241546, 0.4258580533597025, -0.8623163340430091,
+           -27.326251477662456),
+          (-2.365832782112662, -10.32999040989791, -0.37327171721630614, 2.8027896708355478,
+           -49.065862778036205)), 0.05, 1.0), "contact lost at t = 0.2 s"),
+    "contact-lost-in-stage-4": (
+        (PlantParams(m=1.8522005489895692, M=2.3518769973640827, l=0.2591975041135382,
+                     h=0.020110866212524982, d_z=0.09025318815242045,
+                     b_lc=0.0008804388621465653, b_ct=0.5810938143606545,
+                     mu=0.9040882621755636),
+         (-0.9774192723824189, -8.975891823297907, -0.04001044969460104, -0.9817313268412633),
+         ((-2.0007511227585546, -10.092075035622429, 0.21821620249850282, 1.1972384547303019,
+           44.79474187040829),
+          (7.418661414984939, -10.718756101209578, 0.1109877397384903, 1.1566424456414186,
+           28.88457612881902)), 0.001, -1.0), "contact lost at t = 0.2 s"),
+    # |det| < tol in the first stage, whose huge theta_ddot the later
+    # stages and the end state absorb
+    "singular-coupling-matrix": (
+        (PlantParams(m=1.8728612172830121, M=1.764025301005591, l=0.3389592899907452,
+                     h=0.2380731489258791, d_z=-0.007191669013527371,
+                     b_lc=0.0018967690912243941, b_ct=0.2871599340774782,
+                     mu=3.140713631638047),
+         (0.8840430669140854, 2.160783003005424, 0.0738423205320431, 0.2535993263617996),
+         ((5.412416764074223, -1.1058024205508197, 0.0, 0.0, 0.0),) * 2, 1e-3, 1.0),
+        "singular coupling matrix in slip dynamics"),
+    # friction stops the slide on a still tray
+    "stop": ((desk_params(m=0.0, b_lc=0.0), (0.0, 0.0, 0.0, 1e-3), _ZERO_ROWS[:2], 1e-3, 1.0),
+             "stop or reversal"),
+    # the tray's pull reverses it
+    "reversal": ((desk_params(), (0.0, 0.0, 0.0, -1e-3), ((-10.0, 0.0, 0.0, 0.0, 0.0),) * 2,
+                  1e-3, -1.0), "stop or reversal"),
+    # mu g h + 5e-7: the slide ends at 5e-7 m/s, inside the capture band
+    "ends-in-the-capture-band": (
+        (desk_params(m=0.0, b_lc=0.0), (0.0, 0.0, 0.0, 0.3 * 9.81 * 1e-3 + 5e-7),
+         _ZERO_ROWS[:2], 1e-3, 1.0), "capture test"),
+    # d_x overflows to inf, and with beta_ddot > 0 the record's N is inf
+    "non-finite-state": ((desk_params(m=0.0, b_lc=0.0), (0.0, 0.0, 0.0, 1e308),
+                          ((0.0, 0.0, 0.0, 0.0, 1.0),) * 2, 1e-3, 1.0), "non-finite state"),
+    "contact-lost-in-the-record": (
+        (PlantParams(m=0.1129388775989291, M=0.9748598699372891, l=0.022165049226024205,
+                     h=0.02819994953413965, d_z=-0.09392387061698121,
+                     b_lc=0.0034928151889684444, b_ct=0.3384521447504315,
+                     mu=1.1380871551157539),
+         (0.3963127949950651, -14.078044690097151, 0.08045997427394108, -0.7733408367202219),
+         ((-5.048332606386912, -4.204396885545522, -0.3275225811572835, -2.8309583758381107,
+           -49.359659456942595),
+          (1.8981929991856852, -9.64925674198344, -0.3907312187960533, -0.31874843589146185,
+           -27.855904212915718)), 0.05, -1.0), "contact lost in the record"),
+}
+
+
+# A sliding state and the slide's sign, which is the sign of d_x_dot in
+# four draws of five: against it, most first steps end in a reversal.
+_SLIDES = st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1),
+                    st.floats(-1.0, 1.0)).flatmap(
+    lambda y: st.tuples(st.just(y), st.sampled_from([1.0, 1.0, 1.0, 1.0, -1.0]).map(
+        lambda along: along * math.copysign(1.0, y[3]))))
+
+
+def _slip_example(case, k=0):
+    # a hand-back case as the arguments of the matching test
+    plant, y, rows, h, s = _SLIP_HAND_BACK[case][0]
+    return plant, (y, s), rows, h, k
+
+
+# The examples: the hand-back cases; signed zeros in the state and the
+# inputs for both signs, the solid's first stage taken from k1; a start past
+# row 0; a slide that the tray's pull keeps going over several steps.
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
+           lambda m: _plants(m, st.floats(0.0, 1.5))),
+       _SLIDES,
+       st.integers(1, 4).flatmap(lambda n: st.lists(_ROW, min_size=n + 1, max_size=n + 1)),
+       st.floats(1e-10, 0.05), st.integers(0, 3))
+@example(*_slip_example("solid-contact-lost-in-stage-1"))
+@example(*_slip_example("contact-lost-in-stage-1"))
+@example(*_slip_example("contact-lost-in-stage-2"))
+@example(*_slip_example("contact-lost-in-stage-3"))
+@example(*_slip_example("contact-lost-in-stage-4"))
+@example(*_slip_example("singular-coupling-matrix"))
+@example(*_slip_example("stop"))
+@example(*_slip_example("reversal"))
+@example(*_slip_example("ends-in-the-capture-band"))
+@example(*_slip_example("non-finite-state"))
+@example(*_slip_example("contact-lost-in-the-record"))
+@example(desk_params(), ((-0.0, -0.0, -0.0, -0.2), -1.0), [(-0.0, 0.0, -0.0, 0.0, -0.0)] * 3,
+         1e-3, 0)
+@example(desk_params(), ((-0.0, -0.0, -0.0, 0.2), 1.0), [(-0.0, 0.0, -0.0, -0.0, -0.0)] * 3,
+         1e-3, 0)
+@example(desk_params(m=0.0, b_lc=0.0), ((-0.0, -0.0, -0.0, -0.3), -1.0), _ZERO_ROWS, 1e-3, 1)
+@example(desk_params(b_ct=0.5), ((0.1, -0.5, -0.0, 0.05), 1.0), [(-10.0, 0.5, 0.1, 0.2, -3.0)] * 5,
+         1e-3, 0)
+def test_compiled_slip_loop_matches_the_python_kernel(plant, slide, rows, h, k):
+    # m = 0 and m > 0, both slip signs, mu finite, b_ct >= 0: the compiled
+    # loop commits the steps the Python kernel and run()'s checks commit,
+    # with the same bits in every trace row, and returns the same stop
+    # index, state and k1; rows no step wrote are left as they were
+    assume(k < len(rows) - 1)
+    y, s = slide
+    compiled, python, _ = _compiled_and_python_runs(SLIP, plant, y, rows, h, k, s)
+    assert compiled == python
+
+
+@pytest.mark.parametrize("case", _SLIP_HAND_BACK)
+def test_compiled_slip_loop_hands_back_the_step_python_ends_otherwise(case):
+    # each case is what its name says, and the loop commits nothing and
+    # leaves the state and k1 as they were
+    args, how = _SLIP_HAND_BACK[case]
+    assert _slip_hand_back(*args) == how
+    plant, y, rows, h, s = args
+    compiled, python, unchanged = _compiled_and_python_runs(SLIP, plant, y, rows, h, 0, s)
+    assert compiled == python == unchanged
