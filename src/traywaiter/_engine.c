@@ -3,26 +3,26 @@
  * one sign (slip_steps), for the steps that run() finishes with no event and
  * no error.
  *
- * A step is _input_terms for the rows it reads, the stick or the slip kernel
- * (_TraySim._stick_kernel, _TraySim._slip_kernel) and run()'s record, each
- * transcribed in the operand order of the Python it stands for, so that
- * every committed value has the Python bits. That needs IEEE double
- * arithmetic with no fused multiply-add, and libm's sin, cos and pow as
- * Python calls them: _native.py pins the flags (-ffp-contract=off
- * -fno-builtin) that give both.
+ * A step is _input_terms for the rows it reads, the RK4 sub-step
+ * (_TraySim._advance) over the plant's contact model (dynamics._contact) in
+ * its mode and run()'s record, each transcribed in the operand order of the
+ * Python it stands for, so that every committed value has the Python bits.
+ * That needs IEEE double arithmetic with no fused multiply-add, and libm's
+ * sin, cos and pow as Python calls them: _native.py pins the flags
+ * (-ffp-contract=off -fno-builtin) that give both.
  *
  * The hand-back rule: a step is committed only where Python would commit it
  * with no event and no error (see each loop for its checks). Otherwise the
  * loop returns that step's index with the state and k1 as they were, and
  * run() redoes the step in Python, which raises the error or handles the
- * event. Python's sin and cos raise on an infinite argument where these
- * return NaN; every such NaN reaches an N or the new state, which then fails
- * its check. */
+ * event. The sine and cosine of an infinite angle are NaN here and in the
+ * Python contact model alike; every such NaN reaches an N or the new state,
+ * which then fails its check. */
 
 #include <math.h>
 
-/* The plant: the fields of PlantParams and the products the kernels hoist,
- * each formed as the Python forms it. */
+/* The plant: the fields of PlantParams and the products the contact model
+ * hoists, each formed as the Python forms it. */
 struct plant {
     double m, M, l, h, d_z, b_ct, mu, g, damp, v_eps;
     double mass, ml, dz_m, l_mass, tol;
@@ -82,10 +82,10 @@ static double square(double w)
     return pow(fabs(w), 2.0);
 }
 
-/* The three lines of the stick test (_stick_test) at theta `th` (st, ct its
- * sine and cosine), theta_dot `thd`, d_x `x` and d_x_dot `w`, with theta_ddot
- * `a` in N and D: the bracket of the pendulum equation, whose negative over
- * l is theta_ddot, the normal force N and the demand D. */
+/* The three lines of the contact model (dynamics._contact) at theta `th`
+ * (st, ct its sine and cosine), theta_dot `thd`, d_x `x` and d_x_dot `w`,
+ * with theta_ddot `a` in N and D: the bracket of the pendulum equation,
+ * whose negative over l is theta_ddot, the normal force N and the demand D. */
 static double bracket(const struct plant *p, double th, double st, double ct,
                       double thd, double x, double w, const struct row *u)
 {
@@ -123,8 +123,9 @@ static void stick_test(const struct plant *p, double th, double thd, double x,
     t[3] = p->mu * t[1];
 }
 
-/* A stage of the stick kernel: theta_ddot of the held container into *a,
- * and N, returned. */
+/* A stage of the sub-step while sticking, the stick test's theta_ddot and N
+ * at d_x_dot = 0: theta_ddot of the held container into *a, and N,
+ * returned. */
 static double stick_stage(const struct plant *p, double th, double thd, double x,
                           const struct row *u, double *a)
 {
@@ -134,10 +135,10 @@ static double stick_stage(const struct plant *p, double th, double thd, double x
     return normal(p, st, ct, thd, x, 0.0, *a, u);
 }
 
-/* A stage of the slip kernel with s mu `smu` and ((s mu) m) l `smml`:
- * theta_ddot and d_x_ddot into *a and *xdd. Returns 0 where the kernel
- * raises, on a singular coupling matrix or N <= 0, and where N or the matrix
- * is NaN. */
+/* A stage of the sub-step while sliding, the contact model's slide, with
+ * s mu `smu` and ((s mu) m) l `smml`: theta_ddot and d_x_ddot into *a and
+ * *xdd. Returns 0 where the sub-step raises, on a singular coupling matrix
+ * or N <= 0, and where N or the matrix is NaN. */
 static int slip_stage(const struct plant *p, double smu, double smml, double th,
                       double thd, double x, double w, const struct row *u,
                       double *a, double *xdd)
@@ -184,8 +185,9 @@ static void record(long j, const double *y, unsigned char mode, const double *t,
  * grid:  the n + 1 grid rows, mid: the n midpoint rows, 5 doubles a row
  * s:     the sign of the slide; stick_steps does not read it
  * state: theta, theta_dot, d_x, d_x_dot, then k1 = (theta_ddot, N, D, F_s),
- *        the stick test at that state and row k; updated to the state and
- *        stick test at the returned row
+ *        the stick test at that state and row k, which is the sub-step's
+ *        first stage while sticking and the solid's while sliding; updated
+ *        to the state and stick test at the returned row
  * the trace arrays get rows k + 1 up to the returned row.
  *
  * Each returns the index of the first step not committed, or n. */

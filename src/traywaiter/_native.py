@@ -2,8 +2,9 @@
 compiler at the first step of a process and loaded through ctypes.
 
 The loops run the sticking steps and the sliding steps of the engine that
-need no event, bit for bit as the Python kernels run them; those kernels stay
-the fallback and the oracle the tests compare the loops with. The library is
+need no event, bit for bit as the Python sub-step (`_TraySim._advance` over
+the contact model `dynamics._contact`) runs them; that sub-step stays the
+fallback and the oracle the tests compare the loops with. The library is
 cached in `$XDG_CACHE_HOME/traywaiter` (default `~/.cache/traywaiter`), a
 directory of mode 0700, under the SHA-256 of the source, the flags and the
 machine. Where that directory cannot be used the library is built for this

@@ -236,7 +236,7 @@ class SimTrace:
 
 
 # ---------------------------------------------------------------------------
-# physics kernels
+# contact model
 # ---------------------------------------------------------------------------
 
 def _input_terms(p: PlantParams, rows):
@@ -275,32 +275,74 @@ def _square(w: float) -> float:
         return math.inf
 
 
-def _stick_test(p: PlantParams, damp: float):
-    """The stick test of the plant as one call (th, thd, dx, dxd, u) ->
-    (theta_ddot, N, D, F_s): the contact model with the container held still,
-    so theta_ddot is the pendulum's own (0 for a solid), N the normal force on
-    the container, D the tangential force friction must supply to hold it and
-    F_s = mu N the friction bound. sin and cos of theta are taken once; the
-    operand order is the one the kernels and the tests' reference formulas
-    share, so every caller gets the same bits."""
-    m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
-    mass, ml, dz_m, pendulum = M + m, m * l, p.d_z * M, m > 0.0
-    sin, cos = math.sin, math.cos
+def _sincos(x: float) -> tuple[float, float]:
+    """sin and cos of x, NaN where x is infinite: libm's values there, where
+    math.sin and math.cos raise ValueError."""
+    try:
+        return math.sin(x), math.cos(x)
+    except ValueError:
+        return math.nan, math.nan
 
-    def stick_test(th, thd, dx, dxd, u):
-        xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb = u
-        st, ct = sin(th), cos(th)
-        a = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
-              + st * (2.0 * bd * dxd - hbb) + sin(b + th) * gz
-              + cos(b + th) * xtt) / l if pendulum else 0.0
+
+def _contact(p: PlantParams, damp: float):
+    """The contact model of the plant as two calls on a state (th, thd, dx,
+    dxd) and a row of input terms u, each taking sin and cos of theta once:
+
+        stick_test(th, thd, dx, dxd, u) -> (theta_ddot, N, D, F_s)
+        slide(th, thd, dx, dxd, u, s) -> (theta_ddot, d_x_ddot, N)
+
+    The stick test holds the container still, so theta_ddot is the
+    pendulum's own (0 for a solid), N is the normal force on the container,
+    D the tangential force friction must supply to hold it and F_s = mu N
+    the friction bound. Sliding with sign s, N and D are taken at
+    theta_ddot = 0 and their theta_ddot terms go back in through the 2x2
+    coupling solve under the friction force -s mu N; a singular coupling
+    matrix raises IntegrationError. The bracket of the pendulum equation,
+    whose negative over l is theta_ddot, and N and D are each written once,
+    in the operand order of `bracket`, `normal` and `demand` in _engine.c,
+    so the compiled loops get the same bits. An infinite theta gives NaN."""
+    m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
+    mass, ml, dz_m, l_mass, pendulum = M + m, m * l, p.d_z * M, l * (m + M), m > 0.0
+    tol = 1e-12 * l * (m + M)
+
+    def bracket(th, st, ct, thd, dx, dxd, u):
+        xtt, gz, b, bd, bdd, _, _, hbb, _, _ = u
+        sbt, cbt = _sincos(b + th)
+        return (damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
+                + st * (2.0 * bd * dxd - hbb) + sbt * gz + cbt * xtt)
+
+    def normal_demand(st, ct, thd, dx, dxd, a, u):
+        _, _, _, bd, bdd, n_u, d_u, _, dzbb, bb = u
         lct = l * ct
         n = (mass * (n_u + dx * bdd + 2.0 * bd * dxd - dzbb)
              + m * (l * st * (bdd + a) + lct * thd * (2.0 * bd + thd) + bb * (lct - hgt)))
         d = (d_u + ((lct - hgt) * m - dz_m) * bdd + ml * ct * a
              - ml * st * _square(bd + thd) - mass * dx * bd * bd + b_ct * dxd)
+        return n, d
+
+    def stick_test(th, thd, dx, dxd, u):
+        st, ct = _sincos(th)
+        a = -bracket(th, st, ct, thd, dx, dxd, u) / l if pendulum else 0.0
+        n, d = normal_demand(st, ct, thd, dx, dxd, a, u)
         return a, n, d, mu * n
 
-    return stick_test
+    def slide(th, thd, dx, dxd, u, s):
+        # the theta_ddot = 0.0 terms of N and D stay, as their signed zeros count
+        st, ct = _sincos(th)
+        n, d = normal_demand(st, ct, thd, dx, dxd, 0.0, u)
+        smu = s * mu
+        b2 = -d - smu * n
+        if not pendulum:
+            return 0.0, b2 / M, n
+        r1 = -bracket(th, st, ct, thd, dx, dxd, u)
+        a21 = ml * ct + smu * m * l * st    # ((s mu) m) l, not (s mu) (m l): other bits
+        det = l_mass - ct * a21
+        if abs(det) < tol:
+            raise IntegrationError("singular coupling matrix in slip dynamics")
+        a = (r1 * mass - ct * b2) / det
+        return a, (l * b2 - a21 * r1) / det, n + ml * st * a
+
+    return stick_test, slide
 
 
 def friction_margin(state: SimState, params: PlantParams, motion_sample
@@ -314,7 +356,7 @@ def friction_margin(state: SimState, params: PlantParams, motion_sample
     """
     p = params
     damp = p.b_lc / (p.m * p.l) if p.m > 0.0 else 0.0
-    _, _, demand, f_s = _stick_test(p, damp)(state.theta, state.theta_dot,
+    _, _, demand, f_s = _contact(p, damp)[0](state.theta, state.theta_dot,
                                              state.d_x, state.d_x_dot,
                                              next(_input_terms(p, [motion_sample])))
     return demand, f_s
@@ -391,19 +433,17 @@ def simulate_pendulum(params: PlantParams, motion: TrayMotion,
 class _TraySim:
     """The stick/slip event-stepping engine: the container with or without
     the coupled pendulum, and with mu = inf the pendulum on a glued
-    container. A sub-step is one call of the stick or the slip kernel built
-    for the plant at construction (`_stick_kernel`, `_slip_kernel`). Both
-    start from the stick test at the state they advance (`k1`) and end in
-    the stick test at the new state, which fills the record and is the next
-    sub-step's `k1`; sticking, it also decides stick or slip. Elsewhere,
-    that test is the plant's one `_stick_test` closure.
+    container. A sub-step is one call of `_advance`, classical RK4 on
+    (theta, theta_dot, d_x, d_x_dot) over the plant's contact model
+    (`_contact`) in either mode, ending in the stick test at the new state,
+    which fills the record; sticking, it also decides stick or slip.
 
     Where a C compiler is at hand, the sticking and the sliding steps that
     need no event run in the compiled loops of `_native.py`, bit for bit as
-    the stick and the slip kernel run them; they hand any other step back to
-    the Python loop."""
+    `_advance` runs them; they hand any other step back to the Python
+    loop."""
 
-    # False keeps every step in the Python kernels, as the tests' oracles do
+    # False keeps every step in Python, as the tests' oracles do
     _compiled = True
 
     def __init__(self, params: PlantParams, motion: TrayMotion, dt: float | None,
@@ -416,181 +456,48 @@ class _TraySim:
         self.transitions: list = []
         self.slip_sign = 0.0
         self.events = 0                        # events in the current step
-        self._test = _stick_test(params, self.damp)
-        self._stick = self._stick_kernel()
-        self._slip = self._slip_kernel()
+        self._test, self._slide = _contact(params, self.damp)
 
     def _at(self, *times) -> tuple:
         """The input terms at each of `times`, off the grid, from one
         evaluation."""
         return tuple(_input_terms(self.p, self.smp.at(times)))
 
-    def _advance(self, y, t, h, mode, inputs, k1):
-        """One RK4 sub-step of width h from time t; `inputs` holds the input
-        terms at (t, t+h/2, t+h) and `k1` the stick test at y and inputs[0].
-        Contact loss in any stage is reported at the step time t. Returns the
-        kernel's new state and its stick test at that state and inputs[2]."""
-        if mode == STICK:
-            return self._stick(y, t, h, inputs, k1)
-        return self._slip(y, t, h, inputs, k1, self.slip_sign)
+    def _advance(self, y, t, h, mode, inputs):
+        """One RK4 sub-step of width h from the state y at time t; `inputs`
+        holds the input terms at (t, t+h/2, t+h). A stage is the stick test's
+        (theta_ddot, 0.0) while sticking, which keeps d_x_dot at 0.0, and the
+        slide with sign `slip_sign` while sliding; each stage state is formed
+        as y + h/2 * k in that operand order. Contact loss in any stage is
+        reported at the step time t. Returns the new state and the stick test
+        at that state and inputs[2]."""
+        test, slide, s = self._test, self._slide, self.slip_sign
 
-    def _slip_kernel(self):
-        """The slip sub-step of this plant as one call: `_advance` while
-        sliding with sign s, classical RK4 on (theta, theta_dot, d_x,
-        d_x_dot) with each stage state formed as y + h/2 * k in that operand
-        order, then the stick test (theta_ddot, N, D, F_s) at the new state
-        and inputs[2], or None where theta is infinite there and sin raises:
-        run() reports that state. With m = 0 the stick test is N and D at
-        theta_ddot = 0, the first stage's own, so `k1` is that stage; with
-        m > 0 it is ignored.
-
-        A stage is the contact model at theta_ddot = 0 and, with m > 0, the
-        2x2 coupling solve of the sliding dynamics: N, D and the pendulum
-        equation of the stick test written out with sin and cos of theta
-        taken once, in its operand order, followed by the stage's
-        contact-loss check. What is hoisted (the plant products, s mu and
-        ((s mu) m) l, the tolerance of the singular matrix) is a whole
-        operand there, and m l equals l m bit for bit, so the bits are the
-        stick test's."""
-        p, damp, test = self.p, self.damp, self._test
-        m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
-        mass, ml, dz_m, l_mass = M + m, m * l, p.d_z * M, l * (m + M)
-        tol = 1e-12 * l * (m + M)
-        solid = m == 0.0
-        sin, cos = math.sin, math.cos
-
-        def stage(th, thd, dx, dxd, u, t, smu, smml):
-            # N(0) and b2 = -D(0) - s mu N(0); the theta_ddot = 0.0 terms
-            # stay, as their signed zeros count
-            xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb = u
-            st, ct = sin(th), cos(th)
-            lct, bd2 = l * ct, 2.0 * bd
-            nf0 = (mass * (n_u + dx * bdd + bd2 * dxd - dzbb)
-                   + m * (l * st * (bdd + 0.0) + lct * thd * (bd2 + thd) + bb * (lct - hgt)))
-            b2 = -(d_u + ((lct - hgt) * m - dz_m) * bdd + ml * ct * 0.0
-                   - ml * st * _square(bd + thd) - mass * dx * bd * bd + b_ct * dxd) - smu * nf0
-            if solid:
-                thdd, dxdd = 0.0, b2 / M
+        def stage(th, thd, dx, dxd, u):
+            if mode == STICK:
+                a, normal, _, _ = test(th, thd, dx, dxd, u)
+                xdd = 0.0
             else:
-                r1 = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * (-dx * bd * bd)
-                       + st * (bd2 * dxd - hbb) + sin(b + th) * gz + cos(b + th) * xtt)
-                a21 = ml * ct + smml * st
-                det = l_mass - ct * a21
-                if abs(det) < tol:
-                    raise IntegrationError("singular coupling matrix in slip dynamics")
-                thdd = (r1 * mass - ct * b2) / det
-                dxdd = (l * b2 - a21 * r1) / det
-                nf0 = nf0 + ml * st * thdd
-            if nf0 <= 0.0:
+                a, xdd, normal = slide(th, thd, dx, dxd, u, s)
+            if normal <= 0.0:
                 raise ContactLostError(f"contact lost at t = {t:.6g} s")
-            return thdd, dxdd
+            return a, xdd
 
-        def slip_step(y, t, h, inputs, k1, s):
-            u0, um, u1 = inputs
-            th, thd, dx, dxd = y
-            hh = 0.5 * h
-            smu = s * mu
-            smml = smu * m * l
-            if solid:
-                if k1[1] <= 0.0:
-                    raise ContactLostError(f"contact lost at t = {t:.6g} s")
-                a1, x1 = 0.0, (-k1[2] - smu * k1[1]) / M
-            else:
-                a1, x1 = stage(th, thd, dx, dxd, u0, t, smu, smml)
-            v2, w2 = thd + hh * a1, dxd + hh * x1
-            a2, x2 = stage(th + hh * thd, v2, dx + hh * dxd, w2, um, t, smu, smml)
-            v3, w3 = thd + hh * a2, dxd + hh * x2
-            a3, x3 = stage(th + hh * v2, v3, dx + hh * w2, w3, um, t, smu, smml)
-            v4, w4 = thd + h * a3, dxd + h * x3
-            a4, x4 = stage(th + h * v3, v4, dx + h * w3, w4, u1, t, smu, smml)
-            th = th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-            thd = thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            dx = dx + h * (dxd + 2.0 * w2 + 2.0 * w3 + w4) / 6.0
-            dxd = dxd + h * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0
-            try:
-                return (th, thd, dx, dxd), test(th, thd, dx, dxd, u1)
-            except ValueError:                 # sin of an infinite theta
-                return (th, thd, dx, dxd), None
-
-        return slip_step
-
-    def _stick_kernel(self):
-        """The stick sub-step of this plant as one straight-line call:
-        `_advance` with the container held still, RK4 on (theta, theta_dot)
-        alone, then the stick test (theta_ddot, N, D, F_s) at the new state
-        and inputs[2], or None where theta is infinite there and sin raises:
-        run() reports that state. `k1`, the stick test at y and inputs[0], is
-        the first stage.
-
-        Stages 2 to 4 (theta_ddot and N) and the end test are the stick test
-        written out at d_x_dot = 0.0 with sin and cos of theta taken once, in
-        its operand order. What is hoisted (the plant products, the row terms
-        two stages share) is a whole operand there, and m l equals l m bit
-        for bit, so the bits are the stick test's. The stages get the d_x of
-        the generic 4-state step, d_x + h/2 * 0.0, since it can flip the
-        sign of a zero in theta."""
-        p, damp = self.p, self.damp
-        m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
-        mass, ml, dz_m, pendulum = M + m, m * l, p.d_z * M, m > 0.0
-        sin, cos = math.sin, math.cos
-
-        def stick_step(y, t, h, inputs, k1):
-            _, um, u1 = inputs
-            th, thd, dx = y[0], y[1], y[2]
-            hh = 0.5 * h
-            a1 = k1[0]
-            if k1[1] <= 0.0:
-                raise ContactLostError(f"contact lost at t = {t:.6g} s")
-            dx = dx + 0.0                      # d_x + h/2 * 0.0, as h > 0
-            # stages 2 and 3: the midpoint row
-            xtt, gz, b, bd, bdd, n_u, _, hbb, dzbb, bb = um
-            bd2 = 2.0 * bd
-            r_dx, r_s = -dx * bd * bd, bd2 * 0.0 - hbb
-            n_row = mass * (n_u + dx * bdd + bd2 * 0.0 - dzbb)
-            th2, v2 = th + hh * thd, thd + hh * a1
-            st, ct = sin(th2), cos(th2)
-            a2 = -(damp * v2 + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
-                   + sin(b + th2) * gz + cos(b + th2) * xtt) / l if pendulum else 0.0
-            n2 = n_row + m * (l * st * (bdd + a2) + l * ct * v2 * (bd2 + v2)
-                              + bb * (l * ct - hgt))
-            if n2 <= 0.0:
-                raise ContactLostError(f"contact lost at t = {t:.6g} s")
-            th3, v3 = th + hh * v2, thd + hh * a2
-            st, ct = sin(th3), cos(th3)
-            a3 = -(damp * v3 + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
-                   + sin(b + th3) * gz + cos(b + th3) * xtt) / l if pendulum else 0.0
-            n3 = n_row + m * (l * st * (bdd + a3) + l * ct * v3 * (bd2 + v3)
-                              + bb * (l * ct - hgt))
-            if n3 <= 0.0:
-                raise ContactLostError(f"contact lost at t = {t:.6g} s")
-            # stage 4 and the end test: the end row
-            xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb = u1
-            bd2 = 2.0 * bd
-            r_dx, r_s = -dx * bd * bd, bd2 * 0.0 - hbb
-            n_row = mass * (n_u + dx * bdd + bd2 * 0.0 - dzbb)
-            th4, v4 = th + h * v3, thd + h * a3
-            st, ct = sin(th4), cos(th4)
-            a4 = -(damp * v4 + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
-                   + sin(b + th4) * gz + cos(b + th4) * xtt) / l if pendulum else 0.0
-            n4 = n_row + m * (l * st * (bdd + a4) + l * ct * v4 * (bd2 + v4)
-                              + bb * (l * ct - hgt))
-            if n4 <= 0.0:
-                raise ContactLostError(f"contact lost at t = {t:.6g} s")
-            th = th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-            thd = thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            try:
-                st, ct = sin(th), cos(th)
-            except ValueError:                 # sin of an infinite theta
-                return (th, thd, dx, 0.0), None
-            a = -(damp * thd + (l - hgt * ct + dx * st) * bdd + ct * r_dx + st * r_s
-                  + sin(b + th) * gz + cos(b + th) * xtt) / l if pendulum else 0.0
-            lct = l * ct
-            n = n_row + m * (l * st * (bdd + a) + lct * thd * (bd2 + thd) + bb * (lct - hgt))
-            d = (d_u + ((lct - hgt) * m - dz_m) * bdd + ml * ct * a
-                 - ml * st * _square(bd + thd) - mass * dx * bd * bd + b_ct * 0.0)
-            return (th, thd, dx, 0.0), (a, n, d, mu * n)
-
-        return stick_step
+        u0, um, u1 = inputs
+        th, thd, dx, dxd = y
+        hh = 0.5 * h
+        a1, x1 = stage(th, thd, dx, dxd, u0)
+        v2, w2 = thd + hh * a1, dxd + hh * x1
+        a2, x2 = stage(th + hh * thd, v2, dx + hh * dxd, w2, um)
+        v3, w3 = thd + hh * a2, dxd + hh * x2
+        a3, x3 = stage(th + hh * v2, v3, dx + hh * w2, w3, um)
+        v4, w4 = thd + h * a3, dxd + h * x3
+        a4, x4 = stage(th + h * v3, v4, dx + h * w3, w4, u1)
+        y = (th + h * (thd + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+             thd + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+             dx + h * (dxd + 2.0 * w2 + 2.0 * w3 + w4) / 6.0,
+             dxd + h * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0)
+        return y, test(*y, u1)
 
     def run(self) -> SimTrace:
         test_at = self._test
@@ -631,17 +538,18 @@ class _TraySim:
         grid, mid = rows(0)
         y = tuple(self.y)
         u0 = next(grid)
-        y_held, k1 = held(y, u0)               # sticking, row 0's test and the first k1
+        y_held, k1 = held(y, u0)               # sticking, row 0's test
         if abs(y[3]) < _V_EPS and abs(k1[2]) <= k1[3]:
             mode, y = STICK, y_held
         else:
             mode = SLIP
             self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
                 else -math.copysign(1.0, k1[2])
-            k1 = test_at(*y, u0)               # sliding, row 0's test and the first k1
+            k1 = test_at(*y, u0)               # sliding, row 0's test
         record(0, y, mode, k1)
         u_end = u0
-        # the compiled loops, one per mode, or None
+        # the compiled loops, one per mode, or None; each takes and returns
+        # the state and its stick test k1 at the row it starts or stops at
         native = self._loops((theta, theta_dot, d_x, d_x_dot, mode_arr, demand_arr, fs_arr))
         k = 0
         while k < n:
@@ -662,16 +570,16 @@ class _TraySim:
             self.events = 0
             end_test = None
             while t < t_end:
-                y_new, test = self._advance(y, t, h, mode, inputs, k1)
+                y_new, test = self._advance(y, t, h, mode, inputs)
                 if mode == STICK:
                     if not all(map(math.isfinite, y_new)):
                         raise IntegrationError(f"non-finite state at t = {t_end:.6g} s")
                     if abs(test[2]) <= test[3]:
-                        # the loop ends here: record and k1 reuse the test
+                        # the loop ends here: the record takes the test
                         y, t, end_test = y_new, t_end, test
                         continue
                     # slip onset: bisect |demand| - F_s = 0 on (t, t_end]
-                    t, y, test, u = self._bisect(y, t, t_end - t, mode, inputs[0], k1,
+                    t, y, test, u = self._bisect(y, t, t_end - t, mode, inputs[0],
                                                  lambda yy, test: not abs(test[2]) <= test[3])
                     self.slip_sign = -math.copysign(1.0, test[2])
                     self.transitions.append((t, "stick", "slip"))
@@ -680,7 +588,7 @@ class _TraySim:
                     # the slide stopped or reversed. A NaN velocity does
                     # neither (the sign bit of a NaN depends on the operand
                     # order the interpreter uses) and ends the run below.
-                    t, y, _, u = self._bisect(y, t, t_end - t, mode, inputs[0], k1,
+                    t, y, _, u = self._bisect(y, t, t_end - t, mode, inputs[0],
                                               lambda yy, _: yy[3] * self.slip_sign <= 0.0)
                     y, test = held(y, u)
                     if abs(test[2]) <= test[3]:
@@ -689,8 +597,8 @@ class _TraySim:
                     else:
                         self.slip_sign = -self.slip_sign
                 else:
-                    # the loop ends here: record and k1 reuse the test,
-                    # or the held state's where the slide is captured
+                    # the loop ends here: the record takes the test, or
+                    # the held state's where the slide is captured
                     y, t, end_test = y_new, t_end, test
                     if abs(y[3]) < _V_EPS:
                         y_held, test = held(y, u_end)
@@ -700,9 +608,9 @@ class _TraySim:
                             mode = STICK
                 if not all(map(math.isfinite, y)):
                     raise IntegrationError(f"non-finite state at t = {t:.6g} s")
-                if t < t_end:   # an event inside the step: go on from it and its test
+                if t < t_end:   # an event inside the step: go on from it
                     h = t_end - t
-                    inputs, k1 = (u, *self._at(t + 0.5 * h), u_end), test
+                    inputs = (u, *self._at(t + 0.5 * h), u_end)
             if end_test is None:    # an event at the step's end, tested off the grid
                 end_test = test_at(*y, u_end)
             record(k + 1, y, mode, end_test)
@@ -722,16 +630,15 @@ class _TraySim:
         return _native.loops(self.p, self.damp, _V_EPS, self.dt, self.smp.grid,
                              self.smp.mid, trace)
 
-    def _bisect(self, y0, t0, h, mode, u0, k1, tripped):
+    def _bisect(self, y0, t0, h, mode, u0, tripped):
         """Locate the first time in (t0, t0+h] where `tripped(state, test)`
         becomes true, to within the event tolerance, and count it among the
         events of the current step; `test` is the stick test `_advance`
-        returns with the state. `u0` holds the input terms at t0 and `k1` the
-        stick test at y0 and u0, every probe's first stage. Returns the time,
-        and the state, its test and the input terms there."""
+        returns with the state. `u0` holds the input terms at t0. Returns the
+        time, and the state, its test and the input terms there."""
         def advance(w):
             um, u1 = self._at(t0 + 0.5 * w, t0 + w)
-            return (*self._advance(y0, t0, w, mode, (u0, um, u1), k1), u1)
+            return (*self._advance(y0, t0, w, mode, (u0, um, u1)), u1)
 
         lo, hi = 0.0, h
         end = None

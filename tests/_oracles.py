@@ -13,6 +13,8 @@ import numpy as np
 from traywaiter.compensation import FreeFallError, tilt_angles
 from traywaiter import dynamics
 from traywaiter.dynamics import (
+    SLIP,
+    STICK,
     ContactLostError,
     IntegrationError,
     PlantParams,
@@ -350,11 +352,11 @@ def per_sample_stages(kind, dt: float) -> list:
     raise TypeError(f"not a smoother kind: {kind!r}")
 
 
-# The contact model as the reference formulas the engine's stick test and
-# kernels were written out from, kept verbatim: the pendulum equation, the
-# normal force N and the demand D of the container held still, and the stick
-# test built from them. The property tests pin the stick test and both
-# kernels to these bit for bit.
+# The contact model as the reference formulas the engine's contact model
+# was written out from, kept verbatim: the pendulum equation, the normal
+# force N and the demand D of the container held still, and the stick test
+# built from them. The property tests pin the engine's stick test and slide
+# and its RK4 sub-step in both modes to these bit for bit.
 
 def _pendulum_rhs(p: PlantParams, damp: float, th: float, thd: float,
                   dx: float, dxd: float, u) -> float:
@@ -416,9 +418,9 @@ def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
 # The pendulum's own fixed-step loop that simulate_pendulum replaced with the
 # stick/slip engine at unbounded friction, kept as it was apart from the
 # _pendulum_rhs call and the input terms it reads. _rk4_ref is the generic
-# classical RK4 step; the package unrolls it for each mode, and this loop and
-# the generic stick and slip sub-steps below are the oracles those unrolled
-# steps are checked against.
+# classical RK4 step over a rates function; this loop and the generic stick
+# and slip sub-steps below, which run it on the reference formulas, are the
+# oracles the engine's one RK4 sub-step is checked against.
 
 def _rk4_ref(rates, y, h, u0, um, u1):
     hh = 0.5 * h
@@ -477,12 +479,11 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
                     np.zeros(n_steps + 1, dtype=np.uint8), demand, f_s, [])
 
 
-# The engine's stick sub-step before the straight-line stick kernel replaced
-# it, kept as it was apart from its signature: the stick rates of the 4-state
-# state (theta, theta_dot, d_x, d_x_dot) through the generic RK4 step.
-# GenericStickSim is the engine with this sub-step followed by the reference
-# stick test at the end state in place of the kernel, which also makes it
-# ignore the reused first stage; `steps` counts the sub-steps it took. Like
+# The engine's stick sub-step written as calls of the reference formulas:
+# the stick rates of the 4-state state (theta, theta_dot, d_x, d_x_dot)
+# through the generic RK4 step. GenericStickSim is the engine with this
+# sub-step followed by the reference stick test at the end state in place
+# of `_advance` while sticking; `steps` counts the sub-steps it took. Like
 # GenericSlipSim, it runs every step in Python, not in the compiled loops.
 
 def generic_stick_step(p, damp, y, t, h, inputs):
@@ -498,21 +499,19 @@ class GenericStickSim(_TraySim):
     steps = 0
     _compiled = False
 
-    def _stick_kernel(self):
-        def stick_step(y, t, h, inputs, k1):
-            self.steps += 1
-            y_new = generic_stick_step(self.p, self.damp, y, t, h, inputs)
-            return y_new, _stick_eval(self.p, self.damp, *y_new[:3], 0.0, inputs[2])
-        return stick_step
+    def _advance(self, y, t, h, mode, inputs):
+        if mode != STICK:
+            return super()._advance(y, t, h, mode, inputs)
+        self.steps += 1
+        y_new = generic_stick_step(self.p, self.damp, y, t, h, inputs)
+        return y_new, _stick_eval(self.p, self.damp, *y_new[:3], 0.0, inputs[2])
 
 
-# The contact model while sliding and the engine's slip sub-step before the
-# per-plant slip kernel replaced them, kept as they were apart from the
-# sub-step's signature: the slip rates of the 4-state state through the
-# generic RK4 step. GenericSlipSim is the engine with this sub-step followed
-# by the reference stick test at the end state in place of the kernel, which
-# also makes it ignore the reused first stage; `steps` counts the sub-steps
-# it took.
+# The contact model while sliding and the engine's slip sub-step written as
+# calls of the reference formulas: the slip rates of the 4-state state
+# through the generic RK4 step. GenericSlipSim is the engine with this
+# sub-step followed by the reference stick test at the end state in place
+# of `_advance` while sliding; `steps` counts the sub-steps it took.
 
 def _slip_eval(p: PlantParams, damp: float, th: float, thd: float,
                dx: float, dxd: float, s: float, u) -> tuple[float, float, float]:
@@ -550,12 +549,12 @@ class GenericSlipSim(_TraySim):
     steps = 0
     _compiled = False
 
-    def _slip_kernel(self):
-        def slip_step(y, t, h, inputs, k1, s):
-            self.steps += 1
-            y_new = generic_slip_step(self.p, self.damp, s, y, t, h, inputs)
-            return y_new, _stick_eval(self.p, self.damp, *y_new, inputs[2])
-        return slip_step
+    def _advance(self, y, t, h, mode, inputs):
+        if mode != SLIP:
+            return super()._advance(y, t, h, mode, inputs)
+        self.steps += 1
+        y_new = generic_slip_step(self.p, self.damp, self.slip_sign, y, t, h, inputs)
+        return y_new, _stick_eval(self.p, self.damp, *y_new, inputs[2])
 
 
 # The linear slosh oscillator with its own loop, independent of the engine,

@@ -370,19 +370,27 @@ def test_nan_slip_velocity_ends_in_integration_error_on_every_run():
             simulate_coupled(desk_params(), rest, init=(0.1, 1e150, 0.0, 1e150))
 
 
-def test_infinite_theta_after_a_slide_step_ends_in_integration_error():
+@pytest.mark.parametrize("params, init", [
     # theta_dot = 1e308 holds on the solid, so the RK4 sum overflows and the
-    # slide step ends at theta = inf, where math.sin raises ValueError: the
-    # run must still report the non-finite state
-    rest = TrayMotion.rest(0.1, 1e-3)
-    with pytest.raises(IntegrationError, match=r"non-finite state at t = 0\.001 s"):
-        simulate_coupled(desk_params(m=0.0, b_lc=0.0), rest, init=(0.0, 1e308, 0.0, 0.3))
+    # slide step ends at theta = inf
+    (desk_params(m=0.0, b_lc=0.0), (0.0, 1e308, 0.0, 0.3)),
+    # the coupled slide's later stages and its end state reach theta = -inf
+    (desk_params(), (-1.2245396884174076, -6.41191512216294e307, 0.0, 0.1)),
+], ids=["solid", "coupled"])
+def test_infinite_theta_after_a_slide_step_ends_in_integration_error(engine_loops, params, init):
+    # sin and cos of an infinite theta are NaN in the contact model, as libm
+    # gives them where math.sin raises ValueError: the compiled loop hands
+    # that step back, and on either path the NaN reaches the new state, which
+    # the run reports as non-finite
+    motion = TrayMotion.from_channels(1e-3, np.zeros(10))
+    with pytest.raises(IntegrationError, match=r"^non-finite state at t = 0\.001 s$"):
+        simulate_coupled(params, motion, init=init)
 
 
 def test_infinite_theta_after_a_stick_step_ends_in_integration_error(engine_loops):
     # the RK4 sum of theta overflows, so the stick step ends at theta = -inf,
-    # where math.sin raises ValueError: the compiled loop hands that step
-    # back, and on either path the run reports the non-finite state
+    # where sin and cos are NaN: the compiled loop hands that step back, and
+    # on either path the run reports the non-finite state
     motion = TrayMotion.from_channels(1e-3, np.zeros(10))
     with pytest.raises(IntegrationError, match=r"^non-finite state at t = 0\.001 s$"):
         simulate_pendulum(desk_params(), motion,
@@ -423,40 +431,40 @@ def test_coupled_slip_onset_matches_margin_crossing():
 
 
 def _count_engine_calls(monkeypatch):
-    # the calls of the kernels the engine builds and of the plant's stick
-    # test closure, split into "kernel_test" (made inside a kernel call: the
-    # slip kernel's end test) and "test" (made by run(): start-up, row 0 and
-    # held states); "at_slide" counts the tests of run() at a sliding state,
-    # d_x_dot != 0
-    calls = dict.fromkeys(("stick", "slip", "kernel_test", "test", "at_slide"), 0)
-    in_kernel = []
+    # the Python sub-steps by mode ("stick", "slip": calls of `_advance`),
+    # the calls of the plant's slide and of its stick test, which are split
+    # into "sub_test" (made inside a sub-step: its stages while sticking and
+    # its end test) and "test" (made by run(): start-up, row 0, held states
+    # and events at a step's end); "at_slide" counts the tests of run() at a
+    # sliding state, d_x_dot != 0
+    calls = dict.fromkeys(("stick", "slip", "slide", "sub_test", "test", "at_slide"), 0)
+    in_step = []
 
-    def factory(p, damp, _real=dynamics._stick_test):
-        test = _real(p, damp)
+    def contact(p, damp, _real=dynamics._contact):
+        test, slide = _real(p, damp)
 
-        def counted(*args):
-            if in_kernel:
-                calls["kernel_test"] += 1
+        def counted_test(*args):
+            if in_step:
+                calls["sub_test"] += 1
             else:
                 calls["test"] += 1
                 calls["at_slide"] += args[3] != 0.0
             return test(*args)
-        return counted
-    monkeypatch.setattr(dynamics, "_stick_test", factory)
-    for kind in ("stick", "slip"):
-        def kernel(self, _real=getattr(dynamics._TraySim, f"_{kind}_kernel"), _kind=kind):
-            step = _real(self)
 
-            def counted(*args):
-                calls[_kind] += 1
-                assert args[4] is not None     # every call starts from k1
-                in_kernel.append(_kind)
-                try:
-                    return step(*args)
-                finally:
-                    in_kernel.pop()
-            return counted
-        monkeypatch.setattr(dynamics._TraySim, f"_{kind}_kernel", kernel)
+        def counted_slide(*args):
+            calls["slide"] += 1
+            return slide(*args)
+        return counted_test, counted_slide
+    monkeypatch.setattr(dynamics, "_contact", contact)
+
+    def advance(self, y, t, h, mode, inputs, _real=dynamics._TraySim._advance):
+        calls["slip" if mode == dynamics.SLIP else "stick"] += 1
+        in_step.append(mode)
+        try:
+            return _real(self, y, t, h, mode, inputs)
+        finally:
+            in_step.pop()
+    monkeypatch.setattr(dynamics._TraySim, "_advance", advance)
     return calls
 
 
@@ -469,32 +477,33 @@ STICKING_RUNS = pytest.mark.parametrize("simulate, params", [
 
 
 @STICKING_RUNS
-def test_stick_step_makes_one_full_friction_evaluation(monkeypatch, simulate, params):
-    # a sticking step is one call of the plant's stick kernel, which ends in
-    # its written-out stick test that the record of the step and the next
-    # step's first stage reuse; the start-up stick test is the run's only
-    # call of the plant's stick test, and row 0 and the first step reuse it.
-    # The Python loop only: the compiled loop calls no Python kernel.
+def test_stick_step_is_one_sub_step_whose_end_test_fills_the_record(monkeypatch, simulate,
+                                                                    params):
+    # a sticking step is one sub-step: four stages, each the plant's stick
+    # test, and the stick test at the new state, which fills the record of
+    # the step; the start-up stick test is the run's only other one, and
+    # fills row 0. The Python loop only: the compiled loop makes no Python
+    # sub-step.
     monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
     calls = _count_engine_calls(monkeypatch)
     tr = simulate(params, _compensated_cascade_motion(1e-3))
     assert not tr.mode.any()
     assert calls["stick"] == tr.t.size - 1
-    assert calls["slip"] == 0
+    assert calls["slip"] == calls["slide"] == 0
+    assert calls["sub_test"] == 5 * calls["stick"]
     assert calls["test"] == 1
-    assert calls["kernel_test"] == 0
 
 
 @STICKING_RUNS
 def test_compiled_loop_runs_every_step_of_a_sticking_run(monkeypatch, simulate, params):
     # where the compiled stick loop builds, a run that sticks throughout
-    # calls no Python kernel past its start-up stick test
+    # makes no Python sub-step and no stick test past its start-up one
     if _native.library() is None:
         pytest.skip("no C compiler: the compiled stick loop is not built")
     calls = _count_engine_calls(monkeypatch)
     tr = simulate(params, _compensated_cascade_motion(1e-3))
     assert not tr.mode.any()
-    assert calls == dict(stick=0, slip=0, kernel_test=0, test=1, at_slide=0)
+    assert calls == dict(stick=0, slip=0, slide=0, sub_test=0, test=1, at_slide=0)
 
 
 # a 300-step slide without events: the tray pulls ahead at 10 m/s^2 > mu g
@@ -503,21 +512,22 @@ _SLIDE = TrayMotion.from_channels(1e-3, np.full(301, 10.0))
 
 @pytest.mark.parametrize("params", [desk_params(), desk_params(m=0.0, b_lc=0.0)],
                          ids=["coupled", "solid"])
-def test_slip_step_makes_one_full_friction_evaluation(monkeypatch, params):
-    # a sliding step is one call of the plant's slip kernel, which ends in
-    # the stick test that fills the record of the step and is the next
-    # step's k1. On a slide without events the start-up makes the run's
-    # only other stick tests: the one of the held state, which decides the
-    # start mode, and the one at the sliding state, which fills row 0 and is
-    # the first step's k1. An n-step slide thus makes n + 2 stick tests.
-    # The Python loop only: the compiled loop calls no Python kernel.
+def test_slip_step_is_one_sub_step_whose_end_test_fills_the_record(monkeypatch, params):
+    # a sliding step is one sub-step: four stages, each the plant's slide,
+    # and the stick test at the new state, which fills the record of the
+    # step. On a slide without events the start-up makes the run's only
+    # other stick tests: the one of the held state, which decides the start
+    # mode, and the one at the sliding state, which fills row 0. An n-step
+    # slide thus makes n + 2 stick tests. The Python loop only: the compiled
+    # loop makes no Python sub-step.
     monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
     calls = _count_engine_calls(monkeypatch)
     tr = simulate_coupled(params, _SLIDE, init=(0.0, 0.0, 0.0, -0.3))
     assert tr.mode.all() and not tr.transitions
     assert calls["slip"] == _SLIDE.n - 1
     assert calls["stick"] == 0
-    assert calls["kernel_test"] == _SLIDE.n - 1
+    assert calls["slide"] == 4 * calls["slip"]
+    assert calls["sub_test"] == _SLIDE.n - 1
     assert calls["test"] == 2
     assert calls["at_slide"] == 1
 
@@ -572,34 +582,31 @@ _SLIDING_RUNS = {
 
 @pytest.mark.parametrize("params, motion, init", _SLIDING_RUNS.values(), ids=_SLIDING_RUNS)
 def test_compiled_loop_runs_every_step_of_a_sliding_run(monkeypatch, params, motion, init):
-    # where the compiled loops build, the Python slip kernel runs only in
-    # the steps that hold an event, a bisection or a transition; the slide
-    # without events calls no Python kernel past its start-up stick tests
+    # where the compiled loops build, a Python sub-step runs only in the
+    # steps that hold an event, a bisection or a transition; the slide
+    # without events makes no Python sub-step and no stick test past its
+    # start-up ones
     if _native.library() is None:
         pytest.skip("no C compiler: the compiled loops are not built")
     dt = motion.dt
-    slip_steps, event_steps = [], set()
+    python_steps, event_steps = [], set()
     calls = _count_engine_calls(monkeypatch)
 
-    def kernel(self, _real=dynamics._TraySim._slip_kernel):
-        step = _real(self)
-
-        def tagged(y, t, *args):
-            slip_steps.append(math.floor(t / dt + 1e-6))
-            return step(y, t, *args)
-        return tagged
+    def advance(self, y, t, *args, _real=dynamics._TraySim._advance):
+        python_steps.append(math.floor(t / dt + 1e-6))
+        return _real(self, y, t, *args)
 
     def bisect(self, y0, t0, *args, _real=dynamics._TraySim._bisect):
         event_steps.add(math.floor(t0 / dt + 1e-6))
         return _real(self, y0, t0, *args)
-    monkeypatch.setattr(dynamics._TraySim, "_slip_kernel", kernel)
+    monkeypatch.setattr(dynamics._TraySim, "_advance", advance)
     monkeypatch.setattr(dynamics._TraySim, "_bisect", bisect)
     tr = simulate_coupled(params, motion, init=init)
     event_steps.update(math.ceil(t / dt - 1e-6) - 1 for t, _, _ in tr.transitions)
-    assert np.count_nonzero(tr.mode) > 10 * len(set(slip_steps))     # mostly compiled
-    assert set(slip_steps) <= event_steps
+    assert np.count_nonzero(tr.mode) > 10 * len(set(python_steps))     # mostly compiled
+    assert set(python_steps) <= event_steps
     if not tr.transitions:
-        assert calls == dict(stick=0, slip=0, kernel_test=0, test=2, at_slide=1)
+        assert calls == dict(stick=0, slip=0, slide=0, sub_test=0, test=2, at_slide=1)
 
 
 @pytest.mark.parametrize("params, motion, t_capture", _CAPTURES.values(), ids=_CAPTURES)
@@ -621,11 +628,11 @@ def _assert_same_stick_slip_run(tr, ref):
 
 @STICK_SLIP_STICK
 def test_engine_matches_generic_stick_oracle(engine_loops, params, motion):
-    # the engine with the stick kernel and the reused first stage
-    # gives the bits of the engine with the generic 4-state step
+    # the engine gives the bits of the engine whose sub-step while sticking
+    # is the generic RK4 step over the reference formulas
     oracle = GenericStickSim(params, motion, None, (0.0, 0.0, 0.0, 0.0))
     ref = oracle.run()
-    # the generic sub-step ran every sticking step, not the engine's kernel
+    # the generic sub-step ran every sticking step, not the engine's own
     assert oracle.steps >= np.count_nonzero(ref.mode[1:] == 0) > 0
     _assert_same_stick_slip_run(simulate_coupled(params, motion), ref)
 
@@ -634,13 +641,12 @@ def test_engine_matches_generic_stick_oracle(engine_loops, params, motion):
                          ids=["simulate_coupled", "simulate_solid_sliding"])
 @STICK_SLIP_STICK
 def test_engine_matches_generic_slip_oracle(engine_loops, simulate, params, motion):
-    # the engine with the slip kernel and, for the solid, the reused first
-    # stage gives the bits of the engine with the generic 4-state RK4 step
-    # while sliding
+    # the engine gives the bits of the engine whose sub-step while sliding
+    # is the generic RK4 step over the reference formulas
     plant = params if simulate is simulate_coupled else replace(params, m=0.0, b_lc=0.0)
     oracle = GenericSlipSim(plant, motion, None, (0.0, 0.0, 0.0, 0.0))
     ref = oracle.run()
-    # the generic sub-step ran every sliding step, not the engine's kernel
+    # the generic sub-step ran every sliding step, not the engine's own
     assert oracle.steps >= np.count_nonzero(ref.mode[1:] == 1) > 0
     _assert_same_stick_slip_run(simulate(params, motion), ref)
 
@@ -656,7 +662,7 @@ def _assert_rows_hold_the_friction_margin(tr, params, motion):
 @STICK_SLIP_STICK
 def test_record_holds_the_friction_margin_of_each_row(engine_loops, params, motion):
     # demand and f_s of every row are friction_margin at the row's state and
-    # grid inputs, whichever kernel's or held state's stick test filled it
+    # grid inputs, whichever sub-step's or held state's stick test filled it
     _assert_rows_hold_the_friction_margin(simulate_coupled(params, motion), params, motion)
 
 
@@ -676,9 +682,11 @@ def test_events_at_a_step_end_hand_on_the_grid_stick_test(monkeypatch, engine_lo
 
 @STICK_SLIP_STICK
 def test_stick_test_only_at_start_up_and_held_states(monkeypatch, engine_loops, params, motion):
-    # sliding rows are filled by the slip kernel's end test; past the
-    # start-up, run() makes the plant's stick test only where it holds the
-    # container still, after a stop or at a capture, and hands it on
+    # sliding rows are filled by the sub-step's end test; past the start-up,
+    # run() makes the plant's stick test only where it holds the container
+    # still, after a stop or at a capture, and hands it on. A sub-step makes
+    # four stage tests and its end test while sticking, four slides and its
+    # end test while sliding
     calls = _count_engine_calls(monkeypatch)
     bisections = []
     real = dynamics._TraySim._bisect
@@ -687,7 +695,8 @@ def test_stick_test_only_at_start_up_and_held_states(monkeypatch, engine_loops, 
     tr = simulate_coupled(params, motion)
     assert np.count_nonzero(tr.mode) > 0
     assert calls["at_slide"] == 0
-    assert calls["kernel_test"] == calls["slip"]
+    assert calls["sub_test"] == 5 * calls["stick"] + calls["slip"]
+    assert calls["slide"] == 4 * calls["slip"]
     assert 1 < calls["test"] <= 1 + len(bisections) + len(tr.transitions)
 
 

@@ -1,7 +1,7 @@
 """The compiled stick and slip loops: the golden outputs without them, their
 build into a cold cache, the reuse of a cached build, a private build where
-the cache cannot be used, and the silent fallback to the Python kernels where
-no build is possible. test_golden.py covers the default run, which uses the
+the cache cannot be used, and the silent fallback to the Python sub-step
+where no build is possible. test_golden.py covers the default run, which uses the
 loops where they build."""
 
 import os

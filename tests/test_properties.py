@@ -5,9 +5,10 @@ streamed CSV writer and the flattened smoother cascade give exactly the bits
 of the code they replace;
 smoother step responses keep unit DC gain, stay in range and respect the
 trapezoid's kinematic limits; stick and slip agree where they meet; the
-stick and slip sub-steps give exactly the bits of the generic RK4 step they
-replaced; the compiled stick and slip loops commit exactly the bits of the
-Python stick and slip kernels."""
+contact model's stick test and slide give exactly the bits of the reference
+formulas, and the RK4 sub-step in either mode the bits of the generic RK4
+step over them; the compiled stick and slip loops commit exactly the bits
+of the Python sub-step."""
 
 import math
 from dataclasses import replace
@@ -34,8 +35,8 @@ from traywaiter.dynamics import (
     PlantParams,
     TrayMotion,
     _TraySim,
+    _contact,
     _input_terms,
-    _stick_test,
 )
 from traywaiter.smoothers import (
     CascadeState,
@@ -573,27 +574,72 @@ def test_slip_meets_stick_on_the_friction_cone(plant, y, u):
 @example(desk_params(), (0.1, 1e300, 0.0, 0.0), (1.0, 0.5, 0.1, 0.2, -3.0))
 def test_stick_test_matches_the_reference_formulas(plant, y, row):
     # the plant's stick test, which run(), held states, friction_margin and
-    # the slip kernel's end test share, is the reference stick test bit for
-    # bit, at held (d_x_dot = 0) and sliding states alike
+    # the sub-step's stages while sticking and its end test share, is the
+    # reference stick test bit for bit, at held (d_x_dot = 0) and sliding
+    # states alike
     damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
     u = next(_input_terms(plant, [row]))
-    new = _stick_test(plant, damp)(*y, u)
+    new = _contact(plant, damp)[0](*y, u)
     ref = _stick_eval(plant, damp, *y, u)
     assert tuple(map(float.hex, new)) == tuple(map(float.hex, ref))
+
+
+def _step_outcome(step, *args):
+    """The floats `step` returns, as hex so that the sign of a zero counts,
+    or the message of the contact loss or integration error it raises."""
+    try:
+        return tuple(map(float.hex, step(*args)))
+    except (ContactLostError, IntegrationError) as exc:
+        return str(exc)
+
+
+def _slide_cases(plant, y, row, s):
+    # the plant's slide and the reference slide at the same state and inputs
+    damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
+    u = next(_input_terms(plant, [row]))
+    return (_step_outcome(_contact(plant, damp)[1], *y, u, s),
+            _step_outcome(_slip_eval, plant, damp, *y, s, u))
+
+
+# The examples: signed zeros in the state and the inputs, for both slip
+# signs; a diverging theta_dot whose square overflows to inf.
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
+           lambda m: _plants(m, st.floats(0.0, 1.5))),
+       st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1),
+                 st.floats(-1.0, 1.0)),
+       st.tuples(st.floats(-10.0, 10.0), st.floats(-15.0, 10.0), st.floats(-0.5, 0.5),
+                 st.floats(-3.0, 3.0), st.floats(-50.0, 50.0)),
+       st.sampled_from([1.0, -1.0]))
+@example(desk_params(), (-0.0, -0.0, -0.0, -0.0), (-0.0, 0.0, -0.0, -0.0, -0.0), -1.0)
+@example(desk_params(), (-0.0, -0.0, -0.0, 0.0), (0.0, -0.0, 0.0, 0.0, 0.0), 1.0)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0, -0.0), (-0.0, 0.0, -0.0, -0.0, -0.0),
+         -1.0)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, 0.0, -0.0, 0.0), (0.0, -0.0, 0.0, -0.0, 0.0), 1.0)
+@example(desk_params(), (0.1, 1e300, 0.0, 0.0), (1.0, 0.5, 0.1, 0.2, -3.0), 1.0)
+def test_slide_matches_the_reference_formulas(plant, y, row, s):
+    # m = 0 and m > 0, both slip signs: the plant's slide, every stage of
+    # the sub-step while sliding, is the reference slide bit for bit
+    new, ref = _slide_cases(plant, y, row, s)
+    assert new == ref
+
+
+# m = 2, M = 0.1 at theta = 0.7 with this mu: the slip coupling matrix is singular
+_SINGULAR_MU = (0.1 + 2.0 * math.sin(0.7) ** 2) / (2.0 * math.sin(0.7) * math.cos(0.7))
+
+
+@pytest.mark.parametrize("s", [1.0, -1.0])
+def test_slide_reports_a_singular_coupling_matrix(s):
+    # the matrix is singular at theta = 0.7 for s = 1 and, mirrored, at
+    # theta = -0.7 for s = -1
+    new, ref = _slide_cases(desk_params(m=2.0, M=0.1, mu=_SINGULAR_MU),
+                            (0.7 * s, 0.0, 0.0, 0.1 * s), (0.0,) * 5, s)
+    assert new == ref == "singular coupling matrix in slip dynamics"
 
 
 # ---------------------------------------------------------------------------
 # stick sub-step
 # ---------------------------------------------------------------------------
-
-def _step_outcome(step, *args):
-    """The state a sub-step returns, as hex so that the sign of a zero
-    counts, or the message of the contact loss or integration error it
-    raises."""
-    try:
-        return tuple(map(float.hex, step(*args)))
-    except (ContactLostError, IntegrationError) as exc:
-        return str(exc)
 
 
 def _step_engine(plant):
@@ -602,24 +648,34 @@ def _step_engine(plant):
                     (0.0, 0.0, 0.0, 0.0))
 
 
-def _stick_step_cases(plant, y, rows, h, sim=None):
-    # the kernel's new state and end test from k1, the reference stick test
-    # at y and u0, and the generic step's new state and the reference stick
-    # test there
+def _step_cases(mode, plant, y, rows, h, s=0.0, sim=None):
+    # the sub-step's new state and end test in `mode`, sliding with sign s,
+    # and the generic step's new state and the reference stick test there
     sim = sim or _step_engine(plant)
+    sim.slip_sign = s
     u = tuple(_input_terms(plant, rows))
-    y = (*y, 0.0)                              # the stick state holds d_x_dot = 0
-    k1 = _stick_eval(plant, sim.damp, *y[:3], 0.0, u[0])
 
-    def kernel(*args):
-        y_new, test = sim._stick(*args)
+    def step(*args):
+        y_new, test = sim._advance(*args)
         return (*y_new, *test)
 
     def generic(*args):
-        y_new = generic_stick_step(*args)
-        return (*y_new, *_stick_eval(plant, sim.damp, *y_new[:3], 0.0, u[2]))
-    return (_step_outcome(kernel, y, 0.2, h, u, k1),
-            _step_outcome(generic, plant, sim.damp, y, 0.2, h, u))
+        if mode == STICK:
+            y_new = generic_stick_step(plant, sim.damp, *args)
+        else:
+            y_new = generic_slip_step(plant, sim.damp, s, *args)
+        return (*y_new, *_stick_eval(plant, sim.damp, *y_new, u[2]))
+    return (_step_outcome(step, y, 0.2, h, mode, u), _step_outcome(generic, y, 0.2, h, u))
+
+
+def _contact_counting_engine(plant, calls):
+    # an engine whose stick test and slide count their calls in `calls`
+    def contact(p, damp, _real=dynamics._contact):
+        return tuple(lambda *args, _fn=fn: calls.append(1) or _fn(*args)
+                     for fn in _real(p, damp))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_contact", contact)
+        return _step_engine(plant)
 
 
 _ZERO_ROWS = ((0.0,) * 5,) * 3
@@ -646,11 +702,11 @@ _ROWS = st.tuples(*[st.tuples(st.floats(-10.0, 10.0), st.floats(-15.0, 10.0),
 @example(desk_params(), (0.1, -0.5, -0.0), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4)
 @example(desk_params(), (0.0, 0.0, -0.0), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10)
 def test_stick_step_matches_generic_rk4(plant, y, rows, h):
-    # m = 0, m > 0 and mu = inf (the pendulum); the first stage taken from
-    # the stick test at the same state and inputs; full steps and the
-    # narrower sub-steps of event handling. The kernel's end test is the
-    # reference stick test at the new state, bit for bit.
-    new, ref = _stick_step_cases(plant, y, rows, h)
+    # m = 0, m > 0 and mu = inf (the pendulum); full steps and the narrower
+    # sub-steps of event handling. The d_x + h/2 * 0.0 of the stages and
+    # the d_x_dot = 0.0 of the new state are the generic step's; the end
+    # test is the reference stick test at the new state, bit for bit.
+    new, ref = _step_cases(STICK, plant, (*y, 0.0), rows, h)
     assert new == ref
 
 
@@ -673,21 +729,16 @@ _CONTACT_LOSS = [
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
-def test_stick_step_contact_loss_in_each_stage(monkeypatch, stage):
+def test_stick_step_contact_loss_in_each_stage(stage):
     y, row, h = _CONTACT_LOSS[stage - 1]
     plant = desk_params(m=0.4, M=0.1)
     calls = []
-    with monkeypatch.context() as mp:
-        for name in ("sin", "cos"):
-            mp.setattr(math, name, lambda x, _real=getattr(math, name), _name=name:
-                       calls.append(_name) or _real(x))
-        sim = _step_engine(plant)              # its kernel takes the counting sin and cos
-    new, ref = _stick_step_cases(plant, y, (row,) * 3, h, sim)
+    sim = _contact_counting_engine(plant, calls)
+    new, ref = _step_cases(STICK, plant, (*y, 0.0), (row,) * 3, h, sim=sim)
     assert new == ref == "contact lost at t = 0.2 s"
-    # the kernel stops at the stage that lost contact, and each stage it
-    # evaluates takes sin and cos of theta and of beta + theta once; stage 1
-    # is k1, the stick test at y, whose N <= 0 in the first case
-    assert calls.count("sin") == calls.count("cos") == 2 * (stage - 1)
+    # the sub-step stops at the stage that lost contact: one stick test a
+    # stage, and no end test
+    assert len(calls) == stage
 
 
 # ---------------------------------------------------------------------------
@@ -700,44 +751,29 @@ def _empty_trace(n):
             + [np.full(n + 1, np.nan) for _ in range(2)])
 
 
-def _python_stick_steps(sim, h, grid, mid, k, y, k1, s, trace):
-    """run()'s sticking steps from step k with the Python stick kernel: the
-    index of the first step that ends in an event or an error, and the state
-    and stick test at that row. The steps before it fill `trace` as
-    record() does. The slide's sign s is not read."""
-    ends = _input_terms(sim.p, grid.tolist()[k + 1:])
-    for um, u1 in zip(_input_terms(sim.p, mid.tolist()[k:]), ends):
-        try:
-            y_new, test = sim._stick(y, k * h, h, (None, um, u1), k1)
-        except (ContactLostError, ValueError):     # ValueError: sin of an infinite theta
-            break
-        if not (all(map(math.isfinite, y_new)) and abs(test[2]) <= test[3]
-                and not test[1] <= 0.0):
-            break
-        for arr, value in zip(trace, (*y_new, STICK, *test[2:])):
-            arr[k + 1] = value
-        y, k1, k = y_new, test, k + 1
-    return k, y, k1
-
-
-def _python_slip_steps(sim, h, grid, mid, k, y, k1, s, trace):
-    """run()'s sliding steps with sign s from step k with the Python slip
-    kernel: the index of the first step that ends in an event (a stop, a
-    reversal or a capture test) or an error, and the state and stick test at
-    that row. The steps before it fill `trace` as record() does. A record
-    whose N is NaN, which run() would write, also ends the steps: the
-    compiled loop commits N > 0 alone."""
+def _python_steps(mode, sim, h, grid, mid, k, y, k1, s, trace):
+    """run()'s steps in `mode` from step k with the Python sub-step, sliding
+    with sign s: the index of the first step that ends in an event or an
+    error, and the state and stick test at that row. The steps before it
+    fill `trace` as record() does. Sticking, the event is a failed end test;
+    sliding, a stop, a reversal or a capture test. A record whose N is NaN,
+    which run() would write, also ends the steps: the compiled loops commit
+    N > 0 alone."""
+    sim.slip_sign = s
     grid_rows = _input_terms(sim.p, grid.tolist()[k:])
     u0 = next(grid_rows)
     for um, u1 in zip(_input_terms(sim.p, mid.tolist()[k:]), grid_rows):
         try:
-            y_new, test = sim._slip(y, k * h, h, (u0, um, u1), k1, s)
-        except (ContactLostError, IntegrationError, ValueError):
-            break                                  # ValueError: sin of an infinite theta
-        if not (y_new[3] * s > 0.0 and abs(y_new[3]) >= _V_EPS
-                and all(map(math.isfinite, y_new)) and test[1] > 0.0):
+            y_new, test = sim._advance(y, k * h, h, mode, (u0, um, u1))
+        except (ContactLostError, IntegrationError):
             break
-        for arr, value in zip(trace, (*y_new, SLIP, *test[2:])):
+        if mode == STICK:
+            event = not abs(test[2]) <= test[3]
+        else:
+            event = not (y_new[3] * s > 0.0 and abs(y_new[3]) >= _V_EPS)
+        if event or not (all(map(math.isfinite, y_new)) and test[1] > 0.0):
+            break
+        for arr, value in zip(trace, (*y_new, mode, *test[2:])):
             arr[k + 1] = value
         y, k1, k, u0 = y_new, test, k + 1, u1
     return k, y, k1
@@ -749,7 +785,7 @@ def _hex_run(stop, y, k1, trace):
 
 
 def _compiled_and_python_runs(mode, plant, y, rows, h, k, s=1.0):
-    # the compiled loop's run and the Python kernel's from step k in `mode`,
+    # the compiled loop's run and the Python sub-step's from step k in `mode`,
     # sliding with sign s, on the grid rows `rows` with each step's first row
     # as its midpoint row, from the state y and its stick test at row k; and
     # the run that commits nothing
@@ -763,8 +799,7 @@ def _compiled_and_python_runs(mode, plant, y, rows, h, k, s=1.0):
     compiled_trace, python_trace = _empty_trace(n), _empty_trace(n)
     loop = _native.loops(plant, sim.damp, _V_EPS, h, grid, mid, compiled_trace)[mode]
     compiled = loop(k, y, k1, s)
-    python = (_python_stick_steps, _python_slip_steps)[mode](sim, h, grid, mid, k, y, k1, s,
-                                                             python_trace)
+    python = _python_steps(mode, sim, h, grid, mid, k, y, k1, s, python_trace)
     return (_hex_run(*compiled, compiled_trace), _hex_run(*python, python_trace),
             _hex_run(k, y, k1, _empty_trace(n)))
 
@@ -774,7 +809,7 @@ _ROW = st.tuples(st.floats(-10.0, 10.0), st.floats(-15.0, 10.0), st.floats(-0.5,
 
 # (plant, y, grid rows, width) where the first step is handed back: contact
 # lost in stage 2, 3 and 4, the end test failing, and theta overflowing to
-# inf, where Python's sin raises, and to a non-finite theta_dot
+# inf, where sin and cos are NaN, and to a non-finite theta_dot
 _HAND_BACK = {
     **{f"contact-lost-in-stage-{stage}": (desk_params(m=0.4, M=0.1), y, (row,) * 2, h)
        for stage, (y, row, h) in enumerate(_CONTACT_LOSS[1:], start=2)},
@@ -819,7 +854,7 @@ _HAND_BACK = {
          1e-10, 0)
 def test_compiled_stick_loop_matches_the_python_kernel(plant, y, rows, h, k):
     # m = 0 and m > 0, mu finite and inf, b_ct >= 0: the compiled loop
-    # commits the steps the Python kernel and run()'s checks commit, with
+    # commits the steps the Python sub-step and run()'s checks commit, with
     # the same bits in every trace row, and returns the same stop index,
     # state and k1; rows no step wrote are left as they were
     assume(k < len(rows) - 1)
@@ -839,32 +874,9 @@ def test_compiled_stick_loop_hands_back_the_step_python_ends_otherwise(case):
 # slip sub-step
 # ---------------------------------------------------------------------------
 
-def _slip_step_cases(plant, y, rows, h, s, sim=None):
-    # the kernel's new state and end test from k1, the reference stick test
-    # at y and u0, and the generic step's new state and the reference stick
-    # test there
-    sim = sim or _step_engine(plant)
-    u = tuple(_input_terms(plant, rows))
-    k1 = _stick_eval(plant, sim.damp, *y, u[0])
-
-    def kernel(*args):
-        y_new, test = sim._slip(*args)
-        return (*y_new, *test)
-
-    def generic(*args):
-        y_new = generic_slip_step(*args)
-        return (*y_new, *_stick_eval(plant, sim.damp, *y_new, u[2]))
-    return (_step_outcome(kernel, y, 0.2, h, u, k1, s),
-            _step_outcome(generic, plant, sim.damp, s, y, 0.2, h, u))
-
-
-# m = 2, M = 0.1 at theta = 0.7 with this mu: the slip coupling matrix is singular
-_SINGULAR_MU = (0.1 + 2.0 * math.sin(0.7) ** 2) / (2.0 * math.sin(0.7) * math.cos(0.7))
-
-
 # The examples: all-zero inputs; signed zeros in the state and the inputs,
-# for both slip signs, with the solid's first stage taken from k1; a
-# sub-step narrower than the step; a bisection-wide sub-step.
+# for both slip signs, on the solid too; a sub-step narrower than the step;
+# a bisection-wide sub-step.
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
            lambda m: _plants(m, st.floats(0.0, 1.5))),
@@ -886,18 +898,17 @@ _SINGULAR_MU = (0.1 + 2.0 * math.sin(0.7) ** 2) / (2.0 * math.sin(0.7) * math.co
 @example(desk_params(), (0.1, -0.5, -0.0, 0.05), ((1.0, 0.5, 0.1, 0.2, -3.0),) * 3, 3.7e-4, 1.0)
 @example(desk_params(), (0.0, 0.0, -0.0, -1e-7), ((2.0, 0.0, -0.2, 0.0, 0.0),) * 3, 1.5e-10, -1.0)
 def test_slip_step_matches_generic_rk4(plant, y, rows, h, s):
-    # m = 0 and m > 0, both slip signs, the first stage evaluated (m > 0)
-    # or taken from k1, the stick test at the same state and inputs (m = 0);
-    # full steps and the narrower sub-steps of event handling. The kernel's
-    # end test is the reference stick test at the new state, bit for bit.
-    new, ref = _slip_step_cases(plant, y, rows, h, s)
+    # m = 0 and m > 0, both slip signs; full steps and the narrower
+    # sub-steps of event handling. The end test is the reference stick test
+    # at the new state, bit for bit.
+    new, ref = _step_cases(SLIP, plant, y, rows, h, s)
     assert new == ref
 
 
 def test_slip_step_reports_a_singular_coupling_matrix():
     # the generic step raises the same error, from the first stage
-    new, ref = _slip_step_cases(desk_params(m=2.0, M=0.1, mu=_SINGULAR_MU),
-                                (0.7, 0.0, 0.0, 0.1), _ZERO_ROWS, 1e-3, 1.0)
+    new, ref = _step_cases(SLIP, desk_params(m=2.0, M=0.1, mu=_SINGULAR_MU),
+                           (0.7, 0.0, 0.0, 0.1), _ZERO_ROWS, 1e-3, 1.0)
     assert new == ref == "singular coupling matrix in slip dynamics"
 
 
@@ -920,37 +931,28 @@ _SLIP_CONTACT_LOSS = [
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
-def test_slip_step_contact_loss_in_each_stage(monkeypatch, stage):
+def test_slip_step_contact_loss_in_each_stage(stage):
     y, row, h, s = _SLIP_CONTACT_LOSS[stage - 1]
     plant = desk_params(m=0.4, M=0.1)
     calls = []
-    with monkeypatch.context() as mp:
-        for name in ("sin", "cos"):
-            mp.setattr(math, name, lambda x, _real=getattr(math, name), _name=name:
-                       calls.append(_name) or _real(x))
-        sim = _step_engine(plant)              # its kernel takes the counting sin and cos
-    new, ref = _slip_step_cases(plant, y, (row,) * 3, h, s, sim)
+    sim = _contact_counting_engine(plant, calls)
+    new, ref = _step_cases(SLIP, plant, y, (row,) * 3, h, s, sim)
     assert new == ref == "contact lost at t = 0.2 s"
-    # the kernel stops at the stage that lost contact, and each stage it
-    # evaluates takes sin and cos of theta and of beta + theta once; with
-    # m > 0 the stick test at y, k1, is no first stage, so it is evaluated
-    assert calls.count("sin") == calls.count("cos") == 2 * stage
+    # the sub-step stops at the stage that lost contact: one slide a stage,
+    # and no end test
+    assert len(calls) == stage
 
 
-def test_solid_slip_step_contact_loss_in_the_first_stage(monkeypatch):
-    # the solid's first stage, taken from k1, the stick test at y, reports
-    # its contact loss at the step time and takes no sin or cos
+def test_solid_slip_step_contact_loss_in_the_first_stage():
+    # the solid's first stage reports its contact loss at the step time,
+    # and the sub-step goes no further
     plant = desk_params(m=0.0, b_lc=0.0)
     calls = []
-    with monkeypatch.context() as mp:
-        for name in ("sin", "cos"):
-            mp.setattr(math, name, lambda x, _real=getattr(math, name), _name=name:
-                       calls.append(_name) or _real(x))
-        sim = _step_engine(plant)
+    sim = _contact_counting_engine(plant, calls)
     row = (0.0, -12.0, 0.0, 0.0, 0.0)          # the tray falls faster than gravity
-    new, ref = _slip_step_cases(plant, (0.0, 0.0, 0.0, 0.1), (row,) * 3, 1e-3, 1.0, sim)
+    new, ref = _step_cases(SLIP, plant, (0.0, 0.0, 0.0, 0.1), (row,) * 3, 1e-3, 1.0, sim)
     assert new == ref == "contact lost at t = 0.2 s"
-    assert calls.count("sin") == calls.count("cos") == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -959,13 +961,14 @@ def test_solid_slip_step_contact_loss_in_the_first_stage(monkeypatch):
 
 def _slip_hand_back(plant, y, rows, h, s):
     """How run() ends the first step of a slide on `rows`: the message of
-    the error the slip kernel or the record raises, or the event or check
-    that ends it, in run()'s order."""
+    the error the sub-step or the record raises, or the event or check that
+    ends it, in run()'s order."""
     sim = _step_engine(plant)
+    sim.slip_sign = s
     u = tuple(_input_terms(plant, (rows[0], rows[0], rows[1])))
     try:
-        y_new, test = sim._slip(y, 0.2, h, u, sim._test(*y, u[0]), s)
-    except (ContactLostError, IntegrationError, ValueError) as exc:
+        y_new, test = sim._advance(y, 0.2, h, SLIP, u)
+    except (ContactLostError, IntegrationError) as exc:
         return str(exc)
     if y_new[3] * s <= 0.0:
         return "stop or reversal"
@@ -980,7 +983,6 @@ def _slip_hand_back(plant, y, rows, h, s):
 # handed back, and how run() ends it. In each, the check that ends the step
 # is the only one that fails: without it, the loop would commit the step.
 _SLIP_HAND_BACK = {
-    # the solid's first stage is k1, the stick test at y
     "solid-contact-lost-in-stage-1": (
         (PlantParams(m=0.0, M=4.473531240673359, l=0.44159614336138414, h=0.09149791503850231,
                      d_z=0.03404346796401589, b_lc=0.0, b_ct=0.8299127311218815,
@@ -1081,8 +1083,8 @@ def _slip_example(case, k=0):
 
 
 # The examples: the hand-back cases; signed zeros in the state and the
-# inputs for both signs, the solid's first stage taken from k1; a start past
-# row 0; a slide that the tray's pull keeps going over several steps.
+# inputs for both signs, on the solid too; a start past row 0; a slide that
+# the tray's pull keeps going over several steps.
 @settings(deadline=None, max_examples=500)
 @given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
            lambda m: _plants(m, st.floats(0.0, 1.5))),
@@ -1109,7 +1111,7 @@ def _slip_example(case, k=0):
          1e-3, 0)
 def test_compiled_slip_loop_matches_the_python_kernel(plant, slide, rows, h, k):
     # m = 0 and m > 0, both slip signs, mu finite, b_ct >= 0: the compiled
-    # loop commits the steps the Python kernel and run()'s checks commit,
+    # loop commits the steps the Python sub-step and run()'s checks commit,
     # with the same bits in every trace row, and returns the same stop
     # index, state and k1; rows no step wrote are left as they were
     assume(k < len(rows) - 1)
