@@ -6,24 +6,17 @@ to the tray; a planar stick-slip and pendulum-slosh simulator validates the
 result.
 """
 
-from .compensation import (
-    FreeFallError,
-    MountingTransform,
-    tilt_angles,
-)
+from .compensation import FreeFallError, MountingTransform
 from .dynamics import (
     ContactLostError,
     IntegrationError,
     PlantParams,
-    SimState,
     SimTrace,
     TrayMotion,
     analytic_tilt_channel,
     estimate_prv,
     fd_tilt_channel,
-    friction_margin,
     simulate_coupled,
-    simulate_pendulum,
     simulate_solid_sliding,
 )
 from .planner import (
@@ -32,7 +25,6 @@ from .planner import (
     feasibility_report,
     friction_limited_duration,
     plan,
-    rollout_profile,
     rollout_trajectory,
 )
 from .smoothers import (

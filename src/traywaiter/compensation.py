@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "FreeFallError",
     "MountingTransform",
-    "tilt_angles",
     "flange_poses",
 ]
 
@@ -55,9 +54,12 @@ def _wrap_angle(phi: float) -> float:
     return out
 
 
-# tilt_angles and rotation_matrix are called nowhere in the package; they stay
-# only as the benchmark tracer's per-sample hook points until it hooks
-# flange_poses.
+# tilt_angles, _wrap_angle and rotation_matrix are called nowhere in the
+# package and exported nowhere. Two things keep them until the benchmark
+# tracer hooks flange_poses: the tracer (perfbench/tracer.py) hooks
+# tilt_angles and rotation_matrix as per-sample points, and the CI
+# workflow's traced teleop_filter step requires a non-null
+# compensation.calls, which reads null without both hooks.
 
 def tilt_angles(accel, g: float) -> tuple[float, float]:
     """Compensation angles (beta, phi) for a filtered acceleration sample.

@@ -24,14 +24,11 @@ from .smoothers import transfer_function
 __all__ = [
     "PlantParams",
     "TrayMotion",
-    "SimState",
     "SimTrace",
     "ContactLostError",
     "IntegrationError",
     "analytic_tilt_channel",
     "fd_tilt_channel",
-    "friction_margin",
-    "simulate_pendulum",
     "simulate_solid_sliding",
     "simulate_coupled",
     "estimate_prv",
@@ -104,12 +101,9 @@ _CHANNELS = ("x_ddot", "z_ddot", "beta", "beta_dot", "beta_ddot")
 
 @dataclass
 class TrayMotion:
-    """Uniformly sampled tray acceleration and tilt channels.
-
-    `interp` selects how values between samples are produced for the
-    integrator: 'cubic' (4-point Lagrange, for smooth channels; linear on
-    motions of fewer than four samples) or 'linear' (shape preserving, for
-    bang-bang profiles).
+    """Uniformly sampled tray acceleration and tilt channels. The integrator
+    reads them between samples through the 4-point Lagrange stencil, or
+    linearly on motions of fewer than four samples.
     """
 
     dt: float
@@ -118,13 +112,10 @@ class TrayMotion:
     beta: np.ndarray
     beta_dot: np.ndarray
     beta_ddot: np.ndarray
-    interp: str = "cubic"
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.interp not in ("cubic", "linear"):
-            raise ValueError(f"interp must be 'cubic' or 'linear', got {self.interp!r}")
         arrays = [np.asarray(getattr(self, name), dtype=float) for name in _CHANNELS]
         n = arrays[0].size
         if n < 2:
@@ -146,8 +137,7 @@ class TrayMotion:
 
     @classmethod
     def from_channels(cls, dt: float, x_ddot, z_ddot=None, beta=None,
-                      beta_dot=None, beta_ddot=None, interp: str = "cubic",
-                      ) -> "TrayMotion":
+                      beta_dot=None, beta_ddot=None) -> "TrayMotion":
         """Build a motion from acceleration (and optional tilt) series."""
         x_ddot = np.asarray(x_ddot, dtype=float)
         n = x_ddot.size
@@ -156,7 +146,7 @@ class TrayMotion:
         beta = zeros if beta is None else np.asarray(beta, dtype=float)
         beta_dot = zeros if beta_dot is None else np.asarray(beta_dot, dtype=float)
         beta_ddot = zeros if beta_ddot is None else np.asarray(beta_ddot, dtype=float)
-        return cls(dt, x_ddot, z_ddot, beta, beta_dot, beta_ddot, interp=interp)
+        return cls(dt, x_ddot, z_ddot, beta, beta_dot, beta_ddot)
 
 
 def analytic_tilt_channel(acc_x, jerk_x, snap_x, acc_z, jerk_z, snap_z, g):
@@ -188,27 +178,18 @@ def fd_tilt_channel(acc_x, acc_z, dt, g):
 
 
 # ---------------------------------------------------------------------------
-# state, trace
+# trace
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimState:
-    theta: float
-    theta_dot: float
-    d_x: float
-    d_x_dot: float
-
 
 @dataclass
 class SimTrace:
     """Time series of the simulator state plus friction bookkeeping.
 
     demand and f_s are both evaluated under the frozen-container hypothesis
-    (the same stick test friction_margin computes), so their margin decides
-    stick/slip onset; during slip the force actually applied is mu times the
-    normal force of the sliding dynamics, which differs at O(m l theta_ddot).
-    simulate_pendulum glues the container with unbounded friction, so there
-    f_s is inf.
+    (the stick test of the row's state and grid inputs), so |demand| - f_s
+    decides stick/slip onset; during slip the force actually applied is mu
+    times the normal force of the sliding dynamics, which differs at
+    O(m l theta_ddot). With mu = inf, which glues the container, f_s is inf.
     """
 
     t: np.ndarray
@@ -220,11 +201,6 @@ class SimTrace:
     demand: np.ndarray               # tangential force friction must supply
     f_s: np.ndarray                  # static friction bound
     transitions: list = field(default_factory=list)
-
-    @property
-    def margin(self) -> np.ndarray:
-        """|tangential demand| - F_s; <= 0 whenever the contact sticks."""
-        return np.abs(self.demand) - self.f_s
 
     @property
     def max_abs_theta(self) -> float:
@@ -345,23 +321,6 @@ def _contact(p: PlantParams, damp: float):
     return stick_test, slide
 
 
-def friction_margin(state: SimState, params: PlantParams, motion_sample
-                    ) -> tuple[float, float]:
-    """Both sides of the no-slip condition at one instant.
-
-    Returns (demand, F_s): the tangential force static friction would have to
-    supply to keep the container from accelerating on the tray, and the
-    friction bound mu times the normal force. The pendulum acceleration
-    entering both terms is evaluated under the frozen-container hypothesis.
-    """
-    p = params
-    damp = p.b_lc / (p.m * p.l) if p.m > 0.0 else 0.0
-    _, _, demand, f_s = _contact(p, damp)[0](state.theta, state.theta_dot,
-                                             state.d_x, state.d_x_dot,
-                                             next(_input_terms(p, [motion_sample])))
-    return demand, f_s
-
-
 # ---------------------------------------------------------------------------
 # motion sampling for the integrator
 # ---------------------------------------------------------------------------
@@ -382,7 +341,7 @@ class _MotionSampler:
         m = self.motion
         nm = m.n
         uu = tq / m.dt
-        if m.interp == "linear" or nm < 4:     # the cubic stencil needs 4 samples
+        if nm < 4:     # the cubic stencil needs 4 samples
             j = np.clip(np.floor(uu).astype(int), 0, nm - 2)
             x = uu - j
             vals = self.chan[:, j] * (1.0 - x) + self.chan[:, j + 1] * x
@@ -418,23 +377,12 @@ def _resolve_steps(motion: TrayMotion, dt: float | None) -> tuple[float, int]:
     return dt, n_steps
 
 
-def simulate_pendulum(params: PlantParams, motion: TrayMotion,
-                      init: tuple[float, float] = (0.0, 0.0),
-                      dt: float | None = None) -> SimTrace:
-    """Integrate the nonlinear slosh pendulum with the container fixed on the
-    tray: the stick/slip engine with unbounded friction, so d_x stays zero,
-    every row sticks and f_s is inf."""
-    if params.m <= 0.0:
-        raise ValueError("simulate_pendulum needs a pendulum mass m > 0")
-    return _TraySim(replace(params, mu=math.inf), motion, dt,
-                    (init[0], init[1], 0.0, 0.0)).run()
-
-
 class _TraySim:
-    """The stick/slip event-stepping engine: the container with or without
-    the coupled pendulum, and with mu = inf the pendulum on a glued
-    container. A sub-step is one call of `_advance`, classical RK4 on
-    (theta, theta_dot, d_x, d_x_dot) over the plant's contact model
+    """The stick/slip event-stepping engine from the state `init` = (theta,
+    theta_dot, d_x, d_x_dot), which the public simulators set to rest: the
+    container with or without the coupled pendulum, and with mu = inf the
+    pendulum on a glued container. A sub-step is one call of `_advance`,
+    classical RK4 on the state over the plant's contact model
     (`_contact`) in either mode, ending in the stick test at the new state,
     which fills the record; sticking, it also decides stick or slip.
 
@@ -659,21 +607,20 @@ class _TraySim:
 
 
 def simulate_solid_sliding(params: PlantParams, motion: TrayMotion,
-                           dt: float | None = None,
-                           init: tuple[float, float] = (0.0, 0.0)) -> SimTrace:
+                           dt: float | None = None) -> SimTrace:
     """Stick/slip integration of a solid object of mass M on the tray (the
-    m = 0 reduction of the coupled model)."""
+    m = 0 reduction of the coupled model), from rest."""
     solid = replace(params, m=0.0, b_lc=0.0)
-    return _TraySim(solid, motion, dt, (0.0, 0.0, init[0], init[1])).run()
+    return _TraySim(solid, motion, dt, (0.0, 0.0, 0.0, 0.0)).run()
 
 
 def simulate_coupled(params: PlantParams, motion: TrayMotion,
-                     dt: float | None = None,
-                     init: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-                     ) -> SimTrace:
+                     dt: float | None = None) -> SimTrace:
     """Co-integrate the slosh pendulum and the sliding container with full
-    coupling; the pendulum is frozen when m == 0."""
-    return _TraySim(params, motion, dt, init).run()
+    coupling, from rest; the pendulum is frozen when m == 0, and mu = inf
+    glues the container, leaving the pendulum on a container fixed to the
+    tray."""
+    return _TraySim(params, motion, dt, (0.0, 0.0, 0.0, 0.0)).run()
 
 
 # ---------------------------------------------------------------------------

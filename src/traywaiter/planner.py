@@ -33,7 +33,6 @@ __all__ = [
     "friction_limited_duration",
     "plan",
     "feasibility_report",
-    "rollout_profile",
     "rollout_trajectory",
 ]
 
@@ -279,13 +278,14 @@ def feasibility_report(scenario: Scenario, plant: PlantParams | None) -> str:
     return "\n".join(lines)
 
 
-def rollout_profile(result: PlanResult, dt: float, settle: float = 0.0,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Roll the planned cascade on the step input.
+def rollout_trajectory(result: PlanResult, scenario: Scenario, dt: float,
+                       settle: float = 0.0):
+    """Planned Cartesian trajectory along the straight start->goal segment:
+    the planned cascade rolled on the step input drives the arc-length
+    parameter s, starting with one rest sample at t = 0, and the goal is
+    reached exactly once the total kernel support has elapsed.
 
-    Returns (t, s, s_dot, s_ddot) for the arc-length parameter, starting with
-    one rest sample at t = 0; the goal is reached exactly once the total
-    kernel support has elapsed.
+    Returns (t, positions, velocities, accelerations) with shape (n, 3).
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -293,24 +293,10 @@ def rollout_profile(result: PlanResult, dt: float, settle: float = 0.0,
         raise ValueError(f"settle must be non-negative and finite, got {settle}")
     state = CascadeState(result.cascade, dt, initial_value=0.0)
     n = int(math.ceil((result.duration + settle) / dt)) + 1
-    pos, vel, acc = state.run(np.full(n, result.distance))
-    t = np.arange(n + 1) * dt
-    return (t,
-            np.concatenate(([0.0], pos)),
-            np.concatenate(([0.0], vel)),
-            np.concatenate(([0.0], acc)))
-
-
-def rollout_trajectory(result: PlanResult, scenario: Scenario, dt: float,
-                       settle: float = 0.0):
-    """Planned Cartesian trajectory along the straight start->goal segment.
-
-    Returns (t, positions, velocities, accelerations) with shape (n, 3).
-    """
-    t, s, sd, sdd = rollout_profile(result, dt, settle)
+    s, sd, sdd = (np.concatenate(([0.0], x))
+                  for x in state.run(np.full(n, result.distance)))
     u = result.direction
-    start = scenario.start
-    return (t,
-            start[None, :] + s[:, None] * u[None, :],
+    return (np.arange(n + 1) * dt,
+            scenario.start[None, :] + s[:, None] * u[None, :],
             sd[:, None] * u[None, :],
             sdd[:, None] * u[None, :])

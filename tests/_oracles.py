@@ -415,9 +415,9 @@ def _stick_eval(p: PlantParams, damp: float, th: float, thd: float,
     return thdd, normal, _demand(p, th, thd, dx, dxd, u, thdd), p.mu * normal
 
 
-# The pendulum's own fixed-step loop that simulate_pendulum replaced with the
-# stick/slip engine at unbounded friction, kept as it was apart from the
-# _pendulum_rhs call and the input terms it reads. _rk4_ref is the generic
+# The pendulum's own fixed-step loop, which the stick/slip engine at
+# unbounded friction replaced, kept as it was apart from the _pendulum_rhs
+# call and the input terms it reads. _rk4_ref is the generic
 # classical RK4 step over a rates function; this loop and the generic stick
 # and slip sub-steps below, which run it on the reference formulas, are the
 # oracles the engine's one RK4 sub-step is checked against.
@@ -439,7 +439,7 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
     tray (d_x identically zero)."""
     p = params
     if p.m <= 0.0:
-        raise ValueError("simulate_pendulum needs a pendulum mass m > 0")
+        raise ValueError("the pinned pendulum needs a pendulum mass m > 0")
     damp = p.b_lc / (p.m * p.l)
     dt, n_steps = _resolve_steps(motion, dt)
     smp = _MotionSampler(motion, dt, n_steps)

@@ -25,7 +25,6 @@ from traywaiter.dynamics import (
     estimate_prv,
     fd_tilt_channel,
     simulate_coupled,
-    simulate_pendulum,
     simulate_solid_sliding,
 )
 from traywaiter.planner import friction_limited_duration
@@ -55,7 +54,7 @@ def _triangular_motion(h_o, T, dt, tail=0.35):
     n = int(round((T + tail) / dt)) + 1
     t = np.arange(n) * dt
     acc = np.where(t < T / 2, a, np.where(t < T, -a, 0.0))
-    return TrayMotion.from_channels(dt, acc, interp="linear")
+    return TrayMotion.from_channels(dt, acc)
 
 
 def test_criterion_01_notch_cancellation():
@@ -124,10 +123,11 @@ def test_criterion_04_zero_slosh_compensation():
     beta, bd, bdd = analytic_tilt_channel(xdd, xj, xs, zdd, zj, zs, G)
     motion = TrayMotion.from_channels(dt, xdd, zdd, beta, bd, bdd)
 
-    compensated = simulate_pendulum(desk_params(), motion).max_abs_theta
-    wrong_length = simulate_pendulum(desk_params(l=0.025), motion).max_abs_theta
-    no_tilt = simulate_pendulum(
-        desk_params(), TrayMotion.from_channels(dt, xdd, zdd)).max_abs_theta
+    # the pendulum on a container glued to the tray by unbounded friction
+    compensated = simulate_coupled(desk_params(mu=math.inf), motion).max_abs_theta
+    wrong_length = simulate_coupled(desk_params(l=0.025, mu=math.inf), motion).max_abs_theta
+    no_tilt = simulate_coupled(
+        desk_params(mu=math.inf), TrayMotion.from_channels(dt, xdd, zdd)).max_abs_theta
     elapsed = time.perf_counter() - start
 
     floor = max(compensated, 1e-12)
@@ -242,7 +242,8 @@ def test_criterion_08_oracle_equivalences():
     n = int(6.0 / dt) + 1
     t = np.arange(n) * dt
     acc = 0.08 * np.sin(0.8 * omega_n * t)
-    peak_nl = simulate_pendulum(p, TrayMotion.from_channels(dt, acc)).max_abs_theta
+    peak_nl = simulate_coupled(desk_params(mu=math.inf),
+                               TrayMotion.from_channels(dt, acc)).max_abs_theta
     lin_theta, _ = simulate_linear_slosh(omega_n, delta, acc, dt, g=G)
     peak_lin = np.abs(lin_theta).max()
     lin_gap = abs(peak_nl - peak_lin) / peak_lin
@@ -273,7 +274,7 @@ def test_criterion_09_integrator_convergence():
         n = int(round(2.0 / dt)) + 1
         t = np.arange(n) * dt
         acc = 2.0 * np.sin(2 * np.pi * t) * np.sin(0.5 * np.pi * t) ** 2
-        tr = simulate_pendulum(desk_params(), TrayMotion.from_channels(dt, acc))
+        tr = simulate_coupled(desk_params(mu=math.inf), TrayMotion.from_channels(dt, acc))
         return tr.theta[-1]
 
     ref = end_state(2e-3 / 8)

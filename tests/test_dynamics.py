@@ -8,17 +8,14 @@ from traywaiter.dynamics import (
     ContactLostError,
     IntegrationError,
     PlantParams,
-    SimState,
     analytic_tilt_channel,
     estimate_prv,
     fd_tilt_channel,
-    friction_margin,
     simulate_coupled,
-    simulate_pendulum,
     simulate_solid_sliding,
 )
 from traywaiter import _native, dynamics
-from traywaiter.dynamics import _MotionSampler
+from traywaiter.dynamics import _contact, _input_terms, _MotionSampler, _TraySim
 from traywaiter.smoothers import (
     CascadeState,
     DampedHarmonic,
@@ -48,7 +45,7 @@ def triangular_motion(h_o, T, dt, tail=0.3):
     n = int(round((T + tail) / dt)) + 1
     t = np.arange(n) * dt
     acc = np.where(t < T / 2, a, np.where(t < T, -a, 0.0))
-    return TrayMotion.from_channels(dt, acc, interp="linear")
+    return TrayMotion.from_channels(dt, acc)
 
 
 def sin3_channels(amp, omega, t):
@@ -85,7 +82,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         desk_params(m=0.0)  # keeps b_lc > 0
     desk_params(m=0.0, b_lc=0.0)
-    desk_params(mu=math.inf)  # simulate_pendulum glues the container
+    desk_params(mu=math.inf)  # glues the container
 
 
 _PLANT_FIELDS = ("m", "M", "l", "h", "d_z", "b_lc", "b_ct", "mu", "g")
@@ -121,13 +118,13 @@ def test_motion_and_simulators_reject_a_bad_dt(dt):
     with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
         TrayMotion.from_channels(dt, np.zeros(5))
     motion = TrayMotion.from_channels(1e-3, np.zeros(5))
-    for simulate in (simulate_coupled, simulate_solid_sliding, simulate_pendulum):
+    for simulate in (simulate_coupled, simulate_solid_sliding):
         with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
             simulate(desk_params(), motion, dt=dt)
 
 
 # ---------------------------------------------------------------------------
-# nonlinear pendulum
+# nonlinear pendulum: the engine with the container glued by mu = inf
 # ---------------------------------------------------------------------------
 
 def convergence_motion(dt):
@@ -138,7 +135,7 @@ def convergence_motion(dt):
 
 
 def test_pendulum_rest_equilibrium():
-    tr = simulate_pendulum(desk_params(), TrayMotion.rest(1.0, 1e-3))
+    tr = simulate_coupled(desk_params(mu=math.inf), TrayMotion.rest(1.0, 1e-3))
     assert tr.max_abs_theta == 0.0
     assert np.all(tr.mode == 0)
 
@@ -147,7 +144,7 @@ def test_pendulum_settles_to_acceleration_equilibrium():
     a = 0.2
     dt = 1e-3
     motion = TrayMotion.from_channels(dt, np.full(int(30 / dt) + 1, a))
-    tr = simulate_pendulum(desk_params(), motion)
+    tr = simulate_coupled(desk_params(mu=math.inf), motion)
     assert tr.theta[-1] == pytest.approx(-math.atan(a / G), abs=1e-8)
     assert abs(tr.theta_dot[-1]) < 1e-8
 
@@ -155,26 +152,26 @@ def test_pendulum_settles_to_acceleration_equilibrium():
 def test_zero_slosh_compensation():
     dt = 1e-4
     motion = compensated_sin3_motion(dt)
-    tr = simulate_pendulum(desk_params(), motion)
+    tr = simulate_coupled(desk_params(mu=math.inf), motion)
     assert tr.max_abs_theta < 1e-6
 
 
 def test_zero_slosh_requires_both_conditions():
     dt = 2e-4
     motion = compensated_sin3_motion(dt)
-    base = simulate_pendulum(desk_params(), motion).max_abs_theta
+    base = simulate_coupled(desk_params(mu=math.inf), motion).max_abs_theta
     # wrong pendulum length (CoR no longer at the bob)
-    off_l = simulate_pendulum(desk_params(l=0.025), motion).max_abs_theta
+    off_l = simulate_coupled(desk_params(l=0.025, mu=math.inf), motion).max_abs_theta
     # no tilt at all
     flat = TrayMotion.from_channels(dt, motion.x_ddot, motion.z_ddot)
-    off_beta = simulate_pendulum(desk_params(), flat).max_abs_theta
+    off_beta = simulate_coupled(desk_params(mu=math.inf), flat).max_abs_theta
     assert off_l > 1e3 * max(base, 1e-12)
     assert off_beta > 1e3 * max(base, 1e-12)
 
 
 def test_pendulum_energy_conservation():
-    p = desk_params(b_lc=0.0)
-    tr = simulate_pendulum(p, TrayMotion.rest(10.0, 1e-3), init=(0.5, 0.0))
+    p = desk_params(b_lc=0.0, mu=math.inf)
+    tr = _TraySim(p, TrayMotion.rest(10.0, 1e-3), None, (0.5, 0.0, 0.0, 0.0)).run()
     energy = (0.5 * p.m * (p.l * tr.theta_dot) ** 2
               + p.m * G * p.l * (1 - np.cos(tr.theta)))
     drift = np.abs(energy - energy[0]).max() / energy[0]
@@ -183,7 +180,7 @@ def test_pendulum_energy_conservation():
 
 def test_integrator_fourth_order_convergence():
     def end_theta(dt):
-        return simulate_pendulum(desk_params(), convergence_motion(dt)).theta[-1]
+        return simulate_coupled(desk_params(mu=math.inf), convergence_motion(dt)).theta[-1]
 
     ref = end_theta(2e-3 / 8)
     e1 = abs(end_theta(2e-3) - ref)
@@ -208,7 +205,7 @@ def test_pendulum_matches_its_own_loop_bit_for_bit(run):
     # the engine at mu = inf sticks on every step and integrates theta as
     # the pendulum's own fixed-step loop did
     params, motion, init = PENDULUM_RUNS[run]()
-    tr = simulate_pendulum(params, motion, init=init)
+    tr = _TraySim(replace(params, mu=math.inf), motion, None, (*init, 0.0, 0.0)).run()
     ref = pinned_pendulum(params, motion, init=init)
     for name in ("t", "theta", "theta_dot", "demand"):
         assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -258,7 +255,7 @@ def test_linear_matches_nonlinear_for_small_angles():
     t = np.arange(n) * dt
     acc = 0.08 * np.sin(0.8 * omega_n * t)
     motion = TrayMotion.from_channels(dt, acc)
-    nl = simulate_pendulum(p, motion)
+    nl = simulate_coupled(replace(p, mu=math.inf), motion)
     lin_theta, _ = simulate_linear_slosh(omega_n, delta, acc, dt, g=G)
     peak_nl = nl.max_abs_theta
     peak_lin = np.abs(lin_theta).max()
@@ -345,10 +342,9 @@ def test_overflowing_state_ends_in_simulator_errors():
     # on Python floats x ** 2 raises OverflowError where float64 gave inf;
     # a diverging run must still end in ContactLostError or IntegrationError
     rest = TrayMotion.rest(0.1, 1e-3)
-    with pytest.raises(ContactLostError, match=r"contact lost at t = 0 s"):
-        simulate_coupled(desk_params(), rest, init=(0.1, 1e200, 0.0, 0.0))
-    with pytest.raises(ContactLostError, match=r"contact lost at t = 0 s"):
-        simulate_pendulum(desk_params(), rest, init=(0.1, 1e200))
+    for params in (desk_params(), desk_params(mu=math.inf)):
+        with pytest.raises(ContactLostError, match=r"contact lost at t = 0 s"):
+            _TraySim(params, rest, None, (0.1, 1e200, 0.0, 0.0)).run()
 
 
 @pytest.mark.parametrize("params, init", [
@@ -358,7 +354,7 @@ def test_overflowing_state_ends_in_simulator_errors():
 def test_every_located_event_counts_towards_chatter(monkeypatch, params, init):
     monkeypatch.setattr(dynamics, "_MAX_EVENTS_PER_STEP", 0)
     with pytest.raises(IntegrationError, match=r"event chatter at t = "):
-        simulate_coupled(params, _compensated_cascade_motion(1e-3), init=init)
+        _TraySim(params, _compensated_cascade_motion(1e-3), None, init).run()
 
 
 def test_nan_slip_velocity_ends_in_integration_error_on_every_run():
@@ -367,7 +363,7 @@ def test_nan_slip_velocity_ends_in_integration_error_on_every_run():
     rest = TrayMotion.rest(0.1, 1e-3)
     for _ in range(4):
         with pytest.raises(IntegrationError, match=r"non-finite state at t = 0\.001 s"):
-            simulate_coupled(desk_params(), rest, init=(0.1, 1e150, 0.0, 1e150))
+            _TraySim(desk_params(), rest, None, (0.1, 1e150, 0.0, 1e150)).run()
 
 
 @pytest.mark.parametrize("params, init", [
@@ -384,7 +380,7 @@ def test_infinite_theta_after_a_slide_step_ends_in_integration_error(engine_loop
     # the run reports as non-finite
     motion = TrayMotion.from_channels(1e-3, np.zeros(10))
     with pytest.raises(IntegrationError, match=r"^non-finite state at t = 0\.001 s$"):
-        simulate_coupled(params, motion, init=init)
+        _TraySim(params, motion, None, init).run()
 
 
 def test_infinite_theta_after_a_stick_step_ends_in_integration_error(engine_loops):
@@ -393,8 +389,8 @@ def test_infinite_theta_after_a_stick_step_ends_in_integration_error(engine_loop
     # on either path the run reports the non-finite state
     motion = TrayMotion.from_channels(1e-3, np.zeros(10))
     with pytest.raises(IntegrationError, match=r"^non-finite state at t = 0\.001 s$"):
-        simulate_pendulum(desk_params(), motion,
-                          init=(-1.2245396884174076, -6.41191512216294e307))
+        _TraySim(desk_params(mu=math.inf), motion, None,
+                 (-1.2245396884174076, -6.41191512216294e307, 0.0, 0.0)).run()
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +412,7 @@ def test_coupled_compensated_equilibrium():
     tr = simulate_coupled(desk_params(), motion)
     assert tr.max_abs_theta < 1e-6
     assert np.all(tr.d_x == 0.0)
-    assert np.all(tr.margin <= 0.0)
+    assert np.all(np.abs(tr.demand) <= tr.f_s)
 
 
 def test_coupled_slip_onset_matches_margin_crossing():
@@ -426,7 +422,7 @@ def test_coupled_slip_onset_matches_margin_crossing():
     assert len(tr.transitions) >= 1
     t_onset, from_mode, to_mode = tr.transitions[0]
     assert (from_mode, to_mode) == ("stick", "slip")
-    k_cross = int(np.argmax(tr.margin > 0.0))
+    k_cross = int(np.argmax(np.abs(tr.demand) > tr.f_s))
     assert abs(t_onset - tr.t[k_cross]) <= dt + 1e-12
 
 
@@ -472,7 +468,7 @@ def _count_engine_calls(monkeypatch):
 STICKING_RUNS = pytest.mark.parametrize("simulate, params", [
     (simulate_coupled, desk_params()),
     (simulate_coupled, desk_params(m=0.0, b_lc=0.0)),
-    (simulate_pendulum, desk_params()),
+    (simulate_coupled, desk_params(mu=math.inf)),
 ], ids=["coupled", "solid", "pendulum"])
 
 
@@ -522,7 +518,7 @@ def test_slip_step_is_one_sub_step_whose_end_test_fills_the_record(monkeypatch, 
     # loop makes no Python sub-step.
     monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
     calls = _count_engine_calls(monkeypatch)
-    tr = simulate_coupled(params, _SLIDE, init=(0.0, 0.0, 0.0, -0.3))
+    tr = _TraySim(params, _SLIDE, None, (0.0, 0.0, 0.0, -0.3)).run()
     assert tr.mode.all() and not tr.transitions
     assert calls["slip"] == _SLIDE.n - 1
     assert calls["stick"] == 0
@@ -535,18 +531,18 @@ def test_slip_step_is_one_sub_step_whose_end_test_fills_the_record(monkeypatch, 
 def _pulse_motion(dt, accel):
     t = np.arange(401) * dt
     x_ddot = np.where((t >= 0.1) & (t < 0.2), accel, 0.0)
-    return TrayMotion.from_channels(dt, x_ddot, interp="linear")
+    return TrayMotion.from_channels(dt, x_ddot)
 
 
 # slides captured at a step end, with the capture time
 _CAPTURES = {
     # the next step starts in stick from the held state's stick test
-    "captured-at-step-end": (desk_params(), _pulse_motion(1e-3, 3.526), 0.207),
-    # d_x_dot ~ 1e-7 at the capture, which viscous friction turns into
+    "captured-at-step-end": (desk_params(), _pulse_motion(1e-3, 3.45745), 0.205),
+    # d_x_dot ~ -9.4e-8 at the capture, which viscous friction turns into
     # demand: the record and the next step's first stage must take the held
     # state's stick test, not the slide step's
     "captured-with-viscous-friction": (desk_params(b_ct=0.5),
-                                       _pulse_motion(1e-3, 3.6228179931640625), 0.21),
+                                       _pulse_motion(1e-3, 3.4625645), 0.205),
     # the same on a tilted (compensated) move
     "tilted-captured-with-viscous-friction": (
         desk_params(b_ct=0.5, mu=0.05), _compensated_cascade_motion(1e-3, goal=0.40098), 0.222),
@@ -601,7 +597,7 @@ def test_compiled_loop_runs_every_step_of_a_sliding_run(monkeypatch, params, mot
         return _real(self, y0, t0, *args)
     monkeypatch.setattr(dynamics._TraySim, "_advance", advance)
     monkeypatch.setattr(dynamics._TraySim, "_bisect", bisect)
-    tr = simulate_coupled(params, motion, init=init)
+    tr = _TraySim(params, motion, None, init).run()
     event_steps.update(math.ceil(t / dt - 1e-6) - 1 for t, _, _ in tr.transitions)
     assert np.count_nonzero(tr.mode) > 10 * len(set(python_steps))     # mostly compiled
     assert set(python_steps) <= event_steps
@@ -610,13 +606,25 @@ def test_compiled_loop_runs_every_step_of_a_sliding_run(monkeypatch, params, mot
 
 
 @pytest.mark.parametrize("params, motion, t_capture", _CAPTURES.values(), ids=_CAPTURES)
-def test_capture_cases_end_their_slide_on_the_grid(params, motion, t_capture):
+def test_capture_cases_end_their_slide_on_the_grid(monkeypatch, params, motion, t_capture):
     # the capture cases stay what their names say: the first slide ends at
-    # a step end, where |d_x_dot| < 1e-6, and not by a bisection
+    # a step end, where 0 < |d_x_dot| < 1e-6, and not by a bisection, so the
+    # held state differs from the slide step's end state
+    monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
+    slide_ends = []
+
+    def advance(self, y, t, h, mode, inputs, _real=dynamics._TraySim._advance):
+        out = _real(self, y, t, h, mode, inputs)
+        if mode == dynamics.SLIP:
+            slide_ends.append((t + h, out[0][3]))
+        return out
+    monkeypatch.setattr(dynamics._TraySim, "_advance", advance)
     tr = simulate_coupled(params, motion)
     t = tr.transitions[1][0]
     assert tr.transitions[1][1:] == ("slip", "stick")
     assert t == round(t_capture / 1e-3) * 1e-3
+    (d_x_dot,) = [v for t_end, v in slide_ends if abs(t_end - t) < 1e-12]
+    assert 0.0 < abs(d_x_dot) < 1e-6
 
 
 def _assert_same_stick_slip_run(tr, ref):
@@ -651,17 +659,25 @@ def test_engine_matches_generic_slip_oracle(engine_loops, simulate, params, moti
     _assert_same_stick_slip_run(simulate(params, motion), ref)
 
 
+def stick_test(params):
+    """The plant's stick test (th, thd, dx, dxd, u) -> (theta_ddot, N, D,
+    F_s) on a row u of input terms."""
+    damp = params.b_lc / (params.m * params.l) if params.m > 0.0 else 0.0
+    return _contact(params, damp)[0]
+
+
 def _assert_rows_hold_the_friction_margin(tr, params, motion):
     grid = _MotionSampler(motion, motion.dt, tr.t.size - 1).grid.tolist()
     states = zip(tr.theta.tolist(), tr.theta_dot.tolist(), tr.d_x.tolist(),
                  tr.d_x_dot.tolist())
-    for k, (y, row) in enumerate(zip(states, grid)):
-        assert friction_margin(SimState(*y), params, row) == (tr.demand[k], tr.f_s[k]), k
+    test = stick_test(params)
+    for k, (y, u) in enumerate(zip(states, _input_terms(params, grid))):
+        assert test(*y, u)[2:] == (tr.demand[k], tr.f_s[k]), k
 
 
 @STICK_SLIP_STICK
 def test_record_holds_the_friction_margin_of_each_row(engine_loops, params, motion):
-    # demand and f_s of every row are friction_margin at the row's state and
+    # demand and f_s of every row are the stick test's at the row's state and
     # grid inputs, whichever sub-step's or held state's stick test filled it
     _assert_rows_hold_the_friction_margin(simulate_coupled(params, motion), params, motion)
 
@@ -730,15 +746,16 @@ def test_bisection_samples_each_probe_once(monkeypatch, engine_loops, params, mo
                          ids=["coupled", "solid", "coupled-slipping"])
 def test_recorded_friction_matches_friction_margin(params):
     # demand and F_s on every row, whether reused from the stick test or
-    # evaluated for the record, are friction_margin at that row, bit for bit
+    # evaluated for the record, are the stick test's at that row, bit for bit
     dt = 1e-3
     motion = _compensated_cascade_motion(dt)
     tr = simulate_coupled(params, motion)
-    grid = _MotionSampler(motion, dt, tr.t.size - 1).grid
-    for k in range(tr.t.size):
-        state = SimState(tr.theta[k], tr.theta_dot[k], tr.d_x[k], tr.d_x_dot[k])
-        demand, f_s = friction_margin(state, params, grid[k])
-        assert (float(demand).hex(), float(f_s).hex()) == \
+    grid = _MotionSampler(motion, dt, tr.t.size - 1).grid.tolist()
+    test = stick_test(params)
+    for k, u in enumerate(_input_terms(params, grid)):
+        y = (tr.theta[k], tr.theta_dot[k], tr.d_x[k], tr.d_x_dot[k])
+        _, _, demand, f_s = test(*map(float, y), u)
+        assert (demand.hex(), f_s.hex()) == \
             (float(tr.demand[k]).hex(), float(tr.f_s[k]).hex()), k
     assert tr.mode.any() == (params.mu == 0.05)
 
@@ -749,7 +766,6 @@ def test_cubic_sampler_is_exact_on_short_ramps(n):
     # linearly instead of wrapping its stencil to the other end of the array
     dt, sim_dt = 0.1, 0.05
     motion = TrayMotion.from_channels(dt, np.arange(n, dtype=float))
-    assert motion.interp == "cubic"
     smp = _MotionSampler(motion, sim_dt, 2 * (n - 1))
     t_grid = np.arange(2 * n - 1) * sim_dt
     t_mid = (np.arange(2 * n - 2) + 0.5) * sim_dt
@@ -778,7 +794,7 @@ def test_coupled_slip_satisfies_equations_of_motion():
     t = np.arange(n) * dt
     a = 3.0
     acc = np.where(t < T / 2, a, np.where(t < T, -a, 0.0))
-    tr = simulate_coupled(p, TrayMotion.from_channels(dt, acc, interp="linear"))
+    tr = simulate_coupled(p, TrayMotion.from_channels(dt, acc))
 
     th, thd, dxd = tr.theta, tr.theta_dot, tr.d_x_dot
     thdd = np.gradient(thd, dt)
@@ -811,7 +827,7 @@ def test_mode_consistency_invariant():
     tr = simulate_solid_sliding(desk_params(m=0.0, b_lc=0.0, mu=mu, d_z=0.0),
                                 triangular_motion(h_o, 0.9 * t_star, 1e-4))
     stick = tr.mode == 0
-    assert np.all(tr.margin[stick] <= 1e-9)
+    assert np.all((np.abs(tr.demand) - tr.f_s)[stick] <= 1e-9)
     assert np.all(tr.d_x_dot[stick] == 0.0)
     assert np.any(~stick)
 
@@ -820,9 +836,13 @@ def test_mode_consistency_invariant():
 # friction margin
 # ---------------------------------------------------------------------------
 
+# the stick test at a state and one row of tray inputs (x_ddot, z_ddot,
+# beta, beta_dot, beta_ddot), whose demand D and bound F_s = mu N are the
+# two sides of the no-slip condition
+
 def test_friction_margin_at_rest():
     p = desk_params()
-    demand, f_s = friction_margin(SimState(0, 0, 0, 0), p, (0, 0, 0, 0, 0))
+    _, _, demand, f_s = stick_test(p)(0, 0, 0, 0, *_input_terms(p, [(0, 0, 0, 0, 0)]))
     assert demand == 0.0
     assert f_s == pytest.approx(p.mu * (p.M + p.m) * G)
 
@@ -831,11 +851,11 @@ def test_friction_margin_maximized_at_beta_star():
     p = desk_params()
     ax = 4.0
     beta_star = -math.atan(ax / G)
-    state = SimState(0, 0, 0, 0)
-    d0, f0 = friction_margin(state, p, (ax, 0, beta_star, 0, 0))
+    test = stick_test(p)
+    _, _, d0, f0 = test(0, 0, 0, 0, *_input_terms(p, [(ax, 0, beta_star, 0, 0)]))
     assert d0 == pytest.approx(0.0, abs=1e-12)
     for db in (-0.05, 0.05):
-        _, f = friction_margin(state, p, (ax, 0, beta_star + db, 0, 0))
+        f = test(0, 0, 0, 0, *_input_terms(p, [(ax, 0, beta_star + db, 0, 0)]))[3]
         assert f < f0
 
 
@@ -844,8 +864,8 @@ def test_friction_margin_matches_printed_formulas():
     p = desk_params()
     th, thd = 0.12, -0.4
     xtt, ztt, b, bd, bdd = 1.5, -0.8, 0.1, 0.6, -2.0
-    demand, f_s = friction_margin(SimState(th, thd, 0.0, 0.0), p,
-                                  (xtt, ztt, b, bd, bdd))
+    _, _, demand, f_s = stick_test(p)(th, thd, 0.0, 0.0,
+                                      *_input_terms(p, [(xtt, ztt, b, bd, bdd)]))
     m, M, l, h, dz = p.m, p.M, p.l, p.h, p.d_z
     gz = G + ztt
     thdd = -((p.b_lc / (m * l)) * thd + (l - h * math.cos(th)) * bdd

@@ -10,7 +10,6 @@ from traywaiter.planner import (
     feasibility_report,
     friction_limited_duration,
     plan,
-    rollout_profile,
     rollout_trajectory,
 )
 from traywaiter.smoothers import CascadeSpec, DampedHarmonic, Trapezoidal
@@ -26,6 +25,16 @@ def p2p_scenario(**kw):
                 v_max=2.0, a_max=5.0, free_stage_T=0.1)
     base.update(kw)
     return Scenario(**base)
+
+
+def rollout_x(result, scenario, dt, settle=0.0):
+    """(t, x, x_dot, x_ddot) of a rollout along +x from the origin, which
+    are the arc-length parameter s and its derivatives bit for bit (s * 1.0
+    and 0.0 + s are exact)."""
+    assert scenario.start.tolist() == [0.0, 0.0, 0.0]
+    assert result.direction.tolist() == [1.0, 0.0, 0.0]
+    t, P, V, A = rollout_trajectory(result, scenario, dt, settle)
+    return t, P[:, 0], V[:, 0], A[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +200,7 @@ def test_plan_triangular_solid_move_keeps_a_short_free_stage():
     # independent check: per-sample angles on a 10x finer grid than the
     # planner's, second differences instead of two gradients
     dt = result.duration / 30000
-    sdd = rollout_profile(result, dt)[3]
+    sdd = rollout_x(result, sc, dt)[3]
     beta = np.array([planar_tilt(a, 0.0, G) for a in sdd.tolist()])
     beta_dd = (beta[2:] - 2.0 * beta[1:-1] + beta[:-2]) / (dt * dt)
     assert np.abs(beta_dd).max() <= 1.01 * 150.0
@@ -207,7 +216,7 @@ def test_rollout_reaches_goal_exactly():
                p2p_scenario(material="liquid", omega_n=14.0, delta=0.05,
                             free_stage_T=None)):
         result = plan(sc, G)
-        t, s, sd, sdd = rollout_profile(result, dt, settle=0.05)
+        t, s, sd, sdd = rollout_x(result, sc, dt, settle=0.05)
         h = result.distance
         after = t >= result.duration + 2 * dt
         assert np.abs(s[after] - h).max() < 1e-9 * h
@@ -231,7 +240,7 @@ def test_rollout_jerk_has_no_jumps():
     result = plan(sc, G)
 
     def max_jerk_jump(dt):
-        t, s, sd, sdd = rollout_profile(result, dt)
+        t, s, sd, sdd = rollout_x(result, sc, dt)
         jerk = np.gradient(sdd, dt)
         return np.abs(np.diff(jerk)).max()
 
@@ -263,7 +272,7 @@ def test_planned_liquid_cascade_suppresses_slosh():
                       free_stage_T=None)
     result = plan(sc, G)
     dt = 2e-4
-    t, s, sd, sdd = rollout_profile(result, dt, settle=1.0)
+    t, s, sd, sdd = rollout_x(result, sc, dt, settle=1.0)
     theta, _ = simulate_linear_slosh(omega_n, delta, sdd, dt, g=G)
     k_end = int(result.duration / dt) + 2
     peak = np.abs(theta).max()
@@ -276,7 +285,7 @@ def test_planned_liquid_cascade_suppresses_slosh():
         CascadeSpec((result.cascade.stages[0], Trapezoidal(dh.T / 2, dh.T / 2))),
         result.duration, result.distance, result.direction,
         result.input_class, 3, dh.T / 2)
-    t2, _, _, sdd2 = rollout_profile(ablated, dt, settle=1.0)
+    t2, _, _, sdd2 = rollout_x(ablated, sc, dt, settle=1.0)
     theta2, _ = simulate_linear_slosh(omega_n, delta, sdd2, dt, g=G)
     residual2 = np.abs(theta2[k_end:]).max()
     assert residual2 > 3.0 * residual

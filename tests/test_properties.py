@@ -573,10 +573,9 @@ def test_slip_meets_stick_on_the_friction_cone(plant, y, u):
 @example(desk_params(mu=math.inf), (0.1, -0.5, -0.0, 0.0), (1.0, 0.5, 0.1, 0.2, -3.0))
 @example(desk_params(), (0.1, 1e300, 0.0, 0.0), (1.0, 0.5, 0.1, 0.2, -3.0))
 def test_stick_test_matches_the_reference_formulas(plant, y, row):
-    # the plant's stick test, which run(), held states, friction_margin and
-    # the sub-step's stages while sticking and its end test share, is the
-    # reference stick test bit for bit, at held (d_x_dot = 0) and sliding
-    # states alike
+    # the plant's stick test, which run(), held states and the sub-step's
+    # stages while sticking and its end test share, is the reference stick
+    # test bit for bit, at held (d_x_dot = 0) and sliding states alike
     damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
     u = next(_input_terms(plant, [row]))
     new = _contact(plant, damp)[0](*y, u)
