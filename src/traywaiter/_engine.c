@@ -1,7 +1,8 @@
 /* The compiled loops of the stick/slip engine: consecutive steps of
  * dynamics._TraySim.run in one call, sticking (stick_steps) or sliding with
  * one sign (slip_steps), for the steps that run() finishes with no event and
- * no error.
+ * no error. At the end of the file, the smoother's oscillator recurrence
+ * (osc_steps), under the same flags.
  *
  * A step is _input_terms for the rows it reads, the RK4 sub-step
  * (_TraySim._advance) over the plant's contact model (dynamics._contact) in
@@ -330,4 +331,32 @@ long slip_steps(const double *plant, double dt, const double *grid,
         state[4 + i] = k1[i];
     }
     return k;
+}
+
+/* The damped-harmonic smoother's 2x2 recurrence (smoothers._OscStage.run)
+ * over the n forcing samples f: x1, x2 = f11 x1 + f12 x2 + g1 f[k],
+ * f21 x1 + f22 x2 + g2 f[k], in the Python operand order, with c holding
+ * f11, f12, f21, f22, g1, g2 and x the state (x1, x2). Every state goes to
+ * x1s and x2s, and the last one back into x.
+ *
+ * No step is handed back: the recurrence has no events and no error checks,
+ * Python's float * and + never raise, and inf and NaN propagate through them
+ * as through the IEEE doubles here. */
+void osc_steps(const double *c, const double *f, long n, double *x,
+               double *x1s, double *x2s)
+{
+    const double f11 = c[0], f12 = c[1], f21 = c[2], f22 = c[3];
+    const double g1 = c[4], g2 = c[5];
+    double x1 = x[0], x2 = x[1];
+
+    for (long k = 0; k < n; k++) {
+        const double next = f11 * x1 + f12 * x2 + g1 * f[k];
+
+        x2 = f21 * x1 + f22 * x2 + g2 * f[k];
+        x1 = next;
+        x1s[k] = x1;
+        x2s[k] = x2;
+    }
+    x[0] = x1;
+    x[1] = x2;
 }

@@ -1,16 +1,20 @@
-"""The compiled loops of the stick/slip engine: `_engine.c`, built with a C
-compiler at the first step of a process and loaded through ctypes.
+"""The compiled loops of the stick/slip engine and of the smoother's
+oscillator: `_engine.c`, built with a C compiler at the first use in a
+process (the first simulator step, or the first oscillator stage that
+`plan` or `filter` builds) and loaded through ctypes.
 
 The loops run the sticking steps and the sliding steps of the engine that
 need no event, bit for bit as the Python sub-step (`_TraySim._advance` over
 the contact model `dynamics._contact`) runs them; that sub-step stays the
-fallback and the oracle the tests compare the loops with. The library is
+fallback and the oracle the tests compare the loops with. In the same way
+the oscillator loop runs the 2x2 recurrence of `smoothers._OscStage`, whose
+Python loop stays its fallback and oracle. The library is
 cached in `$XDG_CACHE_HOME/traywaiter` (default `~/.cache/traywaiter`), a
 directory of mode 0700, under the SHA-256 of the source, the flags and the
 machine. Where that directory cannot be used the library is built for this
 process alone, in a private temporary directory. Without a compiler, or
-where the build or the load fails, `library` is None and the engine runs in
-Python, silently.
+where the build or the load fails, `library` is None and the engine and the
+smoother run in Python, silently.
 """
 
 from __future__ import annotations
@@ -86,12 +90,16 @@ def _load(path):
                        ctypes.c_long, ctypes.c_long, ctypes.c_double, doubles,
                        *[ctypes.c_void_p] * 7]
         fn.restype = ctypes.c_long
+    lib.osc_steps.argtypes = [doubles, ctypes.c_void_p, ctypes.c_long, doubles,
+                              ctypes.c_void_p, ctypes.c_void_p]
+    lib.osc_steps.restype = None
     return lib
 
 
 @functools.cache
 def library():
-    """The loops' C library, built and loaded once per process, or None."""
+    """The compiled loops' C library, built and loaded once per process, or
+    None."""
     cc = _compiler()
     if cc is None:
         return None
@@ -144,3 +152,31 @@ def loops(p, damp, v_eps, dt, grid, mid, trace):
             return j, tuple(state[:4]), tuple(state[4:])
         return steps
     return bind(lib.stick_steps), bind(lib.slip_steps)
+
+
+def oscillator(f11, f12, f21, f22, g1, g2):
+    """The compiled oscillator recurrence bound to one stage's coefficients,
+    or None where it is not built.
+
+    The loop is a call (f, x1, x2, x1s, x2s) -> (x1, x2): from the state
+    (x1, x2) it runs x1, x2 = f11 x1 + f12 x2 + g1 f[k], f21 x1 + f22 x2 +
+    g2 f[k] over the forcing `f`, writes every state into `x1s` and `x2s`,
+    three float64 arrays of one length, and returns the last state as floats.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    coefficients = (ctypes.c_double * 6)(f11, f12, f21, f22, g1, g2)
+    state = (ctypes.c_double * 2)()
+    fn = lib.osc_steps
+
+    def steps(f, x1, x2, x1s, x2s):
+        n = f.shape[0]
+        for a in (f, x1s, x2s):
+            if a.shape != (n,) or a.dtype != np.float64 or not a.flags.c_contiguous:
+                raise ValueError("oscillator loop arrays: expected three C-contiguous "
+                                 "float64 arrays of one length")
+        state[0], state[1] = x1, x2
+        fn(coefficients, f.ctypes.data, n, state, x1s.ctypes.data, x2s.ctypes.data)
+        return state[0], state[1]
+    return steps

@@ -219,6 +219,7 @@ class _RectStage:
                 (v - vels[1:m + 1]) / self.t_span)
 
 
+# the Python loop's chunk of samples, where the compiled one is not built
 _RECURRENCE_CHUNK = 4096
 
 
@@ -230,6 +231,9 @@ class _OscStage:
     exponential over one sample (forcing held at the midpoint average), so
     the pole/zero cancellation that ends the transient is exact at float
     precision and the DC fixed point is reached bit-tightly.
+
+    Where a C compiler is at hand, the recurrence runs in the compiled loop
+    of `_native.py`, bit for bit as the Python loop in run() runs it.
     """
 
     def __init__(self, sigma: float, n: int, dt: float):
@@ -254,6 +258,9 @@ class _OscStage:
         self.g1 = (1.0 - self.f22 - self.a1 * self.f12) / self.a0
         self.g2 = self.f12
         self._buf = None
+        from . import _native     # here, so that its build tools stay out of start-up
+        self._loop = _native.oscillator(self.f11, self.f12, self.f21, self.f22,
+                                        self.g1, self.g2)
 
     def prime(self, u: float) -> None:
         self._buf = np.full(self.n + 1, u, dtype=float)
@@ -263,24 +270,27 @@ class _OscStage:
 
     def run(self, u: np.ndarray, v: np.ndarray, a: np.ndarray):
         """Forcing and acceleration as arrays, the 2x2 recurrence as one
-        loop over Python floats."""
+        call of the compiled loop, or else one loop over Python floats."""
         m = u.size
         buf = np.concatenate((self._buf, u))
         w = self.gain * (u + self.w_tap * buf[1:m + 1])
         f = 0.5 * (np.concatenate(([self._w_prev], w[:-1])) + w)
-        f11, f12, f21, f22 = self.f11, self.f12, self.f21, self.f22
-        g1, g2 = self.g1, self.g2
         x1, x2 = self.x1, self.x2
         x1s, x2s = np.empty(m), np.empty(m)
-        # chunks bound the transient float lists of a long block
-        for lo in range(0, m, _RECURRENCE_CHUNK):
-            c1, c2 = [], []
-            for fk in f[lo:lo + _RECURRENCE_CHUNK].tolist():
-                x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
-                c1.append(x1)
-                c2.append(x2)
-            x1s[lo:lo + len(c1)] = c1
-            x2s[lo:lo + len(c2)] = c2
+        if self._loop is not None:
+            x1, x2 = self._loop(f, x1, x2, x1s, x2s)
+        else:
+            f11, f12, f21, f22 = self.f11, self.f12, self.f21, self.f22
+            g1, g2 = self.g1, self.g2
+            # chunks bound the transient float lists of a long block
+            for lo in range(0, m, _RECURRENCE_CHUNK):
+                c1, c2 = [], []
+                for fk in f[lo:lo + _RECURRENCE_CHUNK].tolist():
+                    x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
+                    c1.append(x1)
+                    c2.append(x2)
+                x1s[lo:lo + len(c1)] = c1
+                x2s[lo:lo + len(c2)] = c2
         self.x1, self.x2, self._w_prev = x1, x2, float(w[-1])
         self._buf = buf[m:].copy()
         return x1s, x2s, w - self.a0 * x1s - self.a1 * x2s
@@ -340,7 +350,7 @@ class CascadeState:
         self.delay = sum(sum(st.t_span for st in stages) for stages in kinds)
         self._stages = [st for stages in kinds for st in stages]
         # a Python float, numpy scalars included, so the oscillator's
-        # per-sample loop runs on plain floats
+        # Python loop runs on plain floats
         value = float(initial_value)
         for st in self._stages:
             st.prime(value)

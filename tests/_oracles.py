@@ -3,15 +3,18 @@ pose chains, reference writers, per-sample smoother stages, the contact
 model's reference formulas, the pendulum's own integration loop, the generic
 stick and slip sub-steps, the linear slosh oscillator and the desk-scale
 plant, which the tests compare the package against or build their cases
-from."""
+from; and the switch between the two paths of the smoother's oscillator
+recurrence."""
 
+import contextlib
 import math
 from collections import deque
 
 import numpy as np
+import pytest
 
 from traywaiter.compensation import FreeFallError, tilt_angles
-from traywaiter import dynamics
+from traywaiter import _native, dynamics
 from traywaiter.dynamics import (
     SLIP,
     STICK,
@@ -340,6 +343,38 @@ class OscStageRef:
         x2 = self.f21 * self.x1 + self.f22 * self.x2 + self.g2 * f
         self.x1, self.x2, self._w_prev = x1, x2, w
         return x1, x2, w - self.a0 * x1 - self.a1 * x2
+
+
+# the paths of the oscillator recurrence, to parametrize a test with: the
+# compiled loop, where a C compiler is at hand, and the Python loop
+OSCILLATOR_PATHS = [
+    pytest.param("compiled", marks=pytest.mark.skipif(_native._compiler() is None,
+                                                      reason="no C compiler")),
+    "python",
+]
+
+
+@contextlib.contextmanager
+def oscillator_path(path):
+    """The oscillator stages built inside the block run their recurrence on
+    `path`. "python" patches the compiled library away and yields None.
+    "compiled" requires the library, so that a silent fallback fails, and
+    yields a list that gets the block length of every call of its loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "python":
+            mp.setattr(_native, "library", lambda: None)
+            yield None
+            return
+        lib = _native.library()
+        assert lib is not None, "the compiled library did not build"
+        calls = []
+        loop = lib.osc_steps
+
+        def counted(c, f, n, x, x1s, x2s):
+            calls.append(n)
+            return loop(c, f, n, x, x1s, x2s)
+        mp.setattr(lib, "osc_steps", counted)
+        yield calls
 
 
 def per_sample_stages(kind, dt: float) -> list:

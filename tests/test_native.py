@@ -1,8 +1,9 @@
-"""The compiled stick and slip loops: the golden outputs without them, their
-build into a cold cache, the reuse of a cached build, a private build where
-the cache cannot be used, and the silent fallback to the Python sub-step
-where no build is possible. test_golden.py covers the default run, which uses the
-loops where they build."""
+"""The compiled loops, of the stick/slip engine and of the smoother's
+oscillator: the golden outputs without them, their build into a cold cache,
+the reuse of a cached build, a private build where the cache cannot be
+used, and the silent fallback to the Python sub-step and the Python
+recurrence where no build is possible. test_golden.py covers the default
+run, which uses the loops where they build."""
 
 import os
 import shutil
@@ -15,7 +16,8 @@ from traywaiter import _native, dynamics
 
 from test_golden import GOLDEN, _run_case
 
-# the golden cases that simulate; the filter cases run no simulator
+# the golden cases that simulate; the filter cases run no simulator, and
+# "filter" and the liquid plan of "demo" run the oscillator recurrence
 SIMULATING = ("demo", "solid_slip", "slip_coupled")
 
 
@@ -37,6 +39,12 @@ def _needs_compiler():
 @pytest.mark.parametrize("run", SIMULATING)
 def test_golden_output_hashes_without_the_compiled_loop(monkeypatch, tmp_path, run):
     monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
+    assert _run_case(run, str(tmp_path)) == GOLDEN[run]
+
+
+@pytest.mark.parametrize("run", ["demo", "filter"])
+def test_golden_output_hashes_without_the_library(monkeypatch, tmp_path, run):
+    monkeypatch.setattr(_native, "library", lambda: None)
     assert _run_case(run, str(tmp_path)) == GOLDEN[run]
 
 

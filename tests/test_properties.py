@@ -1,8 +1,9 @@
 """Property tests: the batched pose path gives exactly the bits of the
 closed form it evaluates and keeps near the matrix chain it replaced; the
 mount's quaternion and offset are the bits of the matrix route; the
-streamed CSV writer and the flattened smoother cascade give exactly the bits
-of the code they replace;
+streamed CSV writer and the flattened smoother cascade, with its oscillator
+recurrence compiled or in Python, give exactly the bits of the code they
+replace;
 smoother step responses keep unit DC gain, stay in range and respect the
 trapezoid's kinematic limits; stick and slip agree where they meet; the
 contact model's stick test and slide give exactly the bits of the reference
@@ -46,6 +47,7 @@ from traywaiter.smoothers import (
 )
 
 from _oracles import (
+    OSCILLATOR_PATHS,
     _rpy_matrix,
     _slip_eval,
     _stick_eval,
@@ -54,6 +56,7 @@ from _oracles import (
     generic_slip_step,
     generic_stick_step,
     matrix_route_mount,
+    oscillator_path,
     per_sample_stages,
     closed_form_poses,
     repr_table_chunks,
@@ -443,6 +446,19 @@ _LONG = [tuple(r) for r in np.random.default_rng(11).uniform(-10.0, 10.0, (1500,
 _LONGER = _LONG * (smoothers._RECURRENCE_CHUNK // len(_LONG) + 1)
 
 
+def _same(x, y):
+    """The same bits, where any NaN matches any NaN."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.array_equal(np.where(np.isnan(x), np.nan, x).view(np.int64),
+                          np.where(np.isnan(y), np.nan, y).view(np.int64))
+
+
+def _hit(value):
+    """_LONG[:300] with `value` as the input of its 101st sample."""
+    return _LONG[:100] + [(value, 0.0, 0.0)] + _LONG[101:300]
+
+
+@pytest.mark.parametrize("path", OSCILLATOR_PATHS)
 @settings(deadline=None)
 @given(st.lists(kinds, min_size=1, max_size=4), periods, signal,
        st.lists(st.tuples(signal, signal, signal), max_size=120),
@@ -456,34 +472,46 @@ _LONGER = _LONG * (smoothers._RECURRENCE_CHUNK // len(_LONG) + 1)
          [0.3, 0.3, 0.7], False)
 @example([DampedHarmonic(-4.0, 0.085), Trapezoidal(0.007, 0.003)], 1e-3, _LONG[0][0],
          _LONGER, [0.001, 0.95], True)
-def test_cascade_block_run_matches_stream(cascade, dt, initial, samples, cuts,
+# infinite and NaN forcing, and an input whose forcing and state overflow
+@example([DampedHarmonic(-4.0, 0.085)], 1e-3, 0.5, _hit(math.inf), [0.2, 0.5], False)
+@example([DampedHarmonic(0.0, 0.085)], 1e-3, 0.5, _hit(-math.inf), [0.7], False)
+@example([DampedHarmonic(2.0, 0.05)], 1e-3, 0.5, _hit(math.nan), [0.4], False)
+@example([Trapezoidal(0.007, 0.003), DampedHarmonic(-1.0, 0.02)], 1e-3, 0.5,
+         _hit(1e308), [0.33], False)
+def test_cascade_block_run_matches_stream(path, cascade, dt, initial, samples, cuts,
                                           with_derivatives):
     # successive run() calls over chunks of the series (empty ones and ones
     # shorter than a stage's span among them) give the bits of step() on
     # every sample, and leave the state where step() would; input
-    # derivatives, when drawn, go to the reference only
-    ref = _ReferenceCascadeState(cascade, dt, initial_value=initial)
-    stream = CascadeState(cascade, dt, initial_value=initial)
-    block = CascadeState(cascade, dt, initial_value=initial)
+    # derivatives, when drawn, go to the reference only. The oscillator
+    # recurrence runs on `path`, and the compiled loop must have run.
     u, v, a = np.array(samples, dtype=float).reshape(-1, 3).T
     if not with_derivatives:
         v = a = np.zeros_like(u)
-    expected = []
-    for k in range(u.size):
-        out = stream.step(u[k])
-        assert out == ref.step(u[k], v[k], a[k])
-        expected.append(out)
-    expected = np.array(expected).reshape(-1, 3)
-    bounds = [0, *sorted(int(c * u.size) for c in cuts), u.size]
-    got = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out = block.run(u[lo:hi])
-        assert all(c.shape == (hi - lo,) for c in out)
-        got.append(np.column_stack(out))
-    assert np.array_equal(_bits(np.concatenate(got)), _bits(expected))
-    last = [_bits(s.step(0.7)).tolist() for s in (block, stream)]
-    last.append(_bits(ref.step(0.7, 0.1, -0.2)).tolist())
-    assert last[0] == last[1] == last[2]
+    # the examples beyond the drawn range warn in numpy, as they should
+    quiet = {} if (np.abs(u) <= 10.0).all() else {"all": "ignore"}
+    with oscillator_path(path) as calls, np.errstate(**quiet):
+        ref = _ReferenceCascadeState(cascade, dt, initial_value=initial)
+        stream = CascadeState(cascade, dt, initial_value=initial)
+        block = CascadeState(cascade, dt, initial_value=initial)
+        expected = []
+        for k in range(u.size):
+            out = stream.step(u[k])
+            assert _same(out, ref.step(u[k], v[k], a[k]))
+            expected.append(out)
+        expected = np.array(expected).reshape(-1, 3)
+        bounds = [0, *sorted(int(c * u.size) for c in cuts), u.size]
+        got = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out = block.run(u[lo:hi])
+            assert all(c.shape == (hi - lo,) for c in out)
+            got.append(np.column_stack(out))
+        assert np.array_equal(_bits(np.concatenate(got)), _bits(expected))
+        last = [s.step(0.7) for s in (block, stream)]
+        assert _bits(last[0]).tolist() == _bits(last[1]).tolist()
+        assert _same(last[1], ref.step(0.7, 0.1, -0.2))
+    if calls is not None and any(isinstance(k, DampedHarmonic) for k in cascade):
+        assert calls
 
 
 def _step_response(cascade, dt, h, tail=5):

@@ -17,6 +17,8 @@ from traywaiter.smoothers import (
     transfer_function,
 )
 
+from _oracles import OSCILLATOR_PATHS, oscillator_path
+
 
 # ---------------------------------------------------------------------------
 # parameter solvers
@@ -299,21 +301,25 @@ def test_state_rejects_a_bad_sample_period(dt):
         CascadeState(DampedHarmonic(0.0, 0.5), dt, initial_value=0.0)
 
 
-def test_numpy_scalar_prime_is_kept_as_python_floats():
-    # a numpy scalar in the oscillator state would turn its per-sample loop
-    # into numpy-scalar arithmetic: same bits, several times slower
+@pytest.mark.parametrize("path", OSCILLATOR_PATHS)
+def test_numpy_scalar_prime_is_kept_as_python_floats(path):
+    # a numpy scalar in the oscillator state would turn its Python loop into
+    # numpy-scalar arithmetic: same bits, several times slower; the compiled
+    # loop hands its state back as floats too
     dt = 1e-3
     u = 0.2 + 0.1 * np.sin(np.linspace(0, 7, 900))
     spec = [Trapezoidal(0.05, 0.03), DampedHarmonic(-0.7, 0.2),
             DampedHarmonic(0.0, 0.1)]
-    primed_np = CascadeState(spec, dt, initial_value=np.float64(u[0]))
-    primed_float = CascadeState(spec, dt, initial_value=float(u[0]))
+    with oscillator_path(path) as calls:
+        primed_np = CascadeState(spec, dt, initial_value=np.float64(u[0]))
+        primed_float = CascadeState(spec, dt, initial_value=float(u[0]))
     for x, y in zip(primed_np.run(u), primed_float.run(u)):
         assert x.tobytes() == y.tobytes()
     oscillators = [st for st in primed_np._stages if hasattr(st, "x1")]
     assert len(oscillators) == 2
     for st in oscillators:
         assert [type(st.x1), type(st.x2), type(st._w_prev)] == [float] * 3
+    assert calls is None or calls == [u.size] * 4
 
 
 RUN_CASCADE = [Trapezoidal(0.005, 0.003), DampedHarmonic(-2.0, 0.004)]
