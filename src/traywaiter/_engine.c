@@ -1,8 +1,8 @@
-/* The compiled loops of the stick/slip engine: consecutive steps of
- * dynamics._TraySim.run in one call, sticking (stick_steps) or sliding with
- * one sign (slip_steps), for the steps that run() finishes with no event and
- * no error. At the end of the file, the smoother's oscillator recurrence
- * (osc_steps), under the same flags.
+/* The compiled loop of the stick/slip engine: consecutive steps of
+ * dynamics._TraySim.run in one call (steps), sticking or sliding with one
+ * sign, for the steps that run() finishes with no event and no error. At
+ * the end of the file, the smoother's oscillator recurrence (osc_steps),
+ * under the same flags.
  *
  * A step is _input_terms for the rows it reads, the RK4 sub-step
  * (_TraySim._advance) over the plant's contact model (dynamics._contact) in
@@ -13,7 +13,7 @@
  * (-ffp-contract=off -fno-builtin) that give both.
  *
  * The hand-back rule: a step is committed only where Python would commit it
- * with no event and no error (see each loop for its checks). Otherwise the
+ * with no event and no error (see steps for its checks). Otherwise the
  * loop returns that step's index with the state and k1 as they were, and
  * run() redoes the step in Python, which raises the error or handles the
  * event. The sine and cosine of an infinite angle are NaN here and in the
@@ -21,6 +21,9 @@
  * which then fails its check. */
 
 #include <math.h>
+
+/* the engine's modes, dynamics.STICK and dynamics.SLIP */
+enum { STICK, SLIP };
 
 /* The plant: the fields of PlantParams and the products the contact model
  * hoists, each formed as the Python forms it. */
@@ -124,31 +127,26 @@ static void stick_test(const struct plant *p, double th, double thd, double x,
     t[3] = p->mu * t[1];
 }
 
-/* A stage of the sub-step while sticking, the stick test's theta_ddot and N
- * at d_x_dot = 0: theta_ddot of the held container into *a, and N,
- * returned. */
-static double stick_stage(const struct plant *p, double th, double thd, double x,
-                          const struct row *u, double *a)
+/* A stage of the sub-step (the stage closure of _TraySim._advance) in mode
+ * `mode` (STICK or SLIP) at (th, thd, x, w) and row u: theta_ddot into *a
+ * and d_x_ddot into *xdd. Sticking, it is the stick test's theta_ddot, with
+ * d_x_ddot = 0.0. Sliding, it is the contact model's slide, with s mu `smu`
+ * and ((s mu) m) l `smml`. Returns 0 where the sub-step raises: on N <= 0,
+ * on a singular coupling matrix, and where N or the matrix is NaN. */
+static int stage(const struct plant *p, int mode, double smu, double smml,
+                 double th, double thd, double x, double w,
+                 const struct row *u, double *a, double *xdd)
 {
     double st = sin(th), ct = cos(th);
+    double nf, b2, r1, a21, det;
 
-    *a = p->pendulum ? -bracket(p, th, st, ct, thd, x, 0.0, u) / p->l : 0.0;
-    return normal(p, st, ct, thd, x, 0.0, *a, u);
-}
-
-/* A stage of the sub-step while sliding, the contact model's slide, with
- * s mu `smu` and ((s mu) m) l `smml`: theta_ddot and d_x_ddot into *a and
- * *xdd. Returns 0 where the sub-step raises, on a singular coupling matrix
- * or N <= 0, and where N or the matrix is NaN. */
-static int slip_stage(const struct plant *p, double smu, double smml, double th,
-                      double thd, double x, double w, const struct row *u,
-                      double *a, double *xdd)
-{
-    double st = sin(th), ct = cos(th);
-    double nf0 = normal(p, st, ct, thd, x, w, 0.0, u);
-    double b2 = -demand(p, st, ct, thd, x, w, 0.0, u) - smu * nf0;
-    double r1, a21, det;
-
+    if (mode == STICK) {
+        *a = p->pendulum ? -bracket(p, th, st, ct, thd, x, w, u) / p->l : 0.0;
+        *xdd = 0.0;
+        return normal(p, st, ct, thd, x, w, *a, u) > 0.0;
+    }
+    nf = normal(p, st, ct, thd, x, w, 0.0, u);
+    b2 = -demand(p, st, ct, thd, x, w, 0.0, u) - smu * nf;
     if (!p->pendulum) {
         *a = 0.0;
         *xdd = b2 / p->M;
@@ -160,109 +158,33 @@ static int slip_stage(const struct plant *p, double smu, double smml, double th,
             return 0;
         *a = (r1 * p->mass - ct * b2) / det;
         *xdd = (p->l * b2 - a21 * r1) / det;
-        nf0 = nf0 + p->ml * st * *a;
+        nf = nf + p->ml * st * *a;
     }
-    return nf0 > 0.0;
+    return nf > 0.0;
 }
 
-/* run()'s record of row j: the state y, mode and the stick test t there. */
-static void record(long j, const double *y, unsigned char mode, const double *t,
-                   double *theta, double *theta_dot, double *d_x, double *d_x_dot,
-                   unsigned char *modes, double *dem, double *f_s)
-{
-    theta[j] = y[0];
-    theta_dot[j] = y[1];
-    d_x[j] = y[2];
-    d_x_dot[j] = y[3];
-    modes[j] = mode;
-    dem[j] = t[2];
-    f_s[j] = t[3];
-}
-
-/* The loops share their arguments, over a run of n steps of width `dt`:
+/* Steps k, k + 1, ... of a run of n steps of width `dt` in mode `mode`
+ * (STICK or SLIP; sliding with sign s), with the arguments:
  *
  * plant: m, M, l, h, d_z, b_ct, mu, g, the pendulum damping b_lc / (m l) and
  *        the stick capture velocity dynamics._V_EPS
  * grid:  the n + 1 grid rows, mid: the n midpoint rows, 5 doubles a row
- * s:     the sign of the slide; stick_steps does not read it
  * state: theta, theta_dot, d_x, d_x_dot, then k1 = (theta_ddot, N, D, F_s),
- *        the stick test at that state and row k, which is the sub-step's
- *        first stage while sticking and the solid's while sliding; updated
- *        to the state and stick test at the returned row
+ *        the stick test at that state and row k; updated to the state and
+ *        stick test at the returned row
  * the trace arrays get rows k + 1 up to the returned row.
  *
- * Each returns the index of the first step not committed, or n. */
-
-/* Sticking steps k, k + 1, ...: committed where N > 0 in k1 and in stages 2
- * to 4, |D| <= F_s at the end, the state is finite and N > 0 in the record. */
-long stick_steps(const double *plant, double dt, const double *grid,
-                 const double *mid, long k, long n, double s, double *state,
-                 double *theta, double *theta_dot, double *d_x,
-                 double *d_x_dot, unsigned char *mode, double *dem,
-                 double *f_s)
-{
-    struct plant p;
-    const double hh = 0.5 * dt;
-    double y[4], k1[4], t[4];
-
-    (void)s;
-    plant_of(plant, &p);
-    for (int i = 0; i < 4; i++) {
-        y[i] = state[i];
-        k1[i] = state[4 + i];
-    }
-    for (; k < n; k++) {
-        struct row um, u1;
-        double x, v2, a2, v3, a3, v4, a4, th_end, thd_end;
-
-        if (!(k1[1] > 0.0))
-            break;
-        x = y[2] + 0.0;                /* d_x + h/2 * 0.0, as h > 0 */
-        /* stages 2 and 3: the midpoint row */
-        input_terms(mid + 5 * k, &p, &um);
-        v2 = y[1] + hh * k1[0];
-        if (!(stick_stage(&p, y[0] + hh * y[1], v2, x, &um, &a2) > 0.0))
-            break;
-        v3 = y[1] + hh * a2;
-        if (!(stick_stage(&p, y[0] + hh * v2, v3, x, &um, &a3) > 0.0))
-            break;
-        /* stage 4 and the end test: the end row */
-        input_terms(grid + 5 * (k + 1), &p, &u1);
-        v4 = y[1] + dt * a3;
-        if (!(stick_stage(&p, y[0] + dt * v3, v4, x, &u1, &a4) > 0.0))
-            break;
-        th_end = y[0] + dt * (y[1] + 2.0 * v2 + 2.0 * v3 + v4) / 6.0;
-        thd_end = y[1] + dt * (k1[0] + 2.0 * a2 + 2.0 * a3 + a4) / 6.0;
-        stick_test(&p, th_end, thd_end, x, 0.0, &u1, t);
-        /* run(): the end test, the finite state, the record's N */
-        if (!(fabs(t[2]) <= t[3]) || !isfinite(th_end) || !isfinite(thd_end)
-                || !isfinite(x) || !(t[1] > 0.0))
-            break;
-        y[0] = th_end;
-        y[1] = thd_end;
-        y[2] = x;
-        y[3] = 0.0;
-        for (int i = 0; i < 4; i++)
-            k1[i] = t[i];
-        record(k + 1, y, 0, t, theta, theta_dot, d_x, d_x_dot, mode, dem, f_s);
-    }
-    for (int i = 0; i < 4; i++) {
-        state[i] = y[i];
-        state[4 + i] = k1[i];
-    }
-    return k;
-}
-
-/* Sliding steps k, k + 1, ... with sign s: committed where N > 0 in the
- * first stage (the solid's, from k1) and in stages 2 to 4, no coupling
- * matrix is singular, the slide neither stops nor reverses (d_x_dot s > 0),
- * it ends outside the capture band (|d_x_dot| >= v_eps), the state is finite
- * and N > 0 in the record. */
-long slip_steps(const double *plant, double dt, const double *grid,
-                const double *mid, long k, long n, double s, double *state,
-                double *theta, double *theta_dot, double *d_x,
-                double *d_x_dot, unsigned char *mode, double *dem,
-                double *f_s)
+ * A step is committed where N > 0 in every stage and no coupling matrix is
+ * singular; at the end, sticking, where |D| <= F_s, and sliding, where the
+ * slide neither stops nor reverses (d_x_dot s > 0) and ends outside the
+ * capture band (|d_x_dot| >= v_eps); and in both modes where the state is
+ * finite and N > 0 in the record. The first stage is k1's while sticking,
+ * and the solid's while sliding. Returns the index of the first step not
+ * committed, or n. */
+long steps(int mode, const double *plant, double dt, const double *grid,
+           const double *mid, long k, long n, double s, double *state,
+           double *theta, double *theta_dot, double *d_x, double *d_x_dot,
+           unsigned char *modes, double *dem, double *f_s)
 {
     struct plant p;
     struct row u0, um, u1;
@@ -282,48 +204,60 @@ long slip_steps(const double *plant, double dt, const double *grid,
     for (; k < n; k++) {
         double a1, x1, v2, w2, a2, x2, v3, w3, a3, x3, v4, w4, a4, x4, e[4];
 
-        if (!p.pendulum) {
+        /* stage 1: the row k */
+        if (mode == SLIP && p.pendulum) {
+            if (!stage(&p, mode, smu, smml, y[0], y[1], y[2], y[3], &u0, &a1, &x1))
+                break;
+        } else {
             if (!(k1[1] > 0.0))
                 break;
-            a1 = 0.0;
-            x1 = (-k1[2] - smu * k1[1]) / p.M;
-        } else if (!slip_stage(&p, smu, smml, y[0], y[1], y[2], y[3], &u0, &a1, &x1)) {
-            break;
+            a1 = k1[0];
+            x1 = mode == STICK ? 0.0 : (-k1[2] - smu * k1[1]) / p.M;
         }
         /* stages 2 and 3: the midpoint row */
         input_terms(mid + 5 * k, &p, &um);
         v2 = y[1] + hh * a1;
         w2 = y[3] + hh * x1;
-        if (!slip_stage(&p, smu, smml, y[0] + hh * y[1], v2, y[2] + hh * y[3], w2,
-                        &um, &a2, &x2))
+        if (!stage(&p, mode, smu, smml, y[0] + hh * y[1], v2, y[2] + hh * y[3], w2,
+                   &um, &a2, &x2))
             break;
         v3 = y[1] + hh * a2;
         w3 = y[3] + hh * x2;
-        if (!slip_stage(&p, smu, smml, y[0] + hh * v2, v3, y[2] + hh * w2, w3,
-                        &um, &a3, &x3))
+        if (!stage(&p, mode, smu, smml, y[0] + hh * v2, v3, y[2] + hh * w2, w3,
+                   &um, &a3, &x3))
             break;
         /* stage 4 and the end test: the end row */
         input_terms(grid + 5 * (k + 1), &p, &u1);
         v4 = y[1] + dt * a3;
         w4 = y[3] + dt * x3;
-        if (!slip_stage(&p, smu, smml, y[0] + dt * v3, v4, y[2] + dt * w3, w4,
-                        &u1, &a4, &x4))
+        if (!stage(&p, mode, smu, smml, y[0] + dt * v3, v4, y[2] + dt * w3, w4,
+                   &u1, &a4, &x4))
             break;
         e[0] = y[0] + dt * (y[1] + 2.0 * v2 + 2.0 * v3 + v4) / 6.0;
         e[1] = y[1] + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0;
         e[2] = y[2] + dt * (y[3] + 2.0 * w2 + 2.0 * w3 + w4) / 6.0;
         e[3] = y[3] + dt * (x1 + 2.0 * x2 + 2.0 * x3 + x4) / 6.0;
         stick_test(&p, e[0], e[1], e[2], e[3], &u1, t);
-        /* run(): no stop or reversal, no capture test, the finite state,
-         * the record's N */
-        if (!(e[3] * s > 0.0) || !(fabs(e[3]) >= p.v_eps) || !isfinite(e[0])
-                || !isfinite(e[1]) || !isfinite(e[2]) || !(t[1] > 0.0))
+        /* run(): the end test while sticking; no stop or reversal and no
+         * capture test while sliding; the finite state, the record's N */
+        if (mode == STICK ? !(fabs(t[2]) <= t[3])
+                : (!(e[3] * s > 0.0) || !(fabs(e[3]) >= p.v_eps)))
+            break;
+        if (!isfinite(e[0]) || !isfinite(e[1]) || !isfinite(e[2]) || !isfinite(e[3])
+                || !(t[1] > 0.0))
             break;
         for (int i = 0; i < 4; i++) {
             y[i] = e[i];
             k1[i] = t[i];
         }
-        record(k + 1, y, 1, t, theta, theta_dot, d_x, d_x_dot, mode, dem, f_s);
+        /* run()'s record of row k + 1 */
+        theta[k + 1] = y[0];
+        theta_dot[k + 1] = y[1];
+        d_x[k + 1] = y[2];
+        d_x_dot[k + 1] = y[3];
+        modes[k + 1] = (unsigned char)mode;
+        dem[k + 1] = t[2];
+        f_s[k + 1] = t[3];
         u0 = u1;
     }
     for (int i = 0; i < 4; i++) {

@@ -3,10 +3,10 @@ oscillator: `_engine.c`, built with a C compiler at the first use in a
 process (the first simulator step, or the first oscillator stage that
 `plan` or `filter` builds) and loaded through ctypes.
 
-The loops run the sticking steps and the sliding steps of the engine that
-need no event, bit for bit as the Python sub-step (`_TraySim._advance` over
-the contact model `dynamics._contact`) runs them; that sub-step stays the
-fallback and the oracle the tests compare the loops with. In the same way
+One step loop runs the steps of the engine that need no event, sticking or
+sliding, bit for bit as the Python sub-step (`_TraySim._advance` over the
+contact model `dynamics._contact`) runs them; that sub-step stays the
+fallback and the oracle the tests compare the loop with. In the same way
 the oscillator loop runs the 2x2 recurrence of `smoothers._OscStage`, whose
 Python loop stays its fallback and oracle. The library is
 cached in `$XDG_CACHE_HOME/traywaiter` (default `~/.cache/traywaiter`), a
@@ -85,11 +85,10 @@ def _build(cc, directory):
 def _load(path):
     lib = ctypes.CDLL(path)
     doubles = ctypes.POINTER(ctypes.c_double)
-    for fn in (lib.stick_steps, lib.slip_steps):
-        fn.argtypes = [doubles, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_long, ctypes.c_long, ctypes.c_double, doubles,
-                       *[ctypes.c_void_p] * 7]
-        fn.restype = ctypes.c_long
+    lib.steps.argtypes = [ctypes.c_int, doubles, ctypes.c_double, ctypes.c_void_p,
+                          ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_double,
+                          doubles, *[ctypes.c_void_p] * 7]
+    lib.steps.restype = ctypes.c_long
     lib.osc_steps.argtypes = [doubles, ctypes.c_void_p, ctypes.c_long, doubles,
                               ctypes.c_void_p, ctypes.c_void_p]
     lib.osc_steps.restype = None
@@ -114,17 +113,16 @@ def library():
 
 
 def loops(p, damp, v_eps, dt, grid, mid, trace):
-    """The compiled stick loop and slip loop bound to one run, as a pair
-    indexed by the engine's mode (STICK = 0, SLIP = 1), or None where they
-    are not built.
+    """The compiled step loop bound to one run, or None where it is not
+    built.
 
     `p` is the plant, `damp` its pendulum damping b_lc / (m l), `v_eps` the
     stick capture velocity, `grid` and `mid` the (n + 1, 5) grid and (n, 5)
     midpoint rows of tray inputs and `trace` the run's theta, theta_dot, d_x,
-    d_x_dot, mode, demand and f_s arrays of n + 1 rows. Each loop is a call
-    (k, y, k1, s) -> (j, y, k1): from step k with the state y and its stick
-    test k1 at row k, sticking or sliding with sign s (which the stick loop
-    does not read), it commits steps k to j - 1 into rows k + 1 to j of
+    d_x_dot, mode, demand and f_s arrays of n + 1 rows. The loop is a call
+    (mode, k, y, k1, s) -> (j, y, k1): from step k with the state y and its
+    stick test k1 at row k, in the engine's mode (STICK = 0, SLIP = 1),
+    sliding with sign s, it commits steps k to j - 1 into rows k + 1 to j of
     `trace` and returns the state and stick test at row j. It stops at the
     first step the Python loop would end in an event or an error, and at
     j = n.
@@ -144,14 +142,13 @@ def loops(p, damp, v_eps, dt, grid, mid, trace):
     rows = (grid.ctypes.data, mid.ctypes.data)
     out = [a.ctypes.data for a in trace]
     state = (ctypes.c_double * 8)()
+    fn = lib.steps
 
-    def bind(fn):
-        def steps(k, y, k1, s, _arrays=arrays):      # the arrays stay alive with the loop
-            state[:] = (*y, *k1)
-            j = fn(plant, dt, *rows, k, n, s, state, *out)
-            return j, tuple(state[:4]), tuple(state[4:])
-        return steps
-    return bind(lib.stick_steps), bind(lib.slip_steps)
+    def steps(mode, k, y, k1, s, _arrays=arrays):      # the arrays stay alive with the loop
+        state[:] = (*y, *k1)
+        j = fn(mode, plant, dt, *rows, k, n, s, state, *out)
+        return j, tuple(state[:4]), tuple(state[4:])
+    return steps
 
 
 def oscillator(f11, f12, f21, f22, g1, g2):

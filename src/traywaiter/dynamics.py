@@ -276,7 +276,7 @@ def _contact(p: PlantParams, damp: float):
     matrix raises IntegrationError. The bracket of the pendulum equation,
     whose negative over l is theta_ddot, and N and D are each written once,
     in the operand order of `bracket`, `normal` and `demand` in _engine.c,
-    so the compiled loops get the same bits. An infinite theta gives NaN."""
+    so the compiled step loop gets the same bits. An infinite theta gives NaN."""
     m, M, l, hgt, b_ct, mu = p.m, p.M, p.l, p.h, p.b_ct, p.mu
     mass, ml, dz_m, l_mass, pendulum = M + m, m * l, p.d_z * M, l * (m + M), m > 0.0
     tol = 1e-12 * l * (m + M)
@@ -370,10 +370,10 @@ def _resolve_steps(motion: TrayMotion, dt: float | None) -> tuple[float, int]:
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     n_steps = int(round(motion.duration / dt))
-    if n_steps < 1:
-        raise ValueError("motion shorter than one integration step")
     if abs(n_steps * dt - motion.duration) > 1e-9 * max(1.0, motion.duration):
         n_steps = int(math.floor(motion.duration / dt + 1e-12))
+    if n_steps < 1:
+        raise ValueError("motion shorter than one integration step")
     return dt, n_steps
 
 
@@ -387,8 +387,8 @@ class _TraySim:
     which fills the record; sticking, it also decides stick or slip.
 
     Where a C compiler is at hand, the sticking and the sliding steps that
-    need no event run in the compiled loops of `_native.py`, bit for bit as
-    `_advance` runs them; they hand any other step back to the Python
+    need no event run in the compiled step loop of `_native.py`, bit for bit
+    as `_advance` runs them; it hands any other step back to the Python
     loop."""
 
     # False keeps every step in Python, as the tests' oracles do
@@ -496,13 +496,13 @@ class _TraySim:
             k1 = test_at(*y, u0)               # sliding, row 0's test
         record(0, y, mode, k1)
         u_end = u0
-        # the compiled loops, one per mode, or None; each takes and returns
-        # the state and its stick test k1 at the row it starts or stops at
+        # the compiled step loop, or None; it takes and returns the state
+        # and its stick test k1 at the row it starts or stops at
         native = self._loops((theta, theta_dot, d_x, d_x_dot, mode_arr, demand_arr, fs_arr))
         k = 0
         while k < n:
             if native:
-                j, y, k1 = native[mode](k, y, k1, self.slip_sign)
+                j, y, k1 = native(mode, k, y, k1, self.slip_sign)
                 if j > k:       # steps k to j - 1 are committed: read on from row j
                     k = j
                     if k == n:
@@ -570,8 +570,8 @@ class _TraySim:
                         demand_arr, fs_arr, self.transitions)
 
     def _loops(self, trace):
-        """The compiled stick and slip loops bound to this run's rows and its
-        `trace` arrays (`_native.loops`), indexed by mode, or None."""
+        """The compiled step loop bound to this run's rows and its `trace`
+        arrays (`_native.loops`), or None."""
         if not self._compiled:
             return None
         from . import _native     # here, so that its build tools stay out of start-up

@@ -567,6 +567,19 @@ def test_simulate_rejects_a_one_row_input(tmp_path, capsys):
         f"error: {path}: simulate needs at least two samples, got 1\n")
 
 
+def test_simulate_rejects_an_input_shorter_than_one_step(tmp_path, capsys):
+    # a 1 ms input at 1.6 ms per step has no whole step: it used to give a
+    # one-row trace
+    cfg = _write(tmp_path, "cfg.yaml", _config_with("numerics.sim_dt", 0.0016))
+    path = str(tmp_path / "two.csv")
+    write_trajectory(path, TrajectoryFile(1e-3, np.arange(2) * 1e-3, np.tile([0.0, 0.0, 0.4], (2, 1)),
+                                          np.zeros((2, 3))))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--input", path, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: motion shorter than one integration step\n"
+    assert not (out / "trace.csv").exists()
+
+
 def _dive(tmp_path):
     """A 0.2 s reference of a steady -15 m/s^2 dive, in tmp_path."""
     dt, n = 1e-3, 200

@@ -123,6 +123,17 @@ def test_motion_and_simulators_reject_a_bad_dt(dt):
             simulate(desk_params(), motion, dt=dt)
 
 
+@pytest.mark.parametrize("dt", [1.2e-3, 1.6e-3, 2e-3])
+def test_simulators_reject_a_motion_shorter_than_one_step(dt):
+    # a 1 ms motion at a wider step: at 1.2 and 1.6 ms the step count rounds
+    # to 1, which is off the duration, and its floor fallback to 0, which
+    # used to give a one-row trace
+    motion = TrayMotion.from_channels(1e-3, [0.0, 0.0])
+    for simulate in (simulate_coupled, simulate_solid_sliding):
+        with pytest.raises(ValueError, match="^motion shorter than one integration step$"):
+            simulate(desk_params(), motion, dt=dt)
+
+
 # ---------------------------------------------------------------------------
 # nonlinear pendulum: the engine with the container glued by mu = inf
 # ---------------------------------------------------------------------------
@@ -550,7 +561,7 @@ _CAPTURES = {
 
 # stick -> slip -> stick runs, with sub-steps and bisection after each event;
 # each test takes the `engine_loops` fixture, so it runs with the compiled
-# stick and slip loops and with every step in Python
+# step loop and with every step in Python
 _STICK_SLIP_STICK_RUNS = {
     "coupled": (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
     "solid": (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),

@@ -1,19 +1,22 @@
 """The compiled loops, of the stick/slip engine and of the smoother's
 oscillator: the golden outputs without them, their build into a cold cache,
 the reuse of a cached build, a private build where the cache cannot be
-used, and the silent fallback to the Python sub-step and the Python
-recurrence where no build is possible. test_golden.py covers the default
-run, which uses the loops where they build."""
+used, the silent fallback to the Python sub-step and the Python recurrence
+where no build is possible, and the array checks of their bindings.
+test_golden.py covers the default run, which uses the loops where they
+build."""
 
 import os
 import shutil
 import stat
 import subprocess
 
+import numpy as np
 import pytest
 
 from traywaiter import _native, dynamics
 
+from _oracles import desk_params
 from test_golden import GOLDEN, _run_case
 
 # the golden cases that simulate; the filter cases run no simulator, and
@@ -91,3 +94,79 @@ def test_without_a_build_the_python_kernels_give_the_same_bytes(
     hashes = {run: _run_case(run, str(tmp_path / run)) for run in SIMULATING}
     assert hashes == {run: GOLDEN[run] for run in SIMULATING}
     assert capfd.readouterr().err == ""
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """The names of the compiled library's loops, in the order they are
+    called."""
+    _needs_compiler()
+    lib = _native.library()
+    calls = []
+    for name in ("steps", "osc_steps"):
+        def counted(*args, _name=name, _fn=getattr(lib, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(lib, name, counted)
+    return calls
+
+
+def _loop_arrays(n=3):
+    # valid grid and midpoint rows and trace arrays of an n-step run
+    trace = [np.zeros(n + 1) for _ in range(7)]
+    trace[4] = np.zeros(n + 1, dtype=np.uint8)
+    return np.zeros((n + 1, 5)), np.zeros((n, 5)), trace
+
+
+def _strided(a):
+    # `a` as a view that is not C-contiguous: every other element of its
+    # rows repeated
+    b = np.repeat(a, 2, axis=-1)[..., ::2]
+    assert not b.flags.c_contiguous
+    return b
+
+
+_BAD_LOOP_ARRAYS = {
+    "grid-shape": lambda grid, mid, trace: (grid[:, :4].copy(), mid, trace),
+    "mid-shape": lambda grid, mid, trace: (grid, grid.copy(), trace),
+    "trace-shape": lambda grid, mid, trace: (grid, mid, [trace[0][:-1].copy(), *trace[1:]]),
+    "mode-dtype": lambda grid, mid, trace: (grid, mid, [*trace[:4], trace[4].astype(np.int8),
+                                                       *trace[5:]]),
+    "trace-dtype": lambda grid, mid, trace: (grid, mid, [*trace[:5], trace[5].astype(np.float32),
+                                                        trace[6]]),
+    "grid-not-contiguous": lambda grid, mid, trace: (_strided(grid), mid, trace),
+    "trace-not-contiguous": lambda grid, mid, trace: (grid, mid, [_strided(trace[0]),
+                                                                  *trace[1:]]),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_LOOP_ARRAYS)
+def test_the_step_loop_refuses_bad_arrays_before_any_call(loop_calls, case):
+    grid, mid, trace = _BAD_LOOP_ARRAYS[case](*_loop_arrays())
+    with pytest.raises(ValueError, match="^engine loop arrays: "):
+        _native.loops(desk_params(), 0.0, 1e-6, 1e-3, grid, mid, trace)
+    assert loop_calls == []
+    # the same run with valid arrays calls the loop
+    loop = _native.loops(desk_params(), 0.0, 1e-6, 1e-3, *_loop_arrays())
+    assert loop(dynamics.STICK, 0, (0.0,) * 4, (0.0,) * 4, 0.0)[0] == 0
+    assert loop_calls == ["steps"]
+
+
+_BAD_OSCILLATOR_ARRAYS = {
+    "length": lambda f, x1s, x2s: (f, x1s[:-1].copy(), x2s),
+    "two-dimensional": lambda f, x1s, x2s: (f[:, None].copy(), x1s, x2s),
+    "dtype": lambda f, x1s, x2s: (f, x1s, x2s.astype(np.float32)),
+    "not-contiguous": lambda f, x1s, x2s: (_strided(f), x1s, x2s),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_OSCILLATOR_ARRAYS)
+def test_the_oscillator_loop_refuses_bad_arrays_before_any_call(loop_calls, case):
+    loop = _native.oscillator(0.5, 0.1, -0.1, 0.5, 0.2, 0.3)
+    f, x1s, x2s = _BAD_OSCILLATOR_ARRAYS[case](np.ones(4), np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="^oscillator loop arrays: "):
+        loop(f, 0.0, 0.0, x1s, x2s)
+    assert loop_calls == []
+    # the same call with valid arrays calls the loop
+    loop(np.ones(4), 0.0, 0.0, np.zeros(4), np.zeros(4))
+    assert loop_calls == ["osc_steps"]

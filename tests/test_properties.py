@@ -8,8 +8,8 @@ smoother step responses keep unit DC gain, stay in range and respect the
 trapezoid's kinematic limits; stick and slip agree where they meet; the
 contact model's stick test and slide give exactly the bits of the reference
 formulas, and the RK4 sub-step in either mode the bits of the generic RK4
-step over them; the compiled stick and slip loops commit exactly the bits
-of the Python sub-step."""
+step over them; the compiled step loop, sticking and sliding, commits
+exactly the bits of the Python sub-step."""
 
 import math
 from dataclasses import replace
@@ -784,7 +784,7 @@ def _python_steps(mode, sim, h, grid, mid, k, y, k1, s, trace):
     error, and the state and stick test at that row. The steps before it
     fill `trace` as record() does. Sticking, the event is a failed end test;
     sliding, a stop, a reversal or a capture test. A record whose N is NaN,
-    which run() would write, also ends the steps: the compiled loops commit
+    which run() would write, also ends the steps: the compiled loop commits
     N > 0 alone."""
     sim.slip_sign = s
     grid_rows = _input_terms(sim.p, grid.tolist()[k:])
@@ -824,8 +824,8 @@ def _compiled_and_python_runs(mode, plant, y, rows, h, k, s=1.0):
     k1 = sim._test(*y, next(_input_terms(plant, [rows[k]])))
     n = len(rows) - 1
     compiled_trace, python_trace = _empty_trace(n), _empty_trace(n)
-    loop = _native.loops(plant, sim.damp, _V_EPS, h, grid, mid, compiled_trace)[mode]
-    compiled = loop(k, y, k1, s)
+    loop = _native.loops(plant, sim.damp, _V_EPS, h, grid, mid, compiled_trace)
+    compiled = loop(mode, k, y, k1, s)
     python = _python_steps(mode, sim, h, grid, mid, k, y, k1, s, python_trace)
     return (_hex_run(*compiled, compiled_trace), _hex_run(*python, python_trace),
             _hex_run(k, y, k1, _empty_trace(n)))
@@ -853,24 +853,28 @@ _HAND_BACK = {
 # inputs; a committed row whose N, D and F_s are infinite; a start past
 # row 0; a theta_dot whose square pow and w * w round apart, over a step
 # too narrow to move the state; inputs where the pendulum sum of a stage
-# changes its bits if two adjacent terms are swapped.
+# changes its bits if two adjacent terms are swapped. The slide sign s,
+# which the loop takes in both modes, is 0.0 at run()'s start and +-1.0
+# after a slide; sticking reads none of them, and with mu = inf the
+# product s mu of s = 0.0 is NaN.
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(st.just(0.0), st.floats(0.01, 2.0)).flatmap(
            lambda m: _plants(m, st.one_of(st.floats(0.0, 1.5), st.just(math.inf)))),
        st.tuples(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0), st.floats(-0.1, 0.1)),
        st.integers(1, 4).flatmap(lambda n: st.lists(_ROW, min_size=n + 1, max_size=n + 1)),
-       st.floats(1e-10, 0.05), st.integers(0, 3))
-@example(*_HAND_BACK["contact-lost-in-stage-2"], 0)
-@example(*_HAND_BACK["contact-lost-in-stage-3"], 0)
-@example(*_HAND_BACK["contact-lost-in-stage-4"], 0)
-@example(*_HAND_BACK["end-test-fails"], 0)
-@example(*_HAND_BACK["theta-overflows"], 0)
-@example(*_HAND_BACK["theta-dot-overflows"], 0)
-@example(desk_params(), (-0.0, -0.0, -0.0), [(-0.0, 0.0, -0.0, 0.0, -0.0)] * 3, 1e-3, 0)
-@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, 1)
+       st.floats(1e-10, 0.05), st.integers(0, 3), st.sampled_from([0.0, 1.0, -1.0]))
+@example(*_HAND_BACK["contact-lost-in-stage-2"], 0, 0.0)
+@example(*_HAND_BACK["contact-lost-in-stage-3"], 0, 1.0)
+@example(*_HAND_BACK["contact-lost-in-stage-4"], 0, -1.0)
+@example(*_HAND_BACK["end-test-fails"], 0, 0.0)
+@example(*_HAND_BACK["theta-overflows"], 0, 0.0)
+@example(*_HAND_BACK["theta-dot-overflows"], 0, -1.0)
+@example(desk_params(), (-0.0, -0.0, -0.0), [(-0.0, 0.0, -0.0, 0.0, -0.0)] * 3, 1e-3, 0, 0.0)
+@example(desk_params(m=0.0, b_lc=0.0), (-0.0, -0.0, -0.0), _ZERO_ROWS, 1e-3, 1, -1.0)
 @example(desk_params(mu=math.inf), (-0.6291470363099416, -2.886081300105434e176, 0.0),
-         _ZERO_ROWS, 1e-3, 0)
-@example(desk_params(mu=math.inf), (0.3, -11.295802070436245, 0.0), _ZERO_ROWS[:2], 1e-30, 0)
+         _ZERO_ROWS, 1e-3, 0, 0.0)
+@example(desk_params(mu=math.inf), (0.3, -11.295802070436245, 0.0), _ZERO_ROWS[:2], 1e-30, 0,
+         1.0)
 @example(PlantParams(m=1.1294764103969792, M=0.9372586728560999, l=0.015608566622543384,
                      h=0.12705652890029515, d_z=-0.028172045739839863, b_lc=0.002181788663327989,
                      b_ct=0.16327203032328755, mu=math.inf),
@@ -878,14 +882,15 @@ _HAND_BACK = {
          [(-6.136093865027654e-70, -9.090217516627287e-17, 0.47040172457393203,
            2.1527730570059234, -32.827147312378855),
           (-3.196616691059239e-233, 10.0, -0.406191182980737, 1e-05, -2.7734639460080863e-84)],
-         1e-10, 0)
-def test_compiled_stick_loop_matches_the_python_kernel(plant, y, rows, h, k):
+         1e-10, 0, 0.0)
+def test_compiled_stick_loop_matches_the_python_kernel(plant, y, rows, h, k, s):
     # m = 0 and m > 0, mu finite and inf, b_ct >= 0: the compiled loop
     # commits the steps the Python sub-step and run()'s checks commit, with
     # the same bits in every trace row, and returns the same stop index,
-    # state and k1; rows no step wrote are left as they were
+    # state and k1, whatever the slide sign s; rows no step wrote are left
+    # as they were
     assume(k < len(rows) - 1)
-    compiled, python, _ = _compiled_and_python_runs(STICK, plant, (*y, 0.0), rows, h, k)
+    compiled, python, _ = _compiled_and_python_runs(STICK, plant, (*y, 0.0), rows, h, k, s)
     assert compiled == python
 
 
@@ -1082,6 +1087,11 @@ _SLIP_HAND_BACK = {
     # d_x overflows to inf, and with beta_ddot > 0 the record's N is inf
     "non-finite-state": ((desk_params(m=0.0, b_lc=0.0), (0.0, 0.0, 0.0, 1e308),
                           ((0.0, 0.0, 0.0, 0.0, 1.0),) * 2, 1e-3, 1.0), "non-finite state"),
+    # the end row's x_ddot takes the demand and d_x_ddot of stage 4 to inf,
+    # so d_x_dot alone overflows, and with beta_dot < 0 the record's N is inf
+    "d-x-dot-overflows": ((desk_params(m=0.0, b_lc=0.0, M=2.0), (0.0, 0.0, 0.0, -0.5),
+                           ((0.0, 0.0, 0.0, -1.0, 0.0), (1.7e308, 0.0, 0.0, -1.0, 0.0)),
+                           1e-3, -1.0), "non-finite state"),
     "contact-lost-in-the-record": (
         (PlantParams(m=0.1129388775989291, M=0.9748598699372891, l=0.022165049226024205,
                      h=0.02819994953413965, d_z=-0.09392387061698121,
