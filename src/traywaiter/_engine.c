@@ -1,8 +1,9 @@
-/* The compiled loop of the stick/slip engine: consecutive steps of
- * dynamics._TraySim.run in one call (steps), sticking or sliding with one
- * sign, for the steps that run() finishes with no event and no error. At
- * the end of the file, the smoother's oscillator recurrence (osc_steps),
- * under the same flags.
+/* The compiled pieces of traywaiter, in three parts under one set of flags:
+ * the stick/slip engine's step loop (steps), consecutive steps of
+ * dynamics._TraySim.run in one call, sticking or sliding with one sign, for
+ * the steps that run() finishes with no event and no error; the smoother's
+ * oscillator recurrence (osc_steps); and the CSV row writer of
+ * fileio._table_chunks (csv_rows).
  *
  * A step is _input_terms for the rows it reads, the RK4 sub-step
  * (_TraySim._advance) over the plant's contact model (dynamics._contact) in
@@ -21,6 +22,7 @@
  * which then fails its check. */
 
 #include <math.h>
+#include <string.h>
 
 /* the engine's modes, dynamics.STICK and dynamics.SLIP */
 enum { STICK, SLIP };
@@ -293,4 +295,89 @@ void osc_steps(const double *c, const double *f, long n, double *x,
     }
     x[0] = x1;
     x[1] = x2;
+}
+
+/* Appends the k bytes at s to *o. */
+static void put(char **o, const char *s, size_t k)
+{
+    memcpy(*o, s, k);
+    *o += k;
+}
+
+/* The table writer of fileio._table_chunks: orjson's dump of n float64
+ * values v ("[a,b,...]", len bytes of text), laid out in out (cap bytes) as
+ * CSV rows of ncols values, each value written as its repr(). Ryu's digits
+ * (orjson's) are repr()'s, and so is its notation outside the ranges below,
+ * where the token is fixed from its value, as fileio._ODD_FIXES fixes it:
+ *
+ *   NaN and inf, which orjson writes as null: nan, inf and -inf;
+ *   1e-9 <= |x| < 1e-5:  1e-6 to 1e-06;
+ *   1e-5 <= |x| < 1e-4:  0.000012 to 1.2e-05, 0.00001 to 1e-05;
+ *   |x| >= 1e16:         1e16 to 1e+16.
+ *
+ * A token of k bytes and its separator take at most k + 4 bytes in out, so
+ * a cap of len + 4 n always fits. Returns the bytes written, or -1 where the
+ * dump does not hold exactly n tokens in the notation above, or the cap is
+ * less than len + 4 n. */
+long csv_rows(const double *v, long n, long ncols, const char *text, long len,
+              char *out, long cap)
+{
+    const char *t = text + 1, *end = text + len - 1;    /* the closing ] */
+    char *o = out;
+    long col = 0;
+
+    if (ncols < 1 || len < 2 || text[0] != '[' || *end != ']' || cap < len + 4 * n)
+        return -1;
+    for (long i = 0; i < n; i++) {
+        const double x = v[i], a = x < 0.0 ? -x : x;
+        const char *stop, *e;
+        long k;
+
+        if (t > end)
+            return -1;      /* no token left */
+        stop = memchr(t, ',', end - t);
+        if (stop == NULL)
+            stop = end;
+        k = stop - t;
+        if (k == 0)
+            return -1;
+        if (a < 1e-9 || (a >= 1e-4 && a < 1e16)) {
+            put(&o, t, k);
+        } else if (a < 1e-5 || (a >= 1e16 && a <= 1.7976931348623157e308)) {
+            /* a 0 after the e- of 1e-6, a + after the e of 1e16 */
+            e = memchr(t, 'e', k);
+            if (e == NULL || (a < 1e-5 && e[1] != '-'))
+                return -1;
+            e += a < 1e-5 ? 2 : 1;
+            put(&o, t, e - t);
+            *o++ = a < 1e-5 ? '0' : '+';
+            put(&o, e, stop - e);
+        } else if (a < 1e-4) {
+            /* the sign, the digit after 0.0000, a point before the others,
+             * e-05 */
+            if (*t == '-')
+                *o++ = *t++;
+            if (stop - t < 7 || memcmp(t, "0.0000", 6) != 0)
+                return -1;
+            *o++ = t[6];
+            if (stop - t > 7) {
+                *o++ = '.';
+                put(&o, t + 7, stop - t - 7);
+            }
+            put(&o, "e-05", 4);
+        } else {
+            /* NaN and inf, where orjson writes null */
+            const char *s = x != x ? "nan" : x > 0.0 ? "inf" : "-inf";
+
+            put(&o, s, strlen(s));
+        }
+        if (++col == ncols) {
+            *o++ = '\n';
+            col = 0;
+        } else {
+            *o++ = ',';
+        }
+        t = stop + 1;
+    }
+    return (n ? t == end + 1 : len == 2) ? o - out : -1;
 }

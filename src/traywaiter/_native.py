@@ -1,20 +1,24 @@
-"""The compiled loops of the stick/slip engine and of the smoother's
-oscillator: `_engine.c`, built with a C compiler at the first use in a
-process (the first simulator step, or the first oscillator stage that
-`plan` or `filter` builds) and loaded through ctypes.
+"""The compiled pieces of traywaiter: `_engine.c`, built with a C compiler
+at the first use in a process (the first simulator step, the first
+oscillator stage that `plan` or `filter` builds, or the first table a
+command writes) and loaded through ctypes. It holds three of them:
 
-One step loop runs the steps of the engine that need no event, sticking or
-sliding, bit for bit as the Python sub-step (`_TraySim._advance` over the
-contact model `dynamics._contact`) runs them; that sub-step stays the
-fallback and the oracle the tests compare the loop with. In the same way
-the oscillator loop runs the 2x2 recurrence of `smoothers._OscStage`, whose
-Python loop stays its fallback and oracle. The library is
-cached in `$XDG_CACHE_HOME/traywaiter` (default `~/.cache/traywaiter`), a
-directory of mode 0700, under the SHA-256 of the source, the flags and the
-machine. Where that directory cannot be used the library is built for this
-process alone, in a private temporary directory. Without a compiler, or
-where the build or the load fails, `library` is None and the engine and the
-smoother run in Python, silently.
+- the step loop, which runs the steps of the engine that need no event,
+  sticking or sliding, bit for bit as the Python sub-step
+  (`_TraySim._advance` over the contact model `dynamics._contact`) runs them;
+- the oscillator loop, which runs the 2x2 recurrence of
+  `smoothers._OscStage` as its Python loop runs it;
+- the CSV row writer, which lays out orjson's dump of a block of floats as
+  the lines `fileio._table_chunks` writes in Python, with the same bytes.
+
+Each Python path stays the fallback and the oracle the tests compare the
+compiled piece with. The library is cached in `$XDG_CACHE_HOME/traywaiter`
+(default `~/.cache/traywaiter`), a directory of mode 0700, under the SHA-256
+of the source, the flags and the machine. Where that directory cannot be
+used the library is built for this process alone, in a private temporary
+directory. Without a compiler, or where the build or the load fails,
+`library` is None and the engine, the smoother and the writer run in
+Python, silently.
 """
 
 from __future__ import annotations
@@ -92,12 +96,15 @@ def _load(path):
     lib.osc_steps.argtypes = [doubles, ctypes.c_void_p, ctypes.c_long, doubles,
                               ctypes.c_void_p, ctypes.c_void_p]
     lib.osc_steps.restype = None
+    lib.csv_rows.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p,
+                             ctypes.c_long, ctypes.c_char_p, ctypes.c_long]
+    lib.csv_rows.restype = ctypes.c_long
     return lib
 
 
 @functools.cache
 def library():
-    """The compiled loops' C library, built and loaded once per process, or
+    """The compiled pieces' C library, built and loaded once per process, or
     None."""
     cc = _compiler()
     if cc is None:
@@ -177,3 +184,33 @@ def oscillator(f11, f12, f21, f22, g1, g2):
         fn(coefficients, f.ctypes.data, n, state, x1s.ctypes.data, x2s.ctypes.data)
         return state[0], state[1]
     return steps
+
+
+def csv_rows():
+    """The compiled CSV row writer, or None where it is not built.
+
+    The writer is a call (table, dump) -> bytes: `table` a C-contiguous 2-D
+    float64 array with at least one column and `dump` orjson's dump of its
+    values in C order, a flat JSON array. It returns the table's lines, each
+    value written as its repr(), comma-separated, and each line ended by a
+    newline.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    fn = lib.csv_rows
+
+    def write(table, dump):
+        if table.ndim != 2 or table.shape[1] < 1 or table.dtype != np.float64 \
+                or not table.flags.c_contiguous:
+            raise ValueError("CSV rows: expected a C-contiguous 2-D float64 table "
+                             "with at least one column")
+        out = ctypes.create_string_buffer(len(dump) + 4 * table.size)
+        size = fn(table.ctypes.data, table.size, table.shape[1], dump, len(dump),
+                  out, len(out))
+        if size < 0:
+            rows, cols = table.shape
+            raise ValueError(f"CSV rows: the dump does not hold the {table.size} values "
+                             f"of the {rows}x{cols} table")
+        return ctypes.string_at(out, size)
+    return write

@@ -10,11 +10,17 @@ round-trips, so write-then-read is lossless and repeated runs are
 byte-identical. A pose file stores each rotation once, as a unit
 quaternion.
 
-A block of rows is formatted in one orjson call: its Ryu digits (Adams,
+A block of rows is formatted from one orjson call: its Ryu digits (Adams,
 PLDI 2018) are repr()'s shortest, correctly rounded digits, and its text
 equals repr() for |x| < 1e-9 (0 and subnormals included) and
-1e-4 <= |x| < 1e16. Other finite values are dumped by orjson a range at a
-time with their notation fixed to repr()'s; NaN and inf are written by repr().
+1e-4 <= |x| < 1e16. Where the C library of `_native.py` builds, its CSV row
+writer lays the dump of the whole block out as rows in one pass, and fixes
+the notation of every other value to repr()'s there; NaN and inf, which
+orjson writes as null, become nan, inf and -inf. Without it, the Python
+path dumps those other values a range at a time, fixes their text and
+splices it in; NaN and inf are written by repr(). Both paths write the same
+bytes. (The library's other two pieces are the simulator's step loop and
+the smoother's oscillator recurrence.)
 
 Tables are streamed as bytes: rows are formatted and written a fixed-size
 block at a time, so the text of a whole file is never held in memory. Writes
@@ -122,8 +128,13 @@ _ODD_FIXES = (lambda t: t.replace(b"e-", b"e-0"), _e05, lambda t: t.replace(b"e"
 def _table_chunks(header: str, rows: np.ndarray):
     rows = np.ascontiguousarray(rows, dtype=float)  # orjson takes C order only
     yield (header + "\n").encode()
+    from . import _native     # here, so that its build tools stay out of start-up
+    write = _native.csv_rows()
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
+        if write is not None:
+            yield write(block, orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+            continue
         size = np.abs(block)
         # Ryu's text is repr()'s for |x| < 1e-9 and 1e-4 <= |x| < 1e16; every
         # other value goes out as null and is spliced back fixed, range by range
@@ -141,7 +152,10 @@ def _table_chunks(header: str, rows: np.ndarray):
             else:
                 dump = orjson.dumps(values[mask], option=orjson.OPT_SERIALIZE_NUMPY)
                 texts[mask] = _ODD_FIXES[k](dump[1:-1]).split(b",")
-        assert len(pieces) == texts.size + 1, "a null that the mask did not make"
+        if len(pieces) != texts.size + 1:
+            raise ValueError(f"table rows {start} to {start + len(block) - 1}: orjson "
+                             f"wrote {len(pieces) - 1} nulls for the {texts.size} values "
+                             "masked as NaN")
         spliced = [None] * (2 * texts.size + 1)
         spliced[::2] = pieces
         spliced[1::2] = texts.tolist()

@@ -4,7 +4,7 @@ model's reference formulas, the pendulum's own integration loop, the generic
 stick and slip sub-steps, the linear slosh oscillator and the desk-scale
 plant, which the tests compare the package against or build their cases
 from; and the switch between the two paths of the smoother's oscillator
-recurrence."""
+recurrence and of the table writer."""
 
 import contextlib
 import math
@@ -345,9 +345,9 @@ class OscStageRef:
         return x1, x2, w - self.a0 * x1 - self.a1 * x2
 
 
-# the paths of the oscillator recurrence, to parametrize a test with: the
-# compiled loop, where a C compiler is at hand, and the Python loop
-OSCILLATOR_PATHS = [
+# the paths of a compiled piece, to parametrize a test with: the compiled
+# library, where a C compiler is at hand, and the Python fallback
+LIBRARY_PATHS = [
     pytest.param("compiled", marks=pytest.mark.skipif(_native._compiler() is None,
                                                       reason="no C compiler")),
     "python",
@@ -355,11 +355,11 @@ OSCILLATOR_PATHS = [
 
 
 @contextlib.contextmanager
-def oscillator_path(path):
-    """The oscillator stages built inside the block run their recurrence on
-    `path`. "python" patches the compiled library away and yields None.
-    "compiled" requires the library, so that a silent fallback fails, and
-    yields a list that gets the block length of every call of its loop."""
+def library_path(path, piece, size):
+    """The compiled piece `piece` (a function of the library) runs on `path`
+    inside the block. "python" patches the compiled library away and yields
+    None. "compiled" requires the library, so that a silent fallback fails,
+    and yields a list that gets argument `size` of every call of `piece`."""
     with pytest.MonkeyPatch.context() as mp:
         if path == "python":
             mp.setattr(_native, "library", lambda: None)
@@ -368,13 +368,25 @@ def oscillator_path(path):
         lib = _native.library()
         assert lib is not None, "the compiled library did not build"
         calls = []
-        loop = lib.osc_steps
+        fn = getattr(lib, piece)
 
-        def counted(c, f, n, x, x1s, x2s):
-            calls.append(n)
-            return loop(c, f, n, x, x1s, x2s)
-        mp.setattr(lib, "osc_steps", counted)
+        def counted(*args):
+            calls.append(args[size])
+            return fn(*args)
+        mp.setattr(lib, piece, counted)
         yield calls
+
+
+def oscillator_path(path):
+    """The oscillator stages built inside the block run their recurrence on
+    `path`; the compiled path's list gets the block length of each call."""
+    return library_path(path, "osc_steps", 2)
+
+
+def writer_path(path):
+    """The tables written inside the block are laid out on `path`; the
+    compiled path's list gets the number of values of each call."""
+    return library_path(path, "csv_rows", 1)
 
 
 def per_sample_stages(kind, dt: float) -> list:

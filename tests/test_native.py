@@ -1,8 +1,9 @@
-"""The compiled loops, of the stick/slip engine and of the smoother's
-oscillator: the golden outputs without them, their build into a cold cache,
-the reuse of a cached build, a private build where the cache cannot be
-used, the silent fallback to the Python sub-step and the Python recurrence
-where no build is possible, and the array checks of their bindings.
+"""The compiled pieces, the stick/slip engine's step loop, the smoother's
+oscillator loop and the CSV row writer: the golden outputs without them,
+their build into a cold cache, the reuse of a cached build, a private build
+where the cache cannot be used, the silent fallback to the Python sub-step,
+recurrence and writer where no build is possible, and the array checks of
+their bindings.
 test_golden.py covers the default run, which uses the loops where they
 build."""
 
@@ -12,6 +13,7 @@ import stat
 import subprocess
 
 import numpy as np
+import orjson
 import pytest
 
 from traywaiter import _native, dynamics
@@ -20,7 +22,8 @@ from _oracles import desk_params
 from test_golden import GOLDEN, _run_case
 
 # the golden cases that simulate; the filter cases run no simulator, and
-# "filter" and the liquid plan of "demo" run the oscillator recurrence
+# "filter" and the liquid plan of "demo" run the oscillator recurrence.
+# Every case writes tables, through the row writer
 SIMULATING = ("demo", "solid_slip", "slip_coupled")
 
 
@@ -45,7 +48,7 @@ def test_golden_output_hashes_without_the_compiled_loop(monkeypatch, tmp_path, r
     assert _run_case(run, str(tmp_path)) == GOLDEN[run]
 
 
-@pytest.mark.parametrize("run", ["demo", "filter"])
+@pytest.mark.parametrize("run", ["demo", "filter", "filter_solid"])
 def test_golden_output_hashes_without_the_library(monkeypatch, tmp_path, run):
     monkeypatch.setattr(_native, "library", lambda: None)
     assert _run_case(run, str(tmp_path)) == GOLDEN[run]
@@ -98,12 +101,12 @@ def test_without_a_build_the_python_kernels_give_the_same_bytes(
 
 @pytest.fixture
 def loop_calls(monkeypatch):
-    """The names of the compiled library's loops, in the order they are
+    """The names of the compiled library's pieces, in the order they are
     called."""
     _needs_compiler()
     lib = _native.library()
     calls = []
-    for name in ("steps", "osc_steps"):
+    for name in ("steps", "osc_steps", "csv_rows"):
         def counted(*args, _name=name, _fn=getattr(lib, name)):
             calls.append(_name)
             return _fn(*args)
@@ -170,3 +173,39 @@ def test_the_oscillator_loop_refuses_bad_arrays_before_any_call(loop_calls, case
     # the same call with valid arrays calls the loop
     loop(np.ones(4), 0.0, 0.0, np.zeros(4), np.zeros(4))
     assert loop_calls == ["osc_steps"]
+
+
+def _dump(values):
+    return orjson.dumps(np.ravel(values), option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+_BAD_TABLES = {
+    "one-dimensional": np.ones(4),
+    "no-columns": np.ones((4, 0)),
+    "dtype": np.ones((2, 2), dtype=np.float32),
+    "not-contiguous": _strided(np.ones((2, 2))),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_TABLES)
+def test_the_row_writer_refuses_bad_tables_before_any_call(loop_calls, case):
+    write = _native.csv_rows()
+    table = _BAD_TABLES[case]
+    with pytest.raises(ValueError, match="^CSV rows: expected a C-contiguous 2-D float64 "):
+        write(table, _dump(table))
+    assert loop_calls == []
+    # the same write of a valid table calls the writer
+    assert write(np.ones((2, 2)), _dump(np.ones((2, 2)))) == b"1.0,1.0\n1.0,1.0\n"
+    assert loop_calls == ["csv_rows"]
+
+
+@pytest.mark.parametrize("dump", [b"[1.0,2.0,3.0]", b"[1.0,2.0,3.0,4.0,5.0]", b"[]",
+                                  b"[1.0,2.0,,4.0]", b"1.0,2.0,3.0,4.0"],
+                         ids=["one-too-few", "one-too-many", "empty", "empty-token",
+                              "no-brackets"])
+def test_the_row_writer_refuses_a_dump_that_does_not_hold_the_table(loop_calls, dump):
+    write = _native.csv_rows()
+    with pytest.raises(ValueError, match="^CSV rows: the dump does not hold the 4 values "
+                                         "of the 2x2 table$"):
+        write(np.ones((2, 2)), dump)
+    assert loop_calls == ["csv_rows"]

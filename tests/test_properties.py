@@ -1,9 +1,9 @@
 """Property tests: the batched pose path gives exactly the bits of the
 closed form it evaluates and keeps near the matrix chain it replaced; the
 mount's quaternion and offset are the bits of the matrix route; the
-streamed CSV writer and the flattened smoother cascade, with its oscillator
-recurrence compiled or in Python, give exactly the bits of the code they
-replace;
+streamed CSV writer, with its rows laid out compiled or in Python, and the
+flattened smoother cascade, with its oscillator recurrence compiled or in
+Python, give exactly the bits of the code they replace;
 smoother step responses keep unit DC gain, stay in range and respect the
 trapezoid's kinematic limits; stick and slip agree where they meet; the
 contact model's stick test and slide give exactly the bits of the reference
@@ -47,7 +47,7 @@ from traywaiter.smoothers import (
 )
 
 from _oracles import (
-    OSCILLATOR_PATHS,
+    LIBRARY_PATHS,
     _rpy_matrix,
     _slip_eval,
     _stick_eval,
@@ -58,6 +58,7 @@ from _oracles import (
     matrix_route_mount,
     oscillator_path,
     per_sample_stages,
+    writer_path,
     closed_form_poses,
     repr_table_chunks,
     scalar_poses,
@@ -331,6 +332,36 @@ def test_table_chunks_match_per_float_repr_at_notation_edges():
     assert b"".join(fileio._table_chunks("# t", rows)) == _per_repr_text("# t", rows)
 
 
+# the values whose text the writer fixes or writes itself, with their
+# neighbours: NaN, the infinities, the notation bounds, zeros and subnormals
+WRITER_EDGES = np.array(
+    [s * v for s in (1.0, -1.0) for b in (1e-9, 1e-5, 1e-4, 1e16) for v in _neighbours(b)]
+    + [s * v for s in (1.0, -1.0) for v in (0.0, 5e-324, SUBNORMAL_MAX, math.inf)]
+    + [math.nan, -math.nan])
+
+
+@pytest.mark.parametrize("path", LIBRARY_PATHS)
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+       st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(2, 8, 0, 1.0)
+def test_both_row_writers_match_per_row_repr(path, n_rows, n_cols, seed, share):
+    # random magnitudes across the whole float range, and a drawn share of
+    # the table taken from the edges; the compiled path must have laid out
+    # every block, the Python path none
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(-320, 300,
+                                                                    (n_rows, n_cols))
+    edges = rng.random((n_rows, n_cols)) < share
+    rows[edges] = rng.choice(WRITER_EDGES, int(edges.sum()))
+    with writer_path(path) as calls:
+        text = b"".join(fileio._table_chunks("# t", rows))
+    assert text == b"# t\n" + b"".join((",".join(map(repr, row)) + "\n").encode()
+                                      for row in rows.tolist())
+    assert calls is None or calls == [rows[k:k + BLOCK].size
+                                      for k in range(0, n_rows, BLOCK)]
+
+
 # ---------------------------------------------------------------------------
 # smoother cascade
 # ---------------------------------------------------------------------------
@@ -458,7 +489,7 @@ def _hit(value):
     return _LONG[:100] + [(value, 0.0, 0.0)] + _LONG[101:300]
 
 
-@pytest.mark.parametrize("path", OSCILLATOR_PATHS)
+@pytest.mark.parametrize("path", LIBRARY_PATHS)
 @settings(deadline=None)
 @given(st.lists(kinds, min_size=1, max_size=4), periods, signal,
        st.lists(st.tuples(signal, signal, signal), max_size=120),

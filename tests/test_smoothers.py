@@ -17,7 +17,7 @@ from traywaiter.smoothers import (
     transfer_function,
 )
 
-from _oracles import OSCILLATOR_PATHS, oscillator_path
+from _oracles import LIBRARY_PATHS, oscillator_path
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def test_state_rejects_a_bad_sample_period(dt):
         CascadeState(DampedHarmonic(0.0, 0.5), dt, initial_value=0.0)
 
 
-@pytest.mark.parametrize("path", OSCILLATOR_PATHS)
+@pytest.mark.parametrize("path", LIBRARY_PATHS)
 def test_numpy_scalar_prime_is_kept_as_python_floats(path):
     # a numpy scalar in the oscillator state would turn its Python loop into
     # numpy-scalar arithmetic: same bits, several times slower; the compiled
