@@ -306,9 +306,10 @@ static void put(char **o, const char *s, size_t k)
 
 /* The table writer of fileio._table_chunks: orjson's dump of n float64
  * values v ("[a,b,...]", len bytes of text), laid out in out (cap bytes) as
- * CSV rows of ncols values, each value written as its repr(). Ryu's digits
- * (orjson's) are repr()'s, and so is its notation outside the ranges below,
- * where the token is fixed from its value, as fileio._ODD_FIXES fixes it:
+ * CSV rows of ncols values, each value written as its repr(), as the
+ * Python fallback writes it. Ryu's digits (orjson's) are repr()'s, and so
+ * is its notation outside the ranges below, where the token is fixed from
+ * its value:
  *
  *   NaN and inf, which orjson writes as null: nan, inf and -inf;
  *   1e-9 <= |x| < 1e-5:  1e-6 to 1e-06;

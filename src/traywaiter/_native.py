@@ -9,16 +9,18 @@ command writes) and loaded through ctypes. It holds three of them:
 - the oscillator loop, which runs the 2x2 recurrence of
   `smoothers._OscStage` as its Python loop runs it;
 - the CSV row writer, which lays out orjson's dump of a block of floats as
-  the lines `fileio._table_chunks` writes in Python, with the same bytes.
+  the lines `fileio._table_chunks` writes in Python, each value's repr(),
+  with the same bytes.
 
-Each Python path stays the fallback and the oracle the tests compare the
-compiled piece with. The library is cached in `$XDG_CACHE_HOME/traywaiter`
-(default `~/.cache/traywaiter`), a directory of mode 0700, under the SHA-256
-of the source, the flags and the machine. Where that directory cannot be
-used the library is built for this process alone, in a private temporary
-directory. Without a compiler, or where the build or the load fails,
-`library` is None and the engine, the smoother and the writer run in
-Python, silently.
+Each Python path stays the fallback: the plain definition (the Python
+sub-step, one loop over the forcing, ",".join(map(repr, row)) per row)
+that the tests hold the compiled piece to. The library is cached in
+`$XDG_CACHE_HOME/traywaiter` (default `~/.cache/traywaiter`), a directory
+of mode 0700, under the SHA-256 of the source, the flags and the machine.
+Where that directory cannot be used the library is built for this process
+alone, in a private temporary directory. Without a compiler, or where the
+build or the load fails, `library` is None and the engine, the smoother
+and the writer run in Python, silently.
 """
 
 from __future__ import annotations
@@ -191,9 +193,9 @@ def csv_rows():
 
     The writer is a call (table, dump) -> bytes: `table` a C-contiguous 2-D
     float64 array with at least one column and `dump` orjson's dump of its
-    values in C order, a flat JSON array. It returns the table's lines, each
-    value written as its repr(), comma-separated, and each line ended by a
-    newline.
+    values in C order, a flat JSON array. It returns the bytes of
+    "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()), the
+    Python fallback of `fileio._table_chunks`, from one pass over the dump.
     """
     lib = library()
     if lib is None:

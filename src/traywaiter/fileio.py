@@ -10,17 +10,14 @@ round-trips, so write-then-read is lossless and repeated runs are
 byte-identical. A pose file stores each rotation once, as a unit
 quaternion.
 
-A block of rows is formatted from one orjson call: its Ryu digits (Adams,
-PLDI 2018) are repr()'s shortest, correctly rounded digits, and its text
-equals repr() for |x| < 1e-9 (0 and subnormals included) and
-1e-4 <= |x| < 1e16. Where the C library of `_native.py` builds, its CSV row
-writer lays the dump of the whole block out as rows in one pass, and fixes
-the notation of every other value to repr()'s there; NaN and inf, which
-orjson writes as null, become nan, inf and -inf. Without it, the Python
-path dumps those other values a range at a time, fixes their text and
-splices it in; NaN and inf are written by repr(). Both paths write the same
-bytes. (The library's other two pieces are the simulator's step loop and
-the smoother's oscillator recurrence.)
+Where the C library of `_native.py` builds, a block of rows is formatted
+from one orjson call: its Ryu digits (Adams, PLDI 2018) are repr()'s
+shortest, correctly rounded digits, and the library's CSV row writer lays
+the dump out as rows in one pass, with repr()'s notation. Without it, each
+row is written as ",".join(map(repr, row)), the definition the compiled
+writer is held to, more slowly and with the same bytes. (The library's
+other two pieces are the simulator's step loop and the smoother's
+oscillator recurrence.)
 
 Tables are streamed as bytes: rows are formatted and written a fixed-size
 block at a time, so the text of a whole file is never held in memory. Writes
@@ -114,17 +111,6 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
-def _e05(text: bytes) -> bytes:  # orjson's 0.0000ddd to d.dde-05, 0.0000d to de-05
-    for d in b"123456789":
-        text = text.replace(b"0.0000%c" % d, b"%c." % d)
-    return (text.replace(b",", b"e-05,") + b"e-05").replace(b".e", b"e")
-
-
-# |x| ranges of the odd values ([1e-4, 1e16) holds none), each with its text fix
-_ODD_BOUNDS = np.array([1e-5, 1e-4, math.inf])  # NaN and inf lie past the last
-_ODD_FIXES = (lambda t: t.replace(b"e-", b"e-0"), _e05, lambda t: t.replace(b"e", b"e+"))
-
-
 def _table_chunks(header: str, rows: np.ndarray):
     rows = np.ascontiguousarray(rows, dtype=float)  # orjson takes C order only
     yield (header + "\n").encode()
@@ -134,32 +120,8 @@ def _table_chunks(header: str, rows: np.ndarray):
         block = rows[start:start + _BLOCK_ROWS]
         if write is not None:
             yield write(block, orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
-            continue
-        size = np.abs(block)
-        # Ryu's text is repr()'s for |x| < 1e-9 and 1e-4 <= |x| < 1e16; every
-        # other value goes out as null and is spliced back fixed, range by range
-        odd = ~((size < 1e-9) | ((size >= 1e-4) & (size < 1e16)))
-        text = orjson.dumps(np.where(odd, np.nan, block),
-                            option=orjson.OPT_SERIALIZE_NUMPY)
-        pieces = b"\n".join(text[2:-2].split(b"],[")).split(b"null")
-        values = block[odd]
-        ranges = np.searchsorted(_ODD_BOUNDS, size[odd], side="right")
-        texts = np.empty(values.size, dtype=object)
-        for k in np.flatnonzero(np.bincount(ranges)).tolist():
-            mask = ranges == k
-            if k == len(_ODD_BOUNDS):
-                texts[mask] = [repr(v).encode() for v in values[mask].tolist()]
-            else:
-                dump = orjson.dumps(values[mask], option=orjson.OPT_SERIALIZE_NUMPY)
-                texts[mask] = _ODD_FIXES[k](dump[1:-1]).split(b",")
-        if len(pieces) != texts.size + 1:
-            raise ValueError(f"table rows {start} to {start + len(block) - 1}: orjson "
-                             f"wrote {len(pieces) - 1} nulls for the {texts.size} values "
-                             "masked as NaN")
-        spliced = [None] * (2 * texts.size + 1)
-        spliced[::2] = pieces
-        spliced[1::2] = texts.tolist()
-        yield b"".join(spliced) + b"\n"
+        else:
+            yield "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
 
 
 def _write_table(path: str, header: str, rows: np.ndarray) -> None:

@@ -200,7 +200,7 @@ class _RectStage:
         self._vels = np.zeros(self.n + 1)
         self._sum = self.n * u
 
-    def run(self, u: np.ndarray, v: np.ndarray, a: np.ndarray):
+    def run(self, u: np.ndarray, v: np.ndarray):
         """The running sum is a cumulative sum of per-sample increments,
         added left to right, so a block gives the bits of its samples fed
         one at a time."""
@@ -217,10 +217,6 @@ class _RectStage:
         return (sums / n,
                 (u - old1) / self.t_span,
                 (v - vels[1:m + 1]) / self.t_span)
-
-
-# the Python loop's chunk of samples, where the compiled one is not built
-_RECURRENCE_CHUNK = 4096
 
 
 class _OscStage:
@@ -268,7 +264,7 @@ class _OscStage:
         self.x2 = 0.0
         self._w_prev = self.a0 * u
 
-    def run(self, u: np.ndarray, v: np.ndarray, a: np.ndarray):
+    def run(self, u: np.ndarray, v: np.ndarray):
         """Forcing and acceleration as arrays, the 2x2 recurrence as one
         call of the compiled loop, or else one loop over Python floats."""
         m = u.size
@@ -282,15 +278,10 @@ class _OscStage:
         else:
             f11, f12, f21, f22 = self.f11, self.f12, self.f21, self.f22
             g1, g2 = self.g1, self.g2
-            # chunks bound the transient float lists of a long block
-            for lo in range(0, m, _RECURRENCE_CHUNK):
-                c1, c2 = [], []
-                for fk in f[lo:lo + _RECURRENCE_CHUNK].tolist():
-                    x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
-                    c1.append(x1)
-                    c2.append(x2)
-                x1s[lo:lo + len(c1)] = c1
-                x2s[lo:lo + len(c2)] = c2
+            for k, fk in enumerate(f.tolist()):
+                x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
+                x1s[k] = x1
+                x2s[k] = x2
         self.x1, self.x2, self._w_prev = x1, x2, float(w[-1])
         self._buf = buf[m:].copy()
         return x1s, x2s, w - self.a0 * x1s - self.a1 * x2s
@@ -374,7 +365,7 @@ class CascadeState:
             raise ValueError(f"series must be 1-D, got shape {p.shape}")
         if p.size == 0:
             return np.empty(0), np.empty(0), np.empty(0)
-        v = a = np.zeros(p.size)
+        v = np.zeros(p.size)
         for st in self._stages:
-            p, v, a = st.run(p, v, a)
+            p, v, a = st.run(p, v)
         return p, v, a

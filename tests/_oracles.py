@@ -250,8 +250,9 @@ def linear_slosh_params(params: PlantParams) -> tuple[float, float]:
 
 
 def repr_table_chunks(header: str, rows):
-    """The per-float repr() table writer that fileio._table_chunks replaces:
-    the header line, then 1024-row blocks of comma-separated repr() floats."""
+    """The per-float repr() table writer, the definition both of
+    fileio._table_chunks's writers are held to: the header line, then
+    1024-row blocks of comma-separated repr() floats."""
     rows = np.asarray(rows, dtype=float)
     yield header + "\n"
     for start in range(0, len(rows), 1024):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from traywaiter import _native, fileio
+from traywaiter import fileio
 from traywaiter.compensation import MountingTransform, rotation_matrix
 from traywaiter.dynamics import SimTrace
 from traywaiter.fileio import (
@@ -489,20 +489,6 @@ def test_written_files_get_the_mode_open_would_give(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert os.stat(path).st_mode & 0o777 == mode
-
-
-def test_python_writer_refuses_a_null_it_did_not_make(monkeypatch):
-    # a null in orjson's text where no odd value put one would shift every
-    # spliced value after it; the Python writer raises an error, which no
-    # python -O strips, rather than write the file misaligned
-    monkeypatch.setattr(_native, "library", lambda: None)
-    dumps = fileio.orjson.dumps
-    monkeypatch.setattr(fileio.orjson, "dumps",
-                        lambda a, option: dumps(a, option=option).replace(b"2.5", b"null"))
-    rows = np.array([[1.0, 2.5], [1e-7, 3.0]])
-    with pytest.raises(ValueError, match="^table rows 0 to 1: orjson wrote 2 nulls for "
-                                         "the 1 values masked as NaN$"):
-        b"".join(fileio._table_chunks("# t", rows))
 
 
 def test_load_config(tmp_path):

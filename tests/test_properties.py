@@ -471,10 +471,9 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-# long inputs for the spans of 85 and 600 samples, and one that crosses the
-# chunks of the oscillator recurrence
+# long inputs for the spans of 85 and 600 samples, and one of 4500 samples
 _LONG = [tuple(r) for r in np.random.default_rng(11).uniform(-10.0, 10.0, (1500, 3))]
-_LONGER = _LONG * (smoothers._RECURRENCE_CHUNK // len(_LONG) + 1)
+_LONGER = _LONG * 3
 
 
 def _same(x, y):

@@ -106,7 +106,7 @@ def test_rectangular_step_is_ramp():
     T = 0.5
     box = _RectStage(_quantize(T, dt), dt)
     box.prime(0.0)
-    p, v, a = box.run(np.ones(800), np.zeros(800), np.zeros(800))
+    p, v, a = box.run(np.ones(800), np.zeros(800))
     t = (np.arange(800) + 0.5) * dt  # step occurs half a sample before index 0
     ref = np.clip(t / T, 0.0, 1.0)
     assert np.abs(p - ref).max() < 1e-12
