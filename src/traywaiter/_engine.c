@@ -5,10 +5,11 @@
  * oscillator recurrence (osc_steps); and the CSV row writer of
  * fileio._table_chunks (csv_rows).
  *
- * A step is _input_terms for the rows it reads, the RK4 sub-step
- * (_TraySim._advance) over the plant's contact model (dynamics._contact) in
- * its mode and run()'s record, each transcribed in the operand order of the
- * Python it stands for, so that every committed value has the Python bits.
+ * A step is dynamics._input_terms of each row it reads, by index as run()
+ * reads them, the RK4 sub-step (_TraySim._advance) over the plant's contact
+ * model (dynamics._contact) in its mode and run()'s record, each
+ * transcribed in the operand order of the Python it stands for, so that
+ * every committed value has the Python bits.
  * That needs IEEE double arithmetic with no fused multiply-add, and libm's
  * sin, cos and pow as Python calls them: _native.py pins the flags
  * (-ffp-contract=off -fno-builtin) that give both.
@@ -56,7 +57,7 @@ static void plant_of(const double *p, struct plant *q)
 }
 
 /* The input-only terms of one row (x_ddot, z_ddot, beta, beta_dot,
- * beta_ddot), as _input_terms yields them. */
+ * beta_ddot), as dynamics._input_terms returns them. */
 struct row {
     double xtt, gz, b, bd, bdd, n_u, d_u, hbb, dzbb, bb;
 };

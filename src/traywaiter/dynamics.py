@@ -215,10 +215,9 @@ class SimTrace:
 # contact model
 # ---------------------------------------------------------------------------
 
-def _input_terms(p: PlantParams, rows):
-    """The input-only terms of the contact model, one tuple per row
-    (x_ddot, z_ddot, beta, beta_dot, beta_ddot) of tray inputs, yielded as
-    the rows are read:
+def _input_terms(p: PlantParams, row) -> tuple:
+    """The input-only terms of the contact model for one row (x_ddot,
+    z_ddot, beta, beta_dot, beta_ddot) of tray inputs:
 
         (x_ddot, g + z_ddot, beta, beta_dot, beta_ddot, N_u, D_u,
          h beta_dot^2, d_z beta_dot^2, beta_dot^2)
@@ -228,13 +227,11 @@ def _input_terms(p: PlantParams, rows):
     leads the demand. Each term keeps the operand order of the expression it
     stands for, so using it changes no bit, and math.sin and math.cos give
     the same terms on every host."""
-    g, h, d_z, mass = p.g, p.h, p.d_z, p.m + p.M
-    sin, cos = math.sin, math.cos
-    for xtt, ztt, b, bd, bdd in rows:
-        gz = g + ztt
-        sb, cb = sin(b), cos(b)
-        yield (xtt, gz, b, bd, bdd, cb * gz - sb * xtt, mass * (sb * gz + cb * xtt),
-               h * bd * bd, d_z * bd * bd, bd * bd)
+    xtt, ztt, b, bd, bdd = row
+    gz = p.g + ztt
+    sb, cb = math.sin(b), math.cos(b)
+    return (xtt, gz, b, bd, bdd, cb * gz - sb * xtt, (p.m + p.M) * (sb * gz + cb * xtt),
+            p.h * bd * bd, p.d_z * bd * bd, bd * bd)
 
 
 def _square(w: float) -> float:
@@ -389,7 +386,9 @@ class _TraySim:
     Where a C compiler is at hand, the sticking and the sliding steps that
     need no event run in the compiled step loop of `_native.py`, bit for bit
     as `_advance` runs them; it hands any other step back to the Python
-    loop."""
+    loop. Both loops read step k's inputs by index, grid rows k and k + 1
+    and midpoint row k, so the Python loop takes a handed-back step up at
+    its own rows."""
 
     # False keeps every step in Python, as the tests' oracles do
     _compiled = True
@@ -400,7 +399,7 @@ class _TraySim:
         self.damp = params.b_lc / (params.m * params.l) if params.m > 0.0 else 0.0
         self.dt, self.n_steps = _resolve_steps(motion, dt)
         self.smp = _MotionSampler(motion, self.dt, self.n_steps)
-        self.y = [float(v) for v in init]      # theta, theta_dot, d_x, d_x_dot
+        self.init = tuple(map(float, init))    # theta, theta_dot, d_x, d_x_dot
         self.transitions: list = []
         self.slip_sign = 0.0
         self.events = 0                        # events in the current step
@@ -409,7 +408,7 @@ class _TraySim:
     def _at(self, *times) -> tuple:
         """The input terms at each of `times`, off the grid, from one
         evaluation."""
-        return tuple(_input_terms(self.p, self.smp.at(times)))
+        return tuple(_input_terms(self.p, row) for row in self.smp.at(times))
 
     def _advance(self, y, t, h, mode, inputs):
         """One RK4 sub-step of width h from the state y at time t; `inputs`
@@ -451,13 +450,9 @@ class _TraySim:
         test_at = self._test
         dt = self.dt
         n = self.n_steps
-        theta = np.empty(n + 1)
-        theta_dot = np.empty(n + 1)
-        d_x = np.empty(n + 1)
-        d_x_dot = np.empty(n + 1)
-        mode_arr = np.empty(n + 1, dtype=np.uint8)
-        demand_arr = np.empty(n + 1)
-        fs_arr = np.empty(n + 1)
+        # theta, theta_dot, d_x, d_x_dot, mode, demand and f_s by row
+        trace = [np.empty(n + 1) for _ in range(7)]
+        trace[4] = np.empty(n + 1, dtype=np.uint8)
 
         def held(y, u):
             # the state y with the container held still, and its stick test
@@ -469,36 +464,28 @@ class _TraySim:
             _, normal, dem, fs = test
             if normal <= 0.0:
                 raise ContactLostError(f"contact lost at t = {k * dt:.6g} s")
-            theta[k] = y[0]
-            theta_dot[k] = y[1]
-            d_x[k] = y[2]
-            d_x_dot[k] = y[3]
-            mode_arr[k] = mode
-            demand_arr[k] = dem
-            fs_arr[k] = fs
+            for arr, value in zip(trace, (*y, mode, dem, fs)):
+                arr[k] = value
 
-        def rows(k):
-            # the grid rows from k and the midpoint rows from k as Python
-            # floats, one row at a time
-            return (_input_terms(self.p, map(np.ndarray.tolist, self.smp.grid[k:])),
-                    _input_terms(self.p, map(np.ndarray.tolist, self.smp.mid[k:])))
+        def terms(rows, k):
+            # the input terms of row k of `rows`, read as Python floats
+            return _input_terms(self.p, rows[k].tolist())
 
-        grid, mid = rows(0)
-        y = tuple(self.y)
-        u0 = next(grid)
-        y_held, k1 = held(y, u0)               # sticking, row 0's test
+        grid, mid = self.smp.grid, self.smp.mid
+        y = self.init
+        u_end = terms(grid, 0)
+        y_held, k1 = held(y, u_end)            # sticking, row 0's test
         if abs(y[3]) < _V_EPS and abs(k1[2]) <= k1[3]:
             mode, y = STICK, y_held
         else:
             mode = SLIP
             self.slip_sign = math.copysign(1.0, y[3]) if abs(y[3]) >= _V_EPS \
                 else -math.copysign(1.0, k1[2])
-            k1 = test_at(*y, u0)               # sliding, row 0's test
+            k1 = test_at(*y, u_end)            # sliding, row 0's test
         record(0, y, mode, k1)
-        u_end = u0
         # the compiled step loop, or None; it takes and returns the state
         # and its stick test k1 at the row it starts or stops at
-        native = self._loops((theta, theta_dot, d_x, d_x_dot, mode_arr, demand_arr, fs_arr))
+        native = self._loops(trace)
         k = 0
         while k < n:
             if native:
@@ -507,13 +494,12 @@ class _TraySim:
                     k = j
                     if k == n:
                         break
-                    grid, mid = rows(k)
-                    u_end = next(grid)
+                    u_end = terms(grid, k)
             t = k * dt
             t_end = (k + 1) * dt
             # the first sub-step covers the whole step with the grid inputs
             h = dt
-            inputs = (u_end, next(mid), next(grid))
+            inputs = (u_end, terms(mid, k), terms(grid, k + 1))
             u_end = inputs[2]
             self.events = 0
             end_test = None
@@ -565,9 +551,7 @@ class _TraySim:
             k1 = end_test
             k += 1
 
-        t_arr = np.arange(n + 1) * dt
-        return SimTrace(t_arr, theta, theta_dot, d_x, d_x_dot, mode_arr,
-                        demand_arr, fs_arr, self.transitions)
+        return SimTrace(np.arange(n + 1) * dt, *trace, self.transitions)
 
     def _loops(self, trace):
         """The compiled step loop bound to this run's rows and its `trace`

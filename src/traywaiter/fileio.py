@@ -387,10 +387,14 @@ def read_sim_trace(path: str) -> SimTrace:
 # ---------------------------------------------------------------------------
 
 def _get(cfg: dict, path: str, typ, required=True, default=None):
+    # a null block is an absent one; any other block must be a mapping
     node = cfg
     parts = path.split(".")
     for i, key in enumerate(parts):
-        if not isinstance(node, dict) or key not in node:
+        if node is not None and not isinstance(node, dict):
+            raise ConfigError(".".join(parts[:i]),
+                              f"expected a mapping, got {type(node).__name__}")
+        if node is None or key not in node:
             if required:
                 raise ConfigError(".".join(parts[: i + 1]), "missing")
             return default

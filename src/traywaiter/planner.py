@@ -22,7 +22,6 @@ from .smoothers import (
     CascadeState,
     DampedHarmonic,
     Trapezoidal,
-    kernel_duration,
     make_damped_harmonic_params,
     make_trapezoidal_params,
 )
@@ -163,9 +162,10 @@ def _max_tilt_accel(stages, h: float, direction: np.ndarray, g: float) -> float:
     """Max |beta_ddot| of the signed compensation angle along the planned
     step, from the simulator's tilt channel. A step that falls faster than
     gravity raises FreeFallError naming the time along the step."""
-    total = sum(kernel_duration(s) for s in stages)
+    spec = CascadeSpec(stages)
+    total = spec.total_duration()
     dt = total / 3000.0
-    state = CascadeState(CascadeSpec(tuple(stages)), dt, initial_value=0.0)
+    state = CascadeState(spec, dt, initial_value=0.0)
     n = int(total / dt) + 8
     _, _, acc = state.run(np.full(n, h))
     try:

@@ -510,8 +510,8 @@ def pinned_pendulum(params: PlantParams, motion: TrayMotion,
     def rates(y, u):
         return y[1], _pendulum_rhs(p, damp, y[0], y[1], 0.0, 0.0, u) / p.l
 
-    grid = list(_input_terms(p, smp.grid.tolist()))
-    mid = list(_input_terms(p, smp.mid.tolist()))
+    grid = [_input_terms(p, row) for row in smp.grid.tolist()]
+    mid = [_input_terms(p, row) for row in smp.mid.tolist()]
     u1 = grid[0]
     record(0, th, thd, u1)
     for k in range(n_steps):

@@ -561,7 +561,8 @@ _CAPTURES = {
 
 # stick -> slip -> stick runs, with sub-steps and bisection after each event;
 # each test takes the `engine_loops` fixture, so it runs with the compiled
-# step loop and with every step in Python
+# step loop, with every step in Python and with the compiled loop handing
+# back a step after every few
 _STICK_SLIP_STICK_RUNS = {
     "coupled": (desk_params(mu=0.05), _compensated_cascade_motion(1e-3)),
     "solid": (desk_params(m=0.0, b_lc=0.0, mu=0.05), _compensated_cascade_motion(1e-3)),
@@ -571,10 +572,32 @@ STICK_SLIP_STICK = pytest.mark.parametrize("params, motion", _STICK_SLIP_STICK_R
                                            ids=_STICK_SLIP_STICK_RUNS)
 
 
-@pytest.fixture(params=["compiled", "python"])
+def _windowed_loops(loops, m):
+    """`loops` bound, at each call from step k, to the rows up to row
+    min(k + m, n): the compiled loop commits at most m steps a call, and
+    run() goes on in Python at the row it stops at."""
+    def bind(p, damp, v_eps, dt, grid, mid, trace):
+        n = mid.shape[0]
+
+        def steps(mode, k, y, k1, s):
+            stop = min(k + m, n)
+            window = [a[:stop + 1] for a in trace]
+            return loops(p, damp, v_eps, dt, grid[:stop + 1], mid[:stop], window)(
+                mode, k, y, k1, s)
+        return steps
+    return bind
+
+
+@pytest.fixture(params=["compiled", "python", "hand-back"])
 def engine_loops(request, monkeypatch):
+    # hand-back: the compiled loop hands a step back to Python after at
+    # most three, so that the Python loop resumes at many rows
     if request.param == "python":
         monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
+    elif request.param == "hand-back":
+        if _native.library() is None:
+            pytest.skip("no C compiler: the compiled loops are not built")
+        monkeypatch.setattr(_native, "loops", _windowed_loops(_native.loops, 3))
     return request.param
 
 
@@ -682,8 +705,8 @@ def _assert_rows_hold_the_friction_margin(tr, params, motion):
     states = zip(tr.theta.tolist(), tr.theta_dot.tolist(), tr.d_x.tolist(),
                  tr.d_x_dot.tolist())
     test = stick_test(params)
-    for k, (y, u) in enumerate(zip(states, _input_terms(params, grid))):
-        assert test(*y, u)[2:] == (tr.demand[k], tr.f_s[k]), k
+    for k, (y, row) in enumerate(zip(states, grid)):
+        assert test(*y, _input_terms(params, row))[2:] == (tr.demand[k], tr.f_s[k]), k
 
 
 @STICK_SLIP_STICK
@@ -763,9 +786,9 @@ def test_recorded_friction_matches_friction_margin(params):
     tr = simulate_coupled(params, motion)
     grid = _MotionSampler(motion, dt, tr.t.size - 1).grid.tolist()
     test = stick_test(params)
-    for k, u in enumerate(_input_terms(params, grid)):
+    for k, row in enumerate(grid):
         y = (tr.theta[k], tr.theta_dot[k], tr.d_x[k], tr.d_x_dot[k])
-        _, _, demand, f_s = test(*map(float, y), u)
+        _, _, demand, f_s = test(*map(float, y), _input_terms(params, row))
         assert (demand.hex(), f_s.hex()) == \
             (float(tr.demand[k]).hex(), float(tr.f_s[k]).hex()), k
     assert tr.mode.any() == (params.mu == 0.05)
@@ -853,7 +876,7 @@ def test_mode_consistency_invariant():
 
 def test_friction_margin_at_rest():
     p = desk_params()
-    _, _, demand, f_s = stick_test(p)(0, 0, 0, 0, *_input_terms(p, [(0, 0, 0, 0, 0)]))
+    _, _, demand, f_s = stick_test(p)(0, 0, 0, 0, _input_terms(p, (0, 0, 0, 0, 0)))
     assert demand == 0.0
     assert f_s == pytest.approx(p.mu * (p.M + p.m) * G)
 
@@ -863,10 +886,10 @@ def test_friction_margin_maximized_at_beta_star():
     ax = 4.0
     beta_star = -math.atan(ax / G)
     test = stick_test(p)
-    _, _, d0, f0 = test(0, 0, 0, 0, *_input_terms(p, [(ax, 0, beta_star, 0, 0)]))
+    _, _, d0, f0 = test(0, 0, 0, 0, _input_terms(p, (ax, 0, beta_star, 0, 0)))
     assert d0 == pytest.approx(0.0, abs=1e-12)
     for db in (-0.05, 0.05):
-        f = test(0, 0, 0, 0, *_input_terms(p, [(ax, 0, beta_star + db, 0, 0)]))[3]
+        f = test(0, 0, 0, 0, _input_terms(p, (ax, 0, beta_star + db, 0, 0)))[3]
         assert f < f0
 
 
@@ -876,7 +899,7 @@ def test_friction_margin_matches_printed_formulas():
     th, thd = 0.12, -0.4
     xtt, ztt, b, bd, bdd = 1.5, -0.8, 0.1, 0.6, -2.0
     _, _, demand, f_s = stick_test(p)(th, thd, 0.0, 0.0,
-                                      *_input_terms(p, [(xtt, ztt, b, bd, bdd)]))
+                                      _input_terms(p, (xtt, ztt, b, bd, bdd)))
     m, M, l, h, dz = p.m, p.M, p.l, p.h, p.d_z
     gz = G + ztt
     thdd = -((p.b_lc / (m * l)) * thd + (l - h * math.cos(th)) * bdd

@@ -524,6 +524,13 @@ def test_load_config(tmp_path):
     (GOOD_CONFIG.replace("goal: [0.6, 0.0, 0.4]", "goal: [0.6, false, 0.4]"),
      "scenario.goal"),
     (GOOD_CONFIG + "mounting: {position: [0.0, 0.0, true]}\n", "mounting.position"),
+    # a block that is present must be a mapping or null
+    (GOOD_CONFIG + "noise: 0.0005\n", "noise: expected a mapping, got float"),
+    (GOOD_CONFIG.replace("plant:\n  m: 0.1\n  M: 0.5\n  l: 0.05\n  h: 0.05\n  d_z: 0.02\n"
+                         "  b_lc: 0.00035\n  b_ct: 0.0\n  mu: 0.3\n", "plant: [0.1]\n"),
+     "plant: expected a mapping, got list"),
+    (GOOD_CONFIG.replace("numerics: {dt: 0.001, sim_dt: 0.0002, seed: 7}", "numerics: 0.002"),
+     "numerics: expected a mapping, got float"),
 ])
 def test_config_errors_carry_field_paths(tmp_path, mutation, path_fragment):
     path = tmp_path / "cfg.yaml"

@@ -16,6 +16,8 @@ import os
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traywaiter.fileio import read_sim_trace
 
@@ -73,17 +75,22 @@ def golden_outcomes(tmp_path_factory):
             for name, (config, codes, _) in MOVES.items()}
 
 
-@pytest.mark.parametrize("move, heading", [("demo", 0.65), ("solid_slip", 0.0),
-                                           ("solid_slip", 2.5)])
-def test_a_move_at_another_heading_keeps_its_verdict_tilt_and_slip(tmp_path, golden_outcomes,
-                                                                   move, heading):
+@pytest.mark.parametrize("move", MOVES)
+@settings(deadline=None, max_examples=12)
+@given(heading=st.floats(-math.pi, math.pi))
+@example(heading=0.65)
+@example(heading=0.0)
+@example(heading=2.5)
+def test_a_move_at_another_heading_keeps_its_verdict_tilt_and_slip(tmp_path_factory,
+                                                                   golden_outcomes, move,
+                                                                   heading):
     config, codes, golden_class = MOVES[move]
     cfg = config()
     start = cfg["scenario"]["start"]
     distance = math.dist(start, cfg["scenario"]["goal"])
     cfg["scenario"]["goal"] = [start[0] + distance * math.cos(heading),
                                start[1] + distance * math.sin(heading), start[2]]
-    verdict_class, theta, slip = _outcome(cfg, str(tmp_path), codes)
+    verdict_class, theta, slip = _outcome(cfg, tmp_path_factory.mktemp(move), codes)
     golden_theta, golden_slip = golden_outcomes[move][1:]
     assert golden_outcomes[move][0] == verdict_class == golden_class
     assert abs(theta - golden_theta) <= 1e-15

@@ -607,7 +607,7 @@ def test_slip_meets_stick_on_the_friction_cone(plant, y, u):
     # against the demand must reproduce the held container: d_x_ddot = 0
     # and the pendulum's own theta_ddot
     damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
-    u = next(_input_terms(plant, [u]))
+    u = _input_terms(plant, u)
     _, normal, demand, _ = _stick_eval(plant, damp, *y, u)
     assume(normal > 0.0 and demand != 0.0)
     thdd = _stick_rates(plant, damp, *y, u)[0]
@@ -635,7 +635,7 @@ def test_stick_test_matches_the_reference_formulas(plant, y, row):
     # stages while sticking and its end test share, is the reference stick
     # test bit for bit, at held (d_x_dot = 0) and sliding states alike
     damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
-    u = next(_input_terms(plant, [row]))
+    u = _input_terms(plant, row)
     new = _contact(plant, damp)[0](*y, u)
     ref = _stick_eval(plant, damp, *y, u)
     assert tuple(map(float.hex, new)) == tuple(map(float.hex, ref))
@@ -653,7 +653,7 @@ def _step_outcome(step, *args):
 def _slide_cases(plant, y, row, s):
     # the plant's slide and the reference slide at the same state and inputs
     damp = plant.b_lc / (plant.m * plant.l) if plant.m > 0.0 else 0.0
-    u = next(_input_terms(plant, [row]))
+    u = _input_terms(plant, row)
     return (_step_outcome(_contact(plant, damp)[1], *y, u, s),
             _step_outcome(_slip_eval, plant, damp, *y, s, u))
 
@@ -710,7 +710,7 @@ def _step_cases(mode, plant, y, rows, h, s=0.0, sim=None):
     # and the generic step's new state and the reference stick test there
     sim = sim or _step_engine(plant)
     sim.slip_sign = s
-    u = tuple(_input_terms(plant, rows))
+    u = tuple(_input_terms(plant, row) for row in rows)
 
     def step(*args):
         y_new, test = sim._advance(*args)
@@ -817,9 +817,10 @@ def _python_steps(mode, sim, h, grid, mid, k, y, k1, s, trace):
     which run() would write, also ends the steps: the compiled loop commits
     N > 0 alone."""
     sim.slip_sign = s
-    grid_rows = _input_terms(sim.p, grid.tolist()[k:])
-    u0 = next(grid_rows)
-    for um, u1 in zip(_input_terms(sim.p, mid.tolist()[k:]), grid_rows):
+    grid, mid = grid.tolist(), mid.tolist()
+    u0 = _input_terms(sim.p, grid[k])
+    while k < len(mid):
+        um, u1 = _input_terms(sim.p, mid[k]), _input_terms(sim.p, grid[k + 1])
         try:
             y_new, test = sim._advance(y, k * h, h, mode, (u0, um, u1))
         except (ContactLostError, IntegrationError):
@@ -851,7 +852,7 @@ def _compiled_and_python_runs(mode, plant, y, rows, h, k, s=1.0):
     sim = _step_engine(plant)
     grid = np.array(rows, dtype=float)
     mid = np.array(rows[:-1], dtype=float)
-    k1 = sim._test(*y, next(_input_terms(plant, [rows[k]])))
+    k1 = sim._test(*y, _input_terms(plant, rows[k]))
     n = len(rows) - 1
     compiled_trace, python_trace = _empty_trace(n), _empty_trace(n)
     loop = _native.loops(plant, sim.damp, _V_EPS, h, grid, mid, compiled_trace)
@@ -1027,7 +1028,7 @@ def _slip_hand_back(plant, y, rows, h, s):
     ends it, in run()'s order."""
     sim = _step_engine(plant)
     sim.slip_sign = s
-    u = tuple(_input_terms(plant, (rows[0], rows[0], rows[1])))
+    u = tuple(_input_terms(plant, row) for row in (rows[0], rows[0], rows[1]))
     try:
         y_new, test = sim._advance(y, 0.2, h, SLIP, u)
     except (ContactLostError, IntegrationError) as exc:
