@@ -2,8 +2,8 @@
  * the stick/slip engine's step loop (steps), consecutive steps of
  * dynamics._TraySim.run in one call, sticking or sliding with one sign, for
  * the steps that run() finishes with no event and no error; the smoother's
- * oscillator recurrence (osc_steps); and the CSV row writer of
- * fileio._table_chunks (csv_rows).
+ * oscillator recurrence, which also shapes the filter's noise (osc_steps);
+ * and the CSV row writer of fileio._table_chunks (csv_rows).
  *
  * A step is dynamics._input_terms of each row it reads, by index as run()
  * reads them, the RK4 sub-step (_TraySim._advance) over the plant's contact
@@ -270,11 +270,13 @@ long steps(int mode, const double *plant, double dt, const double *grid,
     return k;
 }
 
-/* The damped-harmonic smoother's 2x2 recurrence (smoothers._OscStage.run)
- * over the n forcing samples f: x1, x2 = f11 x1 + f12 x2 + g1 f[k],
- * f21 x1 + f22 x2 + g2 f[k], in the Python operand order, with c holding
- * f11, f12, f21, f22, g1, g2 and x the state (x1, x2). Every state goes to
- * x1s and x2s, and the last one back into x.
+/* The 2x2 recurrence of smoothers._recurrence, which the damped-harmonic
+ * smoother (smoothers._OscStage.run) and the filter's low-pass noise
+ * (fileio.band_limited_noise) both run, over the n forcing samples f:
+ * x1, x2 = f11 x1 + f12 x2 + g1 f[k], f21 x1 + f22 x2 + g2 f[k], in the
+ * Python operand order, with c holding f11, f12, f21, f22, g1, g2 and x the
+ * state (x1, x2). Every state goes to x1s and x2s, and the last one back
+ * into x.
  *
  * No step is handed back: the recurrence has no events and no error checks,
  * Python's float * and + never raise, and inf and NaN propagate through them

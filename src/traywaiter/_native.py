@@ -1,13 +1,15 @@
 """The compiled pieces of traywaiter: `_engine.c`, built with a C compiler
 at the first use in a process (the first simulator step, the first
-oscillator stage that `plan` or `filter` builds, or the first table a
-command writes) and loaded through ctypes. It holds three of them:
+oscillator stage that `plan` or `filter` builds, the first `filter` noise,
+or the first table a command writes) and loaded through ctypes. It holds
+three of them:
 
 - the step loop, which runs the steps of the engine that need no event,
   sticking or sliding, bit for bit as the Python sub-step
   (`_TraySim._advance` over the contact model `dynamics._contact`) runs them;
 - the oscillator loop, which runs the 2x2 recurrence of
-  `smoothers._OscStage` as its Python loop runs it;
+  `smoothers._recurrence`, for the damped-harmonic stage and the `filter`
+  noise, as its Python loop runs it;
 - the CSV row writer, which lays out orjson's dump of a block of floats as
   the lines `fileio._table_chunks` writes in Python, each value's repr(),
   with the same bytes.
@@ -161,7 +163,7 @@ def loops(p, damp, v_eps, dt, grid, mid, trace):
 
 
 def oscillator(f11, f12, f21, f22, g1, g2):
-    """The compiled oscillator recurrence bound to one stage's coefficients,
+    """The compiled oscillator recurrence bound to one set of coefficients,
     or None where it is not built.
 
     The loop is a call (f, x1, x2, x1s, x2s) -> (x1, x2): from the state

@@ -176,9 +176,12 @@ def cmd_filter(cfg: RunConfig, args) -> int:
 
     positions = traj.positions.copy()
     if cfg.noise_amplitude > 0.0:
-        positions += band_limited_noise(
-            traj.n, traj.dt, cfg.noise_amplitude, cfg.noise_cutoff_hz,
-            range(cfg.seed, cfg.seed + 3))
+        try:
+            positions += band_limited_noise(
+                traj.n, traj.dt, cfg.noise_amplitude, cfg.noise_cutoff_hz,
+                range(cfg.seed, cfg.seed + 3))
+        except ValueError as exc:   # the config and the reader checked the rest
+            raise ConfigError("noise.cutoff_hz", str(exc)) from None
 
     result = plan(sc, cfg.g)
     _check_samples(result.duration / traj.dt, "scenario",

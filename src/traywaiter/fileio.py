@@ -16,8 +16,9 @@ shortest, correctly rounded digits, and the library's CSV row writer lays
 the dump out as rows in one pass, with repr()'s notation. Without it, each
 row is written as ",".join(map(repr, row)), the definition the compiled
 writer is held to, more slowly and with the same bytes. (The library's
-other two pieces are the simulator's step loop and the smoother's
-oscillator recurrence.)
+other two pieces are the simulator's step loop and the oscillator
+recurrence, which runs the smoother's damped-harmonic stage and the
+filter's low-pass noise, `band_limited_noise`.)
 
 Tables are streamed as bytes: rows are formatted and written a fixed-size
 block at a time, so the text of a whole file is never held in memory. Writes
@@ -53,6 +54,7 @@ import yaml
 from .compensation import MountingTransform
 from .dynamics import PlantParams, SimTrace
 from .planner import Scenario
+from .smoothers import _pole_pair_map, _recurrence
 
 __all__ = [
     "FormatError",
@@ -543,15 +545,64 @@ def load_config(path: str) -> RunConfig:
 # teleoperation noise emulation
 # ---------------------------------------------------------------------------
 
+def _det3(a, b, c) -> float:
+    """The determinant of the 3x3 matrix with columns a, b and c."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def _noise_section(dt: float, cutoff_hz: float) -> tuple:
+    """(f11, f12, f21, f22, g1, g2, l11, l21, l22): the noise's low-pass
+    section over one sample period dt, driven by unit white rows, and the
+    Cholesky factor L of its stationary covariance P = F P F^T + G G^T.
+
+    The section is a second-order Butterworth low-pass, -3 dB at cutoff_hz:
+    poles w (-1 +/- j), w = 2 pi cutoff_hz / sqrt(2). ValueError where its
+    coefficients or P are not finite, or P is not positive definite.
+    """
+    w = math.sqrt(2.0) * math.pi * cutoff_hz
+    try:
+        f = f11, f12, f21, f22, g1, g2 = _pole_pair_map(-w, w, dt)
+        # P = F P F^T + G G^T, three equations in (p11, p12, p22), by Cramer's rule
+        cols = ((1.0 - f11 * f11, -f11 * f21, -f21 * f21),
+                (-2.0 * f11 * f12, 1.0 - f11 * f22 - f12 * f21, -2.0 * f21 * f22),
+                (-f12 * f12, -f12 * f22, 1.0 - f22 * f22))
+        q = (g1 * g1, g1 * g2, g2 * g2)
+        det = _det3(*cols)
+        p11, p12, p22 = (_det3(*cols[:j], q, *cols[j + 1:]) / det for j in range(3))
+        l11 = math.sqrt(p11)
+        l21 = p12 / l11
+        l22 = math.sqrt(p22 - l21 * l21)
+        if all(map(math.isfinite, (*f, l11, l21, l22))) and l11 > 0.0 and l22 > 0.0:
+            return (*f, l11, l21, l22)
+    except (ValueError, ZeroDivisionError):     # cos(inf), a singular system, sqrt(< 0)
+        pass
+    raise ValueError(f"cutoff_hz must be where the noise filter has finite coefficients "
+                     f"and a positive definite stationary covariance (cutoff_hz * dt "
+                     f"from about 1e-16 to 75), got {cutoff_hz!r} at dt = {dt!r} s")
+
+
 def band_limited_noise(n: int, dt: float, amplitude: float, cutoff_hz: float,
                        seeds: Sequence[int]) -> np.ndarray:
-    """Gaussian noise low-passed at cutoff_hz and scaled to the requested RMS
-    amplitude; used to emulate sensor noise and hand tremor on recorded
-    trajectories. Deterministic for given seeds.
+    """Gaussian noise low-passed at cutoff_hz, with stationary RMS
+    `amplitude`; used to emulate sensor noise and hand tremor on recorded
+    trajectories. Deterministic for given seeds, and causal: row k depends
+    only on the first k + 2 draws of its seed, so a longer trace's first n
+    rows are the rows of this one.
 
-    Shape (n, k) for k seeds, one RMS-scaled column per seed: the white rows
-    go through one rfft/irfft pair, and column j has the bits of the call
-    with the one seed seeds[j].
+    Each seed's n + 1 standard normal draws drive a second-order Butterworth
+    low-pass (-3 dB at cutoff_hz, -40 dB/decade above it), each held over
+    its sample period and propagated with the exact matrix exponential
+    (Kasdin, Proc. IEEE 1995) in the oscillator recurrence. The first two
+    draws set the start state x0 = L z, with L L^T = P the stationary
+    covariance, so the first rows are not quiet; the rest drive the
+    recurrence. Row 0 is x0[0], and every row is scaled by
+    amplitude / sqrt(P11), the stationary RMS in closed form.
+
+    Shape (n, k) for k seeds; column j has the bits of the call with the
+    one seed seeds[j]. cutoff_hz * dt must lie between about 1e-16 and 75
+    (ValueError otherwise); below about 1e-8 the rounding of the
+    discretization changes the spectrum near the Nyquist frequency.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -563,12 +614,15 @@ def band_limited_noise(n: int, dt: float, amplitude: float, cutoff_hz: float,
         raise ValueError(f"cutoff_hz must be positive and finite, got {cutoff_hz}")
     if not (isinstance(seeds, Sequence) and seeds):
         raise ValueError(f"seeds must be a non-empty sequence of ints, got {seeds!r}")
-    white = np.stack([np.random.default_rng(s).standard_normal(n) for s in seeds])
-    spec = np.fft.rfft(white)
-    spec[:, np.fft.rfftfreq(n, dt) > cutoff_hz] = 0.0
-    out = np.fft.irfft(spec, n)
-    rms = np.sqrt(np.mean(out ** 2, axis=1))
-    silent = rms == 0.0
-    out *= (amplitude / np.where(silent, 1.0, rms))[:, None]
-    out[silent] = 0.0
+    f11, f12, f21, f22, g1, g2, *factor = _noise_section(dt, cutoff_hz)
+    scale = amplitude / factor[0]
+    l11, l21, l22 = (scale * v for v in factor)
+    loop = _recurrence(f11, f12, f21, f22, scale * g1, scale * g2)
+    out = np.empty((len(seeds), n))
+    x2s = np.empty(n - 1)
+    for row, seed in zip(out, seeds):
+        z = np.random.default_rng(seed).standard_normal(n + 1)
+        z0, z1 = z[:2].tolist()
+        row[0] = x1 = l11 * z0
+        loop(z[2:], x1, l21 * z0 + l22 * z1, row[1:], x2s)
     return out.T

@@ -183,6 +183,42 @@ def _quantize(T: float, dt: float) -> int:
     return max(1, math.ceil(ratio))
 
 
+def _pole_pair_map(sigma: float, w: float, dt: float) -> tuple:
+    """(f11, f12, f21, f22, g1, g2): the exact one-sample map of the core
+    x1' = x2, x2' = -a0 x1 - a1 x2 + f with poles sigma +/- j w, where
+    a0 = sigma^2 + w^2 and a1 = -2 sigma, and f is held over the sample:
+    F = e^{A dt} in closed form and G = A^-1 (F - I) B, B = (0, 1)."""
+    a0 = sigma * sigma + w * w
+    a1 = -2.0 * sigma
+    e = math.exp(sigma * dt)
+    c = math.cos(w * dt)
+    s = math.sin(w * dt)
+    f12 = e * s / w
+    f22 = e * (c + sigma * s / w)
+    return (e * (c - sigma * s / w), f12, -a0 * f12, f22,
+            (1.0 - f22 - a1 * f12) / a0, f12)
+
+
+def _recurrence(f11, f12, f21, f22, g1, g2):
+    """The 2x2 recurrence x1, x2 = f11 x1 + f12 x2 + g1 f[k], f21 x1 +
+    f22 x2 + g2 f[k] as a call (f, x1, x2, x1s, x2s) -> (x1, x2) over the
+    forcing `f`, that writes every state into `x1s` and `x2s` and returns
+    the last one: the compiled loop of `_native.py`, or else one loop over
+    Python floats, its definition, with the same bits."""
+    from . import _native     # here, so that its build tools stay out of start-up
+    loop = _native.oscillator(f11, f12, f21, f22, g1, g2)
+    if loop is not None:
+        return loop
+
+    def steps(f, x1, x2, x1s, x2s):
+        for k, fk in enumerate(f.tolist()):
+            x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
+            x1s[k] = x1
+            x2s[k] = x2
+        return x1, x2
+    return steps
+
+
 class _RectStage:
     """Moving average with trapezoid weights (exact integral of the linearly
     interpolated input over the box support); derivatives come from the
@@ -228,8 +264,8 @@ class _OscStage:
     the pole/zero cancellation that ends the transient is exact at float
     precision and the DC fixed point is reached bit-tightly.
 
-    Where a C compiler is at hand, the recurrence runs in the compiled loop
-    of `_native.py`, bit for bit as the Python loop in run() runs it.
+    The recurrence runs in `_recurrence`'s loop, compiled where a C compiler
+    is at hand.
     """
 
     def __init__(self, sigma: float, n: int, dt: float):
@@ -244,19 +280,8 @@ class _OscStage:
         self.a1 = -2.0 * sigma
         self.w_tap = math.exp(sigma * t_span)
         self.gain = self.a0 / (1.0 + self.w_tap)
-        e = math.exp(sigma * dt)
-        c = math.cos(wp * dt)
-        s = math.sin(wp * dt)
-        self.f11 = e * (c - sigma * s / wp)
-        self.f12 = e * s / wp
-        self.f21 = -self.a0 * self.f12
-        self.f22 = e * (c + sigma * s / wp)
-        self.g1 = (1.0 - self.f22 - self.a1 * self.f12) / self.a0
-        self.g2 = self.f12
         self._buf = None
-        from . import _native     # here, so that its build tools stay out of start-up
-        self._loop = _native.oscillator(self.f11, self.f12, self.f21, self.f22,
-                                        self.g1, self.g2)
+        self._loop = _recurrence(*_pole_pair_map(sigma, wp, dt))
 
     def prime(self, u: float) -> None:
         self._buf = np.full(self.n + 1, u, dtype=float)
@@ -271,17 +296,8 @@ class _OscStage:
         buf = np.concatenate((self._buf, u))
         w = self.gain * (u + self.w_tap * buf[1:m + 1])
         f = 0.5 * (np.concatenate(([self._w_prev], w[:-1])) + w)
-        x1, x2 = self.x1, self.x2
         x1s, x2s = np.empty(m), np.empty(m)
-        if self._loop is not None:
-            x1, x2 = self._loop(f, x1, x2, x1s, x2s)
-        else:
-            f11, f12, f21, f22 = self.f11, self.f12, self.f21, self.f22
-            g1, g2 = self.g1, self.g2
-            for k, fk in enumerate(f.tolist()):
-                x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
-                x1s[k] = x1
-                x2s[k] = x2
+        x1, x2 = self._loop(f, self.x1, self.x2, x1s, x2s)
         self.x1, self.x2, self._w_prev = x1, x2, float(w[-1])
         self._buf = buf[m:].copy()
         return x1s, x2s, w - self.a0 * x1s - self.a1 * x2s

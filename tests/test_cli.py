@@ -24,7 +24,13 @@ from traywaiter.planner import friction_limited_duration
 from traywaiter.smoothers import Trapezoidal, freq_response
 
 from _oracles import planar_tilt, quaternion_to_rotation
-from test_golden import DEMO_CONFIG, FILTER_CONFIG, SOLID_SLIP_CONFIG
+from test_golden import (
+    DEMO_CONFIG,
+    FILTER_CONFIG,
+    FILTER_ROWS,
+    SOLID_SLIP_CONFIG,
+    _hand_trace,
+)
 
 G = 9.81
 
@@ -483,6 +489,41 @@ def test_filter_rejects_a_one_row_input(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {traj}: filter needs at least two samples, got 1\n")
     assert not (out / "filtered.csv").exists()
+
+
+@pytest.mark.parametrize("cutoff", [1e-300, 1e5, 1e300])
+def test_filter_noise_cutoff_without_a_stationary_filter_exits_2(tmp_path, capsys, cutoff):
+    # at the input's 1 ms the noise filter's Lyapunov system is singular,
+    # its P22 is 0 or its coefficients are NaN
+    cfg = _write(tmp_path, "cfg.yaml", COMPLEX_SOLID_CONFIG
+                 + f"noise: {{amplitude: 0.003, cutoff_hz: {cutoff:.1e}}}\n")
+    traj = _const_traj(tmp_path, "in.csv", n=100, dt=1e-3)
+    out = tmp_path / "out"
+    assert main(["filter", "--config", cfg, "--input", traj, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: noise.cutoff_hz: cutoff_hz must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "quiet"])
+def test_filter_of_a_prefix_writes_the_prefix_of_the_full_run(tmp_path, noise):
+    # every step of filter is causal: the noise, the cascade and the poses
+    config = FILTER_CONFIG if noise else FILTER_CONFIG.replace("noise:", "#noise:")
+    cfg = _write(tmp_path, "cfg.yaml", config)
+    full = str(tmp_path / "full.csv")
+    _hand_trace(full)
+    with open(full) as fh:
+        lines = fh.readlines()
+    assert len(lines) == FILTER_ROWS + 1
+    head = _write(tmp_path, "head.csv", "".join(lines[:1001]))
+    outputs = []
+    for trace, name in ((full, "full"), (head, "head")):
+        out = str(tmp_path / name)
+        assert main(["filter", "--config", cfg, "--input", trace, "--output", out]) == 0
+        outputs.append({f: open(os.path.join(out, f), "rb").read().splitlines(True)
+                        for f in ("filtered.csv", "reference.csv")})
+    for name, lines in outputs[1].items():
+        assert len(lines) == 1001
+        assert lines == outputs[0][name][:1001]
 
 
 def test_filter_noise_injection_deterministic(tmp_path):

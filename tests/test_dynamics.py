@@ -594,9 +594,10 @@ def engine_loops(request, monkeypatch):
     # most three, so that the Python loop resumes at many rows
     if request.param == "python":
         monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
-    elif request.param == "hand-back":
-        if _native.library() is None:
-            pytest.skip("no C compiler: the compiled loops are not built")
+        return request.param
+    if _native.library() is None:
+        pytest.skip("no C compiler: the compiled loops are not built")
+    if request.param == "hand-back":
         monkeypatch.setattr(_native, "loops", _windowed_loops(_native.loops, 3))
     return request.param
 

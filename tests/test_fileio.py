@@ -2,6 +2,7 @@ import math
 import os
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from traywaiter.fileio import (
     write_trajectory,
 )
 
-from _oracles import quaternion_to_rotation, rotation_to_quaternion
+from _oracles import (
+    LIBRARY_PATHS,
+    oscillator_path,
+    quaternion_to_rotation,
+    rotation_to_quaternion,
+)
 
 GOOD_CONFIG = """
 scenario:
@@ -574,6 +580,10 @@ def test_band_limited_noise_columns_match_one_seed_calls(n):
     ("cutoff_hz", math.nan),
     ("cutoff_hz", math.inf),
     ("cutoff_hz", 0.0),
+    # no finite, positive definite stationary covariance at dt = 1e-3
+    ("cutoff_hz", 1e-300),
+    ("cutoff_hz", 1e5),
+    ("cutoff_hz", 1e300),
     ("seeds", []),
     ("seeds", 1),
 ])
@@ -584,10 +594,90 @@ def test_band_limited_noise_rejects_bad_arguments(name, value):
         band_limited_noise(**kwargs)
 
 
-def test_band_limited_noise_band_and_amplitude():
-    n, dt, cutoff = 8192, 1e-3, 5.0
-    noise = band_limited_noise(n, dt, 0.02, cutoff, seeds=[1])[:, 0]
-    assert np.sqrt(np.mean(noise ** 2)) == pytest.approx(0.02, rel=1e-9)
-    spec = np.abs(np.fft.rfft(noise))
-    freqs = np.fft.rfftfreq(n, dt)
-    assert spec[freqs > cutoff].max() < 1e-12 * spec.max()
+@pytest.mark.parametrize("path", LIBRARY_PATHS)
+def test_noise_is_its_recurrence_on_either_path(path):
+    # a stationary start from the first two draws, then one oscillator call
+    # per seed over the rest, scaled to the amplitude: the rows of a plain
+    # per-sample loop, bit for bit
+    n, dt, amplitude, cutoff, seeds = 500, 1e-3, 0.02, 5.0, [5, 6]
+    f11, f12, f21, f22, g1, g2, l11, l21, l22 = fileio._noise_section(dt, cutoff)
+    scale = amplitude / l11
+    with oscillator_path(path) as calls:
+        noise = band_limited_noise(n, dt, amplitude, cutoff, seeds)
+    if calls is not None:
+        assert calls == [n - 1] * len(seeds)
+    for column, seed in zip(noise.T.tolist(), seeds):
+        z = np.random.default_rng(seed).standard_normal(n + 1).tolist()
+        x1, x2 = scale * l11 * z[0], scale * l21 * z[0] + scale * l22 * z[1]
+        rows = [x1]
+        for zk in z[2:]:
+            x1, x2 = (f11 * x1 + f12 * x2 + scale * g1 * zk,
+                      f21 * x1 + f22 * x2 + scale * g2 * zk)
+            rows.append(x1)
+        assert column == rows
+
+
+@pytest.mark.parametrize("cutoff_dt", [1e-16, 1e-12, 1e-8, 1e-4, 5e-3, 0.1, 1.0, 10.0, 75.0])
+def test_noise_covariance_solves_its_lyapunov_equation(cutoff_dt):
+    # P = L L^T against F P F^T + G G^T, in exact rational arithmetic
+    dt = 1e-3
+    f11, f12, f21, f22, g1, g2, l11, l21, l22 = map(
+        Fraction, fileio._noise_section(dt, cutoff_dt / dt))
+    p11, p12, p22 = l11 * l11, l11 * l21, l21 * l21 + l22 * l22
+    fp = ((f11 * p11 + f12 * p12, f11 * p12 + f12 * p22),
+          (f21 * p11 + f22 * p12, f21 * p12 + f22 * p22))
+    residual = (p11 - (fp[0][0] * f11 + fp[0][1] * f12) - g1 * g1,
+                p12 - (fp[0][0] * f21 + fp[0][1] * f22) - g1 * g2,
+                p22 - (fp[1][0] * f21 + fp[1][1] * f22) - g2 * g2)
+    assert max(map(abs, residual)) <= 1e-12 * max(p11, abs(p12), p22)
+
+
+def test_noise_sample_rms_is_the_amplitude():
+    for dt, cutoff in ((1e-3, 20.0), (1e-2, 0.7)):
+        noise = band_limited_noise(100_000, dt, 0.02, cutoff, seeds=range(8))
+        assert np.mean(np.sqrt(np.mean(noise ** 2, axis=0))) == pytest.approx(0.02, rel=0.03)
+
+
+def test_noise_starts_stationary():
+    # row 0 is drawn from the stationary distribution, not a quiet start
+    row0 = band_limited_noise(2, 1e-3, 0.02, 5.0, seeds=range(2000))[0]
+    assert np.std(row0) == pytest.approx(0.02, rel=0.05)
+
+
+def test_noise_periodogram_is_butterworth():
+    # -3 dB at the cutoff and -40 dB a decade above it, against the
+    # passband, from Hann-windowed periodograms of 2 s segments
+    dt, cutoff, seg = 1e-3, 10.0, 2000
+    noise = band_limited_noise(200_000, dt, 1.0, cutoff, seeds=range(4))
+    segments = noise.T.reshape(-1, seg)
+    power = np.mean(np.abs(np.fft.rfft(segments * np.hanning(seg), axis=1)) ** 2, axis=0)
+    freqs = np.fft.rfftfreq(seg, dt)
+
+    def level(f):       # dB against the passband, 1-3 Hz, over three bins about f
+        k = int(round(f * seg * dt))
+        band = power[(freqs >= 1.0) & (freqs <= 3.0)].mean()
+        return 10.0 * math.log10(power[k - 1:k + 2].mean() / band)
+    assert level(cutoff) == pytest.approx(-3.0, abs=1.0)
+    assert level(10.0 * cutoff) == pytest.approx(-40.0, abs=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_cutoff_dt=st.floats(math.log(1e-16), math.log(75.0)),
+       log_dt=st.floats(math.log(1e-9), math.log(1e3)))
+def test_noise_is_finite_over_its_cutoff_range(log_cutoff_dt, log_dt):
+    dt = math.exp(log_dt)
+    noise = band_limited_noise(50, dt, 0.01, math.exp(log_cutoff_dt) / dt, seeds=[3, 4])
+    assert np.all(np.isfinite(noise))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 3000), more=st.integers(1, 1000),
+       log_cutoff_dt=st.floats(math.log(1e-16), math.log(75.0)),
+       log_dt=st.floats(math.log(1e-6), math.log(1.0)),
+       seeds=st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=3))
+def test_noise_prefix_is_the_shorter_trace(n, more, log_cutoff_dt, log_dt, seeds):
+    dt = math.exp(log_dt)
+    cutoff = math.exp(log_cutoff_dt) / dt
+    short = band_limited_noise(n, dt, 0.0005, cutoff, seeds)
+    long = band_limited_noise(n + more, dt, 0.0005, cutoff, seeds)
+    assert np.ascontiguousarray(long[:n]).tobytes() == np.ascontiguousarray(short).tobytes()

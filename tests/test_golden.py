@@ -133,15 +133,15 @@ GOLDEN = {
     },
     "filter": {
         "filtered.csv":
-            "78b2634c473c0eabb1ba60558f28744317d9101d9e0851d478c3f8f409648343",
+            "71cc22f91a69327a6b9513f8ad249eee93774d104f867006d82ea29efd54a55f",
         "reference.csv":
-            "6e464d49bad6a35e35690ec798089d6ef087017f5b6964b81dd1a9fb089fcf5c",
+            "43bdcb0717c2c7f189b1a7723e44ad01afd8e076d4578a6c988203e2c1dc12ee",
     },
     "filter_solid": {
         "filtered.csv":
-            "b4e341fa6d5af95663d56f676892a27d60b069117229c92e7f131d7e5a5660d1",
+            "eb5ebe39fe521ac60abfec8597a48d982c46a2260d23a3960a469bf6c971eeda",
         "reference.csv":
-            "146ecb536ad6bd92d668a3f4cfabd37d659c5fda0e406bc1ad1c0c8ca5bfcb85",
+            "1d6b92d270e50a22dc6cdf8f8a26ba2b2e2ec5758dd90ccc5e2845ad0c973746",
     },
 }
 

@@ -21,9 +21,10 @@ from traywaiter import _native, dynamics
 from _oracles import desk_params
 from test_golden import GOLDEN, _run_case
 
-# the golden cases that simulate; the filter cases run no simulator, and
-# "filter" and the liquid plan of "demo" run the oscillator recurrence.
-# Every case writes tables, through the row writer
+# the golden cases that simulate; the filter cases run no simulator. Both
+# filter cases run the oscillator recurrence for their noise, "filter" and
+# the liquid plan of "demo" for the damped-harmonic stage too. Every case
+# writes tables, through the row writer
 SIMULATING = ("demo", "solid_slip", "slip_coupled")
 
 
