@@ -7,22 +7,22 @@ three of them:
 - the step loop, which runs the steps of the engine that need no event,
   sticking or sliding, bit for bit as the Python sub-step
   (`_TraySim._advance` over the contact model `dynamics._contact`) runs them;
-- the oscillator loop, which runs the 2x2 recurrence of
-  `smoothers._recurrence`, for the damped-harmonic stage and the `filter`
-  noise, as its Python loop runs it;
+- the oscillator loop, which runs the 2x2 recurrence of the damped-harmonic
+  smoother stage and the `filter` noise;
 - the CSV row writer, which lays out orjson's dump of a block of floats as
-  the lines `fileio._table_chunks` writes in Python, each value's repr(),
-  with the same bytes.
+  lines of each value's repr(), with the same bytes.
 
-Each Python path stays the fallback: the plain definition (the Python
-sub-step, one loop over the forcing, ",".join(map(repr, row)) per row)
-that the tests hold the compiled piece to. The library is cached in
-`$XDG_CACHE_HOME/traywaiter` (default `~/.cache/traywaiter`), a directory
-of mode 0700, under the SHA-256 of the source, the flags and the machine.
-Where that directory cannot be used the library is built for this process
-alone, in a private temporary directory. Without a compiler, or where the
-build or the load fails, `library` is None and the engine, the smoother
-and the writer run in Python, silently.
+Each binding hands out its compiled piece or, where the library is not
+built, the piece's plain definition, which the tests hold the compiled
+piece to and which gives the same bytes: `no_steps`, which hands every
+step to the Python sub-step; one loop over the forcing; ",".join(map(repr,
+row)) per row. The library is cached in `$XDG_CACHE_HOME/traywaiter`
+(default `~/.cache/traywaiter`), a directory of mode 0700, under the
+SHA-256 of the source, the flags and the machine, and built there once
+more where the cached build does not load. Where that directory cannot be
+used it is built for this process alone, in a private temporary
+directory. Without a compiler, or where the build or the load fails,
+`library` is None and the plain definitions run, silently.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import subprocess
 import tempfile
 
 import numpy as np
+import orjson
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_engine.c")
 # No fused multiply-add, which rounds once where Python rounds twice; sin,
@@ -117,15 +118,25 @@ def library():
     cache = _cache_dir()
     if cache is not None:
         with contextlib.suppress(*failures):
+            path = _build(cc, cache)
+            with contextlib.suppress(OSError):
+                return _load(path)
+            os.unlink(path)     # a build that does not load: build it once more
             return _load(_build(cc, cache))
     with contextlib.suppress(*failures), tempfile.TemporaryDirectory() as private:
         return _load(_build(cc, private))
     return None
 
 
+def no_steps(mode, k, y, k1, s):
+    """The step loop's plain definition: it commits no step, so the engine's
+    Python loop runs every step."""
+    return k, y, k1
+
+
 def loops(p, damp, v_eps, dt, grid, mid, trace):
-    """The compiled step loop bound to one run, or None where it is not
-    built.
+    """The compiled step loop bound to one run, or `no_steps` where it is
+    not built.
 
     `p` is the plant, `damp` its pendulum damping b_lc / (m l), `v_eps` the
     stick capture velocity, `grid` and `mid` the (n + 1, 5) grid and (n, 5)
@@ -140,7 +151,7 @@ def loops(p, damp, v_eps, dt, grid, mid, trace):
     """
     lib = library()
     if lib is None:
-        return None
+        return no_steps
     n = grid.shape[0] - 1
     arrays = (grid, mid, *trace)
     if grid.shape != (n + 1, 5) or mid.shape != (n, 5) \
@@ -164,7 +175,7 @@ def loops(p, damp, v_eps, dt, grid, mid, trace):
 
 def oscillator(f11, f12, f21, f22, g1, g2):
     """The compiled oscillator recurrence bound to one set of coefficients,
-    or None where it is not built.
+    or where it is not built one loop over Python floats, its definition.
 
     The loop is a call (f, x1, x2, x1s, x2s) -> (x1, x2): from the state
     (x1, x2) it runs x1, x2 = f11 x1 + f12 x2 + g1 f[k], f21 x1 + f22 x2 +
@@ -173,7 +184,13 @@ def oscillator(f11, f12, f21, f22, g1, g2):
     """
     lib = library()
     if lib is None:
-        return None
+        def steps(f, x1, x2, x1s, x2s):
+            for k, fk in enumerate(f.tolist()):
+                x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
+                x1s[k] = x1
+                x2s[k] = x2
+            return x1, x2
+        return steps
     coefficients = (ctypes.c_double * 6)(f11, f12, f21, f22, g1, g2)
     state = (ctypes.c_double * 2)()
     fn = lib.osc_steps
@@ -190,25 +207,32 @@ def oscillator(f11, f12, f21, f22, g1, g2):
     return steps
 
 
-def csv_rows():
-    """The compiled CSV row writer, or None where it is not built.
+def _dump(table):
+    """orjson's dump of the values of `table` in C order, a flat JSON array."""
+    return orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
 
-    The writer is a call (table, dump) -> bytes: `table` a C-contiguous 2-D
-    float64 array with at least one column and `dump` orjson's dump of its
-    values in C order, a flat JSON array. It returns the bytes of
-    "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()), the
-    Python fallback of `fileio._table_chunks`, from one pass over the dump.
+
+def csv_rows():
+    """The compiled CSV row writer, or where it is not built its definition.
+
+    The writer is a call (table) -> bytes, `table` a C-contiguous 2-D
+    float64 array with at least one column, that returns the bytes of
+    "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()); the
+    compiled writer lays them out in one pass over orjson's dump (`_dump`).
     """
     lib = library()
     if lib is None:
-        return None
+        def write(table):
+            return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+        return write
     fn = lib.csv_rows
 
-    def write(table, dump):
+    def write(table):
         if table.ndim != 2 or table.shape[1] < 1 or table.dtype != np.float64 \
                 or not table.flags.c_contiguous:
             raise ValueError("CSV rows: expected a C-contiguous 2-D float64 table "
                              "with at least one column")
+        dump = _dump(table)
         out = ctypes.create_string_buffer(len(dump) + 4 * table.size)
         size = fn(table.ctypes.data, table.size, table.shape[1], dump, len(dump),
                   out, len(out))

@@ -388,10 +388,9 @@ class _TraySim:
     as `_advance` runs them; it hands any other step back to the Python
     loop. Both loops read step k's inputs by index, grid rows k and k + 1
     and midpoint row k, so the Python loop takes a handed-back step up at
-    its own rows."""
-
-    # False keeps every step in Python, as the tests' oracles do
-    _compiled = True
+    its own rows. Without the library the step loop is `_native.no_steps`,
+    which hands every step back. `_loops` is the seam where the tests'
+    oracles keep every step in Python."""
 
     def __init__(self, params: PlantParams, motion: TrayMotion, dt: float | None,
                  init: tuple[float, float, float, float]):
@@ -483,18 +482,17 @@ class _TraySim:
                 else -math.copysign(1.0, k1[2])
             k1 = test_at(*y, u_end)            # sliding, row 0's test
         record(0, y, mode, k1)
-        # the compiled step loop, or None; it takes and returns the state
-        # and its stick test k1 at the row it starts or stops at
-        native = self._loops(trace)
+        # the step loop; it takes and returns the state and its stick test
+        # k1 at the row it starts or stops at
+        loop = self._loops(trace)
         k = 0
         while k < n:
-            if native:
-                j, y, k1 = native(mode, k, y, k1, self.slip_sign)
-                if j > k:       # steps k to j - 1 are committed: read on from row j
-                    k = j
-                    if k == n:
-                        break
-                    u_end = terms(grid, k)
+            j, y, k1 = loop(mode, k, y, k1, self.slip_sign)
+            if j > k:           # steps k to j - 1 are committed: read on from row j
+                k = j
+                if k == n:
+                    break
+                u_end = terms(grid, k)
             t = k * dt
             t_end = (k + 1) * dt
             # the first sub-step covers the whole step with the grid inputs
@@ -554,10 +552,8 @@ class _TraySim:
         return SimTrace(np.arange(n + 1) * dt, *trace, self.transitions)
 
     def _loops(self, trace):
-        """The compiled step loop bound to this run's rows and its `trace`
-        arrays (`_native.loops`), or None."""
-        if not self._compiled:
-            return None
+        """The step loop bound to this run's rows and its `trace` arrays
+        (`_native.loops`)."""
         from . import _native     # here, so that its build tools stay out of start-up
         return _native.loops(self.p, self.damp, _V_EPS, self.dt, self.smp.grid,
                              self.smp.mid, trace)

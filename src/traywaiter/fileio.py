@@ -10,14 +10,13 @@ round-trips, so write-then-read is lossless and repeated runs are
 byte-identical. A pose file stores each rotation once, as a unit
 quaternion.
 
-Where the C library of `_native.py` builds, a block of rows is formatted
-from one orjson call: its Ryu digits (Adams, PLDI 2018) are repr()'s
-shortest, correctly rounded digits, and the library's CSV row writer lays
-the dump out as rows in one pass, with repr()'s notation. Without it, each
-row is written as ",".join(map(repr, row)), the definition the compiled
-writer is held to, more slowly and with the same bytes. (The library's
-other two pieces are the simulator's step loop and the oscillator
-recurrence, which runs the smoother's damped-harmonic stage and the
+Rows are laid out by `_native.csv_rows`. Where the C library builds, a
+block of rows is formatted from one orjson call: its Ryu digits (Adams,
+PLDI 2018) are repr()'s shortest, correctly rounded digits, and the
+library's CSV row writer lays the dump out as rows in one pass, with
+repr()'s notation. Without it, each row is written as
+",".join(map(repr, row)), the definition the compiled writer is held to,
+more slowly and with the same bytes. (`_native.oscillator` runs the
 filter's low-pass noise, `band_limited_noise`.)
 
 Tables are streamed as bytes: rows are formatted and written a fixed-size
@@ -54,7 +53,7 @@ import yaml
 from .compensation import MountingTransform
 from .dynamics import PlantParams, SimTrace
 from .planner import Scenario
-from .smoothers import _pole_pair_map, _recurrence
+from .smoothers import _pole_pair_map
 
 __all__ = [
     "FormatError",
@@ -114,16 +113,12 @@ def _atomic_write(path: str, chunks) -> None:
 
 
 def _table_chunks(header: str, rows: np.ndarray):
-    rows = np.ascontiguousarray(rows, dtype=float)  # orjson takes C order only
+    rows = np.ascontiguousarray(rows, dtype=float)  # the row writer takes C order only
     yield (header + "\n").encode()
     from . import _native     # here, so that its build tools stay out of start-up
     write = _native.csv_rows()
     for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        if write is not None:
-            yield write(block, orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
-        else:
-            yield "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+        yield write(rows[start:start + _BLOCK_ROWS])
 
 
 def _write_table(path: str, header: str, rows: np.ndarray) -> None:
@@ -617,7 +612,8 @@ def band_limited_noise(n: int, dt: float, amplitude: float, cutoff_hz: float,
     f11, f12, f21, f22, g1, g2, *factor = _noise_section(dt, cutoff_hz)
     scale = amplitude / factor[0]
     l11, l21, l22 = (scale * v for v in factor)
-    loop = _recurrence(f11, f12, f21, f22, scale * g1, scale * g2)
+    from . import _native     # here, so that its build tools stay out of start-up
+    loop = _native.oscillator(f11, f12, f21, f22, scale * g1, scale * g2)
     out = np.empty((len(seeds), n))
     x2s = np.empty(n - 1)
     for row, seed in zip(out, seeds):

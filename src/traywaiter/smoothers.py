@@ -199,42 +199,18 @@ def _pole_pair_map(sigma: float, w: float, dt: float) -> tuple:
             (1.0 - f22 - a1 * f12) / a0, f12)
 
 
-def _recurrence(f11, f12, f21, f22, g1, g2):
-    """The 2x2 recurrence x1, x2 = f11 x1 + f12 x2 + g1 f[k], f21 x1 +
-    f22 x2 + g2 f[k] as a call (f, x1, x2, x1s, x2s) -> (x1, x2) over the
-    forcing `f`, that writes every state into `x1s` and `x2s` and returns
-    the last one: the compiled loop of `_native.py`, or else one loop over
-    Python floats, its definition, with the same bits."""
-    from . import _native     # here, so that its build tools stay out of start-up
-    loop = _native.oscillator(f11, f12, f21, f22, g1, g2)
-    if loop is not None:
-        return loop
-
-    def steps(f, x1, x2, x1s, x2s):
-        for k, fk in enumerate(f.tolist()):
-            x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
-            x1s[k] = x1
-            x2s[k] = x2
-        return x1, x2
-    return steps
-
-
 class _RectStage:
     """Moving average with trapezoid weights (exact integral of the linearly
     interpolated input over the box support); derivatives come from the
-    delay-line differences, never from differentiating the output."""
+    delay-line differences, never from differentiating the output. The
+    stage starts at rest at u."""
 
-    def __init__(self, n: int, dt: float):
+    def __init__(self, n: int, dt: float, u: float):
         self.n = n
         self.t_span = n * dt
-        self._vals = None
-        self._vels = None
-        self._sum = 0.0
-
-    def prime(self, u: float) -> None:
-        self._vals = np.full(self.n + 1, u, dtype=float)
-        self._vels = np.zeros(self.n + 1)
-        self._sum = self.n * u
+        self._vals = np.full(n + 1, u, dtype=float)
+        self._vels = np.zeros(n + 1)
+        self._sum = n * u
 
     def run(self, u: np.ndarray, v: np.ndarray):
         """The running sum is a cumulative sum of per-sample increments,
@@ -264,11 +240,11 @@ class _OscStage:
     the pole/zero cancellation that ends the transient is exact at float
     precision and the DC fixed point is reached bit-tightly.
 
-    The recurrence runs in `_recurrence`'s loop, compiled where a C compiler
-    is at hand.
+    The stage starts at rest at u; its recurrence runs in
+    `_native.oscillator`'s loop, compiled where a C compiler is at hand.
     """
 
-    def __init__(self, sigma: float, n: int, dt: float):
+    def __init__(self, sigma: float, n: int, dt: float, u: float):
         self.n = n
         self.t_span = t_span = n * dt
         if not _oscillator_span_ok(t_span):
@@ -280,18 +256,16 @@ class _OscStage:
         self.a1 = -2.0 * sigma
         self.w_tap = math.exp(sigma * t_span)
         self.gain = self.a0 / (1.0 + self.w_tap)
-        self._buf = None
-        self._loop = _recurrence(*_pole_pair_map(sigma, wp, dt))
-
-    def prime(self, u: float) -> None:
-        self._buf = np.full(self.n + 1, u, dtype=float)
+        self._buf = np.full(n + 1, u, dtype=float)
         self.x1 = u
         self.x2 = 0.0
         self._w_prev = self.a0 * u
+        from . import _native     # here, so that its build tools stay out of start-up
+        self._loop = _native.oscillator(*_pole_pair_map(sigma, wp, dt))
 
     def run(self, u: np.ndarray, v: np.ndarray):
         """Forcing and acceleration as arrays, the 2x2 recurrence as one
-        call of the compiled loop, or else one loop over Python floats."""
+        call of `_native.oscillator`'s loop."""
         m = u.size
         buf = np.concatenate((self._buf, u))
         w = self.gain * (u + self.w_tap * buf[1:m + 1])
@@ -303,12 +277,13 @@ class _OscStage:
         return x1s, x2s, w - self.a0 * x1s - self.a1 * x2s
 
 
-def _build_stages(kind: SmootherKind, dt: float) -> list:
+def _build_stages(kind: SmootherKind, dt: float, u: float) -> list:
+    """The serial stages of one smoother kind, at rest at u."""
     if isinstance(kind, Trapezoidal):
-        return [_RectStage(_quantize(kind.T1, dt), dt),
-                _RectStage(_quantize(kind.T2, dt), dt)]
+        return [_RectStage(_quantize(kind.T1, dt), dt, u),
+                _RectStage(_quantize(kind.T2, dt), dt, u)]
     if isinstance(kind, DampedHarmonic):
-        return [_OscStage(kind.sigma, _quantize(kind.T, dt), dt)]
+        return [_OscStage(kind.sigma, _quantize(kind.T, dt), dt, u)]
     raise TypeError(f"not a smoother kind: {kind!r}")
 
 
@@ -351,16 +326,14 @@ class CascadeState:
             raise ValueError("cascade must contain at least one stage")
         self.spec = spec
         self.sample_period = sample_period
-        kinds = [_build_stages(k, sample_period) for k in spec.stages]
+        # a Python float, numpy scalars included, so the oscillator's
+        # Python loop runs on plain floats
+        value = float(initial_value)
+        kinds = [_build_stages(k, sample_period, value) for k in spec.stages]
         # total group delay after quantization, summed kind by kind: the
         # filter output's header prints its bits
         self.delay = sum(sum(st.t_span for st in stages) for stages in kinds)
         self._stages = [st for stages in kinds for st in stages]
-        # a Python float, numpy scalars included, so the oscillator's
-        # Python loop runs on plain floats
-        value = float(initial_value)
-        for st in self._stages:
-            st.prime(value)
 
     def step(self, u: float):
         """run() on one sample; returns three floats."""

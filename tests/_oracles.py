@@ -3,8 +3,8 @@ pose chains, reference writers, per-sample smoother stages, the contact
 model's reference formulas, the pendulum's own integration loop, the generic
 stick and slip sub-steps, the linear slosh oscillator and the desk-scale
 plant, which the tests compare the package against or build their cases
-from; and the switch between the two paths of the smoother's oscillator
-recurrence and of the table writer."""
+from; and the switch between the two paths of the compiled pieces: the
+engine's step loop, the oscillator recurrence and the table writer."""
 
 import contextlib
 import math
@@ -251,7 +251,7 @@ def linear_slosh_params(params: PlantParams) -> tuple[float, float]:
 
 def repr_table_chunks(header: str, rows):
     """The per-float repr() table writer, the definition both of
-    fileio._table_chunks's writers are held to: the header line, then
+    `_native.csv_rows`' writers are held to: the header line, then
     1024-row blocks of comma-separated repr() floats."""
     rows = np.asarray(rows, dtype=float)
     yield header + "\n"
@@ -353,6 +353,12 @@ LIBRARY_PATHS = [
                                                       reason="no C compiler")),
     "python",
 ]
+
+
+def python_loops(*args):
+    """`_native.loops` as where the library is not built: the engine runs
+    every step in Python, while the oscillator and the writer stay compiled."""
+    return _native.no_steps
 
 
 @contextlib.contextmanager
@@ -545,7 +551,9 @@ def generic_stick_step(p, damp, y, t, h, inputs):
 
 class GenericStickSim(_TraySim):
     steps = 0
-    _compiled = False
+
+    def _loops(self, trace):
+        return _native.no_steps
 
     def _advance(self, y, t, h, mode, inputs):
         if mode != STICK:
@@ -595,7 +603,9 @@ def generic_slip_step(p, damp, s, y, t, h, inputs):
 
 class GenericSlipSim(_TraySim):
     steps = 0
-    _compiled = False
+
+    def _loops(self, trace):
+        return _native.no_steps
 
     def _advance(self, y, t, h, mode, inputs):
         if mode != SLIP:

@@ -33,6 +33,7 @@ from _oracles import (
     desk_params,
     linear_slosh_params,
     pinned_pendulum,
+    python_loops,
     simulate_linear_slosh,
 )
 
@@ -491,7 +492,7 @@ def test_stick_step_is_one_sub_step_whose_end_test_fills_the_record(monkeypatch,
     # the step; the start-up stick test is the run's only other one, and
     # fills row 0. The Python loop only: the compiled loop makes no Python
     # sub-step.
-    monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
+    monkeypatch.setattr(_native, "loops", python_loops)
     calls = _count_engine_calls(monkeypatch)
     tr = simulate(params, _compensated_cascade_motion(1e-3))
     assert not tr.mode.any()
@@ -527,7 +528,7 @@ def test_slip_step_is_one_sub_step_whose_end_test_fills_the_record(monkeypatch, 
     # mode, and the one at the sliding state, which fills row 0. An n-step
     # slide thus makes n + 2 stick tests. The Python loop only: the compiled
     # loop makes no Python sub-step.
-    monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
+    monkeypatch.setattr(_native, "loops", python_loops)
     calls = _count_engine_calls(monkeypatch)
     tr = _TraySim(params, _SLIDE, None, (0.0, 0.0, 0.0, -0.3)).run()
     assert tr.mode.all() and not tr.transitions
@@ -593,7 +594,7 @@ def engine_loops(request, monkeypatch):
     # hand-back: the compiled loop hands a step back to Python after at
     # most three, so that the Python loop resumes at many rows
     if request.param == "python":
-        monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
+        monkeypatch.setattr(_native, "loops", python_loops)
         return request.param
     if _native.library() is None:
         pytest.skip("no C compiler: the compiled loops are not built")
@@ -645,7 +646,7 @@ def test_capture_cases_end_their_slide_on_the_grid(monkeypatch, params, motion, 
     # the capture cases stay what their names say: the first slide ends at
     # a step end, where 0 < |d_x_dot| < 1e-6, and not by a bisection, so the
     # held state differs from the slide step's end state
-    monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
+    monkeypatch.setattr(_native, "loops", python_loops)
     slide_ends = []
 
     def advance(self, y, t, h, mode, inputs, _real=dynamics._TraySim._advance):

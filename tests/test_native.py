@@ -1,9 +1,10 @@
 """The compiled pieces, the stick/slip engine's step loop, the smoother's
 oscillator loop and the CSV row writer: the golden outputs without them,
-their build into a cold cache, the reuse of a cached build, a private build
-where the cache cannot be used, the silent fallback to the Python sub-step,
-recurrence and writer where no build is possible, and the array checks of
-their bindings.
+their build into a cold cache, the reuse of a cached build, the rebuild of
+one that does not load, a private build where the cache cannot be used, the
+silent fallback to the Python sub-step, recurrence and writer where no
+build is possible, the bindings' contract (a callable on either path, with
+the bits of the piece's definition) and their array checks.
 test_golden.py covers the default run, which uses the loops where they
 build."""
 
@@ -13,12 +14,12 @@ import stat
 import subprocess
 
 import numpy as np
-import orjson
 import pytest
 
-from traywaiter import _native, dynamics
+from traywaiter import _native, dynamics, smoothers
 
-from _oracles import desk_params
+from _oracles import (LIBRARY_PATHS, desk_params, library_path, oscillator_path,
+                      python_loops, writer_path)
 from test_golden import GOLDEN, _run_case
 
 # the golden cases that simulate; the filter cases run no simulator. Both
@@ -45,7 +46,7 @@ def _needs_compiler():
 
 @pytest.mark.parametrize("run", SIMULATING)
 def test_golden_output_hashes_without_the_compiled_loop(monkeypatch, tmp_path, run):
-    monkeypatch.setattr(dynamics._TraySim, "_compiled", False)
+    monkeypatch.setattr(_native, "loops", python_loops)
     assert _run_case(run, str(tmp_path)) == GOLDEN[run]
 
 
@@ -78,6 +79,33 @@ def test_a_cached_library_is_loaded_without_a_build(cold_cache, monkeypatch):
     assert path.stat().st_mtime_ns == mtime
 
 
+def test_a_cached_library_that_does_not_load_is_built_again(cold_cache, monkeypatch):
+    # garbage at the key path, never loaded in this process: one build
+    # replaces it in the cache, and the next process loads that build
+    _needs_compiler()
+    cold_cache.mkdir(parents=True, mode=0o700)
+    path = _native._build(_native._compiler(), str(cold_cache))
+    with open(path, "wb") as fh:
+        fh.write(b"\0" * 8)
+    builds = []
+
+    def counted(*args, _run=subprocess.run, **kwargs):
+        builds.append(args)
+        return _run(*args, **kwargs)
+    monkeypatch.setattr(subprocess, "run", counted)
+    assert _native.library() is not None
+    assert len(builds) == 1
+    assert os.listdir(cold_cache) == [os.path.basename(path)]
+    with open(path, "rb") as fh:
+        assert fh.read(4) == b"\x7fELF"
+    _native.library.cache_clear()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("compiled again")
+    monkeypatch.setattr(subprocess, "run", no_build)
+    assert _native.library() is not None
+
+
 def test_a_cache_others_can_write_is_not_used(cold_cache):
     # the library is built for this process alone, and nothing is left there
     _needs_compiler()
@@ -98,6 +126,57 @@ def test_without_a_build_the_python_kernels_give_the_same_bytes(
     hashes = {run: _run_case(run, str(tmp_path / run)) for run in SIMULATING}
     assert hashes == {run: GOLDEN[run] for run in SIMULATING}
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("path", LIBRARY_PATHS)
+def test_each_binding_hands_out_a_callable(path):
+    with library_path(path, "steps", 0):
+        bindings = (_native.loops(desk_params(), 0.0, 1e-6, 1e-3, *_loop_arrays()),
+                    _native.oscillator(0.5, 0.1, -0.1, 0.5, 0.2, 0.3), _native.csv_rows())
+    assert all(map(callable, bindings))
+    assert (bindings[0] is _native.no_steps) == (path == "python")
+
+
+def test_no_steps_hands_back_its_arguments():
+    y, k1 = (0.1, -0.2, 0.3, -0.4), (1.0, 2.0, -3.0, 4.0)
+    j, y_out, k1_out = _native.no_steps(dynamics.SLIP, 7, y, k1, -1.0)
+    assert j == 7 and y_out is y and k1_out is k1
+
+
+@pytest.mark.parametrize("path", LIBRARY_PATHS)
+def test_the_oscillator_on_either_path_has_the_bits_of_its_definition(path):
+    # a damped pole pair over 1000 samples of white forcing, from a state
+    # off rest, against the recurrence written out per sample
+    coefficients = f11, f12, f21, f22, g1, g2 = smoothers._pole_pair_map(-3.0, 40.0, 1e-3)
+    f = np.random.default_rng(5).standard_normal(1000)
+    x1s, x2s = np.empty(1000), np.empty(1000)
+    with oscillator_path(path) as calls:
+        last = _native.oscillator(*coefficients)(f, 0.25, -0.5, x1s, x2s)
+    x1, x2 = 0.25, -0.5
+    states = []
+    for fk in f.tolist():
+        x1, x2 = f11 * x1 + f12 * x2 + g1 * fk, f21 * x1 + f22 * x2 + g2 * fk
+        states.append((x1, x2))
+    assert np.column_stack((x1s, x2s)).tobytes() == np.array(states).tobytes()
+    assert [v.hex() for v in last] == [x1.hex(), x2.hex()]
+    assert calls is None or calls == [1000]
+
+
+# a value in each of the compiled writer's notation ranges, from both sides
+# of zero, with NaN, the infinities, a signed zero and a subnormal
+_NOTATIONS = np.array([5e-10, 3.3333333333333333e-06, 1.2345678901234568e-05, 2e-5, 0.5,
+                       1.2345678901234567e+15, 1e16, 3.3333333333333336e+16,
+                       1.7976931348623157e+308, -3e-9, -7e-6, -0.001, -8e16,
+                       0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, 42.0]).reshape(5, 4)
+
+
+@pytest.mark.parametrize("path", LIBRARY_PATHS)
+def test_the_row_writer_on_either_path_writes_the_bytes_of_its_definition(path):
+    with writer_path(path) as calls:
+        text = _native.csv_rows()(_NOTATIONS)
+    assert text == "".join(",".join(map(repr, row)) + "\n"
+                           for row in _NOTATIONS.tolist()).encode()
+    assert calls is None or calls == [_NOTATIONS.size]
 
 
 @pytest.fixture
@@ -176,10 +255,6 @@ def test_the_oscillator_loop_refuses_bad_arrays_before_any_call(loop_calls, case
     assert loop_calls == ["osc_steps"]
 
 
-def _dump(values):
-    return orjson.dumps(np.ravel(values), option=orjson.OPT_SERIALIZE_NUMPY)
-
-
 _BAD_TABLES = {
     "one-dimensional": np.ones(4),
     "no-columns": np.ones((4, 0)),
@@ -193,10 +268,10 @@ def test_the_row_writer_refuses_bad_tables_before_any_call(loop_calls, case):
     write = _native.csv_rows()
     table = _BAD_TABLES[case]
     with pytest.raises(ValueError, match="^CSV rows: expected a C-contiguous 2-D float64 "):
-        write(table, _dump(table))
+        write(table)
     assert loop_calls == []
     # the same write of a valid table calls the writer
-    assert write(np.ones((2, 2)), _dump(np.ones((2, 2)))) == b"1.0,1.0\n1.0,1.0\n"
+    assert write(np.ones((2, 2))) == b"1.0,1.0\n1.0,1.0\n"
     assert loop_calls == ["csv_rows"]
 
 
@@ -204,9 +279,11 @@ def test_the_row_writer_refuses_bad_tables_before_any_call(loop_calls, case):
                                   b"[1.0,2.0,,4.0]", b"1.0,2.0,3.0,4.0"],
                          ids=["one-too-few", "one-too-many", "empty", "empty-token",
                               "no-brackets"])
-def test_the_row_writer_refuses_a_dump_that_does_not_hold_the_table(loop_calls, dump):
+def test_the_row_writer_refuses_a_dump_that_does_not_hold_the_table(
+        loop_calls, monkeypatch, dump):
     write = _native.csv_rows()
+    monkeypatch.setattr(_native, "_dump", lambda table: dump)
     with pytest.raises(ValueError, match="^CSV rows: the dump does not hold the 4 values "
                                          "of the 2x2 table$"):
-        write(np.ones((2, 2)), dump)
+        write(np.ones((2, 2)))
     assert loop_calls == ["csv_rows"]

@@ -104,8 +104,7 @@ def test_rectangular_step_is_ramp():
     # one box stage, the half of a trapezoid
     dt = 1e-3
     T = 0.5
-    box = _RectStage(_quantize(T, dt), dt)
-    box.prime(0.0)
+    box = _RectStage(_quantize(T, dt), dt, 0.0)
     p, v, a = box.run(np.ones(800), np.zeros(800))
     t = (np.arange(800) + 0.5) * dt  # step occurs half a sample before index 0
     ref = np.clip(t / T, 0.0, 1.0)
